@@ -17,6 +17,8 @@ import argparse
 import csv
 import hashlib
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -42,6 +44,19 @@ def fmt(x) -> str:
     return str(x)
 
 
+# config key -> (accepted types, description); bool is rejected everywhere
+_SCALAR_TYPES = {
+    "p_cap": (numbers.Integral, "an integer"),
+    "big_threshold": (numbers.Integral, "an integer"),
+    "threads": (numbers.Integral, "an integer"),
+    "alpha": (numbers.Real, "a number"),
+    "npmi_epsilon": (numbers.Real, "a number"),
+    "chi2_shape": (str, "a string"),
+    "rcl_fp": (str, "a string"),
+    "oc_aggregate": (str, "a string"),
+}
+
+
 @dataclass
 class RunConfig:
     matrix: Path
@@ -61,6 +76,14 @@ class RunConfig:
     threads: int = 1
 
     def validate(self):
+        for name, (types, what) in _SCALAR_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+        if not isinstance(self.methods, (list, tuple)) \
+                or not all(isinstance(m, str) for m in self.methods):
+            raise ConfigError(
+                f"methods must be a list of method names, got {self.methods!r}")
         if self.p_cap < 1:
             raise ConfigError("p_cap must be >= 1")
         if not (0 < self.alpha < 1):
@@ -76,6 +99,8 @@ class RunConfig:
             raise ConfigError(f"unknown oc_aggregate {self.oc_aggregate!r}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if not 0 <= self.npmi_epsilon < math.inf:
+            raise ConfigError("npmi_epsilon must be finite and >= 0")
         if self.df_filter is not None:
             low, high = self.df_filter
             if not (0 <= low < high <= 1):
@@ -129,7 +154,11 @@ def load_config(path, overrides: dict) -> RunConfig:
         raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
     base = path.parent
 
-    def respath(v):
+    def respath(name):
+        v = blob[name]
+        if not isinstance(v, str):
+            raise ConfigError(f"{path}: {name} must be a path string, "
+                              f"got {v!r}")
         p = Path(v)
         return p if p.is_absolute() else base / p
 
@@ -137,9 +166,9 @@ def load_config(path, overrides: dict) -> RunConfig:
     for name in ("matrix", "vocabulary", "hierarchy", "out_dir"):
         if name not in blob:
             raise ConfigError(f"{path}: missing required key {name!r}")
-        kwargs[name] = respath(blob[name])
+        kwargs[name] = respath(name)
     if blob.get("reference_corpus") is not None:
-        kwargs["reference_corpus"] = respath(blob["reference_corpus"])
+        kwargs["reference_corpus"] = respath("reference_corpus")
     for name in ("p_cap", "alpha", "methods", "chi2_shape", "rcl_fp",
                  "oc_aggregate", "big_threshold", "npmi_epsilon", "threads"):
         if name in blob:
@@ -148,6 +177,9 @@ def load_config(path, overrides: dict) -> RunConfig:
         f = blob["df_filter"]
         if not isinstance(f, dict) or "low" not in f or "high" not in f:
             raise ConfigError(f"{path}: df_filter needs 'low' and 'high'")
+        if any(isinstance(f[b], bool) or not isinstance(f[b], numbers.Real)
+               for b in ("low", "high")):
+            raise ConfigError(f"{path}: df_filter bounds must be numbers")
         kwargs["df_filter"] = (float(f["low"]), float(f["high"]))
 
     for k, v in overrides.items():
@@ -157,7 +189,10 @@ def load_config(path, overrides: dict) -> RunConfig:
         cfg = RunConfig(**kwargs)
     except TypeError as e:
         raise ConfigError(f"bad config: {e}") from None
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
     return cfg
 
 
@@ -253,11 +288,11 @@ def write_manifest(tracker: OutputTracker, cfg: RunConfig, stage: str,
 # stage: label
 # ---------------------------------------------------------------------------
 
-def stage_label(cfg: RunConfig, tracker: OutputTracker):
-    bundle = load_inputs(cfg)
+def stage_label(cfg: RunConfig, tracker: OutputTracker,
+                bundle: InputBundle | None = None):
+    bundle = bundle or load_inputs(cfg)
     stats = corp.build_node_stats(bundle.matrix, bundle.hierarchy)
-    assignments = lab.label_all(stats, cfg.methods, cfg.label_config(),
-                                threads=cfg.threads)
+    assignments = lab.label_all(stats, cfg.methods, cfg.label_config())
     with tracker.open("labels.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "node_id", "rank", "term_id", "term_surface",
@@ -315,16 +350,25 @@ def _assignments_from_csv(rows: dict, bundle: InputBundle, methods) -> dict:
 # stage: evaluate
 # ---------------------------------------------------------------------------
 
-def stage_evaluate(cfg: RunConfig, tracker: OutputTracker):
-    bundle = load_inputs(cfg)
+def _labels_csv_rows(tracker: OutputTracker) -> dict:
     labels_path = tracker.out_dir / "labels.csv"
     if not labels_path.is_file():
         raise ConfigError(f"labels.csv not found in {tracker.out_dir}; "
                           "run the label stage first")
-    rows = read_labels_csv(labels_path)
-    assignments = _assignments_from_csv(rows, bundle, cfg.methods)
+    return read_labels_csv(labels_path)
+
+
+def stage_evaluate(cfg: RunConfig, tracker: OutputTracker,
+                   bundle: InputBundle | None = None,
+                   assignments: dict | None = None):
+    """``assignments`` are the label stage's in-memory results; without
+    them the labels are read back from labels.csv."""
+    bundle = bundle or load_inputs(cfg)
+    if assignments is None:
+        assignments = _assignments_from_csv(_labels_csv_rows(tracker),
+                                            bundle, cfg.methods)
     table, queries = qe.evaluate_all(bundle.matrix, bundle.hierarchy,
-                                     assignments, threads=cfg.threads)
+                                     assignments)
     with tracker.open("metrics.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "node_id", "level", "kind",
@@ -339,12 +383,12 @@ def stage_evaluate(cfg: RunConfig, tracker: OutputTracker):
                                 fmt(r.precision), fmt(r.recall), fmt(r.f)])
     with tracker.open("queries.txt") as fh:
         for method in cfg.methods:
+            render = qe.prefix_renderer()
             for kind in KINDS:
                 qmap = queries[method][kind]
                 for i in range(bundle.hierarchy.n_nodes):
                     nid = int(bundle.hierarchy.ids[i])
-                    fh.write(f"{method} {nid} {kind} "
-                             f"{qe.query_to_prefix(qmap[i])}\n")
+                    fh.write(f"{method} {nid} {kind} {render(qmap[i])}\n")
     return table
 
 
@@ -420,34 +464,41 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker):
 # stage: coherence
 # ---------------------------------------------------------------------------
 
-def stage_coherence(cfg: RunConfig, tracker: OutputTracker):
+def stage_coherence(cfg: RunConfig, tracker: OutputTracker,
+                    bundle: InputBundle | None = None,
+                    corpus: list | None = None,
+                    assignments: dict | None = None):
+    """``corpus`` is the loaded reference corpus and ``assignments`` the
+    label stage's in-memory results; each is loaded when not given."""
     if cfg.reference_corpus is None:
         raise ConfigError("coherence stage requires a reference_corpus path")
-    bundle = load_inputs(cfg)
-    labels_path = tracker.out_dir / "labels.csv"
-    if not labels_path.is_file():
-        raise ConfigError(f"labels.csv not found in {tracker.out_dir}; "
-                          "run the label stage first")
-    rows = read_labels_csv(labels_path)
-    corpus = coh.load_reference_corpus(cfg.reference_corpus)
-    if not corpus:
-        raise ValidationError(
-            f"reference corpus {cfg.reference_corpus} has no documents")
+    bundle = bundle or load_inputs(cfg)
+    # method -> {node id: [original term ids in rank order]}
+    if assignments is None:
+        labels = {m: {nid: [t for t, _ in pairs] for nid, pairs in per.items()}
+                  for m, per in _labels_csv_rows(tracker).items()}
+    else:
+        ids, orig = bundle.hierarchy.ids, bundle.orig_id
+        labels = {m: {int(ids[i]): [int(orig[t]) for t, _ in pairs]
+                      for i, pairs in assignments[m].labels.items()}
+                  for m in cfg.methods}
+    if corpus is None:
+        corpus = _load_reference_corpus(cfg)
 
     label_terms = set()
     for method in cfg.methods:
-        for pairs in rows.get(method, {}).values():
-            label_terms.update(t for t, _ in pairs)
+        for terms in labels.get(method, {}).values():
+            label_terms.update(terms)
     counts = coh.count_cooccurrence(corpus, bundle.vocab_full,
                                     restrict_terms=sorted(label_terms))
 
     per_node, missing = {}, {}
     for method in cfg.methods:
         vals, miss = {}, {}
-        per = rows.get(method, {})
+        per = labels.get(method, {})
         for i in range(bundle.hierarchy.n_nodes):
             nid = int(bundle.hierarchy.ids[i])
-            terms = [t for t, _ in per.get(nid, [])]
+            terms = per.get(nid, [])
             vals[nid] = coh.oc_npmi(counts, terms, cfg.p_cap,
                                     cfg.npmi_epsilon, cfg.oc_aggregate)
             miss[nid] = sum(1 for t in terms[:cfg.p_cap]
@@ -474,7 +525,17 @@ def stage_coherence(cfg: RunConfig, tracker: OutputTracker):
 # stage: validate
 # ---------------------------------------------------------------------------
 
+def _load_reference_corpus(cfg: RunConfig) -> list:
+    corpus = coh.load_reference_corpus(cfg.reference_corpus)
+    if not corpus:
+        raise ValidationError(
+            f"reference corpus {cfg.reference_corpus} has no documents")
+    return corpus
+
+
 def stage_validate(cfg: RunConfig):
+    """Load and check every input; returns the summary lines, the input
+    bundle and the reference corpus (None when not configured)."""
     bundle = load_inputs(cfg)
     lines = [
         f"matrix: {bundle.matrix.n_docs} docs x {bundle.matrix.n_terms} terms "
@@ -486,13 +547,11 @@ def stage_validate(cfg: RunConfig):
     if cfg.df_filter is not None:
         kept = bundle.matrix.n_terms
         lines.append(f"df filter kept {kept} of {len(bundle.vocab_full)} terms")
+    corpus = None
     if cfg.reference_corpus is not None:
-        corpus = coh.load_reference_corpus(cfg.reference_corpus)
-        if not corpus:
-            raise ValidationError(
-                f"reference corpus {cfg.reference_corpus} has no documents")
+        corpus = _load_reference_corpus(cfg)
         lines.append(f"reference corpus: {len(corpus)} documents")
-    return lines
+    return lines, bundle, corpus
 
 
 # ---------------------------------------------------------------------------
@@ -503,23 +562,33 @@ STAGES = ("validate", "label", "evaluate", "stats", "coherence", "all")
 
 
 def run_stage(stage: str, cfg: RunConfig, dry_run: bool = False) -> list:
-    """Execute one subcommand; returns human-readable summary lines."""
-    summary = stage_validate(cfg)
+    """Execute one subcommand; returns human-readable summary lines.
+
+    The inputs are loaded once, by the validation, and handed to the
+    stages; ``all`` also hands its label assignments on in memory.  The
+    stats stage always fits on the rounded values that metrics.csv holds.
+    """
+    summary, bundle, corpus = stage_validate(cfg)
     if dry_run or stage == "validate":
         return summary + (["dry run: no outputs written"] if dry_run else [])
+    if stage != "coherence":
+        # ``all`` reloads it for its coherence step: held through labeling
+        # it would add its size to the run's peak memory
+        corpus = None
     tracker = OutputTracker(cfg.out_dir)
     try:
+        assignments = None
         if stage in ("label", "all"):
-            stage_label(cfg, tracker)
+            _, assignments = stage_label(cfg, tracker, bundle)
         if stage in ("evaluate", "all"):
-            stage_evaluate(cfg, tracker)
+            stage_evaluate(cfg, tracker, bundle, assignments)
         if stage in ("stats", "all"):
             stage_stats(cfg, tracker)
         if stage in ("coherence", "all"):
             if stage == "all" and cfg.reference_corpus is None:
                 summary.append("coherence skipped: no reference corpus")
             else:
-                stage_coherence(cfg, tracker)
+                stage_coherence(cfg, tracker, bundle, corpus, assignments)
         extra = []
         for name in ("labels.csv", "metrics.csv"):
             p = tracker.out_dir / name

@@ -700,17 +700,13 @@ def label_hierarchy(stats: NodeTermStats, method: str,
 
 def label_all(stats: NodeTermStats, methods=METHODS,
               cfg: LabelConfig | None = None, threads: int = 1) -> dict:
-    """All requested methods; parallel across methods when threads > 1."""
+    """All requested methods, in order.  ``threads`` is accepted for
+    compatibility and has no effect: the methods hold the GIL, and a
+    per-method thread pool measured slower than one thread."""
     cfg = cfg or LabelConfig()
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
     bad = [m for m in methods if m not in METHODS]
     if bad:
         raise ConfigError(f"unknown methods: {', '.join(bad)}")
-    if threads > 1 and len(methods) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(methods, pool.map(
-                lambda m: label_hierarchy(stats, m, cfg), methods
-            )))
-    else:
-        results = {m: label_hierarchy(stats, m, cfg) for m in methods}
-    return results
+    return {m: label_hierarchy(stats, m, cfg) for m in methods}

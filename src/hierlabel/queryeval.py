@@ -10,12 +10,13 @@ retrieved sets nest along every root path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import _kernels
 from .corpus import DocTermMatrix, Hierarchy
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .labeling import LabelAssignment
 
 
@@ -52,43 +53,50 @@ def query_to_prefix(query) -> str:
     return "(" + op + " " + " ".join(query_to_prefix(c) for c in query.children) + ")"
 
 
-def _or_of(parts) -> object:
-    """Canonical OR: nested ORs flattened, structural duplicates dropped,
-    a single remaining operand returned bare."""
-    flat = []
-    for p in parts:
-        for q in (p.children if isinstance(p, Or) else (p,)):
-            if q not in flat:
-                flat.append(q)
-    if not flat:
-        return None
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+def prefix_renderer():
+    """``query_to_prefix`` for the shared query objects of one derivation.
 
-
-def derive_specific_queries(hierarchy: Hierarchy, labels: LabelAssignment) -> dict:
-    """Map node index -> query (or None for unretrievable nodes).
-
-    Two passes: bottom-up to resolve empty-label nodes into ORs over their
-    children's resolved queries, then top-down to let nodes below a labeled
-    ancestor inherit that ancestor's own query instead.
+    Each distinct specific query (one object per term-id tuple) goes
+    through ``query_to_prefix`` once; an And joins its conjuncts' cached
+    strings.  The cache keeps every query it saw alive, so object ids are
+    never reused while the renderer lives.
     """
-    n = hierarchy.n_nodes
-    own = {}
-    for i in range(n):
-        terms = labels.terms(i)
-        own[i] = _or_of(Term(t) for t in terms) if terms else None
+    cache = {}
 
-    down = dict(own)
+    def render(query) -> str:
+        if isinstance(query, And):
+            return "(AND " + " ".join(map(render, query.children)) + ")"
+        hit = cache.get(id(query))
+        if hit is None:
+            hit = cache[id(query)] = (query, query_to_prefix(query))
+        return hit[1]
+
+    return render
+
+
+def _union(parts) -> tuple:
+    """Canonical OR operands of term-id tuples: nested ORs flattened,
+    duplicates dropped, first occurrences kept in order."""
+    return tuple(dict.fromkeys(chain.from_iterable(parts)))
+
+
+def _specific_terms(hierarchy: Hierarchy, labels: LabelAssignment) -> list:
+    """Node index -> term-id tuple of its specific query, None when the
+    node is unretrievable.  Two passes: bottom-up to resolve empty-label
+    nodes into ORs over their children's resolved queries, then top-down
+    to let nodes below a labeled ancestor inherit that ancestor's own query
+    instead."""
+    n = hierarchy.n_nodes
+    own = [tuple(dict.fromkeys(labels.terms(i))) or None for i in range(n)]
+
+    down = list(own)
     for i in hierarchy.order_bottom_up():
         i = int(i)
-        if down[i] is not None or hierarchy.is_leaf(i):
-            continue
-        down[i] = _or_of(down[int(c)] for c in hierarchy.children[i]
-                         if down[int(c)] is not None)
+        if down[i] is None and not hierarchy.is_leaf(i):
+            down[i] = _union(down[int(c)] for c in hierarchy.children[i]
+                             if down[int(c)] is not None) or None
 
-    out = {}
+    out = [None] * n
     nearest = {hierarchy.root: None}   # nearest labeled ancestor's own query
     for i in hierarchy.order_top_down():
         i = int(i)
@@ -104,24 +112,68 @@ def derive_specific_queries(hierarchy: Hierarchy, labels: LabelAssignment) -> di
     return out
 
 
+def _terms_of(query) -> tuple:
+    """Term-id tuple of a Term or of an OR of Terms."""
+    if isinstance(query, Term):
+        return (query.term,)
+    return tuple(c.term for c in query.children)
+
+
+def derive_specific_queries(hierarchy: Hierarchy, labels: LabelAssignment) -> dict:
+    """Map node index -> query (or None for unretrievable nodes).
+
+    A single term is a bare Term, more terms an Or of Terms.  Nodes with
+    the same term tuple share one query object, and queries share their
+    Term objects.
+    """
+    terms, queries = {}, {}
+
+    def term(t):
+        q = terms.get(t)
+        if q is None:
+            q = terms[t] = Term(t)
+        return q
+
+    def query(key):
+        if key is None:
+            return None
+        q = queries.get(key)
+        if q is None:
+            q = queries[key] = (term(key[0]) if len(key) == 1
+                                else Or(tuple(map(term, key))))
+        return q
+
+    return {i: query(key)
+            for i, key in enumerate(_specific_terms(hierarchy, labels))}
+
+
 def derive_generic_queries(hierarchy: Hierarchy, specific: dict) -> dict:
     """AND each node's specific query onto its ancestors' conjuncts,
-    skipping structurally duplicate conjuncts (inherited copies)."""
-    conjuncts = {}
+    skipping structurally duplicate conjuncts (inherited copies).
+
+    ``specific`` maps node index -> Term, Or of Terms or None, as
+    ``derive_specific_queries`` returns it.  A node that adds no conjunct
+    shares its parent's query object.
+    """
+    tuples = {}                        # id(query) -> term-id tuple
+    conjuncts = {}                     # node -> (term tuples, queries)
     out = {}
     for i in hierarchy.order_top_down():
         i = int(i)
-        base = [] if i == hierarchy.root else list(conjuncts[int(hierarchy.parent[i])])
+        root = i == hierarchy.root
+        keys, parts = ((), ()) if root else conjuncts[int(hierarchy.parent[i])]
         q = specific.get(i)
-        if q is not None and q not in base:
-            base.append(q)
-        conjuncts[i] = base
-        if not base:
-            out[i] = None
-        elif len(base) == 1:
-            out[i] = base[0]
+        key = None
+        if q is not None:
+            key = tuples.get(id(q))
+            if key is None:
+                key = tuples[id(q)] = _terms_of(q)
+        if key is None or key in keys:
+            out[i] = None if root else out[int(hierarchy.parent[i])]
         else:
-            out[i] = And(tuple(base))
+            keys, parts = keys + (key,), parts + (q,)
+            out[i] = q if len(parts) == 1 else And(parts)
+        conjuncts[i] = (keys, parts)
     return out
 
 
@@ -231,34 +283,54 @@ class ObservationTable:
         return np.asarray([r.measure(measure) for r in self.rows])
 
 
+def _query_masks(matrix: DocTermMatrix, hierarchy: Hierarchy,
+                 specific: dict):
+    """Retrieved-document masks per node for the specific queries and for
+    the generic ones.  Each shared specific query is evaluated once; a
+    generic mask is the parent's generic mask AND the node's own."""
+    no_docs = np.zeros(matrix.n_docs, bool)
+    masks = {}                         # id(shared query) -> mask
+    spec_masks = {}
+    for i in range(hierarchy.n_nodes):
+        q = specific[i]
+        if q is None:
+            spec_masks[i] = no_docs
+            continue
+        hit = masks.get(id(q))
+        if hit is None:
+            hit = masks[id(q)] = _eval_mask(matrix, q)
+        spec_masks[i] = hit
+    gen_masks = {}
+    for i in hierarchy.order_top_down():
+        i = int(i)
+        if i == hierarchy.root:
+            gen_masks[i] = spec_masks[i]
+        else:
+            parent_mask = gen_masks[int(hierarchy.parent[i])]
+            if specific[i] is None:
+                gen_masks[i] = parent_mask
+            else:
+                gen_masks[i] = parent_mask & spec_masks[i]
+    return spec_masks, gen_masks
+
+
 def evaluate_all(matrix: DocTermMatrix, hierarchy: Hierarchy,
                  assignments: dict, threads: int = 1):
     """Metrics for every (method, node, kind); also returns the derived
-    queries as {method: {"specific": {...}, "generic": {...}}}."""
-    methods = list(assignments)
+    queries as {method: {"specific": {...}, "generic": {...}}}.
 
-    def one(method):
-        labels = assignments[method]
+    ``threads`` is accepted for compatibility and has no effect: the work
+    holds the GIL, and a per-method thread pool measured slower than one
+    thread.
+    """
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
+    queries = {}
+    table = ObservationTable()
+    for method, labels in assignments.items():
         specific = derive_specific_queries(hierarchy, labels)
         generic = derive_generic_queries(hierarchy, specific)
-        rows = []
-        spec_masks = {}
-        for i in range(hierarchy.n_nodes):
-            q = specific[i]
-            spec_masks[i] = (np.zeros(matrix.n_docs, bool) if q is None
-                             else _eval_mask(matrix, q))
-        gen_masks = {}
-        for i in hierarchy.order_top_down():
-            i = int(i)
-            if i == hierarchy.root:
-                gen_masks[i] = spec_masks[i]
-            else:
-                parent_mask = gen_masks[int(hierarchy.parent[i])]
-                q = specific[i]
-                if q is None:
-                    gen_masks[i] = parent_mask
-                else:
-                    gen_masks[i] = parent_mask & spec_masks[i]
+        spec_masks, gen_masks = _query_masks(matrix, hierarchy, specific)
         for i in range(hierarchy.n_nodes):
             group = hierarchy.docsets[i]
             nid = int(hierarchy.ids[i])
@@ -268,19 +340,7 @@ def evaluate_all(matrix: DocTermMatrix, hierarchy: Hierarchy,
                 tp = int(mask[group].sum())
                 m = _metrics_from_counts(tp, int(mask.sum()), len(group),
                                          matrix.n_docs)
-                rows.append(ObservationRow(method, nid, lvl, kind,
-                                           m.precision, m.recall, m.f))
-        return rows, {"specific": specific, "generic": generic}
-
-    queries = {}
-    table = ObservationTable()
-    if threads > 1 and len(methods) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, methods))
-    else:
-        results = [one(m) for m in methods]
-    for method, (rows, qs) in zip(methods, results):
-        table.rows.extend(rows)
-        queries[method] = qs
+                table.rows.append(ObservationRow(method, nid, lvl, kind,
+                                                 m.precision, m.recall, m.f))
+        queries[method] = {"specific": specific, "generic": generic}
     return table, queries

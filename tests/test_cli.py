@@ -278,3 +278,76 @@ class TestConfigHandling:
         blob["df_filter"] = {"low": 0.0, "high": 1.0}
         cfg_path.write_text(json.dumps(blob))
         assert cli.main(["all", "--config", str(cfg_path)]) == 0
+
+
+class TestConfigTypes:
+
+    @pytest.mark.parametrize("key,value", [
+        ("p_cap", "3"), ("threads", "2"), ("alpha", "0.05"),
+        ("methods", "RLUM"), ("npmi_epsilon", -3), ("p_cap", True),
+        ("big_threshold", 2.5), ("oc_aggregate", 1), ("matrix", 7),
+        ("df_filter", {"low": "0.1", "high": 0.5}),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, key, value):
+        cfg_path = write_fixture(tmp_path / "fx")
+        blob = json.loads(cfg_path.read_text())
+        blob[key] = value
+        cfg_path.write_text(json.dumps(blob))
+        assert cli.main(["validate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and key in err, err
+
+    def test_methods_string_not_split_into_letters(self, tmp_path):
+        cfg_path = write_fixture(tmp_path / "fx")
+        blob = json.loads(cfg_path.read_text())
+        blob["methods"] = "RLUM"
+        cfg_path.write_text(json.dumps(blob))
+        with pytest.raises(cli.ConfigError, match="list of method names"):
+            cli.load_config(cfg_path, {})
+
+
+class TestSingleLoad:
+
+    def _count_loads(self, monkeypatch):
+        calls = []
+        real = cli.load_inputs
+
+        def counting(cfg):
+            calls.append(cfg)
+            return real(cfg)
+        monkeypatch.setattr(cli, "load_inputs", counting)
+        return calls
+
+    def test_all_loads_inputs_once(self, tmp_path, monkeypatch):
+        cfg = write_fixture(tmp_path / "fx")
+        calls = self._count_loads(monkeypatch)
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
+
+    def test_each_stage_loads_inputs_once(self, tmp_path, monkeypatch):
+        cfg = write_fixture(tmp_path / "fx")
+        calls = self._count_loads(monkeypatch)
+        for stage in ("label", "evaluate", "stats", "coherence"):
+            calls.clear()
+            assert cli.main([stage, "--config", str(cfg)]) == 0
+            assert len(calls) == 1, stage
+
+    def test_all_equals_stagewise_with_df_filter(self, tmp_path):
+        # in-memory labels carry working term ids; the reports must show
+        # the same original ids as a run that re-reads labels.csv
+        cfg_path = write_fixture(tmp_path / "fx")
+        blob = json.loads(cfg_path.read_text())
+        blob["df_filter"] = {"low": 0.1, "high": 0.45}
+        cfg_path.write_text(json.dumps(blob))
+        cfg = cli.load_config(cfg_path, {})
+        assert 0 < cli.load_inputs(cfg).matrix.n_terms < 9
+        assert cli.main(["all", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "oa")]) == 0
+        for stage in ("label", "evaluate", "stats", "coherence"):
+            assert cli.main([stage, "--config", str(cfg_path),
+                             "--out", str(tmp_path / "ob")]) == 0
+        for rel in EXPECTED_FILES:
+            if rel == "run_manifest.json":
+                continue
+            assert (tmp_path / "oa" / rel).read_bytes() == \
+                (tmp_path / "ob" / rel).read_bytes(), rel

@@ -10,7 +10,7 @@ from scipy.stats import chi2_contingency
 
 from hierlabel import corpus as corp
 from hierlabel import labeling as lab
-from hierlabel.errors import ValidationError
+from hierlabel.errors import ConfigError, ValidationError
 
 from conftest import (hierarchy_from_records, matrix_from_cells,
                       random_instance)
@@ -664,6 +664,18 @@ class TestMethodInvariants:
                     assert scores == sorted(scores, reverse=True)
                     terms = [t for t, _ in label]
                     assert len(set(terms)) == len(terms)
+
+    def test_label_all_threads_accepted_and_ignored(self, tmp_path):
+        rng = np.random.default_rng(75)
+        m, h = random_instance(rng, tmp_path)
+        stats = corp.build_node_stats(m, h)
+        methods = ("MTWL_raw", "RLUM", "CFAverage")
+        one = lab.label_all(stats, methods, threads=1)
+        four = lab.label_all(stats, methods, threads=4)
+        assert list(one) == list(four) == list(methods)
+        assert all(one[k].labels == four[k].labels for k in methods)
+        with pytest.raises(ConfigError):
+            lab.label_all(stats, methods, threads=0)
 
     def test_deterministic_reruns(self, tmp_path):
         rng = np.random.default_rng(72)

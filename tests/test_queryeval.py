@@ -6,10 +6,11 @@ import pytest
 from hierlabel import corpus as corp
 from hierlabel import labeling as lab
 from hierlabel import queryeval as qe
-from hierlabel.errors import ValidationError
+from hierlabel.errors import ConfigError, ValidationError
 
+import oracles
 from conftest import (hierarchy_from_records, matrix_from_cells,
-                      random_instance)
+                      random_instance, random_matrix, random_tree_records)
 
 AGRI, TECHNO, PROCESS, RESEARCH, INNOV, TECH, UNIV = range(7)
 
@@ -92,6 +93,115 @@ class TestSpecificQueries:
         q = qe.derive_specific_queries(h, a)
         assert q[1] is None
         assert q[0] == qe.Term(0)     # case (ii) via the one labeled child
+
+
+def _comb_records(n_spine):
+    """Spine 0..n_spine-1; each spine node has a leaf child and the next
+    spine node, the last one two leaves."""
+    records = [{"id": s, "parent": s - 1 if s else None, "children": []}
+               for s in range(n_spine)]
+    for s in range(n_spine):
+        if s + 1 < n_spine:
+            records[s]["children"].append(s + 1)
+        for _ in range(1 if s + 1 < n_spine else 2):
+            leaf = len(records)
+            records.append({"id": leaf, "parent": s, "children": []})
+            records[s]["children"].append(leaf)
+    return records
+
+
+def _wide_records(fanout):
+    records = [{"id": 0, "parent": None, "children": []}]
+    for _ in range(fanout):
+        mid = len(records)
+        records.append({"id": mid, "parent": 0, "children": []})
+        records[0]["children"].append(mid)
+        for _ in range(fanout):
+            leaf = len(records)
+            records.append({"id": leaf, "parent": mid, "children": []})
+            records[mid]["children"].append(leaf)
+    return records
+
+
+def _with_docs(rng, records):
+    """Partition a random number of documents over the leaves."""
+    leaves = [r for r in records if not r["children"]]
+    n_docs = len(leaves) + int(rng.integers(0, 2 * len(leaves)))
+    cuts = np.sort(rng.choice(np.arange(1, n_docs), len(leaves) - 1,
+                              replace=False))
+    for r in records:
+        r["docs"] = []
+    for leaf, docs in zip(leaves, np.split(rng.permutation(n_docs), cuts)):
+        leaf["docs"] = [int(d) for d in docs]
+
+
+def _random_labels(rng, n_nodes, n_terms):
+    """Many empty labels; a small vocabulary so that siblings and
+    ancestors repeat terms; now and then a term repeated in one label."""
+    a = lab.LabelAssignment("random")
+    for i in range(n_nodes):
+        if rng.random() < 0.45:
+            a.labels[i] = []
+            continue
+        terms = [int(t) for t in rng.integers(0, n_terms,
+                                              int(rng.integers(1, 5)))]
+        a.labels[i] = [(t, 1.0) for t in terms]
+    return a
+
+
+class TestTupleQueriesAgainstOracle:
+    """The term-tuple derivation, its memoised rendering and its memoised
+    masks against the structural oracle, ``query_to_prefix`` and
+    ``retrieve``."""
+
+    def _trees(self, rng):
+        """(name, records with docs) for comb, wide and random trees."""
+        for trial in range(6):
+            comb = _comb_records(int(rng.integers(2, 14)))
+            _with_docs(rng, comb)
+            yield f"comb{trial}", comb
+            wide = _wide_records(int(rng.integers(1, 5)))
+            _with_docs(rng, wide)
+            yield f"wide{trial}", wide
+            n = int(rng.integers(6, 40))
+            yield f"random{trial}", random_tree_records(rng, n, max_nodes=15)
+
+    def test_property_against_oracle(self, tmp_path):
+        rng = np.random.default_rng(90)
+        for name, records in self._trees(rng):
+            n_docs = sum(len(r["docs"]) for r in records)
+            n_terms = int(rng.integers(3, 9))
+            m = random_matrix(rng, n_docs, n_terms)
+            h = hierarchy_from_records(records, m, tmp_path, f"{name}.json")
+            a = _random_labels(rng, h.n_nodes, n_terms)
+
+            spec = qe.derive_specific_queries(h, a)
+            gen = qe.derive_generic_queries(h, spec)
+            want_spec = oracles.specific_queries(h, a)
+            want_gen = oracles.generic_queries(h, want_spec)
+            assert spec == want_spec, name
+            assert gen == want_gen, name
+
+            render = qe.prefix_renderer()
+            spec_masks, gen_masks = qe._query_masks(m, h, spec)
+            for i in range(h.n_nodes):
+                assert render(spec[i]) == qe.query_to_prefix(want_spec[i])
+                assert render(gen[i]) == qe.query_to_prefix(want_gen[i])
+                assert set(np.flatnonzero(spec_masks[i]).tolist()) == \
+                    qe.retrieve(m, want_spec[i]), (name, i)
+                assert set(np.flatnonzero(gen_masks[i]).tolist()) == \
+                    qe.retrieve(m, want_gen[i]), (name, i)
+
+    def test_equal_tuples_share_one_query(self, labeled_tree):
+        m, h, a = labeled_tree
+        spec = qe.derive_specific_queries(h, a)
+        n3, n6, n7 = (h.index_of(x) for x in (3, 6, 7))
+        assert spec[n3] is spec[n6] is spec[n7]
+
+    def test_renderer_keeps_distinct_temporaries_apart(self):
+        render = qe.prefix_renderer()
+        assert [render(qe.Term(t)) for t in range(50)] == \
+            [f"t{t}" for t in range(50)]
 
 
 class TestGenericQueries:
@@ -274,6 +384,11 @@ class TestEvaluateAll:
         t1, _ = qe.evaluate_all(m, h, assignments)
         t2, _ = qe.evaluate_all(m, h, assignments)
         assert t1.rows == t2.rows
+
+    def test_threads_below_one_rejected(self, labeled_tree):
+        m, h, a = labeled_tree
+        with pytest.raises(ConfigError):
+            qe.evaluate_all(m, h, {"fixture": a}, threads=0)
 
     def test_threads_match_sequential(self, tmp_path):
         rng = np.random.default_rng(86)

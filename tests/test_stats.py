@@ -1,6 +1,8 @@
 """Variance decomposition fits and the SNK multiple mean comparison."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,3 +267,27 @@ class TestSnk:
         fit = snk_toy_fit([1.0, 2.0])
         with pytest.raises(NumericalError):
             st.snk_compare(fit, "method", 0.05)
+
+
+ORACLE = Path(__file__).resolve().parent / "data" / "srq_oracle.json"
+
+
+class TestQuantileOracle:
+    """The Gauss-Legendre quantile against scipy's studentized_range:
+    recorded by tests/make_srq_oracle.py, and three points live."""
+
+    def test_every_recorded_point(self):
+        blob = json.loads(ORACLE.read_text())
+        assert blob["columns"] == ["alpha", "k", "df", "q"]
+        assert len(blob["points"]) == 3 * 19 * 10
+        for alpha, k, df, q in blob["points"]:
+            got = st.studentized_range_quantile(alpha, k, float(df))
+            assert abs(got - q) <= 1e-9 * q, (alpha, k, df, got, q)
+
+    def test_live_spot_checks(self):
+        from scipy.stats import studentized_range
+        for alpha, k, df in ((0.05, 16, 2480), (0.01, 3, 9598),
+                             (0.10, 20, 7)):
+            expect = studentized_range.ppf(1 - alpha, k, df)
+            got = st.studentized_range_quantile(alpha, k, df)
+            assert abs(got - expect) <= 1e-9 * expect, (alpha, k, df)
