@@ -1,99 +1,2 @@
-"""Hot inner-loop kernels with numba acceleration and pure-numpy fallbacks.
-
-Both implementations of every kernel produce bit-identical results; the
-active one is chosen at import time.  Setting the environment variable
-``HIERLABEL_NO_NUMBA=1`` forces the numpy path (useful for debugging and
-for the benchmark in ``benchmarks/bench_kernels.py``).
-"""
-
-import os
-
-import numpy as np
-
-_DISABLED = os.environ.get("HIERLABEL_NO_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
-
-if not _DISABLED:
-    try:
-        from numba import njit
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-
-def pair_keys_numpy(indptr, indices, n_terms):
-    """Emit one packed int64 key ``a * n_terms + b`` (a < b) per unordered
-    term pair co-occurring in a window, for all windows of a CSR presence
-    matrix.  Row indices must be sorted ascending."""
-    chunks = []
-    for d in range(indptr.size - 1):
-        row = indices[indptr[d]:indptr[d + 1]].astype(np.int64)
-        if row.size >= 2:
-            ii, jj = np.triu_indices(row.size, k=1)
-            chunks.append(row[ii] * n_terms + row[jj])
-    if not chunks:
-        return np.empty(0, np.int64)
-    return np.concatenate(chunks)
-
-
-def mark_union_numpy(indptr, indices, term_ids, out):
-    """Set ``out[d] = True`` for every document listed under any of
-    ``term_ids`` in a CSC presence matrix (indptr/indices per term)."""
-    for t in term_ids:
-        out[indices[indptr[t]:indptr[t + 1]]] = True
-    return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pair_keys_jit(indptr, indices, n_terms):
-        total = 0
-        for d in range(indptr.size - 1):
-            u = indptr[d + 1] - indptr[d]
-            total += u * (u - 1) // 2
-        out = np.empty(total, np.int64)
-        pos = 0
-        for d in range(indptr.size - 1):
-            start, end = indptr[d], indptr[d + 1]
-            for i in range(start, end):
-                a = np.int64(indices[i])
-                for j in range(i + 1, end):
-                    b = np.int64(indices[j])
-                    if a < b:
-                        out[pos] = a * n_terms + b
-                    else:
-                        out[pos] = b * n_terms + a
-                    pos += 1
-        return out
-
-    @njit(cache=True)
-    def _mark_union_jit(indptr, indices, term_ids, out):
-        for k in range(term_ids.size):
-            t = term_ids[k]
-            for i in range(indptr[t], indptr[t + 1]):
-                out[indices[i]] = True
-        return out
-
-    def pair_keys_numba(indptr, indices, n_terms):
-        return _pair_keys_jit(
-            np.asarray(indptr, np.int64), np.asarray(indices, np.int64),
-            np.int64(n_terms),
-        )
-
-    def mark_union_numba(indptr, indices, term_ids, out):
-        return _mark_union_jit(
-            np.asarray(indptr, np.int64), np.asarray(indices, np.int64),
-            np.asarray(term_ids, np.int64), out,
-        )
-
-    pair_keys = pair_keys_numba
-    mark_union = mark_union_numba
-    USING_NUMBA = True
-else:
-    pair_keys = pair_keys_numpy
-    mark_union = mark_union_numpy
-    USING_NUMBA = False
+# numba kernels were removed; the pipeline benchmark still records this flag
+USING_NUMBA = False

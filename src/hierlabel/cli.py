@@ -308,17 +308,39 @@ def stage_label(cfg: RunConfig, tracker: OutputTracker,
     return bundle, assignments
 
 
+def _report_rows(path, columns):
+    """Yield (line number, row) for each row of a report CSV.  A header
+    that lacks one of ``columns``, undecodable text and broken CSV quoting
+    are ParseErrors naming the file and the line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            absent = [c for c in columns if c not in (reader.fieldnames or ())]
+            if absent:
+                raise ParseError(f"{path}:1: header lacks column(s) "
+                                 + ", ".join(absent))
+            for row in reader:
+                yield reader.line_num, row
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise ParseError(f"{path}:{reader.line_num}: {e}") from None
+
+
+def _bad_row(path, line, e) -> ParseError:
+    return ParseError(f"{path}:{line}: malformed row ({e})")
+
+
 def read_labels_csv(path) -> dict:
     """method -> {node_id: [(original term id, score)] in rank order}."""
     out = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            method = row["method"]
+    for line, row in _report_rows(
+            path, ("method", "node_id", "rank", "term_id", "score")):
+        try:
             nid = int(row["node_id"])
-            out.setdefault(method, {}).setdefault(nid, []).append(
-                (int(row["rank"]), int(row["term_id"]), float(row["score"]))
-            )
+            entry = (int(row["rank"]), int(row["term_id"]),
+                     float(row["score"]))
+        except (TypeError, ValueError) as e:
+            raise _bad_row(path, line, e) from None
+        out.setdefault(row["method"], {}).setdefault(nid, []).append(entry)
     for method in out:
         for nid in out[method]:
             out[method][nid] = [(t, s) for _, t, s in sorted(out[method][nid])]
@@ -394,14 +416,17 @@ def stage_evaluate(cfg: RunConfig, tracker: OutputTracker,
 
 def read_metrics_csv(path) -> qe.ObservationTable:
     table = qe.ObservationTable()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
+    for line, row in _report_rows(
+            path, ("method", "node_id", "level", "kind", *MEASURES)):
+        try:
             table.rows.append(qe.ObservationRow(
                 method=row["method"], node_id=int(row["node_id"]),
                 level=int(row["level"]), kind=row["kind"],
                 precision=float(row["precision"]), recall=float(row["recall"]),
                 f=float(row["f"]),
             ))
+        except (TypeError, ValueError) as e:
+            raise _bad_row(path, line, e) from None
     return table
 
 
@@ -464,60 +489,59 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker):
 # stage: coherence
 # ---------------------------------------------------------------------------
 
+def _coherence_labels(cfg: RunConfig, tracker: OutputTracker,
+                      bundle: InputBundle, assignments: dict | None) -> dict:
+    """method -> {node id: [original term ids in rank order]} for every
+    configured method and hierarchy node.  The parsed labels.csv rows die
+    with this call, before the reference corpus is loaded."""
+    ids = [int(nid) for nid in bundle.hierarchy.ids]
+    if assignments is None:
+        rows = _labels_csv_rows(tracker)
+        return {m: {nid: [t for t, _ in rows.get(m, {}).get(nid, [])]
+                    for nid in ids}
+                for m in cfg.methods}
+    orig = bundle.orig_id
+    return {m: {nid: [int(orig[t]) for t, _ in
+                      assignments[m].labels.get(i, [])]
+                for i, nid in enumerate(ids)}
+            for m in cfg.methods}
+
+
 def stage_coherence(cfg: RunConfig, tracker: OutputTracker,
                     bundle: InputBundle | None = None,
-                    corpus: list | None = None,
                     assignments: dict | None = None):
-    """``corpus`` is the loaded reference corpus and ``assignments`` the
-    label stage's in-memory results; each is loaded when not given."""
+    """``assignments`` are the label stage's in-memory results; without
+    them the labels are read back from labels.csv."""
     if cfg.reference_corpus is None:
         raise ConfigError("coherence stage requires a reference_corpus path")
     bundle = bundle or load_inputs(cfg)
-    # method -> {node id: [original term ids in rank order]}
-    if assignments is None:
-        labels = {m: {nid: [t for t, _ in pairs] for nid, pairs in per.items()}
-                  for m, per in _labels_csv_rows(tracker).items()}
-    else:
-        ids, orig = bundle.hierarchy.ids, bundle.orig_id
-        labels = {m: {int(ids[i]): [int(orig[t]) for t, _ in pairs]
-                      for i, pairs in assignments[m].labels.items()}
-                  for m in cfg.methods}
-    if corpus is None:
-        corpus = _load_reference_corpus(cfg)
-
+    labels = _coherence_labels(cfg, tracker, bundle, assignments)
     label_terms = set()
-    for method in cfg.methods:
-        for terms in labels.get(method, {}).values():
+    for per in labels.values():
+        for terms in per.values():
             label_terms.update(terms)
-    counts = coh.count_cooccurrence(corpus, bundle.vocab_full,
+    bad = [t for t in label_terms if not 0 <= t < len(bundle.vocab_full)]
+    if bad:
+        raise ValidationError(f"{tracker.out_dir / 'labels.csv'}: term "
+                              f"{min(bad)} is outside the vocabulary")
+    counts = coh.count_cooccurrence(_load_reference_corpus(cfg),
+                                    bundle.vocab_full,
                                     restrict_terms=sorted(label_terms))
-
-    per_node, missing = {}, {}
-    for method in cfg.methods:
-        vals, miss = {}, {}
-        per = labels.get(method, {})
-        for i in range(bundle.hierarchy.n_nodes):
-            nid = int(bundle.hierarchy.ids[i])
-            terms = per.get(nid, [])
-            vals[nid] = coh.oc_npmi(counts, terms, cfg.p_cap,
-                                    cfg.npmi_epsilon, cfg.oc_aggregate)
-            miss[nid] = sum(1 for t in terms[:cfg.p_cap]
-                            if counts.unary[t] == 0)
-        per_node[method] = vals
-        missing[method] = miss
-    summary = coh.summarize_coherence(per_node)
+    report = coh.score_labels(counts, labels, cfg.p_cap, cfg.npmi_epsilon,
+                              cfg.oc_aggregate)
 
     with tracker.open("coherence.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "node_id", "oc"])
         for method in cfg.methods:
-            for nid in sorted(per_node[method]):
-                w.writerow([method, nid, fmt(per_node[method][nid])])
+            per_node = report.per_node[method]
+            for nid in sorted(per_node):
+                w.writerow([method, nid, fmt(per_node[nid])])
     with tracker.open("coherence_summary.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "upper_quartile", "maximum"])
         for method in cfg.methods:
-            uq, mx = summary[method]
+            uq, mx = report.summary[method]
             w.writerow([method, fmt(uq), fmt(mx)])
 
 
@@ -533,9 +557,10 @@ def _load_reference_corpus(cfg: RunConfig) -> list:
     return corpus
 
 
-def stage_validate(cfg: RunConfig):
-    """Load and check every input; returns the summary lines, the input
-    bundle and the reference corpus (None when not configured)."""
+def stage_validate(cfg: RunConfig, reference: bool = True):
+    """Load and check every input; returns the summary lines and the input
+    bundle.  ``reference`` False skips parsing the reference corpus, which
+    only the coherence stage reads (it parses the corpus itself)."""
     bundle = load_inputs(cfg)
     lines = [
         f"matrix: {bundle.matrix.n_docs} docs x {bundle.matrix.n_terms} terms "
@@ -547,11 +572,10 @@ def stage_validate(cfg: RunConfig):
     if cfg.df_filter is not None:
         kept = bundle.matrix.n_terms
         lines.append(f"df filter kept {kept} of {len(bundle.vocab_full)} terms")
-    corpus = None
-    if cfg.reference_corpus is not None:
+    if reference and cfg.reference_corpus is not None:
         corpus = _load_reference_corpus(cfg)
         lines.append(f"reference corpus: {len(corpus)} documents")
-    return lines, bundle, corpus
+    return lines, bundle
 
 
 # ---------------------------------------------------------------------------
@@ -566,15 +590,14 @@ def run_stage(stage: str, cfg: RunConfig, dry_run: bool = False) -> list:
 
     The inputs are loaded once, by the validation, and handed to the
     stages; ``all`` also hands its label assignments on in memory.  The
-    stats stage always fits on the rounded values that metrics.csv holds.
+    reference corpus is parsed by ``validate`` and dry runs, or else by
+    the coherence stage alone.  The stats stage always fits on the rounded
+    values that metrics.csv holds.
     """
-    summary, bundle, corpus = stage_validate(cfg)
-    if dry_run or stage == "validate":
+    checks_only = dry_run or stage == "validate"
+    summary, bundle = stage_validate(cfg, reference=checks_only)
+    if checks_only:
         return summary + (["dry run: no outputs written"] if dry_run else [])
-    if stage != "coherence":
-        # ``all`` reloads it for its coherence step: held through labeling
-        # it would add its size to the run's peak memory
-        corpus = None
     tracker = OutputTracker(cfg.out_dir)
     try:
         assignments = None
@@ -588,7 +611,7 @@ def run_stage(stage: str, cfg: RunConfig, dry_run: bool = False) -> list:
             if stage == "all" and cfg.reference_corpus is None:
                 summary.append("coherence skipped: no reference corpus")
             else:
-                stage_coherence(cfg, tracker, bundle, corpus, assignments)
+                stage_coherence(cfg, tracker, bundle, assignments)
         extra = []
         for name in ("labels.csv", "metrics.csv"):
             p = tracker.out_dir / name

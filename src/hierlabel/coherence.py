@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
 
-from . import _kernels
 from .corpus import Vocabulary
 from .errors import ValidationError
 
@@ -57,36 +58,50 @@ def count_cooccurrence(corpus, vocab: Vocabulary,
     are ignored.  ``restrict_terms`` limits counting to a term subset (the
     results for those terms are unchanged, everything else reads as 0) -
     the pipeline uses it to count only label terms.
+
+    The counted terms are the columns of a sparse presence matrix ``P``
+    (windows x terms): unary counts are its column sums, pair counts the
+    strict upper triangle of ``P.T @ P``.
     """
     if not corpus:
         raise ValidationError("empty reference corpus")
-    lookup = vocab.index()
     m = len(vocab)
-    wanted = None
-    if restrict_terms is not None:
-        wanted = np.zeros(m, bool)
-        wanted[np.asarray(sorted(set(int(t) for t in restrict_terms)), np.int64)] = True
+    terms = (np.arange(m, dtype=np.int64) if restrict_terms is None
+             else np.unique(np.fromiter(restrict_terms, np.int64)))
+    if terms.size and (terms[0] < 0 or terms[-1] >= m):
+        raise ValidationError(
+            f"cannot count term {terms[0] if terms[0] < 0 else terms[-1]}: "
+            f"the vocabulary has {m} terms")
+    column = np.full(m + 1, -1, np.int64)   # vocabulary id -> column of P
+    column[terms] = np.arange(terms.size)
+    lookup = vocab.index()
+    tokens = chain.from_iterable(corpus)
+    cols = column[np.fromiter((lookup.get(t, m) for t in tokens), np.int64)]
+    rows = np.repeat(np.arange(len(corpus)),
+                     np.fromiter(map(len, corpus), np.int64, len(corpus)))
+    kept = cols >= 0
+    # int32 counts halve the product's memory; a count is at most the
+    # number of windows
+    presence = sp.csr_matrix(
+        (np.ones(int(kept.sum()), np.int32), (rows[kept], cols[kept])),
+        shape=(len(corpus), terms.size))
+    presence.data[:] = 1                    # a repeated token counts once
 
     unary = np.zeros(m, np.int64)
-    row_sets = []
-    for tokens in corpus:
-        ids = {lookup[t] for t in tokens if t in lookup}
-        if wanted is not None:
-            ids = {t for t in ids if wanted[t]}
-        row = np.fromiter(sorted(ids), np.int64, len(ids))
-        unary[row] += 1
-        row_sets.append(row)
-
-    indptr = np.zeros(len(row_sets) + 1, np.int64)
-    indptr[1:] = np.cumsum([r.size for r in row_sets])
-    indices = (np.concatenate(row_sets) if row_sets else np.empty(0, np.int64))
-    keys = _kernels.pair_keys(indptr, indices, m)
-    if keys.size:
-        pair_keys, pair_counts = np.unique(keys, return_counts=True)
-    else:
-        pair_keys = np.empty(0, np.int64)
-        pair_counts = np.empty(0, np.int64)
-    return CooccurrenceCounts(len(corpus), m, unary, pair_keys, pair_counts)
+    unary[terms] = np.bincount(presence.indices, minlength=terms.size)
+    joint = (presence.T @ presence).tocsr()
+    joint.sort_indices()
+    # row-major with ascending columns, so the upper triangle's keys come
+    # out sorted
+    row = np.repeat(np.arange(terms.size, dtype=np.int32),
+                    np.diff(joint.indptr))
+    upper = joint.indices > row
+    keys = terms[row[upper]]
+    del row                 # freed, and the keys built in place: peak memory
+    keys *= m
+    keys += terms[joint.indices[upper]]
+    return CooccurrenceCounts(len(corpus), m, unary, keys,
+                              joint.data[upper].astype(np.int64))
 
 
 def npmi(counts: CooccurrenceCounts, a: int, b: int,
@@ -111,22 +126,83 @@ def npmi(counts: CooccurrenceCounts, a: int, b: int,
     return max(-1.0, min(1.0, val))
 
 
+def _log(x: np.ndarray) -> np.ndarray:
+    # numpy's SIMD log can differ from the C library's in the last bit;
+    # math.log keeps every value equal to npmi()'s
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+def _npmi_pairs(counts: CooccurrenceCounts, a: np.ndarray, b: np.ndarray,
+                epsilon: float) -> np.ndarray:
+    """``npmi(counts, a[k], b[k], epsilon)`` for every k, bit for bit."""
+    ua, ub = counts.unary[a], counts.unary[b]
+    key = np.minimum(a, b) * counts.n_terms + np.maximum(a, b)
+    joint = np.zeros(a.size, np.int64)
+    if counts.pair_keys.size:
+        at = np.minimum(np.searchsorted(counts.pair_keys, key),
+                        counts.pair_keys.size - 1)
+        hit = counts.pair_keys[at] == key
+        joint[hit] = counts.pair_counts[at[hit]]
+    joint = np.where(a == b, ua, joint)
+    n = counts.n_windows
+    p_ab = joint / n
+
+    out = np.zeros(a.size)
+    live = (ua > 0) & (ub > 0)
+    unseen = live & (joint == 0)
+    if epsilon <= 0:
+        out[unseen] = -1.0
+        live &= ~unseen
+    else:
+        p_ab[unseen] = epsilon
+    saturated = live & (p_ab >= 1.0)
+    out[saturated] = 1.0
+    live &= ~saturated
+    p = p_ab[live]
+    val = _log(p / ((ua[live] / n) * (ub[live] / n))) / -_log(p)
+    out[live] = np.maximum(-1.0, np.minimum(1.0, val))
+    return out
+
+
+def _oc_values(counts: CooccurrenceCounts, labels: list, p_cap: int,
+               epsilon: float, aggregate: str):
+    """OC and the count of label terms absent from the reference, per
+    label of ``labels`` (a list of term-id sequences)."""
+    tops = [label[:p_cap] for label in labels]
+    size = np.fromiter(map(len, tops), np.int64, len(tops))
+    flat = np.fromiter(chain.from_iterable(tops), np.int64, int(size.sum()))
+    owner = np.repeat(np.arange(len(tops)), size)
+    missing = np.bincount(owner[counts.unary[flat] == 0],
+                          minlength=len(tops))
+
+    # grid[label, k] is the label's k-th pair of the loop i = 1.., j < i
+    width = int(size.max()) if size.size else 0
+    grid_terms = np.zeros((len(tops), width), np.int64)
+    grid_terms[owner, np.arange(flat.size) - np.repeat(size.cumsum() - size,
+                                                       size)] = flat
+    i, j = np.tril_indices(width, -1)
+    n_pairs = size * (size - 1) // 2
+    present = np.arange(i.size) < n_pairs[:, None]
+    grid = np.zeros(present.shape)
+    grid[present] = _npmi_pairs(counts, grid_terms[:, i][present],
+                                grid_terms[:, j][present], epsilon)
+    total = np.zeros(len(tops))
+    for column in grid.T:
+        # one pair per label at a time, in the scalar loop's order
+        total += column
+    if aggregate == "mean":
+        paired = n_pairs > 0
+        total[paired] /= n_pairs[paired]
+    return total, missing
+
+
 def oc_npmi(counts: CooccurrenceCounts, label_terms, p_cap: int,
             epsilon: float = 0.0, aggregate: str = "sum") -> float:
     """Observed coherence: NPMI summed (or averaged) over all unordered
     pairs among the top-P label terms; fewer than two terms scores 0."""
-    terms = list(label_terms)[:p_cap]
-    if len(terms) < 2:
-        return 0.0
-    total = 0.0
-    n_pairs = 0
-    for i in range(1, len(terms)):
-        for j in range(i):
-            total += npmi(counts, terms[i], terms[j], epsilon)
-            n_pairs += 1
-    if aggregate == "mean":
-        return total / n_pairs
-    return total
+    total, _ = _oc_values(counts, [list(label_terms)], p_cap, epsilon,
+                          aggregate)
+    return float(total[0])
 
 
 @dataclass
@@ -153,20 +229,18 @@ def summarize_coherence(per_node: dict) -> dict:
     return out
 
 
-def score_labels(counts: CooccurrenceCounts, assignments: dict,
-                 hierarchy, p_cap: int, epsilon: float = 0.0,
+def score_labels(counts: CooccurrenceCounts, labels: dict, p_cap: int,
+                 epsilon: float = 0.0,
                  aggregate: str = "sum") -> CoherenceReport:
-    """OC for every (method, node) of the hierarchy."""
+    """OC for every label of ``labels``, a mapping method -> {node_id:
+    [term ids in rank order]}.  Each method's pairs are scored in one
+    vectorised pass; the values equal ``oc_npmi``'s bit for bit."""
     report = CoherenceReport()
-    for method in assignments:
-        labels = assignments[method]
-        vals, miss = {}, {}
-        for i in range(hierarchy.n_nodes):
-            nid = int(hierarchy.ids[i])
-            terms = labels.terms(i)
-            vals[nid] = oc_npmi(counts, terms, p_cap, epsilon, aggregate)
-            miss[nid] = sum(1 for t in terms[:p_cap] if counts.unary[t] == 0)
-        report.per_node[method] = vals
-        report.missing[method] = miss
+    for method, per in labels.items():
+        nids = list(per)
+        total, missing = _oc_values(counts, [per[n] for n in nids], p_cap,
+                                    epsilon, aggregate)
+        report.per_node[method] = dict(zip(nids, total.tolist()))
+        report.missing[method] = dict(zip(nids, missing.tolist()))
     report.summary = summarize_coherence(report.per_node)
     return report

@@ -366,9 +366,40 @@ def load_hierarchy(path, matrix: DocTermMatrix) -> Hierarchy:
             blob = json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
-    if not isinstance(blob, dict) or "nodes" not in blob:
+    if not isinstance(blob, dict) or not isinstance(blob.get("nodes"), list):
         raise ParseError(f"{path}: expected an object with a 'nodes' list")
+    for k, record in enumerate(blob["nodes"]):
+        problem = _record_problem(record)
+        if problem:
+            raise ParseError(f"{path}: nodes[{k}]: {problem}")
     return _build_hierarchy(blob["nodes"], matrix.n_docs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _record_problem(record) -> str | None:
+    """What is wrong with the types of one hierarchy node record, if
+    anything: ``id`` an integer, ``parent`` an integer or null,
+    ``children`` and ``docs`` lists of integers when present."""
+    if not isinstance(record, dict):
+        return f"expected a node object, got {record!r}"
+    if "id" not in record:
+        return "missing 'id'"
+    if not _is_int(record["id"]):
+        return f"'id' must be an integer, got {record['id']!r}"
+    parent = record.get("parent")
+    if parent is not None and not _is_int(parent):
+        return f"'parent' must be an integer or null, got {parent!r}"
+    for key in ("children", "docs"):
+        value = record.get(key, [])
+        if not isinstance(value, list):
+            return f"'{key}' must be a list of integers, got {value!r}"
+        bad = [v for v in value if not _is_int(v)]
+        if bad:
+            return f"'{key}' must hold integers only, got {bad[0]!r}"
+    return None
 
 
 def save_hierarchy(hierarchy: Hierarchy, path) -> None:

@@ -14,7 +14,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import _kernels
 from .corpus import DocTermMatrix, Hierarchy
 from .errors import ConfigError, ValidationError
 from .labeling import LabelAssignment
@@ -187,12 +186,21 @@ def _eval_mask(matrix: DocTermMatrix, query) -> np.ndarray:
     if isinstance(query, Or):
         flat = [c.term for c in query.children if isinstance(c, Term)]
         if len(flat) == len(query.children):
+            ids = np.asarray(flat, np.int64)
+            bad = ids[(ids < 0) | (ids >= matrix.n_terms)]
+            if bad.size:
+                raise ValidationError(f"query term {bad[0]} out of range")
+            # the terms' CSC column slices, concatenated by index arithmetic
+            # (measured faster than scipy's column indexing and than a
+            # slice per term)
             csc = matrix.presence_csc
+            start = csc.indptr[ids]
+            size = csc.indptr[ids + 1] - start
+            at = np.arange(size.sum()) + np.repeat(start - size.cumsum() + size,
+                                                   size)
             mask = np.zeros(matrix.n_docs, bool)
-            return _kernels.mark_union(
-                csc.indptr, csc.indices,
-                np.asarray(flat, np.int64), mask,
-            )
+            mask[csc.indices[at]] = True
+            return mask
         mask = np.zeros(matrix.n_docs, bool)
         for c in query.children:
             mask |= _eval_mask(matrix, c)

@@ -4,8 +4,12 @@ The query derivation here is the direct structural one: queries are built
 as Term/Or/And objects from the start, ORs are canonicalised by a linear
 membership scan, and generic conjuncts are deduplicated by structural
 equality.  The library derives the same queries from term-id tuples.
+
+Observed coherence here is the scalar pair loop over ``coherence.npmi``;
+the library scores every pair of a method in one vectorised pass.
 """
 
+from hierlabel.coherence import npmi
 from hierlabel.queryeval import And, Or, Term
 
 
@@ -76,3 +80,20 @@ def generic_queries(hierarchy, specific: dict) -> dict:
         else:
             out[i] = And(tuple(base))
     return out
+
+
+def oc_npmi(counts, label_terms, p_cap, epsilon=0.0, aggregate="sum"):
+    """NPMI summed (or averaged) over the pairs i > j of the top-P label
+    terms, added in that loop order; fewer than two terms score 0."""
+    terms = list(label_terms)[:p_cap]
+    if len(terms) < 2:
+        return 0.0
+    total = 0.0
+    n_pairs = 0
+    for i in range(1, len(terms)):
+        for j in range(i):
+            total += npmi(counts, terms[i], terms[j], epsilon)
+            n_pairs += 1
+    if aggregate == "mean":
+        return total / n_pairs
+    return total

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hierlabel import cli
+from hierlabel import coherence as coh
 from hierlabel import labeling as lab
 
 
@@ -52,6 +53,9 @@ def write_fixture(root, n_docs=12, seed=5):
     (root / "config.json").write_text(json.dumps(cfg))
     return root / "config.json"
 
+
+ALL_DOCS = list(range(12))
+ROOT = {"id": 0, "parent": None, "children": [1], "docs": []}
 
 EXPECTED_FILES = (
     "labels.csv", "metrics.csv", "queries.txt", "coherence.csv",
@@ -179,28 +183,6 @@ class TestPipeline:
             assert expr.startswith(("(", "t"))
 
 
-class TestKernelPathParity:
-
-    def test_numpy_fallback_outputs_byte_identical(self, tmp_path):
-        """HIERLABEL_NO_NUMBA only changes speed, never bytes."""
-        import os
-        import subprocess
-        import sys
-        cfg = write_fixture(tmp_path / "fx")
-        cli.main(["all", "--config", str(cfg), "--out", str(tmp_path / "jit")])
-        env = dict(os.environ, HIERLABEL_NO_NUMBA="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "hierlabel.cli", "all",
-             "--config", str(cfg), "--out", str(tmp_path / "plain")],
-            env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        for p in sorted((tmp_path / "jit").rglob("*")):
-            if not p.is_file() or p.name == "run_manifest.json":
-                continue
-            rel = p.relative_to(tmp_path / "jit")
-            assert p.read_bytes() == (tmp_path / "plain" / rel).read_bytes()
-
-
 class TestExitCodes:
 
     def test_missing_config(self, tmp_path):
@@ -233,6 +215,52 @@ class TestExitCodes:
         cfg = write_fixture(tmp_path / "fx")
         (tmp_path / "fx" / "hier.json").write_text("{not json")
         assert cli.main(["all", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("nodes,position", [
+        ([1, 2], 0),
+        ([ROOT, {"parent": 0, "children": [], "docs": ALL_DOCS}], 1),
+        ([ROOT, {"id": 1, "parent": 0, "children": [], "docs": ["x"]}], 1),
+        ([ROOT, {"id": 1, "parent": 0, "children": 5, "docs": ALL_DOCS}], 1),
+        ([{"id": 0.5, "parent": None, "children": [], "docs": ALL_DOCS}], 0),
+    ])
+    def test_mistyped_hierarchy_node_is_input_error(self, tmp_path, capsys,
+                                                    nodes, position):
+        cfg = write_fixture(tmp_path / "fx")
+        hier = tmp_path / "fx" / "hier.json"
+        hier.write_text(json.dumps({"nodes": nodes}))
+        assert cli.main(["validate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{hier}: nodes[{position}]" in err, err
+
+    @pytest.mark.parametrize("stage,name,damage,line", [
+        ("evaluate", "labels.csv", "header", 1),
+        ("coherence", "labels.csv", "header", 1),
+        ("stats", "metrics.csv", "header", 1),
+        ("evaluate", "labels.csv", "node_id", 2),
+        ("coherence", "labels.csv", "node_id", 2),
+        ("stats", "metrics.csv", "node_id", 2),
+        ("evaluate", "labels.csv", "foreign", 1),
+    ])
+    def test_malformed_report_csv_is_input_error(self, tmp_path, capsys,
+                                                 stage, name, damage, line):
+        cfg = write_fixture(tmp_path / "fx")
+        out = tmp_path / "fx" / "out"
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+        path = out / name
+        rows = path.read_text().splitlines()
+        if damage == "header":
+            rows[0] = rows[0].replace("method", "algorithm")
+        elif damage == "node_id":
+            fields = rows[1].split(",")
+            fields[1] = "x"
+            rows[1] = ",".join(fields)
+        else:
+            rows = (out / "metrics.csv").read_text().splitlines()
+        path.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}:{line}:" in err, err
 
     def test_failed_run_leaves_no_partial_reports(self, tmp_path):
         cfg = write_fixture(tmp_path / "fx")
@@ -331,6 +359,22 @@ class TestSingleLoad:
             calls.clear()
             assert cli.main([stage, "--config", str(cfg)]) == 0
             assert len(calls) == 1, stage
+
+    def test_reference_corpus_parsed_only_where_used(self, tmp_path,
+                                                     monkeypatch):
+        cfg = write_fixture(tmp_path / "fx")
+        calls = []
+        real = coh.load_reference_corpus
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+        monkeypatch.setattr(coh, "load_reference_corpus", counting)
+        for stage, parses in (("validate", 1), ("label", 0), ("evaluate", 0),
+                              ("stats", 0), ("coherence", 1), ("all", 1)):
+            calls.clear()
+            assert cli.main([stage, "--config", str(cfg)]) == 0
+            assert len(calls) == parses, stage
 
     def test_all_equals_stagewise_with_df_filter(self, tmp_path):
         # in-memory labels carry working term ids; the reports must show

@@ -8,7 +8,8 @@ import pytest
 from hierlabel import coherence as coh
 from hierlabel.corpus import Vocabulary
 from hierlabel.errors import ValidationError
-from hierlabel import _kernels
+
+import oracles
 
 
 def vocab(n):
@@ -74,26 +75,11 @@ class TestCounting:
                     assert sub.pairwise(a, b) == full.pairwise(a, b)
         assert sub.unary[0] == 0
 
-    def test_kernel_paths_identical(self):
-        rng = np.random.default_rng(93)
-        rows = [np.unique(rng.integers(0, 50, size=int(rng.integers(0, 12))))
-                .astype(np.int64) for _ in range(60)]
-        indptr = np.zeros(len(rows) + 1, np.int64)
-        indptr[1:] = np.cumsum([r.size for r in rows])
-        indices = (np.concatenate(rows) if rows else np.empty(0, np.int64))
-        a = _kernels.pair_keys_numpy(indptr, indices, 50)
-        if _kernels.HAVE_NUMBA:
-            b = _kernels.pair_keys_numba(indptr, indices, 50)
-            assert np.array_equal(np.sort(a), np.sort(b))
-        out1 = np.zeros(40, bool)
-        out2 = np.zeros(40, bool)
-        cind = np.sort(rng.integers(0, 40, 30)).astype(np.int64)
-        cptr = np.array([0, 10, 10, 25, 30], np.int64)
-        terms = np.array([0, 2, 3], np.int64)
-        _kernels.mark_union_numpy(cptr, cind, terms, out1)
-        if _kernels.HAVE_NUMBA:
-            _kernels.mark_union_numba(cptr, cind, terms, out2)
-            assert np.array_equal(out1, out2)
+    def test_restrict_terms_outside_vocabulary_rejected(self):
+        with pytest.raises(ValidationError, match="vocabulary"):
+            counts_from([["w0", "w1"]], vocab(2), restrict_terms=[1, 2])
+        with pytest.raises(ValidationError, match="vocabulary"):
+            counts_from([["w0", "w1"]], vocab(2), restrict_terms=[-1])
 
 
 class TestNpmi:
@@ -239,3 +225,49 @@ class TestSummary:
     def test_single_node(self):
         got = coh.summarize_coherence({"M": {0: 0.7}})
         assert got["M"] == (pytest.approx(0.7), pytest.approx(0.7))
+
+
+class TestScoreLabels:
+
+    def test_property_against_oracle(self):
+        """Every OC value equals the scalar pair loop's bit for bit, over
+        random labels with empty, singleton and duplicate-term labels,
+        terms absent from the reference, p_cap truncation, epsilon
+        smoothing and the mean aggregate."""
+        rng = np.random.default_rng(98)
+        for _ in range(40):
+            n_terms = int(rng.integers(3, 16))
+            v = vocab(n_terms)
+            # the top ids never occur in the reference: OOV label terms
+            seen = int(rng.integers(1, n_terms))
+            corpus = [[f"w{int(t)}" for t in
+                       rng.integers(0, seen, int(rng.integers(1, 7)))]
+                      for _ in range(int(rng.integers(1, 30)))]
+            counts = counts_from(corpus, v)
+            labels = {}
+            for method in ("A", "B"):
+                labels[method] = {
+                    nid: [int(t) for t in rng.integers(
+                        0, n_terms, int(rng.integers(0, 9)))]
+                    for nid in range(int(rng.integers(1, 12)))}
+            labels["A"][0] = []
+            labels["A"].setdefault(1, [2])
+            labels["B"][0] = [1, 1, 2]
+            p_cap = int(rng.integers(1, 9))
+            epsilon = float(rng.choice([0.0, 0.05, 1e-6]))
+            aggregate = str(rng.choice(["sum", "mean"]))
+            report = coh.score_labels(counts, labels, p_cap, epsilon,
+                                      aggregate)
+            for method, per in labels.items():
+                assert list(report.per_node[method]) == list(per)
+                for nid, terms in per.items():
+                    expect = oracles.oc_npmi(counts, terms, p_cap, epsilon,
+                                             aggregate)
+                    got = report.per_node[method][nid]
+                    assert type(got) is float
+                    assert got == expect
+                    assert coh.oc_npmi(counts, terms, p_cap, epsilon,
+                                       aggregate) == got
+                    assert report.missing[method][nid] == sum(
+                        1 for t in terms[:p_cap] if counts.unary[t] == 0)
+            assert report.summary == coh.summarize_coherence(report.per_node)

@@ -278,6 +278,20 @@ class TestRetrieve:
             expect = {d for d in range(m.n_docs) if self.brute(m, q, d)}
             assert got == expect
 
+    def test_or_of_terms_equals_set_union(self):
+        rng = np.random.default_rng(93)
+        m = random_matrix(rng, 40, 50)
+        docs_of = [{d for d in range(m.n_docs) if m.csr[d, t] > 0}
+                   for t in range(m.n_terms)]
+        for _ in range(200):
+            terms = [int(t) for t in rng.integers(0, m.n_terms,
+                                                  int(rng.integers(1, 12)))]
+            got = qe.retrieve(m, qe.Or(tuple(map(qe.Term, terms))))
+            assert got == set().union(*(docs_of[t] for t in terms))
+        for bad in (-1, m.n_terms):
+            with pytest.raises(ValidationError, match="out of range"):
+                qe.retrieve(m, qe.Or((qe.Term(0), qe.Term(bad))))
+
     def test_and_or_containment(self, tmp_path):
         rng = np.random.default_rng(83)
         from conftest import random_matrix
