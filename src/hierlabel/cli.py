@@ -19,7 +19,9 @@ import hashlib
 import json
 import math
 import numbers
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -142,6 +144,8 @@ def load_config(path, overrides: dict) -> RunConfig:
         blob = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e.msg}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
     if not isinstance(blob, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     known = {
@@ -239,12 +243,16 @@ def _sha256(path) -> str:
 
 
 class OutputTracker:
-    """Registers written files so a failed stage leaves no partial output."""
+    """Registers written files so a failed stage leaves no partial output.
+
+    Each report is written to a temporary file beside it and renamed over
+    it when complete, so no reader ever sees a torn report."""
 
     def __init__(self, out_dir: Path, dry_run: bool = False):
         self.out_dir = Path(out_dir)
         self.dry_run = dry_run
         self.written = []
+        self.pending = []
         if not dry_run:
             try:
                 self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -252,13 +260,19 @@ class OutputTracker:
             except OSError as e:
                 raise ConfigError(f"cannot create output dir: {e}") from None
 
+    @contextmanager
     def open(self, relname: str):
         path = self.out_dir / relname
+        tmp = path.with_name(f".{path.name}.tmp")
         self.written.append(path)
-        return open(path, "w", encoding="utf-8", newline="")
+        self.pending.append(tmp)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+        self.pending.remove(tmp)
 
     def cleanup(self):
-        for p in self.written:
+        for p in self.written + self.pending:
             try:
                 p.unlink(missing_ok=True)
             except OSError:

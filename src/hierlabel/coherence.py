@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, utf8_error
 from .errors import ValidationError
 
 
@@ -42,11 +42,14 @@ class CooccurrenceCounts:
 def load_reference_corpus(path) -> list:
     """One document per line, whitespace-separated tokens."""
     docs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tokens = line.split()
-            if tokens:
-                docs.append(tokens)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                tokens = line.split()
+                if tokens:
+                    docs.append(tokens)
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
     return docs
 
 

@@ -125,10 +125,33 @@ class DocTermMatrix:
         return DocTermMatrix(self.n_docs, self.n_terms, self.csr * int(factor))
 
 
+_INT64_END = 1 << 63
+
+
+def _fits_int64(value: int) -> bool:
+    return -_INT64_END <= value < _INT64_END
+
+
+def utf8_error(path) -> ParseError:
+    """The error for an input file that is not UTF-8 text, naming the line
+    of its first undecodable byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        return ParseError(f"{path}:{line}: not UTF-8 text ({e.reason})")
+    return ParseError(f"{path}: not UTF-8 text")
+
+
 def load_matrix(path) -> DocTermMatrix:
     """Parse the documented triplet format, validating as it goes."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
     if not lines:
         raise ParseError(f"{path}:1: missing header line")
     head = lines[0].split()
@@ -140,6 +163,8 @@ def load_matrix(path) -> DocTermMatrix:
         raise ParseError(f"{path}:1: non-integer header") from None
     if n_docs < 0 or n_terms < 0:
         raise ParseError(f"{path}:1: negative dimension")
+    if n_docs * n_terms >= _INT64_END:
+        raise ParseError(f"{path}:1: more cells than 64-bit ids can number")
     docs, terms, counts = [], [], []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -154,7 +179,13 @@ def load_matrix(path) -> DocTermMatrix:
         docs.append(d)
         terms.append(t)
         counts.append(c)
-    return DocTermMatrix.from_cells(n_docs, n_terms, docs, terms, counts)
+    try:
+        return DocTermMatrix.from_cells(n_docs, n_terms, docs, terms, counts)
+    except OverflowError:
+        ln = next(ln for ln, line in enumerate(lines[1:], start=2)
+                  if not all(_fits_int64(int(x)) for x in line.split()))
+        raise ParseError(f"{path}:{ln}: value does not fit in 64 bits") \
+            from None
 
 
 def save_matrix(matrix: DocTermMatrix, path) -> None:
@@ -169,21 +200,27 @@ def save_matrix(matrix: DocTermMatrix, path) -> None:
 
 def load_vocabulary(path) -> Vocabulary:
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{ln}: expected 'term_id<TAB>surface'")
-            try:
-                tid = int(parts[0])
-            except ValueError:
-                raise ParseError(f"{path}:{ln}: non-integer term id") from None
-            if tid in entries:
-                raise ValidationError(f"{path}:{ln}: duplicate term id {tid}")
-            entries[tid] = parts[1]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for ln, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise ParseError(
+                        f"{path}:{ln}: expected 'term_id<TAB>surface'")
+                try:
+                    tid = int(parts[0])
+                except ValueError:
+                    raise ParseError(
+                        f"{path}:{ln}: non-integer term id") from None
+                if tid in entries:
+                    raise ValidationError(
+                        f"{path}:{ln}: duplicate term id {tid}")
+                entries[tid] = parts[1]
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
     if sorted(entries) != list(range(len(entries))):
         raise ValidationError(f"{path}: term ids are not contiguous 0..m-1")
     return Vocabulary(tuple(entries[i] for i in range(len(entries))))
@@ -211,6 +248,12 @@ class Hierarchy:
     level: np.ndarray
     root: int
     n_docs: int
+    # Euler-tour index: node indices in pre-order (a stack seeded with the
+    # root, children pushed in declared order); node i's subtree is
+    # preorder[tin[i]:tout[i]], i first
+    preorder: np.ndarray
+    tin: np.ndarray
+    tout: np.ndarray
     docsets: list = field(default_factory=list)
 
     def __len__(self):
@@ -242,15 +285,11 @@ class Hierarchy:
         return out
 
     def descendants(self, i: int):
-        """(descendant index, edge distance) pairs for all proper descendants."""
-        out = []
-        stack = [(int(c), 1) for c in self.children[i]]
-        while stack:
-            g, e = stack.pop()
-            out.append((g, e))
-            for c in self.children[g]:
-                stack.append((int(c), e + 1))
-        return out
+        """(descendant index, edge distance) pairs for all proper
+        descendants, in pre-order."""
+        lvl = int(self.level[i])
+        return [(int(g), int(self.level[g]) - lvl)
+                for g in self.preorder[self.tin[i] + 1:self.tout[i]]]
 
     def docset_mask(self, i: int) -> np.ndarray:
         mask = np.zeros(self.n_docs, bool)
@@ -312,18 +351,27 @@ def _build_hierarchy(records, n_docs) -> Hierarchy:
             )
         children[k] = np.asarray(declared_children[k], np.int64)
 
-    # levels via BFS from the root; unreached nodes sit on a cycle
+    # pre-order walk from the root; levels follow the parent links, and
+    # unreached nodes sit on a cycle
     level = np.full(n, -1, np.int64)
     level[root] = 0
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
+    preorder = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        preorder.append(u)
         for c in children[u]:
             level[c] = level[u] + 1
-            queue.append(int(c))
+            stack.append(int(c))
     if (level < 0).any():
         bad = ids[int(np.flatnonzero(level < 0)[0])]
         raise ValidationError(f"cycle: node {bad} is unreachable from the root")
+    preorder = np.asarray(preorder, np.int64)
+    tin = np.empty(n, np.int64)
+    tin[preorder] = np.arange(n)
+    size = np.ones(n, np.int64)
+    for u in preorder[:0:-1]:
+        size[parent[u]] += size[u]
 
     seen_docs = np.zeros(n_docs, np.int64)
     for k in range(n):
@@ -347,6 +395,7 @@ def _build_hierarchy(records, n_docs) -> Hierarchy:
     h = Hierarchy(
         ids=np.asarray(ids, np.int64), parent=parent, children=children,
         leaf_docs=leaf_docs, level=level, root=root, n_docs=n_docs,
+        preorder=preorder, tin=tin, tout=tin + size,
     )
     # docsets bottom-up: union of descendant leaf docs
     docsets = [None] * n
@@ -366,6 +415,8 @@ def load_hierarchy(path, matrix: DocTermMatrix) -> Hierarchy:
             blob = json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
     if not isinstance(blob, dict) or not isinstance(blob.get("nodes"), list):
         raise ParseError(f"{path}: expected an object with a 'nodes' list")
     for k, record in enumerate(blob["nodes"]):
@@ -376,29 +427,32 @@ def load_hierarchy(path, matrix: DocTermMatrix) -> Hierarchy:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A JSON integer that the hierarchy's int64 arrays can hold."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and _fits_int64(value))
 
 
 def _record_problem(record) -> str | None:
     """What is wrong with the types of one hierarchy node record, if
     anything: ``id`` an integer, ``parent`` an integer or null,
-    ``children`` and ``docs`` lists of integers when present."""
+    ``children`` and ``docs`` lists of integers when present; every integer
+    fits in 64 bits."""
     if not isinstance(record, dict):
         return f"expected a node object, got {record!r}"
     if "id" not in record:
         return "missing 'id'"
     if not _is_int(record["id"]):
-        return f"'id' must be an integer, got {record['id']!r}"
+        return f"'id' must be a 64-bit integer, got {record['id']!r}"
     parent = record.get("parent")
     if parent is not None and not _is_int(parent):
-        return f"'parent' must be an integer or null, got {parent!r}"
+        return f"'parent' must be a 64-bit integer or null, got {parent!r}"
     for key in ("children", "docs"):
         value = record.get(key, [])
         if not isinstance(value, list):
-            return f"'{key}' must be a list of integers, got {value!r}"
+            return f"'{key}' must be a list of 64-bit integers, got {value!r}"
         bad = [v for v in value if not _is_int(v)]
         if bad:
-            return f"'{key}' must hold integers only, got {bad[0]!r}"
+            return f"'{key}' must hold 64-bit integers only, got {bad[0]!r}"
     return None
 
 
@@ -502,6 +556,7 @@ class NodeTermStats:
         self.global_freq = self._dense_row(self.freq, hierarchy.root)
         self.global_df = self._dense_row(self.docfreq, hierarchy.root)
         self._level_freq = {}
+        self._hier_base = None
 
     @staticmethod
     def _dense_row(csr, i):
@@ -536,6 +591,55 @@ class NodeTermStats:
                     self.freq[nodes].sum(axis=0), np.int64
                 ).ravel()
         return self._level_freq[lvl]
+
+    def hier_base(self) -> sp.csr_matrix:
+        """The path-discounted descendant sums that the four Hier frequency
+        methods share, built on first use: with U[g] = sibling_cf(g) *
+        freq[g], row i holds S[i] = sum_d (C^d U)[i] / d, C the child
+        incidence.  The root counts as its own parent."""
+        if self._hier_base is None:
+            n, m = self.n_nodes, self.n_terms
+            rows, cols, vals = [], [], []
+            for g in range(n):
+                lo, hi = self.freq.indptr[g], self.freq.indptr[g + 1]
+                p = int(self.parent_or_self[g])
+                c = int(self.child_count[p])
+                if lo == hi or c == 0:
+                    continue
+                idx = self.freq.indices[lo:hi].astype(np.int64)
+                f = self.freq.data[lo:hi].astype(np.float64)
+                cf = self.child_support_row(p)[idx].astype(np.float64) / c
+                rows.append(np.full(idx.size, g, np.int64))
+                cols.append(idx)
+                vals.append(cf * f)
+            if rows:
+                u = sp.csr_matrix(
+                    (np.concatenate(vals),
+                     (np.concatenate(rows), np.concatenate(cols))),
+                    shape=(n, m),
+                )
+            else:
+                u = sp.csr_matrix((n, m), dtype=np.float64)
+            # only internal nodes have descendants; their sums are held
+            # dense, and each (C^d U) * (1 / d) is added at its own cells,
+            # in the order and with the values of the sparse sum
+            internal = np.flatnonzero(self.child_count > 0)
+            slot = np.zeros(n, np.int64)
+            slot[internal] = np.arange(internal.size)
+            total = np.zeros(internal.size * m)
+            child = self.child_incidence.astype(np.float64)
+            x = (child @ u).tocsr()
+            depth = 1
+            while x.nnz:
+                at = slot[np.repeat(np.arange(n), np.diff(x.indptr))]
+                total[at * m + x.indices] += x.data * (1 / depth)
+                x = (child @ x).tocsr()
+                depth += 1
+            cells = np.flatnonzero(total)
+            i, t = np.divmod(cells, m)
+            self._hier_base = sp.csr_matrix(
+                (total[cells], (internal[i], t)), shape=(n, m))
+        return self._hier_base
 
 
 def build_node_stats(matrix: DocTermMatrix, hierarchy: Hierarchy) -> NodeTermStats:

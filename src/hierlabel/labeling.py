@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import stats as _sps
+from scipy import special as _sc
 
 from .corpus import NodeTermStats
 from .errors import ConfigError, ValidationError
@@ -88,7 +88,10 @@ class LabelAssignment:
 
 @lru_cache(maxsize=None)
 def _chi2_critical(alpha: float, df: int) -> float:
-    return float(_sps.chi2.ppf(1.0 - alpha, df))
+    """Upper-alpha quantile of chi-square with df degrees of freedom, as
+    scipy's chi2.ppf(1 - alpha, df) computes it (without importing
+    scipy.stats)."""
+    return float(2 * _sc.gammaincinv(df / 2, 1.0 - alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -272,29 +275,32 @@ def _icf_at(stats, node, idx):
     return out
 
 
+# Array forms of chi2_2x2 and jsd_2x2, shared by RCL, HierRCL and the
+# per-child chi-square test.  The cells broadcast, so a term-only cell
+# (shape (k,)) is computed once for a block of rows (shape (r, k)).  Cells
+# that a guard rejects are computed too and replaced by a select, which
+# costs a fraction of masking every operation and keeps the guarded values.
+
 def _chi2_formula_vec(tp, fn, fp, tn, s):
     m1, m2, m3, m4 = tp + fn, fp + tn, tp + fp, fn + tn
-    denom = m1 * m2 * m3 * m4
-    ok = (np.minimum(np.minimum(m1, m2), np.minimum(m3, m4)) > 0)
-    out = np.zeros_like(tp)
-    np.divide((tp * tn - fn * fp) ** 2 * s, denom, out=out, where=ok)
-    return out
+    ok = (m1 > 0) & (m2 > 0) & (m3 > 0) & (m4 > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = (tp * tn - fn * fp) ** 2 * s / (m1 * m2 * m3 * m4)
+    return np.where(ok, v, 0.0)
 
 
 def _jsd_formula_vec(tp, fn, fp, tn):
     node_mass = tp + fn
     grand = tp + fp + fn + tn
-    out = np.zeros_like(tp)
     valid = (node_mass > 0) & (grand > 0)
-    if not valid.any():
-        return out
-    p = np.divide(tp, node_mass, out=np.zeros_like(tp), where=valid)
-    q = np.divide(tp + fp, grand, out=np.zeros_like(tp), where=valid)
-    mid = 0.5 * (p + q)
-    for x in (p, q):
-        pos = valid & (x > 0)
-        out[pos] += x[pos] * (np.log2(x[pos]) - np.log2(mid[pos]))
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = tp / node_mass
+        q = (tp + fp) / grand
+        log_mid = np.log2(0.5 * (p + q))
+        p_part = p * (np.log2(p) - log_mid)
+        q_part = q * (np.log2(q) - log_mid)
+    return (np.where(valid & (p > 0), p_part, 0.0)
+            + np.where(valid & (q > 0), q_part, 0.0))
 
 
 def _children_chi2_vec(stats, node):
@@ -348,6 +354,11 @@ def _topk_arrays(term_ids, scores, tie_freq, p_cap):
     t = term_ids[pos]
     sc = scores[pos]
     fr = tie_freq[pos]
+    if sc.size > p_cap:
+        # only scores >= the p_cap-th largest can rank; ties at the cut stay
+        cut = np.partition(sc, sc.size - p_cap)[sc.size - p_cap]
+        keep = sc >= cut
+        t, sc, fr = t[keep], sc[keep], fr[keep]
     order = np.lexsort((t, -fr, -sc))[:p_cap]
     return [(int(t[i]), float(sc[i])) for i in order]
 
@@ -386,43 +397,6 @@ def _flat_node_label(stats, node, scheme, idf_global, p_cap):
     return _topk_arrays(idx, score, f, p_cap)
 
 
-def _hier_base_matrix(stats) -> sp.csr_matrix:
-    """Rows of sibling_cf * freq per node, then the path-discounted
-    descendant accumulation S = sum_d (C^d U) / d."""
-    n, m = stats.n_nodes, stats.n_terms
-    rows, cols, vals = [], [], []
-    for g in range(n):
-        idx, f = _row_arrays(stats.freq, g)
-        if idx.size == 0:
-            continue
-        p = int(stats.parent_or_self[g])
-        c = int(stats.child_count[p])
-        if c == 0:
-            continue
-        cf = stats.child_support_row(p)[idx].astype(np.float64) / c
-        rows.append(np.full(idx.size, g, np.int64))
-        cols.append(idx)
-        vals.append(cf * f)
-    if rows:
-        u = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, m),
-        )
-    else:
-        u = sp.csr_matrix((n, m), dtype=np.float64)
-    child = stats.child_incidence.astype(np.float64)
-    x = (child @ u).tocsr()
-    total = x.copy()
-    depth = 1
-    while x.nnz:
-        x = (child @ x).tocsr()
-        depth += 1
-        if x.nnz:
-            total = (total + x / depth).tocsr()
-    total.sort_indices()
-    return total
-
-
 def select_flat_or_hier(stats: NodeTermStats, method: str,
                         cfg: LabelConfig) -> LabelAssignment:
     """Independent per-node top-P selection for the twelve ranking methods."""
@@ -435,7 +409,7 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
         return out
 
     if method in HIER_FREQ_SCHEMES:
-        base = _hier_base_matrix(stats)
+        base = stats.hier_base()
         idfg = _idf_global_vec(stats)
         for i in range(n):
             idx, score = _row_arrays(base, i)
@@ -452,12 +426,14 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
         return out
 
     if method in RCL_SCHEMES:
-        all_terms = np.arange(stats.n_terms, dtype=np.int64)
         for i in range(n):
             p = int(stats.parent_or_self[i])
-            tp = stats.freq_row(i).astype(np.float64)
+            # a term absent from the parent's subtree has tp = fp = 0 and
+            # scores 0, so only the parent's sparse row is scored
+            idx, f_p = _row_arrays(stats.freq, p)
+            tp = stats.freq_row(i)[idx].astype(np.float64)
             fn = float(stats.node_total[i]) - tp
-            fp = stats.freq_row(p).astype(np.float64) - tp
+            fp = f_p - tp
             if cfg.rcl_fp == "literal":
                 fp = np.maximum(fp - tp, 0.0)
             s = float(stats.node_total[p]) - float(stats.node_total[i])
@@ -466,7 +442,7 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
                 score = _chi2_formula_vec(tp, fn, fp, tn, s)
             else:
                 score = _jsd_formula_vec(tp, fn, fp, tn)
-            out.labels[i] = _topk_arrays(all_terms, score, tp, cfg.p_cap)
+            out.labels[i] = _topk_arrays(idx, score, tp, cfg.p_cap)
         return out
 
     if method in HIER_RCL_SCHEMES:
@@ -475,44 +451,67 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
     raise ConfigError(f"{method!r} is not a ranking method")
 
 
+# HierRCL scores a descendant against its ancestors in blocks of about this
+# many cells, so that the block's temporaries stay in cache
+_BLOCK_CELLS = 1 << 16
+
+
 def _hier_rcl(stats, method, cfg):
-    out = LabelAssignment(method)
-    all_terms = np.arange(stats.n_terms, dtype=np.int64)
-    freq_cache, cf_cache = {}, {}
+    """acc[i] = sum over proper descendants g of i of
+    sibling_cf(g) * v_i(g) / e(i, g), with v_i(g) the 2x2 statistic of g
+    against its parent's subtree and s the mass of i's parent's subtree.
 
-    def frow(i):
-        if i not in freq_cache:
-            freq_cache[i] = stats.freq_row(i).astype(np.float64)
-        return freq_cache[i]
-
-    def cfrow(p):
-        if p not in cf_cache:
-            c = int(stats.child_count[p])
-            cf_cache[p] = (stats.child_support_row(p) / c if c
-                           else np.zeros(stats.n_terms))
-        return cf_cache[p]
-
-    for i in range(stats.n_nodes):
-        desc = stats.hierarchy.descendants(i)
-        if not desc:
-            out.labels[i] = []
+    Each g is read once, on the sparse row of its parent's child support
+    (sibling_cf is 0 off it, so the terms left out would add +0.0), and
+    scored against its ancestors in blocks of rows; only s and e differ
+    between the rows.  g runs in pre-order, so every acc[i, t] adds its
+    terms in descendants(i) order, and the sums are the ones the per-node
+    loop over descendants(i) gives, bit for bit."""
+    h = stats.hierarchy
+    internal = np.flatnonzero(stats.child_count > 0)
+    acc_row = np.full(stats.n_nodes, -1, np.int64)
+    acc_row[internal] = np.arange(internal.size)
+    acc = np.zeros((internal.size, stats.n_terms))
+    s_of = stats.node_total[stats.parent_or_self].astype(np.float64)
+    path = np.empty(int(h.level.max()) + 1, np.int64)   # root ... g
+    for g in h.preorder:
+        lvl = int(h.level[g])
+        path[lvl] = g
+        if lvl == 0:
             continue
-        s = float(stats.node_total[int(stats.parent_or_self[i])])
-        acc = np.zeros(stats.n_terms)
-        for g, e in desc:
-            pg = int(stats.hierarchy.parent[g])
-            tp = frow(g)
-            fn = float(stats.node_total[g]) - tp
-            fp = frow(pg) - tp
-            if cfg.rcl_fp == "literal":
-                fp = np.maximum(fp - tp, 0.0)
+        pg = int(h.parent[g])
+        idx, support = _row_arrays(stats.child_support, pg)
+        if idx.size == 0:
+            continue
+        cf = support / int(stats.child_count[pg])
+        tp = stats.freq_row(g)[idx].astype(np.float64)
+        fn = float(stats.node_total[g]) - tp
+        fp = stats.freq_row(pg)[idx].astype(np.float64) - tp
+        if cfg.rcl_fp == "literal":
+            fp = np.maximum(fp - tp, 0.0)
+        step = max(1, _BLOCK_CELLS // idx.size)   # ancestors per block
+        for a in range(0, lvl, step):
+            anc = path[a:min(a + step, lvl)]
+            s = s_of[anc][:, None]
             tn = s - (tp + fn + fp)
             if method == "HierRCL_chi2":
                 v = _chi2_formula_vec(tp, fn, fp, tn, s)
             else:
                 v = _jsd_formula_vec(tp, fn, fp, tn)
-            acc += cfrow(pg) * v / e
-        out.labels[i] = _topk_arrays(all_terms, acc, frow(i), cfg.p_cap)
+            e = (lvl - np.arange(a, a + anc.size, dtype=np.float64))[:, None]
+            # one row at a time: 1-D fancy indexing is about twice as fast
+            # as np.ix_ here
+            for r, add in zip(acc_row[anc], cf * v / e):
+                acc[r][idx] += add
+
+    out = LabelAssignment(method)
+    all_terms = np.arange(stats.n_terms, dtype=np.int64)
+    for i in range(stats.n_nodes):
+        if acc_row[i] < 0:
+            out.labels[i] = []
+            continue
+        tie = stats.freq_row(i).astype(np.float64)
+        out.labels[i] = _topk_arrays(all_terms, acc[acc_row[i]], tie, cfg.p_cap)
     return out
 
 

@@ -7,9 +7,22 @@ equality.  The library derives the same queries from term-id tuples.
 
 Observed coherence here is the scalar pair loop over ``coherence.npmi``;
 the library scores every pair of a method in one vectorised pass.
+
+The Hier frequency base here is the sparse matrix-power sum; the library
+adds the same terms into dense rows.
+
+HierRCL here is the per-(node, descendant) loop over dense term rows, with
+the descendants found by a stack walk and the 2x2 statistics evaluated
+under masks; the library scores each descendant once, against all its
+ancestors, on a sparse row.  Top-P here sorts every positive score; the
+library partitions first.
 """
 
+import numpy as np
+import scipy.sparse as sp
+
 from hierlabel.coherence import npmi
+from hierlabel.labeling import LabelAssignment
 from hierlabel.queryeval import And, Or, Term
 
 
@@ -96,4 +109,111 @@ def oc_npmi(counts, label_terms, p_cap, epsilon=0.0, aggregate="sum"):
             n_pairs += 1
     if aggregate == "mean":
         return total / n_pairs
+    return total
+
+
+def descendants(hierarchy, i):
+    """(descendant, edge distance) pairs of node i by a stack walk that
+    pushes the children in declared order."""
+    out = []
+    stack = [(int(c), 1) for c in hierarchy.children[i]]
+    while stack:
+        g, e = stack.pop()
+        out.append((g, e))
+        for c in hierarchy.children[g]:
+            stack.append((int(c), e + 1))
+    return out
+
+
+def chi2_masked(tp, fn, fp, tn, s):
+    m1, m2, m3, m4 = tp + fn, fp + tn, tp + fp, fn + tn
+    denom = m1 * m2 * m3 * m4
+    ok = (np.minimum(np.minimum(m1, m2), np.minimum(m3, m4)) > 0)
+    out = np.zeros_like(tp)
+    np.divide((tp * tn - fn * fp) ** 2 * s, denom, out=out, where=ok)
+    return out
+
+
+def jsd_masked(tp, fn, fp, tn):
+    node_mass = tp + fn
+    grand = tp + fp + fn + tn
+    out = np.zeros_like(tp)
+    valid = (node_mass > 0) & (grand > 0)
+    if not valid.any():
+        return out
+    p = np.divide(tp, node_mass, out=np.zeros_like(tp), where=valid)
+    q = np.divide(tp + fp, grand, out=np.zeros_like(tp), where=valid)
+    mid = 0.5 * (p + q)
+    for x in (p, q):
+        pos = valid & (x > 0)
+        out[pos] += x[pos] * (np.log2(x[pos]) - np.log2(mid[pos]))
+    return out
+
+
+def topk(term_ids, scores, tie_freq, p_cap):
+    """Positive scores by (score desc, tie_freq desc, term id asc), capped."""
+    pos = scores > 0
+    t, sc, fr = term_ids[pos], scores[pos], tie_freq[pos]
+    order = np.lexsort((t, -fr, -sc))[:p_cap]
+    return [(int(t[i]), float(sc[i])) for i in order]
+
+
+def hier_rcl(stats, method, cfg):
+    """HierRCL_chi2 / HierRCL_jsd: for each node, the discounted sum over
+    its descendants of sibling_cf times the 2x2 statistic, on dense rows."""
+    h = stats.hierarchy
+    out = LabelAssignment(method)
+    all_terms = np.arange(stats.n_terms, dtype=np.int64)
+
+    def frow(i):
+        return stats.freq_row(i).astype(np.float64)
+
+    for i in range(stats.n_nodes):
+        desc = descendants(h, i)
+        if not desc:
+            out.labels[i] = []
+            continue
+        s = float(stats.node_total[int(stats.parent_or_self[i])])
+        acc = np.zeros(stats.n_terms)
+        for g, e in desc:
+            pg = int(h.parent[g])
+            tp = frow(g)
+            fn = float(stats.node_total[g]) - tp
+            fp = frow(pg) - tp
+            if cfg.rcl_fp == "literal":
+                fp = np.maximum(fp - tp, 0.0)
+            tn = s - (tp + fn + fp)
+            if method == "HierRCL_chi2":
+                v = chi2_masked(tp, fn, fp, tn, s)
+            else:
+                v = jsd_masked(tp, fn, fp, tn)
+            cf = stats.child_support_row(pg) / int(stats.child_count[pg])
+            acc += cf * v / e
+        out.labels[i] = topk(all_terms, acc, frow(i), cfg.p_cap)
+    return out
+
+
+def hier_base(stats):
+    """S = sum_d (C^d U) / d as sparse matrices, U[g] = sibling_cf(g) *
+    freq[g]; rows in canonical (sorted) form."""
+    n, m = stats.n_nodes, stats.n_terms
+    u = sp.lil_matrix((n, m))
+    for g in range(n):
+        p = int(stats.parent_or_self[g])
+        c = int(stats.child_count[p])
+        if c:
+            f = stats.freq_row(g).astype(np.float64)
+            cf = stats.child_support_row(p).astype(np.float64) / c
+            nz = np.flatnonzero(f)
+            u[g, nz] = cf[nz] * f[nz]
+    child = stats.child_incidence.astype(np.float64)
+    x = (child @ u.tocsr()).tocsr()
+    total = x.copy()
+    depth = 1
+    while x.nnz:
+        x = (child @ x).tocsr()
+        depth += 1
+        if x.nnz:
+            total = (total + x / depth).tocsr()
+    total.sort_indices()
     return total

@@ -3,10 +3,15 @@ stage independence, overrides, and exit codes."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hierlabel
 from hierlabel import cli
 from hierlabel import coherence as coh
 from hierlabel import labeling as lab
@@ -262,6 +267,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path}:{line}:" in err, err
 
+    @pytest.mark.parametrize("name,code", [
+        ("matrix.txt", 3), ("vocab.tsv", 3), ("hier.json", 3),
+        ("reference.txt", 3), ("config.json", 2),
+    ])
+    def test_non_utf8_input(self, tmp_path, capsys, name, code):
+        cfg = write_fixture(tmp_path / "fx")
+        path = tmp_path / "fx" / name
+        data = path.read_bytes()
+        cut = data.find(b"\n") + 1 or 1      # start of line 2, else line 1
+        path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+        assert cli.main(["validate", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        line = 2 if b"\n" in data[:cut] else 1
+        where = str(path) if code == 2 else f"{path}:{line}:"
+        assert where in err and "UTF-8" in err, err
+
     def test_failed_run_leaves_no_partial_reports(self, tmp_path):
         cfg = write_fixture(tmp_path / "fx")
         # valid inputs, but a stats stage without metrics.csv is an error
@@ -395,3 +416,102 @@ class TestSingleLoad:
                 continue
             assert (tmp_path / "oa" / rel).read_bytes() == \
                 (tmp_path / "ob" / rel).read_bytes(), rel
+
+
+class TestAtomicReports:
+
+    def test_failure_mid_write_leaves_no_torn_report(self, tmp_path,
+                                                     monkeypatch):
+        cfg_path = write_fixture(tmp_path / "fx")
+        out = tmp_path / "fx" / "out"
+        assert cli.main(["all", "--config", str(cfg_path)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        seen = []
+        real = cli.qe.prefix_renderer
+
+        def failing_renderer():
+            render = real()
+
+            def wrapped(query):
+                if len(seen) == 5:
+                    # what a reader of queries.txt finds mid-write
+                    seen.append((out / "queries.txt").read_bytes())
+                    raise OSError("device full")
+                seen.append(None)
+                return render(query)
+            return wrapped
+        monkeypatch.setattr(cli.qe, "prefix_renderer", failing_renderer)
+        cfg = cli.load_config(cfg_path, {})
+        with pytest.raises(OSError, match="device full"):
+            cli.run_stage("evaluate", cfg)
+        assert seen[-1] == before[out / "queries.txt"]
+        after = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert not [p for p in after if p.name.endswith(".tmp")]
+        assert all(before[p] == b for p, b in after.items())
+
+
+class TestMutationFuzz:
+    """Damaged inputs end in a documented exit code, never a traceback."""
+
+    INPUTS = ("matrix.txt", "vocab.tsv", "hier.json", "reference.txt",
+              "config.json")
+    TOKENS = (b"-1", b"x", b"0", b"1e9", b"99999999999999999999", b"null",
+              b"{", b"]", b",", b'"', b"\t", b" ", b"\n", b"\xff", b"true",
+              b"[]", b"NaN", b"3.5")
+
+    @classmethod
+    def mutate(cls, rng, data: bytes) -> bytes:
+        """One byte replaced, a truncation, an inserted token or a
+        duplicated line."""
+        kind = int(rng.integers(4))
+        if kind == 0 and data:
+            i = int(rng.integers(len(data)))
+            return data[:i] + bytes([int(rng.integers(256))]) + data[i + 1:]
+        if kind == 1:
+            return data[:int(rng.integers(len(data) + 1))]
+        if kind == 2:
+            i = int(rng.integers(len(data) + 1))
+            return data[:i] + cls.TOKENS[int(rng.integers(len(cls.TOKENS)))] \
+                + data[i:]
+        lines = data.split(b"\n")
+        i = int(rng.integers(len(lines)))
+        return b"\n".join(lines[:i + 1] + lines[i:])
+
+    def test_exit_codes(self, tmp_path, capsys):
+        base = tmp_path / "base"
+        write_fixture(base)
+        originals = {n: (base / n).read_bytes() for n in self.INPUTS}
+        rng = np.random.default_rng(2024)
+        escaped, codes = [], set()
+        for case in range(150):
+            name = self.INPUTS[case % len(self.INPUTS)]
+            stage = ("validate", "label", "all")[case % 3]
+            damaged = self.mutate(rng, originals[name])
+            (base / name).write_bytes(damaged)
+            try:
+                rc = cli.main([stage, "--config", str(base / "config.json")])
+            except Exception as e:
+                escaped.append((case, name, stage, damaged, repr(e)))
+            else:
+                codes.add(rc)
+                if rc not in (0, 2, 3, 4):
+                    escaped.append((case, name, stage, damaged, rc))
+            finally:
+                (base / name).write_bytes(originals[name])
+            capsys.readouterr()
+        assert not escaped, escaped[:3]
+        assert {0, 2, 3} <= codes
+
+
+class TestImports:
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(hierlabel.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        code = "import sys, hierlabel.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"

@@ -8,8 +8,9 @@ import pytest
 from hierlabel import corpus as corp
 from hierlabel.errors import ParseError, ValidationError
 
+import oracles
 from conftest import (hierarchy_from_records, matrix_from_cells,
-                      random_instance)
+                      random_instance, random_matrix, random_tree_records)
 
 
 class TestLoadMatrix:
@@ -100,6 +101,22 @@ class TestLoadHierarchy:
         assert h.n_nodes == 3
         assert list(h.level) == [0, 1, 1]
         assert list(h.docsets[h.root]) == [0, 1, 2]
+
+    def test_preorder_index_matches_stack_walk(self, tmp_path):
+        # descendants come off the Euler-tour index in the order of a stack
+        # walk over the declared children, and levels count the ancestors
+        rng = np.random.default_rng(63)
+        for trial in range(10):
+            n_docs = int(rng.integers(2, 30))
+            records = random_tree_records(rng, n_docs, 20)
+            for r in records:
+                rng.shuffle(r["children"])
+            m = random_matrix(rng, n_docs, 4)
+            h = hierarchy_from_records(records, m, tmp_path, f"p{trial}.json")
+            assert sorted(h.preorder) == list(range(h.n_nodes))
+            for i in range(h.n_nodes):
+                assert h.descendants(i) == oracles.descendants(h, i)
+                assert h.level[i] == len(h.ancestors(i))
 
     def test_self_parent_cycle(self, tmp_path):
         m = matrix_from_cells(1, 1, [(0, 0, 1)])
@@ -243,6 +260,21 @@ class TestSaltonFilter:
 
 
 class TestNodeStats:
+
+    def test_hier_base_equals_sparse_power_sum(self, tmp_path):
+        rng = np.random.default_rng(64)
+        for trial in range(12):
+            n_docs = int(rng.integers(2, 40))
+            records = random_tree_records(rng, n_docs,
+                                          int(rng.integers(4, 30)))
+            m = random_matrix(rng, n_docs, int(rng.integers(2, 30)))
+            h = hierarchy_from_records(records, m, tmp_path, f"b{trial}.json")
+            stats = corp.build_node_stats(m, h)
+            got, want = stats.hier_base(), oracles.hier_base(stats)
+            assert got is stats.hier_base()
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
 
     def test_table2_totals(self, table2):
         _, h, stats = table2

@@ -6,14 +6,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2, chi2_contingency
 
 from hierlabel import corpus as corp
 from hierlabel import labeling as lab
 from hierlabel.errors import ConfigError, ValidationError
 
+import oracles
 from conftest import (hierarchy_from_records, matrix_from_cells,
-                      random_instance)
+                      random_instance, random_matrix, random_tree_records)
 
 
 def build(tmp_path, cells, records, n_docs, n_terms):
@@ -312,6 +313,12 @@ class TestChi2AndJsd:
             cells = lab.ContingencyCells(tp, fp, fn, tn, tp + fp + fn + tn)
             assert lab.jsd_2x2(cells) >= -1e-15
 
+    def test_chi2_critical_equals_scipy_ppf(self):
+        for alpha in (0.001, 0.01, 0.025, 0.05, 0.1, 0.5, 0.9):
+            for df in range(1, 300):
+                assert lab._chi2_critical(alpha, df) == \
+                    float(chi2.ppf(1.0 - alpha, df)), (alpha, df)
+
     def test_pearson_children_table2(self, table2):
         _, h, stats = table2
         stat, df = lab.pearson_chi2_children(stats, h.root, 0)
@@ -379,6 +386,18 @@ class TestSelectTopk:
         freqs = np.array([5.0, 7.0, 7.0])
         out = lab.select_topk([(0, 1.0), (1, 1.0), (2, 1.0)], 3, freqs)
         assert [t for t, _ in out] == [1, 2, 0]
+
+    def test_partition_keeps_ties_at_the_cut(self):
+        # few distinct scores, so ties straddle the p_cap-th place
+        rng = np.random.default_rng(62)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            terms = rng.permutation(n).astype(np.int64)
+            scores = rng.integers(-1, 4, n).astype(np.float64)
+            tie = rng.integers(0, 3, n).astype(np.float64)
+            p_cap = int(rng.integers(1, n + 2))
+            assert lab._topk_arrays(terms, scores, tie, p_cap) == \
+                oracles.topk(terms, scores, tie, p_cap)
 
 
 class TestRankingMethods:
@@ -458,6 +477,35 @@ class TestRankingMethods:
             assert [t for t, _ in got] == [t for t, _ in expect]
             for (_, s1), (_, s2) in zip(got, expect):
                 assert s1 == pytest.approx(s2, rel=1e-9)
+
+
+class TestHierRclAgainstOracle:
+
+    @pytest.mark.parametrize("rcl_fp", ["corrected", "literal"])
+    def test_property_against_oracle(self, tmp_path, rcl_fp):
+        # unary nodes and children declared out of id order; every
+        # positive score is ranked and compared exactly
+        rng = np.random.default_rng(61)
+        unary = shuffled = 0
+        for trial in range(14):
+            n_docs = int(rng.integers(4, 40))
+            n_terms = int(rng.integers(3, 25))
+            m = random_matrix(rng, n_docs, n_terms)
+            records = random_tree_records(rng, n_docs,
+                                          int(rng.integers(4, 24)))
+            for r in records:
+                unary += len(r["children"]) == 1
+                before = list(r["children"])
+                rng.shuffle(r["children"])
+                shuffled += r["children"] != before
+            h = hierarchy_from_records(records, m, tmp_path, f"o{trial}.json")
+            stats = corp.build_node_stats(m, h)
+            cfg = lab.LabelConfig(p_cap=n_terms, rcl_fp=rcl_fp)
+            for method in lab.HIER_RCL_SCHEMES:
+                got = lab.label_hierarchy(stats, method, cfg).labels
+                want = oracles.hier_rcl(stats, method, cfg).labels
+                assert got == want, (trial, method)
+        assert unary and shuffled
 
 
 class TestPopesculUngar:
