@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 import os
 import sys
 from contextlib import contextmanager
@@ -215,7 +216,11 @@ class InputBundle:
 
 
 def load_inputs(cfg: RunConfig) -> InputBundle:
-    matrix = corp.load_matrix(cfg.matrix)
+    # the hierarchy is read first: a matrix header with more documents than
+    # it lists is rejected before arrays of that size are allocated
+    records = corp.read_hierarchy(cfg.hierarchy)
+    matrix = corp.load_matrix(cfg.matrix,
+                              max_docs=corp.listed_docs(records))
     vocab_full = corp.load_vocabulary(cfg.vocabulary)
     if len(vocab_full) != matrix.n_terms:
         raise ValidationError(
@@ -230,7 +235,7 @@ def load_inputs(cfg: RunConfig) -> InputBundle:
         remap = np.arange(matrix.n_terms, dtype=np.int64)
         orig_id = remap
         vocab = vocab_full
-    hierarchy = corp.load_hierarchy(cfg.hierarchy, matrix)
+    hierarchy = corp.load_hierarchy(cfg.hierarchy, matrix, records)
     return InputBundle(matrix, vocab, vocab_full, hierarchy, remap, orig_id)
 
 
@@ -323,18 +328,31 @@ def stage_label(cfg: RunConfig, tracker: OutputTracker,
 
 
 def _report_rows(path, columns):
-    """Yield (line number, row) for each row of a report CSV.  A header
-    that lacks one of ``columns``, undecodable text and broken CSV quoting
-    are ParseErrors naming the file and the line."""
+    """Yield (line number, the fields named by ``columns``, in that order)
+    for each row of a report CSV; blank lines are skipped.  A header that
+    lacks one of ``columns``, a row whose width differs from the header's,
+    undecodable text and broken CSV quoting are ParseErrors naming the file
+    and the line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            absent = [c for c in columns if c not in (reader.fieldnames or ())]
+            header = next(reader, [])
+            # a repeated column name counts at its last position
+            at = {name: k for k, name in enumerate(header)}
+            absent = [c for c in columns if c not in at]
             if absent:
                 raise ParseError(f"{path}:1: header lacks column(s) "
                                  + ", ".join(absent))
+            pick = operator.itemgetter(*(at[c] for c in columns))
+            width = len(header)
             for row in reader:
-                yield reader.line_num, row
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise _bad_row(path, reader.line_num,
+                                   f"{len(row)} fields, the header has "
+                                   f"{width}")
+                yield reader.line_num, pick(row)
         except (UnicodeDecodeError, csv.Error) as e:
             raise ParseError(f"{path}:{reader.line_num}: {e}") from None
 
@@ -346,38 +364,38 @@ def _bad_row(path, line, e) -> ParseError:
 def read_labels_csv(path) -> dict:
     """method -> {node_id: [(original term id, score)] in rank order}."""
     out = {}
-    for line, row in _report_rows(
+    for line, (method, nid, rank, term, score) in _report_rows(
             path, ("method", "node_id", "rank", "term_id", "score")):
         try:
-            nid = int(row["node_id"])
-            entry = (int(row["rank"]), int(row["term_id"]),
-                     float(row["score"]))
-        except (TypeError, ValueError) as e:
+            nid = int(nid)
+            entry = (int(rank), int(term), float(score))
+        except ValueError as e:
             raise _bad_row(path, line, e) from None
-        out.setdefault(row["method"], {}).setdefault(nid, []).append(entry)
-    for method in out:
-        for nid in out[method]:
-            out[method][nid] = [(t, s) for _, t, s in sorted(out[method][nid])]
+        out.setdefault(method, {}).setdefault(nid, []).append(entry)
+    for per_node in out.values():
+        for nid, entries in per_node.items():
+            entries.sort()
+            per_node[nid] = [(t, s) for _, t, s in entries]
     return out
 
 
 def _assignments_from_csv(rows: dict, bundle: InputBundle, methods) -> dict:
     """Rebuild LabelAssignments (internal node indices, working term ids)."""
+    working = dict(zip(bundle.orig_id.tolist(), range(bundle.orig_id.size)))
+    ids = bundle.hierarchy.ids.tolist()
     assignments = {}
     for method in methods:
-        a = lab.LabelAssignment(method)
         per_node = rows.get(method, {})
-        for i in range(bundle.hierarchy.n_nodes):
-            nid = int(bundle.hierarchy.ids[i])
-            pairs = []
-            for orig, score in per_node.get(nid, []):
-                if orig < 0 or orig >= bundle.remap.size or bundle.remap[orig] < 0:
-                    raise ValidationError(
-                        f"labels.csv references term {orig} absent from the "
-                        f"working vocabulary"
-                    )
-                pairs.append((int(bundle.remap[orig]), score))
-            a.labels[i] = pairs
+        a = lab.LabelAssignment(method)
+        try:
+            a.labels = {i: [(working[orig], score)
+                            for orig, score in per_node.get(nid, [])]
+                        for i, nid in enumerate(ids)}
+        except KeyError as e:
+            raise ValidationError(
+                f"labels.csv references term {e.args[0]} absent from the "
+                f"working vocabulary"
+            ) from None
         assignments[method] = a
     return assignments
 
@@ -429,18 +447,28 @@ def stage_evaluate(cfg: RunConfig, tracker: OutputTracker,
 
 
 def read_metrics_csv(path) -> qe.ObservationTable:
+    """The observations of a metrics.csv: at most one row per method, node
+    and query kind, every measure a number in [0, 1]."""
     table = qe.ObservationTable()
-    for line, row in _report_rows(
+    first = {}                  # (method, node, kind) -> line
+    for line, (method, nid, level, kind, *values) in _report_rows(
             path, ("method", "node_id", "level", "kind", *MEASURES)):
         try:
-            table.rows.append(qe.ObservationRow(
-                method=row["method"], node_id=int(row["node_id"]),
-                level=int(row["level"]), kind=row["kind"],
-                precision=float(row["precision"]), recall=float(row["recall"]),
-                f=float(row["f"]),
-            ))
-        except (TypeError, ValueError) as e:
+            nid, level = int(nid), int(level)
+            precision, recall, f = map(float, values)
+        except ValueError as e:
             raise _bad_row(path, line, e) from None
+        if not (0 <= precision <= 1 and 0 <= recall <= 1 and 0 <= f <= 1):
+            name, value = next((name, value) for name, value in zip(
+                MEASURES, (precision, recall, f)) if not 0 <= value <= 1)
+            raise _bad_row(path, line, f"{name} {value} is not in [0, 1]")
+        seen = first.setdefault((method, nid, kind), line)
+        if seen != line:
+            raise _bad_row(path, line, f"repeats the row of line {seen}")
+        table.rows.append(qe.ObservationRow(
+            method=method, node_id=nid, level=level, kind=kind,
+            precision=precision, recall=recall, f=f,
+        ))
     return table
 
 
@@ -457,7 +485,9 @@ def emit_level_plot_data(fits: dict, measure: str, kind: str,
                 fh.write(f"{lvl} {fmt(fit.adjusted_means['level'][lvl])}\n")
 
 
-def stage_stats(cfg: RunConfig, tracker: OutputTracker):
+def stage_stats(cfg: RunConfig, tracker: OutputTracker,
+                bundle: InputBundle | None = None):
+    bundle = bundle or load_inputs(cfg)
     metrics_path = tracker.out_dir / "metrics.csv"
     if not metrics_path.is_file():
         raise ConfigError(f"metrics.csv not found in {tracker.out_dir}; "
@@ -465,6 +495,16 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker):
     table = read_metrics_csv(metrics_path)
     wanted = set(cfg.methods)
     table = qe.ObservationTable([r for r in table.rows if r.method in wanted])
+    # a file that lacks observations is an input error, not a degenerate fit
+    present = {(r.method, r.node_id, r.kind) for r in table.rows}
+    ids = bundle.hierarchy.ids.tolist()
+    for method in cfg.methods:
+        for nid in ids:
+            for kind in KINDS:
+                if (method, nid, kind) not in present:
+                    raise ValidationError(
+                        f"{metrics_path}: no {kind} row for method {method} "
+                        f"at node {nid}")
     for kind in KINDS:
         sub = table.filter(kind=kind)
         for measure in MEASURES:
@@ -620,7 +660,7 @@ def run_stage(stage: str, cfg: RunConfig, dry_run: bool = False) -> list:
         if stage in ("evaluate", "all"):
             stage_evaluate(cfg, tracker, bundle, assignments)
         if stage in ("stats", "all"):
-            stage_stats(cfg, tracker)
+            stage_stats(cfg, tracker, bundle)
         if stage in ("coherence", "all"):
             if stage == "all" and cfg.reference_corpus is None:
                 summary.append("coherence skipped: no reference corpus")

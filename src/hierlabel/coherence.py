@@ -10,6 +10,7 @@ terms; singleton and empty labels score exactly 0.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -40,31 +41,33 @@ class CooccurrenceCounts:
 
 
 def load_reference_corpus(path) -> list:
-    """One document per line, whitespace-separated tokens."""
-    docs = []
+    """One document per line, whitespace-separated tokens.  The documents
+    are returned as their lines, unsplit; lines holding only whitespace are
+    not documents."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                tokens = line.split()
-                if tokens:
-                    docs.append(tokens)
+            text = fh.read()
     except UnicodeDecodeError:
         raise utf8_error(path) from None
-    return docs
+    # the file's own lines: str.splitlines would also break at \x0b, \x85
+    # and other characters that are blanks inside a document
+    return [line for line in text.split("\n") if line and not line.isspace()]
 
 
 def count_cooccurrence(corpus, vocab: Vocabulary,
                        restrict_terms=None) -> CooccurrenceCounts:
     """Count unary and pairwise window occurrences for vocabulary terms.
 
-    ``corpus`` is a sequence of token lists; tokens outside the vocabulary
-    are ignored.  ``restrict_terms`` limits counting to a term subset (the
-    results for those terms are unchanged, everything else reads as 0) -
-    the pipeline uses it to count only label terms.
+    ``corpus`` is a sequence of documents, each a string of
+    whitespace-separated tokens; tokens outside the vocabulary are ignored.
+    ``restrict_terms`` limits counting to a term subset (the results for
+    those terms are unchanged, everything else reads as 0) - the pipeline
+    uses it to count only label terms.
 
     The counted terms are the columns of a sparse presence matrix ``P``
     (windows x terms): unary counts are its column sums, pair counts the
-    strict upper triangle of ``P.T @ P``.
+    strict upper triangle of ``P.T @ P``.  Documents are split one at a
+    time, so no token outlives its document.
     """
     if not corpus:
         raise ValidationError("empty reference corpus")
@@ -75,18 +78,21 @@ def count_cooccurrence(corpus, vocab: Vocabulary,
         raise ValidationError(
             f"cannot count term {terms[0] if terms[0] < 0 else terms[-1]}: "
             f"the vocabulary has {m} terms")
-    column = np.full(m + 1, -1, np.int64)   # vocabulary id -> column of P
-    column[terms] = np.arange(terms.size)
-    lookup = vocab.index()
-    tokens = chain.from_iterable(corpus)
-    cols = column[np.fromiter((lookup.get(t, m) for t in tokens), np.int64)]
-    rows = np.repeat(np.arange(len(corpus)),
-                     np.fromiter(map(len, corpus), np.int64, len(corpus)))
-    kept = cols >= 0
+    # surface -> column of P plus one, so that filter(None, ...) drops the
+    # tokens that are not counted
+    column = {vocab.surface(t): k for k, t in enumerate(terms.tolist(), 1)}.get
+    cols = array("q")
+    sizes = np.empty(len(corpus), np.int64)
+    for d, doc in enumerate(corpus):
+        before = len(cols)
+        cols.extend(filter(None, map(column, doc.split())))
+        sizes[d] = len(cols) - before
+    cols = np.frombuffer(cols, np.int64) - 1
     # int32 counts halve the product's memory; a count is at most the
     # number of windows
     presence = sp.csr_matrix(
-        (np.ones(int(kept.sum()), np.int32), (rows[kept], cols[kept])),
+        (np.ones(cols.size, np.int32),
+         (np.repeat(np.arange(len(corpus)), sizes), cols)),
         shape=(len(corpus), terms.size))
     presence.data[:] = 1                    # a repeated token counts once
 

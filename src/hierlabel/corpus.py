@@ -13,6 +13,7 @@ file.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,10 +44,6 @@ class Vocabulary:
 
     def surface(self, term_id: int) -> str:
         return self.surfaces[term_id]
-
-    def index(self) -> dict:
-        """surface -> term id lookup table."""
-        return {s: i for i, s in enumerate(self.surfaces)}
 
     def subset(self, keep_terms) -> "Vocabulary":
         """New vocabulary containing only ``keep_terms``, recompacted."""
@@ -83,8 +80,8 @@ class DocTermMatrix:
                 raise ValidationError(f"term-id out of range: {bad}")
             if counts.min() <= 0:
                 raise ValidationError("zero or negative count in matrix cell")
-            key = docs * n_terms + terms
-            if np.unique(key).size != key.size:
+            key = np.sort(docs * n_terms + terms)
+            if (key[1:] == key[:-1]).any():
                 raise ValidationError("duplicate (doc, term) cell")
         csr = sp.csr_matrix(
             (counts, (docs, terms)), shape=(n_docs, n_terms), dtype=np.int64
@@ -145,16 +142,51 @@ def utf8_error(path) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text")
 
 
-def load_matrix(path) -> DocTermMatrix:
-    """Parse the documented triplet format, validating as it goes."""
+# str.splitlines breaks lines at these too, but np.loadtxt reads them as
+# blanks inside a line
+_OTHER_LINE_BREAKS = "\x0b\x0c\x1c\x1d\x1e"
+
+
+def _bulk_cells(body: str):
+    """The (doc, term, count) columns of an ASCII triplet body whose only
+    line break is "\n", parsed in one ``np.loadtxt`` call; None when that
+    parse fails or the rows are not three fields wide, so that the line
+    loop decides."""
+    if not body.strip():
+        return np.empty((3, 0), np.int64)
+    try:
+        cells = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None,
+                           ndmin=2)
+    except ValueError:
+        return None
+    return cells.T if cells.shape[1] == 3 else None
+
+
+def load_matrix(path, max_docs: int | None = None) -> DocTermMatrix:
+    """Parse the documented triplet format, validating as it goes.
+
+    ``max_docs`` bounds the header's document count (the number of
+    document ids the hierarchy lists); it is checked before anything of
+    that size is allocated.  The triplets are parsed in bulk when the text
+    is ASCII and breaks lines only at "\n" (numpy misreads some non-ASCII
+    characters as digits); otherwise, and whenever the bulk parse fails,
+    a loop over the lines parses them and names the first bad line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except UnicodeDecodeError:
         raise utf8_error(path) from None
-    if not lines:
+    if not text:
         raise ParseError(f"{path}:1: missing header line")
-    head = lines[0].split()
+    bulk = text.isascii() and not any(c in text for c in _OTHER_LINE_BREAKS)
+    if bulk:
+        lines = None
+        head, _, body = text.partition("\n")
+    else:
+        lines = text.splitlines()
+        head = lines[0]
+    head = head.split()
     if len(head) != 2:
         raise ParseError(f"{path}:1: header must be 'n_docs n_terms'")
     try:
@@ -165,6 +197,13 @@ def load_matrix(path) -> DocTermMatrix:
         raise ParseError(f"{path}:1: negative dimension")
     if n_docs * n_terms >= _INT64_END:
         raise ParseError(f"{path}:1: more cells than 64-bit ids can number")
+    if max_docs is not None and n_docs > max_docs:
+        raise ParseError(f"{path}:1: header declares {n_docs} documents, but "
+                         f"the hierarchy lists only {max_docs} document ids")
+    cells = _bulk_cells(body) if bulk else None
+    if cells is not None:
+        return DocTermMatrix.from_cells(n_docs, n_terms, *cells)
+    lines = lines or text.splitlines()
     docs, terms, counts = [], [], []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -409,7 +448,17 @@ def _build_hierarchy(records, n_docs) -> Hierarchy:
     return h
 
 
-def load_hierarchy(path, matrix: DocTermMatrix) -> Hierarchy:
+def load_hierarchy(path, matrix: DocTermMatrix, records=None) -> Hierarchy:
+    """The validated tree of a hierarchy file over ``matrix``'s documents.
+    ``records`` are the file's node records when the caller has read them
+    already (``read_hierarchy``)."""
+    if records is None:
+        records = read_hierarchy(path)
+    return _build_hierarchy(records, matrix.n_docs)
+
+
+def read_hierarchy(path) -> list:
+    """The node records of a hierarchy file, each one type-checked."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             blob = json.load(fh)
@@ -423,7 +472,13 @@ def load_hierarchy(path, matrix: DocTermMatrix) -> Hierarchy:
         problem = _record_problem(record)
         if problem:
             raise ParseError(f"{path}: nodes[{k}]: {problem}")
-    return _build_hierarchy(blob["nodes"], matrix.n_docs)
+    return blob["nodes"]
+
+
+def listed_docs(records) -> int:
+    """How many document ids the node records list, repeats included: a
+    bound on the document count of any matrix they can cover."""
+    return sum(len(r.get("docs", [])) for r in records)
 
 
 def _is_int(value) -> bool:

@@ -16,12 +16,18 @@ the descendants found by a stack walk and the 2x2 statistics evaluated
 under masks; the library scores each descendant once, against all its
 ancestors, on a sparse row.  Top-P here sorts every positive score; the
 library partitions first.
+
+The matrix reader here parses every line in a Python loop; the library
+parses the triplets in one numpy call and keeps the loop for the inputs
+that call cannot read.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from hierlabel.coherence import npmi
+from hierlabel.corpus import DocTermMatrix, utf8_error
+from hierlabel.errors import ParseError
 from hierlabel.labeling import LabelAssignment
 from hierlabel.queryeval import And, Or, Term
 
@@ -217,3 +223,48 @@ def hier_base(stats):
             total = (total + x / depth).tocsr()
     total.sort_indices()
     return total
+
+
+def load_matrix(path):
+    """The triplet reader as a loop over ``str.splitlines``: each line
+    stripped, split on whitespace and read with ``int``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
+    if not lines:
+        raise ParseError(f"{path}:1: missing header line")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ParseError(f"{path}:1: header must be 'n_docs n_terms'")
+    try:
+        n_docs, n_terms = int(head[0]), int(head[1])
+    except ValueError:
+        raise ParseError(f"{path}:1: non-integer header") from None
+    if n_docs < 0 or n_terms < 0:
+        raise ParseError(f"{path}:1: negative dimension")
+    if n_docs * n_terms >= 1 << 63:
+        raise ParseError(f"{path}:1: more cells than 64-bit ids can number")
+    docs, terms, counts = [], [], []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{ln}: expected 'doc term count'")
+        try:
+            d, t, c = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(f"{path}:{ln}: non-integer field") from None
+        docs.append(d)
+        terms.append(t)
+        counts.append(c)
+    try:
+        return DocTermMatrix.from_cells(n_docs, n_terms, docs, terms, counts)
+    except OverflowError:
+        ln = next(ln for ln, line in enumerate(lines[1:], start=2)
+                  if not all(-(1 << 63) <= int(x) < 1 << 63
+                             for x in line.split()))
+        raise ParseError(f"{path}:{ln}: value does not fit in 64 bits") \
+            from None

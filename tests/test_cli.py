@@ -245,6 +245,11 @@ class TestExitCodes:
         ("coherence", "labels.csv", "node_id", 2),
         ("stats", "metrics.csv", "node_id", 2),
         ("evaluate", "labels.csv", "foreign", 1),
+        ("evaluate", "labels.csv", "long", 2),
+        ("coherence", "labels.csv", "short", 2),
+        ("stats", "metrics.csv", "long", 2),
+        ("stats", "metrics.csv", "short", 2),
+        ("stats", "metrics.csv", "repeat", 3),
     ])
     def test_malformed_report_csv_is_input_error(self, tmp_path, capsys,
                                                  stage, name, damage, line):
@@ -259,6 +264,12 @@ class TestExitCodes:
             fields = rows[1].split(",")
             fields[1] = "x"
             rows[1] = ",".join(fields)
+        elif damage == "long":
+            rows[1] += ",x"
+        elif damage == "short":
+            rows[1] = rows[1].rsplit(",", 1)[0]
+        elif damage == "repeat":
+            rows.insert(2, rows[1])
         else:
             rows = (out / "metrics.csv").read_text().splitlines()
         path.write_text("\n".join(rows) + "\n")
@@ -266,6 +277,48 @@ class TestExitCodes:
         assert cli.main([stage, "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert f"{path}:{line}:" in err, err
+
+    @pytest.mark.parametrize("column", ["precision", "recall", "f"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-0.1"])
+    def test_metric_outside_unit_interval_is_input_error(
+            self, tmp_path, capsys, column, value):
+        cfg = write_fixture(tmp_path / "fx")
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+        path = tmp_path / "fx" / "out" / "metrics.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][rows[0].index(column)] = value
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert cli.main(["stats", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}:4:" in err and column in err, err
+
+    def test_metrics_csv_without_a_row_is_input_error(self, tmp_path,
+                                                      capsys):
+        # a fit without that observation could fail as a numerical error
+        cfg = write_fixture(tmp_path / "fx")
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+        path = tmp_path / "fx" / "out" / "metrics.csv"
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows[:-1]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["stats", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: no generic row for method" in err, err
+
+    def test_matrix_header_beyond_the_hierarchy_is_input_error(
+            self, tmp_path, capsys):
+        # the document count alone would ask for an 8 TiB index array
+        cfg = write_fixture(tmp_path / "fx")
+        path = tmp_path / "fx" / "matrix.txt"
+        body = path.read_text().split("\n", 1)[1]
+        path.write_text("1099511627776 9\n" + body)
+        assert cli.main(["validate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}:1:" in err, err
+        assert "1099511627776" in err and "12" in err, err
 
     @pytest.mark.parametrize("name,code", [
         ("matrix.txt", 3), ("vocab.tsv", 3), ("hier.json", 3),
@@ -501,6 +554,70 @@ class TestMutationFuzz:
             capsys.readouterr()
         assert not escaped, escaped[:3]
         assert {0, 2, 3} <= codes
+
+
+class TestReportReaders:
+
+    def test_quoted_cells_round_trip(self, tmp_path):
+        surfaces = ["plain", "comma, inside", 'a "quote"', "two\nlines",
+                    "crlf\r\nbreak", '",\n"']
+        path = tmp_path / "labels.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["method", "node_id", "rank", "term_id",
+                        "term_surface", "score"])
+            for k, surface in enumerate(surfaces):
+                w.writerow(["RLUM", k % 2, k // 2 + 1, 10 + k, surface,
+                            f"{0.5 / (k + 1):.6g}"])
+                if k == 2:
+                    fh.write("\r\n")              # a blank row is skipped
+        got = cli.read_labels_csv(path)
+        assert got == {"RLUM": {
+            0: [(10, 0.5), (12, float("0.166667")), (14, 0.1)],
+            1: [(11, 0.25), (13, 0.125), (15, float("0.0833333"))],
+        }}
+        # a bad row after the multi-line cells names its physical line
+        lines = path.read_bytes().count(b"\n")
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerow(["RLUM", "x", 1, 1, "s", "0.1"])
+        with pytest.raises(cli.ParseError, match=f":{lines + 1}: "):
+            cli.read_labels_csv(path)
+
+
+class TestReportMutationFuzz:
+    """Damaged labels.csv and metrics.csv files end in exit 0 or 3, never
+    in a traceback."""
+
+    STAGES = {"labels.csv": ("evaluate", "coherence"),
+              "metrics.csv": ("stats",)}
+
+    def test_exit_codes(self, tmp_path, capsys):
+        cfg = write_fixture(tmp_path / "fx")
+        out = tmp_path / "fx" / "out"
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+        originals = {n: (out / n).read_bytes() for n in self.STAGES}
+        rng = np.random.default_rng(4049)
+        escaped, codes = [], []
+        for case in range(120):
+            name = ("labels.csv", "metrics.csv")[case % 2]
+            stages = self.STAGES[name]
+            stage = stages[(case // 2) % len(stages)]
+            damaged = TestMutationFuzz.mutate(rng, originals[name])
+            (out / name).write_bytes(damaged)
+            try:
+                rc = cli.main([stage, "--config", str(cfg)])
+            except Exception as e:
+                escaped.append((case, name, stage, damaged, repr(e)))
+            else:
+                codes.append(rc)
+                if rc not in (0, 3):
+                    escaped.append((case, name, stage, damaged, rc))
+            finally:
+                for n, data in originals.items():
+                    (out / n).write_bytes(data)
+            capsys.readouterr()
+        assert not escaped, escaped[:3]
+        assert {0, 3} <= set(codes)
 
 
 class TestImports:

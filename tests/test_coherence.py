@@ -17,7 +17,8 @@ def vocab(n):
 
 
 def counts_from(corpus, v, **kw):
-    return coh.count_cooccurrence(corpus, v, **kw)
+    """Counts over a corpus given as token lists."""
+    return coh.count_cooccurrence([" ".join(doc) for doc in corpus], v, **kw)
 
 
 class TestCounting:
@@ -38,6 +39,22 @@ class TestCounting:
         c = counts_from([["w0", "w0", "w1"]], vocab(2))
         assert c.unary[0] == 1
         assert c.pairwise(0, 1) == 1
+
+    def test_reference_lines_are_the_file_lines(self, tmp_path):
+        # only "\n" (after universal-newline reading) ends a document; the
+        # other str.splitlines breaks are blanks inside one
+        path = tmp_path / "ref.txt"
+        path.write_bytes("w0 w1\x0bw2\r\n \t \n\nw1\u2028w0\x85\rw2 w2\x0c"
+                         "w1\x1c\n   w0  ".encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            want = [line.split() for line in fh if line.split()]
+        lines = coh.load_reference_corpus(path)
+        assert [doc.split() for doc in lines] == want
+        assert len(want) == 4
+        c = coh.count_cooccurrence(lines, vocab(3))
+        assert c.n_windows == 4
+        assert c.unary.tolist() == [3, 3, 2]
+        assert (c.pairwise(0, 2), c.pairwise(1, 2)) == (1, 2)
 
     def test_empty_corpus_errors(self):
         with pytest.raises(ValidationError):

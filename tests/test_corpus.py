@@ -62,6 +62,87 @@ class TestLoadMatrix:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestBulkMatrixAgainstLoop:
+    """The bulk triplet parse must read exactly what the line loop reads:
+    the same arrays, or the same error message."""
+
+    # fields: plain, signed, padded, digit-grouped, non-ASCII digits, a
+    # non-ASCII letter numpy's integer parser reads as a digit ("1\u01fe"),
+    # the 64-bit boundaries and values just beyond them, non-integers
+    ODD_FIELDS = ("+1", "-0", "007", "1_000", "\u0663", "1\u01fe", "x",
+                  "1.0", "2e0", str(2**63 - 1), str(-2**63), str(2**63),
+                  str(-2**63 - 1), "\x00", "")
+    # separators inside a line: ASCII and non-ASCII blanks, and every line
+    # break of str.splitlines that np.loadtxt reads as a blank
+    BLANKS = (" ", "  ", "\t", " \t ", "\x1f", "\xa0", "\u3000")
+    BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029")
+
+    @staticmethod
+    def outcome(load, path):
+        try:
+            m = load(path)
+        except (ParseError, ValidationError) as e:
+            return type(e).__name__, str(e)
+        return (m.n_docs, m.n_terms, m.csr.dtype, m.csr.indptr.tolist(),
+                m.csr.indices.tolist(), m.csr.data.tolist())
+
+    def random_text(self, rng):
+        n_docs, n_terms = 5, 7
+        cells = rng.permutation(n_docs * n_terms)[:int(rng.integers(0, 9))]
+        lines = [f"{n_docs} {n_terms}" if rng.random() > 0.05
+                 else f"{n_docs}\x0b{n_terms}"]
+        for cell in cells:
+            fields = [str(cell // n_terms), str(cell % n_terms),
+                      str(int(rng.integers(1, 4)))]
+            roll = rng.random()
+            if roll < 0.15:
+                k = int(rng.integers(3))
+                fields[k] = self.ODD_FIELDS[
+                    int(rng.integers(len(self.ODD_FIELDS)))]
+            elif roll < 0.2:
+                fields = fields[:int(rng.integers(1, 3))]
+            elif roll < 0.25:
+                fields.append("1")
+            pick = (self.BLANKS + self.BREAKS if rng.random() < 0.1
+                    else self.BLANKS)
+            line = "".join(f + pick[int(rng.integers(len(pick)))]
+                           for f in fields[:-1]) + fields[-1]
+            lead = rng.random()
+            if lead < 0.1:
+                line = " \t" + line + " "
+            lines.append(line)
+            if rng.random() < 0.1:
+                lines.append(" \t " if rng.random() < 0.5 else "")
+        end = ("\n", "\r\n")[int(rng.random() < 0.2)]
+        return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+    def test_property_against_loop(self, tmp_path):
+        rng = np.random.default_rng(505)
+        path = tmp_path / "m.txt"
+        kinds = set()
+        for case in range(600):
+            text = self.random_text(rng)
+            path.write_bytes(text.encode("utf-8"))
+            want = self.outcome(oracles.load_matrix, path)
+            got = self.outcome(corp.load_matrix, path)
+            assert got == want, (case, text)
+            kinds.add(want[0] if isinstance(want[0], str) else "ok")
+        assert {"ok", "ParseError", "ValidationError"} <= kinds
+
+    @pytest.mark.parametrize("body", [
+        "0 1 1\n1_000 2 1\n", "0 1 1\n\u0663 2 1\n", "0 1\x0b1\n",
+        "0 1 1\x0c\n1 2 1\n", "0\u20281 1\n", "0 1 1\n1\u01fe 2 1\n",
+        "0 1 1\r\n\r\n \t\r\n1\t2\t+1\r\n",
+        f"0 1 {2**63}\n", f"0 1 {2**63 - 1}\n", f"{-2**63} 1 1\n",
+    ])
+    def test_cases_the_bulk_parse_must_hand_on(self, tmp_path, body):
+        path = tmp_path / "m.txt"
+        path.write_bytes(("2000 7\n" + body).encode("utf-8"))
+        assert self.outcome(corp.load_matrix, path) == \
+            self.outcome(oracles.load_matrix, path)
+
+
 class TestVocabulary:
 
     def test_load_save_roundtrip(self, tmp_path):
