@@ -362,8 +362,10 @@ def _bad_row(path, line, e) -> ParseError:
 
 
 def read_labels_csv(path) -> dict:
-    """method -> {node_id: [(original term id, score)] in rank order}."""
+    """method -> {node_id: [(original term id, score)] in rank order}; at
+    most one row per method, node and rank."""
     out = {}
+    first = {}                  # (method, node, rank) -> line
     for line, (method, nid, rank, term, score) in _report_rows(
             path, ("method", "node_id", "rank", "term_id", "score")):
         try:
@@ -371,6 +373,9 @@ def read_labels_csv(path) -> dict:
             entry = (int(rank), int(term), float(score))
         except ValueError as e:
             raise _bad_row(path, line, e) from None
+        seen = first.setdefault((method, nid, entry[0]), line)
+        if seen != line:
+            raise _bad_row(path, line, f"repeats the row of line {seen}")
         out.setdefault(method, {}).setdefault(nid, []).append(entry)
     for per_node in out.values():
         for nid, entries in per_node.items():

@@ -13,31 +13,70 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Vocabulary, utf8_error
 from .errors import ValidationError
 
+# joint counts AND about this many words of two bitsets per block, and
+# documents are turned into bits this many at a time (a multiple of 64), so
+# that a block's temporaries stay small
+_BLOCK_WORDS = 1 << 16
+_BLOCK_DOCS = 1 << 12
+
 
 @dataclass
 class CooccurrenceCounts:
+    """Window counts of the counted terms.  ``bits`` row ``rows[t]`` holds
+    the windows of term t as packed words, bit w % 64 of word w // 64 set
+    when window w contains t; ``rows[t]`` is -1 for a term not counted.
+    Joint counts are not stored: each is the popcount of two rows ANDed,
+    taken for the pairs asked for (``pairwise``, and ``score_labels`` for
+    the labels' pairs)."""
     n_windows: int
     n_terms: int
     unary: np.ndarray          # term -> number of windows containing it
-    pair_keys: np.ndarray      # sorted packed keys a * n_terms + b, a < b
-    pair_counts: np.ndarray
+    rows: np.ndarray
+    bits: np.ndarray           # (counted terms, words) uint64
+
+    @property
+    def pair_keys(self) -> np.ndarray:
+        """The stored pair counts' keys: none, since joint counts are taken
+        from the bitsets when asked for."""
+        return np.empty(0, np.int64)
+
+    def row_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """For each k, the key lo * R + hi of the bitset rows lo < hi of
+        a[k] and b[k] (R rows in all); -1 when a[k] == b[k] or either term
+        is not counted."""
+        ra, rb = self.rows[a], self.rows[b]
+        key = np.minimum(ra, rb) * len(self.bits) + np.maximum(ra, rb)
+        return np.where((ra != rb) & (ra >= 0) & (rb >= 0), key, -1)
+
+    def count_row_pairs(self, keys: np.ndarray) -> np.ndarray:
+        """The windows that both rows of each row-pair key hold: an AND
+        and a popcount, a block of pairs at a time."""
+        lo, hi = np.divmod(keys, len(self.bits))
+        out = np.empty(keys.size, np.int64)
+        step = max(1, _BLOCK_WORDS // max(1, self.bits.shape[1]))
+        for at in range(0, keys.size, step):
+            both = self.bits[lo[at:at + step]] & self.bits[hi[at:at + step]]
+            out[at:at + step] = np.bitwise_count(both).sum(axis=1)
+        return out
 
     def pairwise(self, a: int, b: int) -> int:
         if a == b:
             return int(self.unary[a])
-        lo, hi = (a, b) if a < b else (b, a)
-        key = lo * self.n_terms + hi
-        i = np.searchsorted(self.pair_keys, key)
-        if i < self.pair_keys.size and self.pair_keys[i] == key:
-            return int(self.pair_counts[i])
-        return 0
+        [key] = self.row_pairs(np.array([a]), np.array([b]))
+        return int(self.count_row_pairs(np.array([key]))[0]) if key >= 0 else 0
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The non-negative keys, sorted, each once."""
+    keys = np.sort(keys[keys >= 0])
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def load_reference_corpus(path) -> list:
@@ -64,10 +103,14 @@ def count_cooccurrence(corpus, vocab: Vocabulary,
     those terms are unchanged, everything else reads as 0) - the pipeline
     uses it to count only label terms.
 
-    The counted terms are the columns of a sparse presence matrix ``P``
-    (windows x terms): unary counts are its column sums, pair counts the
-    strict upper triangle of ``P.T @ P``.  Documents are split one at a
-    time, so no token outlives its document.
+    Each counted term gets a bitset of the windows that contain it, set by
+    ``np.bitwise_or.at`` over its tokens (a repeated token sets its bit
+    again); unary counts are the bitsets' popcounts, and joint counts are
+    taken from them when asked for (``CooccurrenceCounts.pairwise``, and
+    ``score_labels`` for the labels' pairs).
+    Documents are split one at a time, and the counted tokens' rows of a
+    block of documents are turned into bits together, so no token
+    outlives its block.
     """
     if not corpus:
         raise ValidationError("empty reference corpus")
@@ -78,39 +121,30 @@ def count_cooccurrence(corpus, vocab: Vocabulary,
         raise ValidationError(
             f"cannot count term {terms[0] if terms[0] < 0 else terms[-1]}: "
             f"the vocabulary has {m} terms")
-    # surface -> column of P plus one, so that filter(None, ...) drops the
+    # surface -> bitset row plus one, so that filter(None, ...) drops the
     # tokens that are not counted
     column = {vocab.surface(t): k for k, t in enumerate(terms.tolist(), 1)}.get
-    cols = array("q")
-    sizes = np.empty(len(corpus), np.int64)
-    for d, doc in enumerate(corpus):
-        before = len(cols)
-        cols.extend(filter(None, map(column, doc.split())))
-        sizes[d] = len(cols) - before
-    cols = np.frombuffer(cols, np.int64) - 1
-    # int32 counts halve the product's memory; a count is at most the
-    # number of windows
-    presence = sp.csr_matrix(
-        (np.ones(cols.size, np.int32),
-         (np.repeat(np.arange(len(corpus)), sizes), cols)),
-        shape=(len(corpus), terms.size))
-    presence.data[:] = 1                    # a repeated token counts once
-
+    words = (len(corpus) + 63) // 64
+    bits = np.zeros((terms.size, words), np.uint64)
+    # a block of documents at a time, which bounds the token arrays
+    for lo in range(0, len(corpus), _BLOCK_DOCS):
+        cols = array("q")
+        sizes = np.empty(min(_BLOCK_DOCS, len(corpus) - lo), np.int64)
+        for d, doc in enumerate(corpus[lo:lo + sizes.size]):
+            before = len(cols)
+            cols.extend(filter(None, map(column, doc.split())))
+            sizes[d] = len(cols) - before
+        window = np.arange(lo, lo + sizes.size)
+        at = np.frombuffer(cols, np.int64) * words
+        at += np.repeat((window >> 6) - words, sizes)
+        np.bitwise_or.at(bits.reshape(-1), at, np.repeat(
+            np.left_shift(np.uint64(1), (window & 63).astype(np.uint64)),
+            sizes))
+    rows = np.full(m, -1, np.int64)
+    rows[terms] = np.arange(terms.size)
     unary = np.zeros(m, np.int64)
-    unary[terms] = np.bincount(presence.indices, minlength=terms.size)
-    joint = (presence.T @ presence).tocsr()
-    joint.sort_indices()
-    # row-major with ascending columns, so the upper triangle's keys come
-    # out sorted
-    row = np.repeat(np.arange(terms.size, dtype=np.int32),
-                    np.diff(joint.indptr))
-    upper = joint.indices > row
-    keys = terms[row[upper]]
-    del row                 # freed, and the keys built in place: peak memory
-    keys *= m
-    keys += terms[joint.indices[upper]]
-    return CooccurrenceCounts(len(corpus), m, unary, keys,
-                              joint.data[upper].astype(np.int64))
+    unary[terms] = np.bitwise_count(bits).sum(axis=1)
+    return CooccurrenceCounts(len(corpus), m, unary, rows, bits)
 
 
 def npmi(counts: CooccurrenceCounts, a: int, b: int,
@@ -142,17 +176,10 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 
 def _npmi_pairs(counts: CooccurrenceCounts, a: np.ndarray, b: np.ndarray,
-                epsilon: float) -> np.ndarray:
-    """``npmi(counts, a[k], b[k], epsilon)`` for every k, bit for bit."""
+                joint: np.ndarray, epsilon: float) -> np.ndarray:
+    """``npmi(counts, a[k], b[k], epsilon)`` for every k, bit for bit,
+    given the joint counts."""
     ua, ub = counts.unary[a], counts.unary[b]
-    key = np.minimum(a, b) * counts.n_terms + np.maximum(a, b)
-    joint = np.zeros(a.size, np.int64)
-    if counts.pair_keys.size:
-        at = np.minimum(np.searchsorted(counts.pair_keys, key),
-                        counts.pair_keys.size - 1)
-        hit = counts.pair_keys[at] == key
-        joint[hit] = counts.pair_counts[at[hit]]
-    joint = np.where(a == b, ua, joint)
     n = counts.n_windows
     p_ab = joint / n
 
@@ -173,18 +200,23 @@ def _npmi_pairs(counts: CooccurrenceCounts, a: np.ndarray, b: np.ndarray,
     return out
 
 
-def _oc_values(counts: CooccurrenceCounts, labels: list, p_cap: int,
-               epsilon: float, aggregate: str):
-    """OC and the count of label terms absent from the reference, per
-    label of ``labels`` (a list of term-id sequences)."""
+class _LabelPairs(NamedTuple):
+    """The pairs of a list of labels' top-P terms: ``a[k], b[k]`` is
+    ``grid[label, column]`` at the k-th True cell of ``present``, column
+    the pair's place in the loop i = 1.., j < i."""
+    terms: np.ndarray        # every label's top-P terms, label after label
+    owner: np.ndarray        # the label of each of ``terms``
+    n_pairs: np.ndarray
+    present: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _label_pairs(labels: list, p_cap: int) -> _LabelPairs:
     tops = [label[:p_cap] for label in labels]
     size = np.fromiter(map(len, tops), np.int64, len(tops))
     flat = np.fromiter(chain.from_iterable(tops), np.int64, int(size.sum()))
     owner = np.repeat(np.arange(len(tops)), size)
-    missing = np.bincount(owner[counts.unary[flat] == 0],
-                          minlength=len(tops))
-
-    # grid[label, k] is the label's k-th pair of the loop i = 1.., j < i
     width = int(size.max()) if size.size else 0
     grid_terms = np.zeros((len(tops), width), np.int64)
     grid_terms[owner, np.arange(flat.size) - np.repeat(size.cumsum() - size,
@@ -192,25 +224,50 @@ def _oc_values(counts: CooccurrenceCounts, labels: list, p_cap: int,
     i, j = np.tril_indices(width, -1)
     n_pairs = size * (size - 1) // 2
     present = np.arange(i.size) < n_pairs[:, None]
-    grid = np.zeros(present.shape)
-    grid[present] = _npmi_pairs(counts, grid_terms[:, i][present],
-                                grid_terms[:, j][present], epsilon)
-    total = np.zeros(len(tops))
-    for column in grid.T:
-        # one pair per label at a time, in the scalar loop's order
-        total += column
-    if aggregate == "mean":
-        paired = n_pairs > 0
-        total[paired] /= n_pairs[paired]
-    return total, missing
+    return _LabelPairs(flat, owner, n_pairs, present,
+                       grid_terms[:, i][present], grid_terms[:, j][present])
+
+
+def _oc_values(counts: CooccurrenceCounts, groups: list, p_cap: int,
+               epsilon: float, aggregate: str) -> list:
+    """(OC, count of label terms absent from the reference) per label, for
+    each group of ``groups`` (lists of term-id sequences).  The distinct
+    pairs of all groups are counted together, each once; then each group's
+    pairs are built again and scored, which holds one group's pair arrays
+    at a time."""
+    if not groups:
+        return []
+    distinct = _distinct(np.concatenate(
+        [_distinct(counts.row_pairs(p.a, p.b))
+         for p in (_label_pairs(labels, p_cap) for labels in groups)]))
+    tally = counts.count_row_pairs(distinct)
+    out = []
+    for labels in groups:
+        p = _label_pairs(labels, p_cap)
+        keys = counts.row_pairs(p.a, p.b)
+        joint = np.where(p.a == p.b, counts.unary[p.a], 0)
+        joint[keys >= 0] = tally[np.searchsorted(distinct, keys[keys >= 0])]
+        grid = np.zeros(p.present.shape)
+        grid[p.present] = _npmi_pairs(counts, p.a, p.b, joint, epsilon)
+        total = np.zeros(len(p.n_pairs))
+        for column in grid.T:
+            # one pair per label at a time, in the scalar loop's order
+            total += column
+        if aggregate == "mean":
+            paired = p.n_pairs > 0
+            total[paired] /= p.n_pairs[paired]
+        missing = np.bincount(p.owner[counts.unary[p.terms] == 0],
+                              minlength=len(p.n_pairs))
+        out.append((total, missing))
+    return out
 
 
 def oc_npmi(counts: CooccurrenceCounts, label_terms, p_cap: int,
             epsilon: float = 0.0, aggregate: str = "sum") -> float:
     """Observed coherence: NPMI summed (or averaged) over all unordered
     pairs among the top-P label terms; fewer than two terms scores 0."""
-    total, _ = _oc_values(counts, [list(label_terms)], p_cap, epsilon,
-                          aggregate)
+    [(total, _)] = _oc_values(counts, [[list(label_terms)]], p_cap, epsilon,
+                              aggregate)
     return float(total[0])
 
 
@@ -242,14 +299,14 @@ def score_labels(counts: CooccurrenceCounts, labels: dict, p_cap: int,
                  epsilon: float = 0.0,
                  aggregate: str = "sum") -> CoherenceReport:
     """OC for every label of ``labels``, a mapping method -> {node_id:
-    [term ids in rank order]}.  Each method's pairs are scored in one
+    [term ids in rank order]}.  Every method's pairs are scored in one
     vectorised pass; the values equal ``oc_npmi``'s bit for bit."""
     report = CoherenceReport()
-    for method, per in labels.items():
-        nids = list(per)
-        total, missing = _oc_values(counts, [per[n] for n in nids], p_cap,
-                                    epsilon, aggregate)
-        report.per_node[method] = dict(zip(nids, total.tolist()))
-        report.missing[method] = dict(zip(nids, missing.tolist()))
+    nids = {method: list(per) for method, per in labels.items()}
+    values = _oc_values(counts, [[labels[m][n] for n in nids[m]]
+                                 for m in nids], p_cap, epsilon, aggregate)
+    for (method, ids), (total, missing) in zip(nids.items(), values):
+        report.per_node[method] = dict(zip(ids, total.tolist()))
+        report.missing[method] = dict(zip(ids, missing.tolist()))
     report.summary = summarize_coherence(report.per_node)
     return report

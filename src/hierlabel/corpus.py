@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParseError, ValidationError
 
@@ -50,6 +49,56 @@ class Vocabulary:
         return Vocabulary(tuple(self.surfaces[t] for t in keep_terms))
 
 
+@dataclass(frozen=True)
+class CSR:
+    """Compressed sparse rows: row i holds the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending, and their values at the
+    same positions of ``data``.  No stored value is zero."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def from_sorted(cls, rows, cols, vals, shape) -> "CSR":
+        """The record of cells given in (row, column) order, each once."""
+        indptr = np.zeros(shape[0] + 1, np.int64)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(indptr, cols, vals, shape)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored cell."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def row(self, i: int):
+        """Row i's columns and values (views)."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.indices[lo:hi], self.data[lo:hi]
+
+    def dense_row(self, i: int) -> np.ndarray:
+        out = np.zeros(self.shape[1], self.data.dtype)
+        idx, vals = self.row(i)
+        out[idx] = vals
+        return out
+
+    def get(self, i: int, j: int):
+        idx, vals = self.row(i)
+        k = int(np.searchsorted(idx, j))
+        if k < idx.size and idx[k] == j:
+            return vals[k]
+        return self.data.dtype.type(0)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, self.data.dtype)
+        out[self.row_ids(), self.indices] = self.data
+        return out
+
+
 class DocTermMatrix:
     """Sparse nonnegative term counts per document (CSR, int64).
 
@@ -57,7 +106,7 @@ class DocTermMatrix:
     therefore required to be strictly positive.
     """
 
-    def __init__(self, n_docs: int, n_terms: int, csr: sp.csr_matrix):
+    def __init__(self, n_docs: int, n_terms: int, csr: CSR):
         if csr.shape != (n_docs, n_terms):
             raise ValidationError("matrix shape mismatch")
         self.n_docs = n_docs
@@ -80,46 +129,45 @@ class DocTermMatrix:
                 raise ValidationError(f"term-id out of range: {bad}")
             if counts.min() <= 0:
                 raise ValidationError("zero or negative count in matrix cell")
-            key = np.sort(docs * n_terms + terms)
-            if (key[1:] == key[:-1]).any():
-                raise ValidationError("duplicate (doc, term) cell")
-        csr = sp.csr_matrix(
-            (counts, (docs, terms)), shape=(n_docs, n_terms), dtype=np.int64
-        )
-        csr.sort_indices()
-        return cls(n_docs, n_terms, csr)
+            key = docs * n_terms + terms
+            # files written by save_matrix are already in (doc, term) order
+            if not (key[1:] > key[:-1]).all():
+                order = np.argsort(key, kind="stable")
+                key, docs, terms, counts = (key[order], docs[order],
+                                            terms[order], counts[order])
+                if (key[1:] == key[:-1]).any():
+                    raise ValidationError("duplicate (doc, term) cell")
+        return cls(n_docs, n_terms,
+                   CSR.from_sorted(docs, terms, counts, (n_docs, n_terms)))
 
     @property
-    def presence(self) -> sp.csr_matrix:
-        """Boolean CSR: does term occur in doc."""
+    def presence(self) -> CSR:
+        """The cells with value 1: does term occur in doc."""
         if self._presence is None:
-            p = self.csr.copy()
-            p.data = np.ones_like(p.data)
-            self._presence = p
+            c = self.csr
+            self._presence = CSR(c.indptr, c.indices, np.ones_like(c.data),
+                                 c.shape)
         return self._presence
 
     @property
-    def presence_csc(self) -> sp.csc_matrix:
-        """Boolean CSC, for per-term document lists."""
+    def presence_csc(self) -> CSR:
+        """Presence by term (the transpose's rows), for per-term document
+        lists: a stable sort by term keeps each term's documents
+        ascending."""
         if self._presence_csc is None:
-            c = self.presence.tocsc()
-            c.sort_indices()
-            self._presence_csc = c
+            c = self.csr
+            order = np.argsort(c.indices, kind="stable")
+            self._presence_csc = CSR.from_sorted(
+                c.indices[order], c.row_ids()[order], np.ones(c.nnz, np.int64),
+                (self.n_terms, self.n_docs))
         return self._presence_csc
 
     def doc_ids_for_term(self, term: int) -> np.ndarray:
-        c = self.presence_csc
-        return c.indices[c.indptr[term]:c.indptr[term + 1]]
+        return self.presence_csc.row(term)[0]
 
     def term_doc_freq(self) -> np.ndarray:
         """Document frequency of every term (dense, int64)."""
-        return np.asarray(self.presence.sum(axis=0), np.int64).ravel()
-
-    def scale(self, factor: int) -> "DocTermMatrix":
-        """All counts multiplied by a positive integer (testing aid)."""
-        if factor <= 0:
-            raise ValidationError("scale factor must be positive")
-        return DocTermMatrix(self.n_docs, self.n_terms, self.csr * int(factor))
+        return np.bincount(self.csr.indices, minlength=self.n_terms)
 
 
 _INT64_END = 1 << 63
@@ -228,13 +276,13 @@ def load_matrix(path, max_docs: int | None = None) -> DocTermMatrix:
 
 
 def save_matrix(matrix: DocTermMatrix, path) -> None:
-    """Deterministic writer: cells sorted by (doc, term)."""
-    coo = matrix.csr.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    """Deterministic writer: cells in (doc, term) order, the record's own."""
+    c = matrix.csr
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{matrix.n_docs} {matrix.n_terms}\n")
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]}\n")
+        for d, t, v in zip(c.row_ids().tolist(), c.indices.tolist(),
+                           c.data.tolist()):
+            fh.write(f"{d} {t} {v}\n")
 
 
 def load_vocabulary(path) -> Vocabulary:
@@ -546,8 +594,11 @@ def salton_df_filter(matrix: DocTermMatrix, low: float, high: float):
         raise ValidationError("empty vocabulary after filter")
     remap = np.full(matrix.n_terms, -1, np.int64)
     remap[keep] = np.arange(keep.size)
-    sub = matrix.csr[:, keep].tocsr()
-    sub.sort_indices()
+    c = matrix.csr
+    kept = remap[c.indices] >= 0
+    # remap is increasing on the kept terms, so every row stays sorted
+    sub = CSR.from_sorted(c.row_ids()[kept], remap[c.indices[kept]],
+                          c.data[kept], (matrix.n_docs, keep.size))
     return DocTermMatrix(matrix.n_docs, keep.size, sub), remap
 
 
@@ -560,27 +611,21 @@ class NodeTermStats:
     node_total[i]    sum of freq row i
     node_size[i]     number of docs in node i's subtree
     parent_or_self   parent index, with the root mapped to itself
+
+    The three tables are CSR records.  Documents sit on leaves only, so the
+    leaves' rows come from one sort of the matrix cells by (leaf, term);
+    an internal node's rows are its children's, added bottom-up into one
+    dense row per table.  The sums are of integers, so their order does
+    not matter.
     """
 
     def __init__(self, matrix: DocTermMatrix, hierarchy: Hierarchy):
         self.matrix = matrix
         self.hierarchy = hierarchy
         n, m = hierarchy.n_nodes, matrix.n_terms
-
-        rows = np.concatenate(
-            [np.full(len(hierarchy.docsets[i]), i, np.int64) for i in range(n)]
-        ) if n else np.empty(0, np.int64)
-        cols = np.concatenate(hierarchy.docsets) if n else np.empty(0, np.int64)
-        incidence = sp.csr_matrix(
-            (np.ones(rows.size, np.int64), (rows, cols)),
-            shape=(n, matrix.n_docs),
-        )
-        self.freq = (incidence @ matrix.csr).tocsr()
-        self.freq.sort_indices()
-        self.docfreq = (incidence @ matrix.presence).tocsr()
-        self.docfreq.sort_indices()
-
-        self.node_total = np.asarray(self.freq.sum(axis=1), np.int64).ravel()
+        self.n_docs = matrix.n_docs
+        self.n_terms = m
+        self.n_nodes = n
         self.node_size = np.asarray(
             [len(hierarchy.docsets[i]) for i in range(n)], np.int64
         )
@@ -589,111 +634,136 @@ class NodeTermStats:
         )
         self.parent_or_self = hierarchy.parent.copy()
 
-        present = self.docfreq.copy()
-        present.data = np.ones_like(present.data)
-        child = sp.csr_matrix(
-            (np.ones(sum(len(c) for c in hierarchy.children), np.int64),
-             (np.concatenate([np.full(len(c), i, np.int64)
-                              for i, c in enumerate(hierarchy.children)])
-              if any(len(c) for c in hierarchy.children) else np.empty(0, np.int64),
-              np.concatenate([np.asarray(c, np.int64)
-                              for c in hierarchy.children])
-              if any(len(c) for c in hierarchy.children) else np.empty(0, np.int64))),
-            shape=(n, n),
-        )
-        self.child_incidence = child
-        self.child_support = (child @ present).tocsr()
-        self.child_support.sort_indices()
+        # leaf rows: the cells grouped by (leaf, term)
+        leaf_of = np.empty(matrix.n_docs, np.int64)
+        leaf_of[np.concatenate(hierarchy.leaf_docs)] = np.repeat(
+            np.arange(n), [d.size for d in hierarchy.leaf_docs])
+        c = matrix.csr
+        key = leaf_of[c.row_ids()] * m + c.indices
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        start = np.flatnonzero(np.diff(key, prepend=-1))
+        leaf_node, leaf_term = np.divmod(key[start], max(m, 1))
+        leaf_freq = (np.add.reduceat(c.data[order], start) if start.size
+                     else np.empty(0, np.int64))
+        leaf_df = np.diff(np.append(start, key.size))
+        ptr = np.searchsorted(leaf_node, np.arange(n + 1))
+        empty = np.empty(0, np.int64)
+        rows = [(leaf_term[ptr[i]:ptr[i + 1]], leaf_freq[ptr[i]:ptr[i + 1]],
+                 leaf_df[ptr[i]:ptr[i + 1]], empty) for i in range(n)]
 
-        self.n_docs = matrix.n_docs
-        self.n_terms = m
-        self.n_nodes = n
-        self.global_freq = self._dense_row(self.freq, hierarchy.root)
-        self.global_df = self._dense_row(self.docfreq, hierarchy.root)
+        # internal rows: the children's rows added into dense rows, children
+        # before parents; a child adds 1 to the support of each of its terms
+        f_acc, df_acc, support_acc = (np.zeros(m, np.int64) for _ in range(3))
+        for i in hierarchy.preorder[::-1]:
+            if not hierarchy.children[i].size:
+                continue
+            for ch in hierarchy.children[i]:
+                idx, f, df, _ = rows[ch]
+                f_acc[idx] += f
+                df_acc[idx] += df
+                support_acc[idx] += 1
+            idx = np.flatnonzero(f_acc)
+            rows[i] = (idx, f_acc[idx], df_acc[idx], support_acc[idx])
+            f_acc[idx] = df_acc[idx] = support_acc[idx] = 0
+
+        # freq and docfreq share their structure
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum([r[0].size for r in rows], out=indptr[1:])
+        indices = np.concatenate([r[0] for r in rows])
+        self.freq = CSR(indptr, indices, np.concatenate([r[1] for r in rows]),
+                        (n, m))
+        self.docfreq = CSR(indptr, indices,
+                           np.concatenate([r[2] for r in rows]), (n, m))
+        support_ptr = np.zeros(n + 1, np.int64)
+        np.cumsum([r[3].size for r in rows], out=support_ptr[1:])
+        self.child_support = CSR(
+            support_ptr,
+            np.concatenate([empty] + [r[0] for r in rows if r[3].size]),
+            np.concatenate([r[3] for r in rows]), (n, m))
+
+        running = np.concatenate([[0], np.cumsum(self.freq.data)])
+        self.node_total = running[self.freq.indptr[1:]] \
+            - running[self.freq.indptr[:-1]]
+        self.global_freq = self.freq_row(hierarchy.root)
+        self.global_df = self.docfreq_row(hierarchy.root)
         self._level_freq = {}
         self._hier_base = None
 
-    @staticmethod
-    def _dense_row(csr, i):
-        out = np.zeros(csr.shape[1], np.int64)
-        out[csr.indices[csr.indptr[i]:csr.indptr[i + 1]]] = \
-            csr.data[csr.indptr[i]:csr.indptr[i + 1]]
-        return out
-
     def freq_row(self, i: int) -> np.ndarray:
-        return self._dense_row(self.freq, i)
+        return self.freq.dense_row(i)
 
     def docfreq_row(self, i: int) -> np.ndarray:
-        return self._dense_row(self.docfreq, i)
+        return self.docfreq.dense_row(i)
 
     def child_support_row(self, i: int) -> np.ndarray:
-        return self._dense_row(self.child_support, i)
+        return self.child_support.dense_row(i)
 
     def freq_of(self, i: int, term: int) -> int:
-        return int(self.freq[i, term])
+        return int(self.freq.get(i, term))
 
     def docfreq_of(self, i: int, term: int) -> int:
-        return int(self.docfreq[i, term])
+        return int(self.docfreq.get(i, term))
 
     def level_freq(self, lvl: int) -> np.ndarray:
         """Summed term counts over every node at a given level (dense)."""
         if lvl not in self._level_freq:
-            nodes = self.hierarchy.nodes_at_level(lvl)
-            if nodes.size == 0:
-                self._level_freq[lvl] = np.zeros(self.n_terms, np.int64)
-            else:
-                self._level_freq[lvl] = np.asarray(
-                    self.freq[nodes].sum(axis=0), np.int64
-                ).ravel()
+            cells = np.repeat(self.hierarchy.level == lvl,
+                              np.diff(self.freq.indptr))
+            out = np.zeros(self.n_terms, np.int64)
+            np.add.at(out, self.freq.indices[cells], self.freq.data[cells])
+            self._level_freq[lvl] = out
         return self._level_freq[lvl]
 
-    def hier_base(self) -> sp.csr_matrix:
+    def hier_base(self) -> CSR:
         """The path-discounted descendant sums that the four Hier frequency
         methods share, built on first use: with U[g] = sibling_cf(g) *
         freq[g], row i holds S[i] = sum_d (C^d U)[i] / d, C the child
-        incidence.  The root counts as its own parent."""
+        incidence.  The root counts as its own parent.
+
+        Depth by depth, each (C^d U)[i] adds i's children's rows in
+        ascending index order into a dense row, and the dense row S[i] adds
+        each depth's row in turn: the sums of the sparse matrix products,
+        bit for bit (the terms a sparse sum leaves out are +0.0 here).
+        (C^d U)[i] is zero unless i is at least d edges above a leaf."""
         if self._hier_base is None:
+            h = self.hierarchy
             n, m = self.n_nodes, self.n_terms
-            rows, cols, vals = [], [], []
-            for g in range(n):
-                lo, hi = self.freq.indptr[g], self.freq.indptr[g + 1]
-                p = int(self.parent_or_self[g])
-                c = int(self.child_count[p])
-                if lo == hi or c == 0:
-                    continue
-                idx = self.freq.indices[lo:hi].astype(np.int64)
-                f = self.freq.data[lo:hi].astype(np.float64)
-                cf = self.child_support_row(p)[idx].astype(np.float64) / c
-                rows.append(np.full(idx.size, g, np.int64))
-                cols.append(idx)
-                vals.append(cf * f)
-            if rows:
-                u = sp.csr_matrix(
-                    (np.concatenate(vals),
-                     (np.concatenate(rows), np.concatenate(cols))),
-                    shape=(n, m),
-                )
-            else:
-                u = sp.csr_matrix((n, m), dtype=np.float64)
-            # only internal nodes have descendants; their sums are held
-            # dense, and each (C^d U) * (1 / d) is added at its own cells,
-            # in the order and with the values of the sparse sum
-            internal = np.flatnonzero(self.child_count > 0)
-            slot = np.zeros(n, np.int64)
-            slot[internal] = np.arange(internal.size)
-            total = np.zeros(internal.size * m)
-            child = self.child_incidence.astype(np.float64)
-            x = (child @ u).tocsr()
-            depth = 1
-            while x.nnz:
-                at = slot[np.repeat(np.arange(n), np.diff(x.indptr))]
-                total[at * m + x.indices] += x.data * (1 / depth)
-                x = (child @ x).tocsr()
-                depth += 1
-            cells = np.flatnonzero(total)
-            i, t = np.divmod(cells, m)
-            self._hier_base = sp.csr_matrix(
-                (total[cells], (internal[i], t)), shape=(n, m))
+            height = np.zeros(n, np.int64)
+            for g in h.preorder[:0:-1]:
+                p = h.parent[g]
+                height[p] = max(height[p], height[g] + 1)
+            internal = np.flatnonzero(self.child_count)
+            kids = {int(i): np.sort(h.children[i]).tolist() for i in internal}
+            acc = np.zeros(m)
+
+            def add_up(parts):
+                if len(parts) == 1:             # 0.0 + row is the row
+                    return parts[0]
+                for idx, vals in parts:
+                    acc[idx] += vals
+                idx = np.flatnonzero(acc)
+                vals = acc[idx]
+                acc[idx] = 0.0
+                return idx, vals
+
+            x = {}                              # i -> (C^d U)[i], d = 1
+            for i, ks in kids.items():
+                cf = (self.child_support_row(i).astype(np.float64)
+                      / int(self.child_count[i]))
+                x[i] = add_up([(idx, cf[idx] * f.astype(np.float64))
+                               for idx, f in map(self.freq.row, ks)])
+            total = np.zeros((internal.size, m))
+            for depth in range(1, int(height.max()) + 1):
+                for slot, i in enumerate(kids):
+                    if i in x:
+                        idx, vals = x[i]
+                        total[slot, idx] += vals * (1 / depth)
+                x = {i: add_up([x[c] for c in ks if height[c] >= depth])
+                     for i, ks in kids.items() if height[i] > depth}
+            ir, it = np.nonzero(total)
+            self._hier_base = CSR.from_sorted(internal[ir], it, total[ir, it],
+                                              (n, m))
         return self._hier_base
 
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy import special as _sc
 
 from .corpus import NodeTermStats
 from .errors import ConfigError, ValidationError
@@ -89,9 +87,10 @@ class LabelAssignment:
 @lru_cache(maxsize=None)
 def _chi2_critical(alpha: float, df: int) -> float:
     """Upper-alpha quantile of chi-square with df degrees of freedom, as
-    scipy's chi2.ppf(1 - alpha, df) computes it (without importing
-    scipy.stats)."""
-    return float(2 * _sc.gammaincinv(df / 2, 1.0 - alpha))
+    scipy's chi2.ppf(1 - alpha, df) computes it.  scipy.special is imported
+    here, so that only runs of PopesculUngar or RLUM load it."""
+    from scipy.special import gammaincinv
+    return float(2 * gammaincinv(df / 2, 1.0 - alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ def score_idf_local(stats: NodeTermStats, node: int, term: int) -> float:
 def score_icf(stats: NodeTermStats, node: int, term: int) -> float:
     """Inverse cluster frequency: promotes terms concentrated in one sibling."""
     p = int(stats.parent_or_self[node])
-    support = int(stats.child_support[p, term])
+    support = int(stats.child_support.get(p, term))
     if support == 0:
         return 0.0
     frac = stats.docfreq_of(node, term) / stats.node_size[node]
@@ -151,7 +150,7 @@ def sibling_cf(stats: NodeTermStats, node: int, term: int) -> float:
     c = int(stats.child_count[p])
     if c == 0:
         return 0.0
-    return int(stats.child_support[p, term]) / c
+    return int(stats.child_support.get(p, term)) / c
 
 
 def hier_weight(stats: NodeTermStats, node: int, term: int, value_fn) -> float:
@@ -627,29 +626,28 @@ def _leaf_cf_row(stats, leaf):
 
 def select_cf_average(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
     """CFMeasure at the leaves, then the plain mean over direct children
-    propagated bottom-up."""
+    propagated bottom-up: the children's sparse rows are added in declared
+    order into a dense row, which is multiplied by 1 / (child count) - the
+    sparse sum and scalar division, bit for bit."""
     out = LabelAssignment("CFAverage")
     h = stats.hierarchy
     rows = [None] * stats.n_nodes
+    acc = np.zeros(stats.n_terms)
     for i in h.order_bottom_up():
         i = int(i)
         if h.is_leaf(i):
-            idx, cf = _leaf_cf_row(stats, i)
-            rows[i] = sp.csr_matrix(
-                (cf, (np.zeros(idx.size, np.int64), idx)),
-                shape=(1, stats.n_terms),
-            )
-        else:
-            kids = h.children[i]
-            acc = rows[int(kids[0])].copy()
-            for ch in kids[1:]:
-                acc = acc + rows[int(ch)]
-            rows[i] = acc / len(kids)
+            rows[i] = _leaf_cf_row(stats, i)
+            continue
+        for ch in h.children[i]:
+            idx, cf = rows[int(ch)]
+            acc[idx] += cf
+        idx = np.flatnonzero(acc)
+        rows[i] = idx, acc[idx] * (1 / len(h.children[i]))
+        acc[idx] = 0.0
     for i in range(stats.n_nodes):
-        r = rows[i].tocsr()
-        idx = r.indices.astype(np.int64)
+        idx, score = rows[i]
         tie = stats.freq_row(i)[idx].astype(np.float64)
-        out.labels[i] = _topk_arrays(idx, r.data.astype(np.float64), tie, cfg.p_cap)
+        out.labels[i] = _topk_arrays(idx, score, tie, cfg.p_cap)
     return out
 
 

@@ -190,9 +190,8 @@ def _eval_mask(matrix: DocTermMatrix, query) -> np.ndarray:
             bad = ids[(ids < 0) | (ids >= matrix.n_terms)]
             if bad.size:
                 raise ValidationError(f"query term {bad[0]} out of range")
-            # the terms' CSC column slices, concatenated by index arithmetic
-            # (measured faster than scipy's column indexing and than a
-            # slice per term)
+            # the terms' document lists, concatenated by index arithmetic
+            # (measured faster than a slice per term)
             csc = matrix.presence_csc
             start = csc.indptr[ids]
             size = csc.indptr[ids + 1] - start

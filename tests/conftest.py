@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from hierlabel import coherence as coh
 from hierlabel import corpus as corp
+from hierlabel.errors import ValidationError
 
 
 def matrix_from_cells(n_docs, n_terms, cells):
@@ -15,6 +17,19 @@ def matrix_from_cells(n_docs, n_terms, cells):
     else:
         docs = terms = counts = ()
     return corp.DocTermMatrix.from_cells(n_docs, n_terms, docs, terms, counts)
+
+
+def two_term_counts(n, ua, ub, joint):
+    """Counts of terms 0 and 1 over n windows with the given unary and
+    joint counts: both bitsets hold the first ``joint`` windows, and the
+    unary counts are given apart from them, so that any combination can
+    be stated."""
+    bits = np.zeros((2, (n + 63) // 64), np.uint64)
+    for w in range(joint):
+        bits[:, w // 64] |= np.uint64(1 << (w % 64))
+    return coh.CooccurrenceCounts(
+        n_windows=n, n_terms=2, unary=np.array([ua, ub], np.int64),
+        rows=np.array([0, 1], np.int64), bits=bits)
 
 
 def hierarchy_from_records(records, matrix, tmp_path, name="h.json"):
@@ -123,3 +138,26 @@ def disjoint_vocab_instance(rng, tmp_path, n_docs=24, max_nodes=13,
     matrix = matrix_from_cells(n_docs, nxt, cells)
     hierarchy = hierarchy_from_records(records, matrix, tmp_path, name)
     return matrix, hierarchy, owned
+
+
+def shuffled_instances(rng, tmp_path, trials):
+    """Random (matrix, hierarchy) pairs for the scipy oracles: trees with
+    unary nodes and children declared in shuffled order; every other
+    matrix through the Salton filter with random bounds."""
+    for trial in range(trials):
+        n_docs = int(rng.integers(2, 40))
+        m = random_matrix(rng, n_docs, int(rng.integers(2, 30)))
+        records = random_tree_records(rng, n_docs, int(rng.integers(2, 30)))
+        for r in records:
+            r["children"] = [r["children"][k]
+                             for k in rng.permutation(len(r["children"]))]
+            r["docs"] = [int(d) for d in r["docs"]]
+        if trial % 2:
+            low = float(rng.uniform(0, 0.3))
+            try:
+                m, _ = corp.salton_df_filter(
+                    m, low, float(rng.uniform(low + 0.05, 1.0)))
+            except ValidationError:         # nothing left in the band
+                continue
+        yield m, hierarchy_from_records(records, m, tmp_path,
+                                        f"sc{trial}.json")

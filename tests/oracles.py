@@ -20,15 +20,20 @@ library partitions first.
 The matrix reader here parses every line in a Python loop; the library
 parses the triplets in one numpy call and keeps the loop for the inputs
 that call cannot read.
+
+The sparse tables here are scipy's: the matrix's CSR, the node statistics
+as incidence-matrix products, the Salton filter as a column slice,
+CFAverage's means as sparse sums, and pair counts as the upper triangle of
+``P.T @ P``.  The library builds the same arrays with numpy alone.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from hierlabel.coherence import npmi
-from hierlabel.corpus import DocTermMatrix, utf8_error
-from hierlabel.errors import ParseError
-from hierlabel.labeling import LabelAssignment
+from hierlabel.corpus import CSR, DocTermMatrix, utf8_error
+from hierlabel.errors import ParseError, ValidationError
+from hierlabel.labeling import LabelAssignment, _leaf_cf_row, _topk_arrays
 from hierlabel.queryeval import And, Or, Term
 
 
@@ -212,7 +217,7 @@ def hier_base(stats):
             cf = stats.child_support_row(p).astype(np.float64) / c
             nz = np.flatnonzero(f)
             u[g, nz] = cf[nz] * f[nz]
-    child = stats.child_incidence.astype(np.float64)
+    child = child_incidence(stats.hierarchy).astype(np.float64)
     x = (child @ u.tocsr()).tocsr()
     total = x.copy()
     depth = 1
@@ -268,3 +273,121 @@ def load_matrix(path):
                              for x in line.split()))
         raise ParseError(f"{path}:{ln}: value does not fit in 64 bits") \
             from None
+
+
+def to_scipy(record: CSR) -> sp.csr_matrix:
+    return sp.csr_matrix((record.data, record.indices, record.indptr),
+                         shape=record.shape)
+
+
+def csr_from_cells(n_docs, n_terms, docs, terms, counts) -> sp.csr_matrix:
+    """The matrix of valid, distinct cells as scipy builds it."""
+    csr = sp.csr_matrix(
+        (np.asarray(counts, np.int64),
+         (np.asarray(docs, np.int64), np.asarray(terms, np.int64))),
+        shape=(n_docs, n_terms), dtype=np.int64)
+    csr.sort_indices()
+    return csr
+
+
+def scale(matrix: DocTermMatrix, factor: int) -> DocTermMatrix:
+    """All counts multiplied by a positive integer."""
+    if factor <= 0:
+        raise ValidationError("scale factor must be positive")
+    c = matrix.csr
+    return DocTermMatrix(matrix.n_docs, matrix.n_terms,
+                         CSR(c.indptr, c.indices, c.data * int(factor),
+                             c.shape))
+
+
+def child_incidence(hierarchy) -> sp.csr_matrix:
+    """C[i, c] = 1 for every child c of i."""
+    n = hierarchy.n_nodes
+    rows = np.repeat(np.arange(n), [len(c) for c in hierarchy.children])
+    cols = np.concatenate([np.asarray(c, np.int64)
+                           for c in hierarchy.children])
+    return sp.csr_matrix((np.ones(rows.size, np.int64), (rows, cols)),
+                         shape=(n, n))
+
+
+def node_stats(matrix: DocTermMatrix, hierarchy):
+    """(freq, docfreq, child_support) as products of the node-document and
+    child incidence matrices, in canonical form."""
+    n = hierarchy.n_nodes
+    rows = np.repeat(np.arange(n), [len(d) for d in hierarchy.docsets])
+    cols = np.concatenate(hierarchy.docsets)
+    incidence = sp.csr_matrix((np.ones(rows.size, np.int64), (rows, cols)),
+                              shape=(n, matrix.n_docs))
+    csr = to_scipy(matrix.csr)
+    presence = csr.copy()
+    presence.data = np.ones_like(presence.data)
+    freq = (incidence @ csr).tocsr()
+    docfreq = (incidence @ presence).tocsr()
+    present = docfreq.copy()
+    present.data = np.ones_like(present.data)
+    support = (child_incidence(hierarchy) @ present).tocsr()
+    for table in (freq, docfreq, support):
+        table.sort_indices()
+    return freq, docfreq, support
+
+
+def df_filter_slice(matrix: DocTermMatrix, keep) -> sp.csr_matrix:
+    """The kept terms' columns."""
+    sub = to_scipy(matrix.csr)[:, keep].tocsr()
+    sub.sort_indices()
+    return sub
+
+
+def cf_average(stats, cfg) -> LabelAssignment:
+    """CFAverage with each node's row a sparse matrix: the children's rows
+    added in declared order, then divided by the child count."""
+    out = LabelAssignment("CFAverage")
+    h = stats.hierarchy
+    rows = [None] * stats.n_nodes
+    for i in h.order_bottom_up():
+        i = int(i)
+        if h.is_leaf(i):
+            idx, cf = _leaf_cf_row(stats, i)
+            rows[i] = sp.csr_matrix((cf, (np.zeros(idx.size, np.int64), idx)),
+                                    shape=(1, stats.n_terms))
+        else:
+            kids = h.children[i]
+            acc = rows[int(kids[0])].copy()
+            for ch in kids[1:]:
+                acc = acc + rows[int(ch)]
+            rows[i] = acc / len(kids)
+    for i in range(stats.n_nodes):
+        r = rows[i].tocsr()
+        idx = r.indices.astype(np.int64)
+        tie = stats.freq_row(i)[idx].astype(np.float64)
+        out.labels[i] = _topk_arrays(idx, r.data.astype(np.float64), tie,
+                                     cfg.p_cap)
+    return out
+
+
+def cooccurrence(corpus, vocab, restrict_terms=None):
+    """(unary, pair keys a * m + b with a < b, pair counts) for every pair
+    of counted terms that share a window, from the upper triangle of
+    ``P.T @ P`` with P the window x term presence matrix."""
+    m = len(vocab)
+    terms = (np.arange(m, dtype=np.int64) if restrict_terms is None
+             else np.unique(np.asarray(list(restrict_terms), np.int64)))
+    column = {vocab.surface(t): k for k, t in enumerate(terms.tolist())}
+    rows, cols = [], []
+    for d, doc in enumerate(corpus):
+        for tok in doc.split():
+            if tok in column:
+                rows.append(d)
+                cols.append(column[tok])
+    presence = sp.csr_matrix(
+        (np.ones(len(cols), np.int32), (rows, cols)),
+        shape=(len(corpus), terms.size))
+    presence.data[:] = 1
+    unary = np.zeros(m, np.int64)
+    unary[terms] = np.bincount(presence.indices, minlength=terms.size)
+    joint = (presence.T @ presence).tocsr()
+    joint.sort_indices()
+    row = np.repeat(np.arange(terms.size), np.diff(joint.indptr))
+    upper = joint.indices > row
+    keys = terms[row[upper]] * m + terms[joint.indices[upper]]
+    return unary, keys, joint.data[upper].astype(np.int64)

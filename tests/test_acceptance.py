@@ -23,7 +23,8 @@ from hierlabel import queryeval as qe
 from hierlabel import stats as st
 from hierlabel.corpus import Vocabulary
 
-from conftest import disjoint_vocab_instance, random_instance, random_matrix
+from conftest import (disjoint_vocab_instance, random_instance,
+                      random_matrix, two_term_counts)
 
 
 class _Timer:
@@ -160,7 +161,7 @@ def test_c04_retrieval_correctness(tmp_path):
                 assert row.f == 1.0
 
         def brute(mat, query, d):
-            row_ = mat.csr[d].toarray().ravel()
+            row_ = mat.csr.dense_row(d)
             if isinstance(query, qe.Term):
                 return row_[query.term] > 0
             if isinstance(query, qe.Or):
@@ -274,12 +275,7 @@ def test_c08_npmi_bounds_and_anchors():
     """Criterion 8: NPMI stays in [-1, 1] with the documented limits and
     OC matches brute-force pair enumeration."""
     with _Timer("criterion 8: NPMI bounds and anchors", 10.0):
-        def make(n, ua, ub, joint):
-            return coh.CooccurrenceCounts(
-                n_windows=n, n_terms=2,
-                unary=np.array([ua, ub], np.int64),
-                pair_keys=np.array([1], np.int64),
-                pair_counts=np.array([joint], np.int64))
+        make = two_term_counts
 
         rng = np.random.default_rng(17)
         for _ in range(10000):

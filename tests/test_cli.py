@@ -250,6 +250,7 @@ class TestExitCodes:
         ("stats", "metrics.csv", "long", 2),
         ("stats", "metrics.csv", "short", 2),
         ("stats", "metrics.csv", "repeat", 3),
+        ("coherence", "labels.csv", "repeat", 3),
     ])
     def test_malformed_report_csv_is_input_error(self, tmp_path, capsys,
                                                  stage, name, damage, line):
@@ -622,13 +623,38 @@ class TestReportMutationFuzz:
 
 class TestImports:
 
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
+    @staticmethod
+    def loaded(code):
+        """The last stdout line of ``code`` run in a fresh interpreter."""
         src = str(Path(hierlabel.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
-        code = "import sys, hierlabel.cli; print('scipy.stats' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        return done.stdout.strip().splitlines()[-1]
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, hierlabel.cli; print('scipy.stats' in sys.modules)"
+        assert self.loaded(code) == "False"
+
+    def test_stages_without_special_functions_load_no_scipy(self, tmp_path):
+        """validate, evaluate, coherence and a label run without the
+        chi-square methods use numpy alone; no run loads scipy.sparse."""
+        cfg = write_fixture(tmp_path / "fx")
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+        runs = [["validate"], ["evaluate"], ["coherence"],
+                ["label", "--methods", "MTWL_raw", "--out",
+                 str(tmp_path / "mtwl")]]
+        code = ("import sys\nfrom hierlabel import cli\n"
+                f"for argv in {runs!r}:\n"
+                f"    assert cli.main(argv[:1] + ['--config', {str(cfg)!r}]"
+                " + argv[1:]) == 0, argv\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert self.loaded(code) == "[]"
+        code = ("import sys\nfrom hierlabel import cli\n"
+                f"assert cli.main(['all', '--config', {str(cfg)!r}, '--out',"
+                f" {str(tmp_path / 'all')!r}]) == 0\n"
+                "print('scipy.sparse' in sys.modules)")
+        assert self.loaded(code) == "False"

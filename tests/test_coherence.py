@@ -10,6 +10,7 @@ from hierlabel.corpus import Vocabulary
 from hierlabel.errors import ValidationError
 
 import oracles
+from conftest import two_term_counts
 
 
 def vocab(n):
@@ -78,6 +79,42 @@ class TestCounting:
                 assert c.pairwise(a, b) == brute
                 assert c.pairwise(b, a) == brute
 
+        # repeated tokens, empty and whitespace-only windows, a term that
+        # never occurs (w7), unknown tokens, counting restricted or not,
+        # and window counts on either side of the 64-bit word boundaries
+        for n_windows in (1, 2, 63, 64, 65, 129):
+            docs = []
+            for _ in range(n_windows):
+                roll = rng.random()
+                if roll < 0.1:
+                    docs.append("")
+                elif roll < 0.2:
+                    docs.append(" \t  ")
+                else:
+                    toks = [f"w{int(t)}" for t in
+                            rng.integers(0, 7, int(rng.integers(1, 8)))]
+                    docs.append(" ".join(toks + ["mystery"] * (roll > 0.9)))
+            windows = [set(doc.split()) for doc in docs]
+            for restrict in (None, [int(t) for t in
+                                    rng.choice(8, 4, replace=False)]):
+                c = coh.count_cooccurrence(docs, v, restrict_terms=restrict)
+                counted = set(range(8) if restrict is None else restrict)
+                assert c.n_windows == n_windows
+                unary, keys, pairs = oracles.cooccurrence(docs, v, restrict)
+                assert np.array_equal(c.unary, unary)
+                for x, y in np.ndindex(8, 8):
+                    brute = sum(1 for w in windows
+                                if f"w{x}" in w and f"w{y}" in w)
+                    if not {x, y} <= counted:
+                        brute = 0
+                    assert c.pairwise(x, y) == c.pairwise(y, x) == brute
+                    if x < y:
+                        at = np.flatnonzero(keys == x * 8 + y)
+                        assert brute == (pairs[at[0]] if at.size else 0)
+                for x in range(8):
+                    brute = sum(1 for w in windows if f"w{x}" in w)
+                    assert c.unary[x] == (brute if x in counted else 0)
+
     def test_restricted_terms_match_full(self):
         rng = np.random.default_rng(92)
         v = vocab(10)
@@ -103,13 +140,7 @@ class TestNpmi:
 
     @staticmethod
     def make(n, ua, ub, joint):
-        c = coh.CooccurrenceCounts(
-            n_windows=n, n_terms=2,
-            unary=np.array([ua, ub], np.int64),
-            pair_keys=np.array([1], np.int64),        # key 0*2+1
-            pair_counts=np.array([joint], np.int64),
-        )
-        return c
+        return two_term_counts(n, ua, ub, joint)
 
     def test_perfect_cooccurrence(self):
         c = self.make(10, 1, 1, 1)

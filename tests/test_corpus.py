@@ -10,7 +10,8 @@ from hierlabel.errors import ParseError, ValidationError
 
 import oracles
 from conftest import (hierarchy_from_records, matrix_from_cells,
-                      random_instance, random_matrix, random_tree_records)
+                      random_instance, random_matrix, random_tree_records,
+                      shuffled_instances)
 
 
 class TestLoadMatrix:
@@ -21,7 +22,7 @@ class TestLoadMatrix:
         m = corp.load_matrix(p)
         assert (m.n_docs, m.n_terms) == (3, 4)
         assert m.csr.nnz == 2
-        assert m.csr[0, 1] == 2 and m.csr[2, 3] == 1
+        assert m.csr.get(0, 1) == 2 and m.csr.get(2, 3) == 1
 
     def test_empty_cell_section(self, tmp_path):
         p = tmp_path / "m.txt"
@@ -84,7 +85,8 @@ class TestBulkMatrixAgainstLoop:
             m = load(path)
         except (ParseError, ValidationError) as e:
             return type(e).__name__, str(e)
-        return (m.n_docs, m.n_terms, m.csr.dtype, m.csr.indptr.tolist(),
+        return (m.n_docs, m.n_terms, m.csr.data.dtype,
+                m.csr.indptr.tolist(),
                 m.csr.indices.tolist(), m.csr.data.tolist())
 
     def random_text(self, rng):
@@ -331,7 +333,8 @@ class TestSaltonFilter:
         once, _ = corp.salton_df_filter(m, 0.01, 0.10)
         twice, remap = corp.salton_df_filter(once, 0.01, 0.10)
         assert twice.n_terms == once.n_terms
-        assert (twice.csr != once.csr).nnz == 0
+        assert np.count_nonzero(
+            twice.csr.toarray() != once.csr.toarray()) == 0
         assert list(remap) == list(range(once.n_terms))
 
     def test_bad_bounds(self):
@@ -384,17 +387,17 @@ class TestNodeStats:
                 if h.is_leaf(i):
                     continue
                 kid_sum = sum(
-                    (stats.freq[int(c)].toarray().ravel()
+                    (stats.freq_row(int(c))
                      for c in h.children[i]),
                     start=np.zeros(m.n_terms, np.int64),
                 )
-                assert np.array_equal(stats.freq[i].toarray().ravel(), kid_sum)
+                assert np.array_equal(stats.freq_row(i), kid_sum)
 
     def test_root_equals_grand_total(self, tmp_path):
         rng = np.random.default_rng(12)
         m, h = random_instance(rng, tmp_path)
         stats = corp.build_node_stats(m, h)
-        assert stats.node_total[h.root] == m.csr.sum()
+        assert stats.node_total[h.root] == m.csr.data.sum()
 
     def test_docfreq_vs_brute_force(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -405,6 +408,68 @@ class TestNodeStats:
             docs = h.docsets[i]
             expect_df = (dense[docs] > 0).sum(axis=0)
             expect_f = dense[docs].sum(axis=0)
-            assert np.array_equal(stats.docfreq[i].toarray().ravel(), expect_df)
-            assert np.array_equal(stats.freq[i].toarray().ravel(), expect_f)
+            assert np.array_equal(stats.docfreq_row(i), expect_df)
+            assert np.array_equal(stats.freq_row(i), expect_f)
             assert stats.node_size[i] == len(docs)
+
+
+def assert_same_table(record, csr):
+    """A CSR record equal to a canonical scipy matrix, array for array."""
+    assert record.shape == csr.shape
+    assert record.data.dtype == csr.data.dtype
+    assert np.array_equal(record.indptr, csr.indptr)
+    assert np.array_equal(record.indices, csr.indices)
+    assert np.array_equal(record.data, csr.data)
+
+
+class TestAgainstScipy:
+    """The CSR records equal the scipy constructions they replaced."""
+
+    def test_from_cells(self):
+        rng = np.random.default_rng(65)
+        for _ in range(40):
+            n_docs, n_terms = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            cells = rng.permutation(n_docs * n_terms)[
+                :int(rng.integers(0, n_docs * n_terms + 1))]
+            if rng.random() < 0.5:
+                cells = np.sort(cells)
+            docs, terms = np.divmod(cells, n_terms)
+            counts = rng.integers(1, 9, cells.size)
+            m = corp.DocTermMatrix.from_cells(n_docs, n_terms, docs, terms,
+                                              counts)
+            want = oracles.csr_from_cells(n_docs, n_terms, docs, terms,
+                                          counts)
+            assert_same_table(m.csr, want)
+            assert np.array_equal(m.csr.toarray(), want.toarray())
+            csc = oracles.to_scipy(m.presence).tocsc()
+            csc.sort_indices()
+            assert np.array_equal(m.presence_csc.indptr, csc.indptr)
+            assert np.array_equal(m.presence_csc.indices, csc.indices)
+            assert np.array_equal(m.term_doc_freq(),
+                                  np.asarray(csc.sum(axis=0)).ravel())
+
+    def test_salton_filter_is_the_column_slice(self):
+        rng = np.random.default_rng(66)
+        for _ in range(40):
+            m = random_matrix(rng, int(rng.integers(2, 40)),
+                              int(rng.integers(2, 30)))
+            low = float(rng.uniform(0, 0.3))
+            try:
+                sub, remap = corp.salton_df_filter(
+                    m, low, float(rng.uniform(low + 0.05, 1.0)))
+            except ValidationError:
+                continue
+            assert_same_table(sub.csr, oracles.df_filter_slice(
+                m, np.flatnonzero(remap >= 0)))
+
+    def test_node_stats_are_the_incidence_products(self, tmp_path):
+        rng = np.random.default_rng(67)
+        for m, h in shuffled_instances(rng, tmp_path, 30):
+            stats = corp.build_node_stats(m, h)
+            freq, docfreq, support = oracles.node_stats(m, h)
+            assert_same_table(stats.freq, freq)
+            assert_same_table(stats.docfreq, docfreq)
+            assert_same_table(stats.child_support, support)
+            assert np.array_equal(stats.node_total,
+                                  np.asarray(freq.sum(axis=1)).ravel())
+            assert_same_table(stats.hier_base(), oracles.hier_base(stats))

@@ -14,7 +14,8 @@ from hierlabel.errors import ConfigError, ValidationError
 
 import oracles
 from conftest import (hierarchy_from_records, matrix_from_cells,
-                      random_instance, random_matrix, random_tree_records)
+                      random_instance, random_matrix, random_tree_records,
+                      shuffled_instances)
 
 
 def build(tmp_path, cells, records, n_docs, n_terms):
@@ -655,6 +656,16 @@ class TestCfMethods:
                 else:
                     assert t not in got
 
+    def test_cf_average_equals_sparse_sums(self, tmp_path):
+        """Labels and scores exactly as with scipy's sparse rows: children
+        added in declared order, then divided by the child count."""
+        rng = np.random.default_rng(62)
+        for m, h in shuffled_instances(rng, tmp_path, 30):
+            stats = corp.build_node_stats(m, h)
+            cfg = lab.LabelConfig(p_cap=int(rng.choice([1, 3, 1000])))
+            got = lab.select_cf_average(stats, cfg).labels
+            assert got == oracles.cf_average(stats, cfg).labels
+
     def test_cf_loo_leaves_match_leaf_measure(self, table2):
         _, h, stats = table2
         a = lab.select_cf_leave_one_out(stats, lab.LabelConfig())
@@ -755,7 +766,7 @@ class TestMethodInvariants:
     def test_count_scaling_preserves_order(self, tmp_path):
         rng = np.random.default_rng(74)
         m, h = random_instance(rng, tmp_path)
-        scaled = m.scale(3)
+        scaled = oracles.scale(m, 3)
         s1 = corp.build_node_stats(m, h)
         s2 = corp.build_node_stats(scaled, h)
         for meth in ("MTWL_raw", "ICWL_raw"):

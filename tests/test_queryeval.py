@@ -252,7 +252,7 @@ class TestRetrieve:
         assert qe.retrieve(m, qe.Term(0)) == {1, 4}
 
     def brute(self, m, query, d):
-        row = m.csr[d].toarray().ravel()
+        row = m.csr.dense_row(d)
         if isinstance(query, qe.Term):
             return row[query.term] > 0
         if isinstance(query, qe.Or):
@@ -281,7 +281,7 @@ class TestRetrieve:
     def test_or_of_terms_equals_set_union(self):
         rng = np.random.default_rng(93)
         m = random_matrix(rng, 40, 50)
-        docs_of = [{d for d in range(m.n_docs) if m.csr[d, t] > 0}
+        docs_of = [{d for d in range(m.n_docs) if m.csr.get(d, t) > 0}
                    for t in range(m.n_terms)]
         for _ in range(200):
             terms = [int(t) for t in rng.integers(0, m.n_terms,
