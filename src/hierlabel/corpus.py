@@ -112,7 +112,6 @@ class DocTermMatrix:
         self.n_docs = n_docs
         self.n_terms = n_terms
         self.csr = csr
-        self._presence = None
         self._presence_csc = None
 
     @classmethod
@@ -139,15 +138,6 @@ class DocTermMatrix:
                     raise ValidationError("duplicate (doc, term) cell")
         return cls(n_docs, n_terms,
                    CSR.from_sorted(docs, terms, counts, (n_docs, n_terms)))
-
-    @property
-    def presence(self) -> CSR:
-        """The cells with value 1: does term occur in doc."""
-        if self._presence is None:
-            c = self.csr
-            self._presence = CSR(c.indptr, c.indices, np.ones_like(c.data),
-                                 c.shape)
-        return self._presence
 
     @property
     def presence_csc(self) -> CSR:

@@ -441,12 +441,11 @@ class TestAgainstScipy:
                                           counts)
             assert_same_table(m.csr, want)
             assert np.array_equal(m.csr.toarray(), want.toarray())
-            csc = oracles.to_scipy(m.presence).tocsc()
+            csc = want.tocsc()
             csc.sort_indices()
             assert np.array_equal(m.presence_csc.indptr, csc.indptr)
             assert np.array_equal(m.presence_csc.indices, csc.indices)
-            assert np.array_equal(m.term_doc_freq(),
-                                  np.asarray(csc.sum(axis=0)).ravel())
+            assert np.array_equal(m.term_doc_freq(), np.diff(csc.indptr))
 
     def test_salton_filter_is_the_column_slice(self):
         rng = np.random.default_rng(66)
