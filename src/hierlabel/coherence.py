@@ -299,8 +299,9 @@ def score_labels(counts: CooccurrenceCounts, labels: dict, p_cap: int,
                  epsilon: float = 0.0,
                  aggregate: str = "sum") -> CoherenceReport:
     """OC for every label of ``labels``, a mapping method -> {node_id:
-    [term ids in rank order]}.  Every method's pairs are scored in one
-    vectorised pass; the values equal ``oc_npmi``'s bit for bit."""
+    [term ids in rank order]}.  The distinct pairs of all methods are
+    counted once, then each method's pairs are scored in one vectorised
+    pass; the values equal ``oc_npmi``'s bit for bit."""
     report = CoherenceReport()
     nids = {method: list(per) for method, per in labels.items()}
     values = _oc_values(counts, [[labels[m][n] for n in nids[m]]
