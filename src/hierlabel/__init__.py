@@ -6,25 +6,21 @@ from .corpus import (
     salton_df_filter, save_hierarchy, save_matrix, save_vocabulary,
 )
 from .labeling import (
-    METHODS, ContingencyCells, LabelAssignment, LabelConfig,
-    cf_measure_leaf, chi2_2x2, contingency_popescul, contingency_rcl,
-    hier_weight, jsd_2x2, label_all, label_hierarchy,
-    pearson_chi2_children, score_flat, score_icf, score_idf_global,
-    score_idf_local, score_mtwl_raw, select_cf_average,
-    select_cf_leave_one_out, select_flat_or_hier, select_popescul_ungar,
-    select_rlum, select_topk, sibling_cf,
+    METHODS, LabelAssignment, LabelConfig, label_all, label_hierarchy,
+    select_cf_average, select_cf_leave_one_out, select_flat_or_hier,
+    select_popescul_ungar, select_rlum,
 )
 from .queryeval import (
-    And, ObservationRow, ObservationTable, Or, RetrievalMetrics, Term,
+    And, ObservationRow, ObservationTable, Or, Term,
     derive_generic_queries, derive_specific_queries, evaluate_all,
-    evaluate_node, query_to_prefix, retrieve,
+    query_to_prefix,
 )
 from .stats import (
     GlmFit, SnkGrouping, fit_additive_model, fit_level_model, snk_compare,
     studentized_range_quantile,
 )
 from .coherence import (
-    CoherenceReport, CooccurrenceCounts, count_cooccurrence, npmi, oc_npmi,
+    CoherenceReport, CooccurrenceCounts, count_cooccurrence, oc_npmi,
     score_labels, summarize_coherence,
 )
 

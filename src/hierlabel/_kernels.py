@@ -1,2 +1,3 @@
-# numba kernels were removed; the pipeline benchmark still records this flag
+# numba kernels were removed; the module is kept for pipebench/harness.py,
+# which reads this flag, until ROADMAP's run-telemetry item
 USING_NUMBA = False

@@ -384,8 +384,16 @@ def read_labels_csv(path) -> dict:
     return out
 
 
-def _assignments_from_csv(rows: dict, bundle: InputBundle, methods) -> dict:
-    """Rebuild LabelAssignments (internal node indices, working term ids)."""
+def _assignments_from_csv(tracker: OutputTracker, bundle: InputBundle,
+                          methods) -> dict:
+    """Rebuild the label stage's LabelAssignments (internal node indices,
+    working term ids) from labels.csv; a term the working vocabulary lacks,
+    such as one the df filter dropped, is an input error."""
+    path = tracker.out_dir / "labels.csv"
+    if not path.is_file():
+        raise ConfigError(f"labels.csv not found in {tracker.out_dir}; "
+                          "run the label stage first")
+    rows = read_labels_csv(path)
     working = dict(zip(bundle.orig_id.tolist(), range(bundle.orig_id.size)))
     ids = bundle.hierarchy.ids.tolist()
     assignments = {}
@@ -398,8 +406,8 @@ def _assignments_from_csv(rows: dict, bundle: InputBundle, methods) -> dict:
                         for i, nid in enumerate(ids)}
         except KeyError as e:
             raise ValidationError(
-                f"labels.csv references term {e.args[0]} absent from the "
-                f"working vocabulary"
+                f"{path}: term {e.args[0]} is absent from the working "
+                f"vocabulary"
             ) from None
         assignments[method] = a
     return assignments
@@ -409,14 +417,6 @@ def _assignments_from_csv(rows: dict, bundle: InputBundle, methods) -> dict:
 # stage: evaluate
 # ---------------------------------------------------------------------------
 
-def _labels_csv_rows(tracker: OutputTracker) -> dict:
-    labels_path = tracker.out_dir / "labels.csv"
-    if not labels_path.is_file():
-        raise ConfigError(f"labels.csv not found in {tracker.out_dir}; "
-                          "run the label stage first")
-    return read_labels_csv(labels_path)
-
-
 def stage_evaluate(cfg: RunConfig, tracker: OutputTracker,
                    bundle: InputBundle | None = None,
                    assignments: dict | None = None):
@@ -424,8 +424,7 @@ def stage_evaluate(cfg: RunConfig, tracker: OutputTracker,
     them the labels are read back from labels.csv."""
     bundle = bundle or load_inputs(cfg)
     if assignments is None:
-        assignments = _assignments_from_csv(_labels_csv_rows(tracker),
-                                            bundle, cfg.methods)
+        assignments = _assignments_from_csv(tracker, bundle, cfg.methods)
     table, queries = qe.evaluate_all(bundle.matrix, bundle.hierarchy,
                                      assignments)
     with tracker.open("metrics.csv") as fh:
@@ -551,14 +550,12 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker,
 def _coherence_labels(cfg: RunConfig, tracker: OutputTracker,
                       bundle: InputBundle, assignments: dict | None) -> dict:
     """method -> {node id: [original term ids in rank order]} for every
-    configured method and hierarchy node.  The parsed labels.csv rows die
-    with this call, before the reference corpus is loaded."""
-    ids = [int(nid) for nid in bundle.hierarchy.ids]
+    configured method and hierarchy node, read back from labels.csv without
+    ``assignments``.  The parsed rows die with this call, before the
+    reference corpus is loaded."""
     if assignments is None:
-        rows = _labels_csv_rows(tracker)
-        return {m: {nid: [t for t, _ in rows.get(m, {}).get(nid, [])]
-                    for nid in ids}
-                for m in cfg.methods}
+        assignments = _assignments_from_csv(tracker, bundle, cfg.methods)
+    ids = [int(nid) for nid in bundle.hierarchy.ids]
     orig = bundle.orig_id
     return {m: {nid: [int(orig[t]) for t, _ in
                       assignments[m].labels.get(i, [])]
@@ -579,10 +576,6 @@ def stage_coherence(cfg: RunConfig, tracker: OutputTracker,
     for per in labels.values():
         for terms in per.values():
             label_terms.update(terms)
-    bad = [t for t in label_terms if not 0 <= t < len(bundle.vocab_full)]
-    if bad:
-        raise ValidationError(f"{tracker.out_dir / 'labels.csv'}: term "
-                              f"{min(bad)} is outside the vocabulary")
     counts = coh.count_cooccurrence(_load_reference_corpus(cfg),
                                     bundle.vocab_full,
                                     restrict_terms=sorted(label_terms))

@@ -41,6 +41,7 @@ class CooccurrenceCounts:
     rows: np.ndarray
     bits: np.ndarray           # (counted terms, words) uint64
 
+    # kept for pipebench/traced.py until ROADMAP's run-telemetry item
     @property
     def pair_keys(self) -> np.ndarray:
         """The stored pair counts' keys: none, since joint counts are taken
@@ -147,38 +148,19 @@ def count_cooccurrence(corpus, vocab: Vocabulary,
     return CooccurrenceCounts(len(corpus), m, unary, rows, bits)
 
 
-def npmi(counts: CooccurrenceCounts, a: int, b: int,
-         epsilon: float = 0.0) -> float:
-    """Normalized PMI in [-1, 1]; 0 when either term never occurs in the
-    reference, -1 for a zero joint count (or the epsilon-smoothed value
-    when ``epsilon`` > 0), 1 for perfect co-occurrence."""
-    ua, ub = int(counts.unary[a]), int(counts.unary[b])
-    if ua == 0 or ub == 0:
-        return 0.0
-    joint = counts.pairwise(a, b)
-    n = counts.n_windows
-    p_ab = joint / n
-    if joint == 0:
-        if epsilon <= 0:
-            return -1.0
-        p_ab = epsilon
-    if p_ab >= 1.0:
-        return 1.0
-    val = math.log(p_ab / ((ua / n) * (ub / n))) / (-math.log(p_ab))
-    # the bound holds analytically; clamp float roundoff
-    return max(-1.0, min(1.0, val))
-
-
 def _log(x: np.ndarray) -> np.ndarray:
     # numpy's SIMD log can differ from the C library's in the last bit;
-    # math.log keeps every value equal to npmi()'s
+    # math.log keeps every value equal to the scalar npmi's
     return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
 
 
 def _npmi_pairs(counts: CooccurrenceCounts, a: np.ndarray, b: np.ndarray,
                 joint: np.ndarray, epsilon: float) -> np.ndarray:
-    """``npmi(counts, a[k], b[k], epsilon)`` for every k, bit for bit,
-    given the joint counts."""
+    """Normalized PMI of a[k] and b[k] for every k, given the joint counts,
+    bit for bit equal to the scalar ``npmi`` of tests/oracles.py: in
+    [-1, 1]; 0 when either term never occurs in the reference, -1 for a
+    zero joint count (or the epsilon-smoothed value when ``epsilon`` > 0),
+    1 for perfect co-occurrence, and float roundoff clamped."""
     ua, ub = counts.unary[a], counts.unary[b]
     n = counts.n_windows
     p_ab = joint / n
@@ -262,6 +244,7 @@ def _oc_values(counts: CooccurrenceCounts, groups: list, p_cap: int,
     return out
 
 
+# kept for pipebench/traced.py until ROADMAP's run-telemetry item
 def oc_npmi(counts: CooccurrenceCounts, label_terms, p_cap: int,
             epsilon: float = 0.0, aggregate: str = "sum") -> float:
     """Observed coherence: NPMI summed (or averaged) over all unordered

@@ -368,14 +368,6 @@ class Hierarchy:
         return [(int(g), int(self.level[g]) - lvl)
                 for g in self.preorder[self.tin[i] + 1:self.tout[i]]]
 
-    def docset_mask(self, i: int) -> np.ndarray:
-        mask = np.zeros(self.n_docs, bool)
-        mask[self.docsets[i]] = True
-        return mask
-
-    def nodes_at_level(self, lvl: int) -> np.ndarray:
-        return np.flatnonzero(self.level == lvl)
-
 
 def _build_hierarchy(records, n_docs) -> Hierarchy:
     ids = sorted(r["id"] for r in records)
@@ -691,9 +683,6 @@ class NodeTermStats:
 
     def freq_of(self, i: int, term: int) -> int:
         return int(self.freq.get(i, term))
-
-    def docfreq_of(self, i: int, term: int) -> int:
-        return int(self.docfreq.get(i, term))
 
     def level_freq(self, lvl: int) -> np.ndarray:
         """Summed term counts over every node at a given level (dense)."""

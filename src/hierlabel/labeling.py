@@ -3,7 +3,10 @@
 Twelve methods are pure per-node rankings (frequency schemes, their
 "Hier" path-weighted variants, and the reference-collection chi-square /
 Jensen-Shannon scores); four are structural (PopesculUngar, RLUM and the
-two CFMeasure strategies) and walk the tree.
+two CFMeasure strategies) and walk the tree.  The "Hier" variants add up
+a node's proper descendants g, each weighted by sibling_cf(g) (the share
+of g's parent's children whose subtree holds the term) over its edge
+distance.
 
 Every method yields, per node, a ranked list of at most ``p_cap`` terms
 with strictly positive scores.  Ties break by (score desc, node
@@ -13,14 +16,13 @@ deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .corpus import NodeTermStats
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
 
 METHODS = (
     "MTWL_raw", "MTWL_idf", "ICWL_raw", "ICWL_idf",
@@ -45,7 +47,6 @@ class LabelConfig:
     chi2_shape: str = "full_table"      # or "per_child_2x2"
     rcl_fp: str = "corrected"           # or "literal"
     big_threshold: int = 5
-    popescul_leaf_labels: bool = True
 
     def __post_init__(self):
         if self.p_cap < 1:
@@ -58,16 +59,6 @@ class LabelConfig:
             raise ConfigError(f"unknown rcl_fp {self.rcl_fp!r}")
         if self.big_threshold < 1:
             raise ConfigError("big_threshold must be >= 1")
-
-
-@dataclass(frozen=True)
-class ContingencyCells:
-    """2x2 cell counts plus the total mass ``s`` used by the statistics."""
-    tp: float
-    fp: float
-    fn: float
-    tn: float
-    s: float
 
 
 @dataclass
@@ -92,158 +83,6 @@ def _chi2_critical(alpha: float, df: int) -> float:
     from scipy.special import gammaincinv
     return float(2 * gammaincinv(df / 2, 1.0 - alpha))
 
-
-# ---------------------------------------------------------------------------
-# elementary scores
-# ---------------------------------------------------------------------------
-
-def score_mtwl_raw(stats: NodeTermStats, node: int, term: int) -> float:
-    """Cumulated frequency of the term in the node's subtree."""
-    return float(stats.freq_of(node, term))
-
-
-def score_idf_global(stats: NodeTermStats, term: int) -> float:
-    df = stats.global_df[term]
-    if df == 0:
-        return 0.0
-    return math.log(stats.n_docs / df)
-
-
-def score_idf_local(stats: NodeTermStats, node: int, term: int) -> float:
-    p = int(stats.parent_or_self[node])
-    df = stats.docfreq_of(p, term)
-    if df == 0:
-        return 0.0
-    return math.log(stats.node_size[p] / df)
-
-
-def score_icf(stats: NodeTermStats, node: int, term: int) -> float:
-    """Inverse cluster frequency: promotes terms concentrated in one sibling."""
-    p = int(stats.parent_or_self[node])
-    support = int(stats.child_support.get(p, term))
-    if support == 0:
-        return 0.0
-    frac = stats.docfreq_of(node, term) / stats.node_size[node]
-    return math.exp(frac) * math.log(stats.child_count[p] / support + 1.0)
-
-
-def score_flat(scheme: str, stats: NodeTermStats, node: int, term: int) -> float:
-    f = score_mtwl_raw(stats, node, term)
-    if f == 0.0:
-        return 0.0
-    if scheme == "MTWL_raw":
-        return f
-    if scheme == "MTWL_idf":
-        return score_idf_global(stats, term) * score_idf_local(stats, node, term) * f
-    if scheme == "ICWL_raw":
-        return score_icf(stats, node, term) * f
-    if scheme == "ICWL_idf":
-        return (score_idf_global(stats, term) * score_idf_local(stats, node, term)
-                * score_icf(stats, node, term) * f)
-    raise ConfigError(f"unknown flat scheme {scheme!r}")
-
-
-def sibling_cf(stats: NodeTermStats, node: int, term: int) -> float:
-    """Fraction of the node's sibling group (its parent's direct children,
-    the node included) whose subtree contains the term."""
-    p = int(stats.parent_or_self[node])
-    c = int(stats.child_count[p])
-    if c == 0:
-        return 0.0
-    return int(stats.child_support.get(p, term)) / c
-
-
-def hier_weight(stats: NodeTermStats, node: int, term: int, value_fn) -> float:
-    """Path-length-discounted sum over all proper descendants g:
-    sum 1/e(node,g) * sibling_cf(g) * value_fn(g).  Leaves yield 0."""
-    total = 0.0
-    for g, e in stats.hierarchy.descendants(node):
-        cf = sibling_cf(stats, g, term)
-        if cf:
-            total += cf * value_fn(g) / e
-    return total
-
-
-# ---------------------------------------------------------------------------
-# contingency cells and 2x2 statistics
-# ---------------------------------------------------------------------------
-
-def contingency_popescul(stats: NodeTermStats, parent: int, child: int,
-                         term: int) -> ContingencyCells:
-    """Child-versus-parent cells; s is the parent's total term mass."""
-    tp = stats.freq_of(child, term)
-    fn = int(stats.node_total[child]) - tp
-    fp = stats.freq_of(parent, term) - tp
-    s = int(stats.node_total[parent])
-    tn = s - (tp + fn + fp)
-    if min(tp, fn, fp, tn) < 0:
-        raise ValidationError(
-            f"negative contingency cell for node {child}, term {term}"
-        )
-    return ContingencyCells(tp, fp, fn, tn, s)
-
-
-def contingency_rcl(stats: NodeTermStats, parent: int, node: int, term: int,
-                    fp_mode: str = "corrected") -> ContingencyCells:
-    """Node-versus-reference-collection cells.  The reference collection is
-    the parent's subtree minus the node's own documents, so ``s`` counts
-    reference mass only and fp + tn = s; tp/fn carry the node-side mass."""
-    tp = stats.freq_of(node, term)
-    fn = int(stats.node_total[node]) - tp
-    s = int(stats.node_total[parent]) - int(stats.node_total[node])
-    fp = stats.freq_of(parent, term) - tp
-    if fp_mode == "literal":
-        fp = max(fp - tp, 0)
-    if fp < 0:
-        raise ValidationError(
-            f"negative reference count for node {node}, term {term}"
-        )
-    tn = s - fp
-    return ContingencyCells(tp, fp, fn, tn, s)
-
-
-def chi2_2x2(cells: ContingencyCells) -> float:
-    """(tp*tn - fn*fp)^2 * s / product of the four marginals; 0 whenever a
-    marginal is not strictly positive."""
-    tp, fp, fn, tn = (float(cells.tp), float(cells.fp),
-                      float(cells.fn), float(cells.tn))
-    m1, m2, m3, m4 = tp + fn, fp + tn, tp + fp, fn + tn
-    if min(m1, m2, m3, m4) <= 0:
-        return 0.0
-    return (tp * tn - fn * fp) ** 2 * float(cells.s) / (m1 * m2 * m3 * m4)
-
-
-def jsd_2x2(cells: ContingencyCells) -> float:
-    """The four-term divergence expression evaluated literally in log base 2,
-    with x*log2(y) treated as 0 whenever x = 0."""
-    tp, fp, fn, tn = (float(cells.tp), float(cells.fp),
-                      float(cells.fn), float(cells.tn))
-    node_mass = tp + fn
-    grand = tp + fp + fn + tn
-    if node_mass <= 0 or grand <= 0:
-        return 0.0
-    p = tp / node_mass
-    q = (tp + fp) / grand
-    mid = 0.5 * (p + q)
-    out = 0.0
-    if p > 0:
-        out += p * (math.log2(p) - math.log2(mid))
-    if q > 0:
-        out += q * (math.log2(q) - math.log2(mid))
-    return out
-
-
-def pearson_chi2_children(stats: NodeTermStats, node: int, term: int):
-    """Full c x 2 Pearson statistic of the term's distribution over the
-    node's direct children, with c - 1 degrees of freedom."""
-    c = int(stats.child_count[node])
-    if c == 0:
-        raise ValidationError(f"node {node} is a leaf; no children to test")
-    stat = _children_chi2_vec(stats, node)[term]
-    return float(stat), c - 1
-
-
-# vectorized internals -------------------------------------------------------
 
 def _idf_global_vec(stats):
     df = stats.global_df.astype(np.float64)
@@ -274,11 +113,14 @@ def _icf_at(stats, node, idx):
     return out
 
 
-# Array forms of chi2_2x2 and jsd_2x2, shared by RCL, HierRCL and the
-# per-child chi-square test.  The cells broadcast, so a term-only cell
-# (shape (k,)) is computed once for a block of rows (shape (r, k)).  Cells
-# that a guard rejects are computed too and replaced by a select, which
-# costs a fraction of masking every operation and keeps the guarded values.
+# The 2x2 chi-square and Jensen-Shannon statistics, shared by RCL, HierRCL
+# and the per-child chi-square test; their scalar forms are in
+# tests/oracles.py.  A cell is 0 whenever a marginal (chi-square) or the
+# node or grand mass (JSD) is not strictly positive, and x*log2(y) is 0
+# when x = 0.  The cells broadcast, so a term-only cell (shape (k,)) is
+# computed once for a block of rows (shape (r, k)).  Cells that a guard
+# rejects are computed too and replaced by a select, which costs a
+# fraction of masking every operation and keeps the guarded values.
 
 def _chi2_formula_vec(tp, fn, fp, tn, s):
     m1, m2, m3, m4 = tp + fn, fp + tn, tp + fp, fn + tn
@@ -326,7 +168,7 @@ def _children_chi2_vec(stats, node):
     return out
 
 
-def _children_max_2x2_vec(stats, node, alpha_unused=None):
+def _children_max_2x2_vec(stats, node):
     """Literal reading: the worst per-child 2x2 statistic for each term."""
     kids = stats.hierarchy.children[node]
     f_node = stats.freq_row(node).astype(np.float64)
@@ -347,6 +189,8 @@ def _children_max_2x2_vec(stats, node, alpha_unused=None):
 # ---------------------------------------------------------------------------
 
 def _topk_arrays(term_ids, scores, tie_freq, p_cap):
+    """Rank terms: positive scores only, sorted by score desc, then
+    ``tie_freq`` desc, then term id asc; cap at p_cap."""
     pos = scores > 0
     if not pos.any():
         return []
@@ -360,19 +204,6 @@ def _topk_arrays(term_ids, scores, tie_freq, p_cap):
         t, sc, fr = t[keep], sc[keep], fr[keep]
     order = np.lexsort((t, -fr, -sc))[:p_cap]
     return [(int(t[i]), float(sc[i])) for i in order]
-
-
-def select_topk(pairs, p_cap: int, freqs) -> list:
-    """Rank (term, score) pairs: positive scores only, sorted by score desc,
-    then node frequency desc (from ``freqs``), then term id asc; cap at P."""
-    if p_cap < 1:
-        raise ConfigError("p_cap must be >= 1")
-    if not pairs:
-        return []
-    terms = np.asarray([t for t, _ in pairs], np.int64)
-    scores = np.asarray([s for _, s in pairs], np.float64)
-    tie = np.asarray([freqs[t] for t in terms], np.float64)
-    return _topk_arrays(terms, scores, tie, p_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +381,9 @@ def select_popescul_ungar(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssign
         i = int(i)
         ban = banned.pop(i)
         if h.is_leaf(i):
-            if cfg.popescul_leaf_labels:
-                idx, f = _row_arrays(stats.freq, i)
-                keep = ~ban[idx]
-                out.labels[i] = _topk_arrays(idx[keep], f[keep], f[keep], cfg.p_cap)
-            else:
-                out.labels[i] = []
+            idx, f = _row_arrays(stats.freq, i)
+            keep = ~ban[idx]
+            out.labels[i] = _topk_arrays(idx[keep], f[keep], f[keep], cfg.p_cap)
             continue
         c = int(stats.child_count[i])
         freq_ok = _count_children_ge(stats, i, MIN_CHILD_FREQ) == c
@@ -599,19 +427,6 @@ def select_rlum(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
         f = stats.freq_row(i)[idx].astype(np.float64)
         out.labels[i] = _topk_arrays(idx, f, f, cfg.p_cap)
     return out
-
-
-def cf_measure_leaf(stats: NodeTermStats, leaf: int, term: int) -> float:
-    """Harmonic mean of clustering recall (leaf frequency over collection
-    frequency) and clustering precision (leaf frequency over leaf mass)."""
-    f = stats.freq_of(leaf, term)
-    if f == 0:
-        return 0.0
-    recall = f / stats.global_freq[term]
-    precision = f / stats.node_total[leaf]
-    if recall == 0 or precision == 0:
-        return 0.0
-    return 2.0 * recall * precision / (recall + precision)
 
 
 def _leaf_cf_row(stats, leaf):
@@ -696,13 +511,9 @@ def label_hierarchy(stats: NodeTermStats, method: str,
 
 
 def label_all(stats: NodeTermStats, methods=METHODS,
-              cfg: LabelConfig | None = None, threads: int = 1) -> dict:
-    """All requested methods, in order.  ``threads`` is accepted for
-    compatibility and has no effect: the methods hold the GIL, and a
-    per-method thread pool measured slower than one thread."""
+              cfg: LabelConfig | None = None) -> dict:
+    """All requested methods, in order."""
     cfg = cfg or LabelConfig()
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
     bad = [m for m in methods if m not in METHODS]
     if bad:
         raise ConfigError(f"unknown methods: {', '.join(bad)}")

@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .corpus import DocTermMatrix, Hierarchy
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .labeling import LabelAssignment
 
 
@@ -212,43 +212,15 @@ def _eval_mask(matrix: DocTermMatrix, query) -> np.ndarray:
     raise ValidationError(f"not a query node: {query!r}")
 
 
-def retrieve(matrix: DocTermMatrix, query) -> set:
-    """Documents satisfying the query; presence-only semantics."""
-    if query is None:
-        return set()
-    return set(np.flatnonzero(_eval_mask(matrix, query)).tolist())
-
-
-@dataclass(frozen=True)
-class RetrievalMetrics:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    precision: float
-    recall: float
-    f: float
-
-
-def _metrics_from_counts(tp, n_retrieved, n_group, n_docs) -> RetrievalMetrics:
-    fp = n_retrieved - tp
-    fn = n_group - tp
-    tn = n_docs - tp - fp - fn
+def _metrics_from_counts(tp, n_retrieved, n_group) -> tuple:
+    """(precision, recall, f) of a retrieved set holding ``tp`` of the
+    node's ``n_group`` documents."""
     precision = tp / n_retrieved if n_retrieved else 0.0
     recall = tp / n_group if n_group else 0.0
     # zero rule: with either factor zero the harmonic mean is taken as 0
     f = 2.0 * precision * recall / (precision + recall) \
         if precision > 0 and recall > 0 else 0.0
-    return RetrievalMetrics(tp, fp, fn, tn, precision, recall, f)
-
-
-def evaluate_node(hierarchy: Hierarchy, node: int, retrieved) -> RetrievalMetrics:
-    docset = hierarchy.docsets[node]
-    if len(docset) == 0:
-        raise ValidationError(f"node {node} has an empty document set")
-    got = retrieved if isinstance(retrieved, set) else set(retrieved)
-    tp = sum(1 for d in docset if int(d) in got)
-    return _metrics_from_counts(tp, len(got), len(docset), hierarchy.n_docs)
+    return precision, recall, f
 
 
 @dataclass
@@ -282,9 +254,6 @@ class ObservationTable:
             if r.method not in seen:
                 seen.append(r.method)
         return seen
-
-    def levels(self):
-        return sorted({r.level for r in self.rows})
 
     def values(self, measure: str) -> np.ndarray:
         return np.asarray([r.measure(measure) for r in self.rows])
@@ -322,16 +291,9 @@ def _query_masks(matrix: DocTermMatrix, hierarchy: Hierarchy,
 
 
 def evaluate_all(matrix: DocTermMatrix, hierarchy: Hierarchy,
-                 assignments: dict, threads: int = 1):
+                 assignments: dict):
     """Metrics for every (method, node, kind); also returns the derived
-    queries as {method: {"specific": {...}, "generic": {...}}}.
-
-    ``threads`` is accepted for compatibility and has no effect: the work
-    holds the GIL, and a per-method thread pool measured slower than one
-    thread.
-    """
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
+    queries as {method: {"specific": {...}, "generic": {...}}}."""
     queries = {}
     table = ObservationTable()
     for method, labels in assignments.items():
@@ -344,10 +306,9 @@ def evaluate_all(matrix: DocTermMatrix, hierarchy: Hierarchy,
             lvl = int(hierarchy.level[i])
             for kind, mask in (("specific", spec_masks[i]),
                                ("generic", gen_masks[i])):
-                tp = int(mask[group].sum())
-                m = _metrics_from_counts(tp, int(mask.sum()), len(group),
-                                         matrix.n_docs)
+                precision, recall, f = _metrics_from_counts(
+                    int(mask[group].sum()), int(mask.sum()), len(group))
                 table.rows.append(ObservationRow(method, nid, lvl, kind,
-                                                 m.precision, m.recall, m.f))
+                                                 precision, recall, f))
         queries[method] = {"specific": specific, "generic": generic}
     return table, queries

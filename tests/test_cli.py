@@ -279,6 +279,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path}:{line}:" in err, err
 
+    @pytest.mark.parametrize("stage", ["evaluate", "coherence"])
+    def test_labels_csv_term_outside_the_filtered_vocabulary(
+            self, tmp_path, capsys, stage):
+        # the df filter drops term 1, which 6 of the 12 documents hold
+        cfg = write_fixture(tmp_path / "fx")
+        blob = json.loads(cfg.read_text())
+        blob["df_filter"] = {"low": 0.0, "high": 0.4}
+        cfg.write_text(json.dumps(blob))
+        assert cli.main(["label", "--config", str(cfg)]) == 0
+        path = tmp_path / "fx" / "out" / "labels.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert "1" not in {row[3] for row in rows[1:]}
+        rows[1][3:5] = ["1", "term1"]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: term 1 " in err, err
+
     @pytest.mark.parametrize("column", ["precision", "recall", "f"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-0.1"])
     def test_metric_outside_unit_interval_is_input_error(

@@ -1,7 +1,5 @@
 """Matrix/hierarchy ingestion, the Salton df filter, and node statistics."""
 
-import json
-
 import numpy as np
 import pytest
 

