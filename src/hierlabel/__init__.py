@@ -11,7 +11,7 @@ from .labeling import (
     select_popescul_ungar, select_rlum,
 )
 from .queryeval import (
-    And, ObservationRow, ObservationTable, Or, Term,
+    And, ObservationTable, Or, Term,
     derive_generic_queries, derive_specific_queries, evaluate_all,
     query_to_prefix,
 )

@@ -36,8 +36,8 @@ from . import stats as st
 from .errors import (ConfigError, HierlabelError, NumericalError, ParseError,
                      ValidationError)
 
-MEASURES = ("precision", "recall", "f")
-KINDS = ("specific", "generic")
+MEASURES = qe.MEASURES
+KINDS = qe.KINDS
 
 
 def fmt(x) -> str:
@@ -327,88 +327,229 @@ def stage_label(cfg: RunConfig, tracker: OutputTracker,
     return bundle, assignments
 
 
-def _report_rows(path, columns):
-    """Yield (line number, the fields named by ``columns``, in that order)
-    for each row of a report CSV; blank lines are skipped.  A header that
-    lacks one of ``columns``, a row whose width differs from the header's,
-    undecodable text and broken CSV quoting are ParseErrors naming the file
-    and the line."""
+def _report_columns(path, columns):
+    """The rows of a report CSV as (each row's physical line, the cells of
+    each of ``columns``, fault).  Reading stops at the first row that breaks
+    the file's form: a width other than the header's, broken CSV quoting or
+    undecodable text; ``fault`` is that row's ParseError, else None.  Blank
+    lines are skipped.  A header that lacks one of ``columns`` raises."""
+    lines, rows, fault = [], [], None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
-            # a repeated column name counts at its last position
-            at = {name: k for k, name in enumerate(header)}
-            absent = [c for c in columns if c not in at]
-            if absent:
-                raise ParseError(f"{path}:1: header lacks column(s) "
-                                 + ", ".join(absent))
-            pick = operator.itemgetter(*(at[c] for c in columns))
-            width = len(header)
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise ParseError(f"{path}:{reader.line_num}: {e}") from None
+        # a repeated column name counts at its last position
+        at = {name: k for k, name in enumerate(header)}
+        absent = [c for c in columns if c not in at]
+        if absent:
+            raise ParseError(f"{path}:1: header lacks column(s) "
+                             + ", ".join(absent))
+        width = len(header)
+        try:
             for row in reader:
                 if len(row) != width:
                     if not row:
                         continue
-                    raise _bad_row(path, reader.line_num,
-                                   f"{len(row)} fields, the header has "
-                                   f"{width}")
-                yield reader.line_num, pick(row)
+                    fault = _bad_row(path, reader.line_num,
+                                     f"{len(row)} fields, the header has "
+                                     f"{width}")
+                    break
+                lines.append(reader.line_num)
+                rows.append(row)
         except (UnicodeDecodeError, csv.Error) as e:
-            raise ParseError(f"{path}:{reader.line_num}: {e}") from None
+            fault = ParseError(f"{path}:{reader.line_num}: {e}")
+    table = list(zip(*rows)) or [()] * width
+    return (np.array(lines, np.int64), [table[at[c]] for c in columns],
+            fault)
 
 
 def _bad_row(path, line, e) -> ParseError:
     return ParseError(f"{path}:{line}: malformed row ({e})")
 
 
-def read_labels_csv(path) -> dict:
-    """method -> {node_id: [(original term id, score)] in rank order}; at
-    most one row per method, node and rank."""
-    out = {}
-    first = {}                  # (method, node, rank) -> line
-    for line, (method, nid, rank, term, score) in _report_rows(
-            path, ("method", "node_id", "rank", "term_id", "score")):
-        try:
-            nid = int(nid)
-            entry = (int(rank), int(term), float(score))
-        except ValueError as e:
-            raise _bad_row(path, line, e) from None
-        seen = first.setdefault((method, nid, entry[0]), line)
-        if seen != line:
-            raise _bad_row(path, line, f"repeats the row of line {seen}")
-        out.setdefault(method, {}).setdefault(nid, []).append(entry)
-    for per_node in out.values():
-        for nid, entries in per_node.items():
-            entries.sort()
-            per_node[nid] = [(t, s) for _, t, s in entries]
+_INT64 = np.iinfo(np.int64)
+
+
+def _column(cells, kind) -> np.ndarray:
+    """The cells as an int64 (``kind`` int) or float64 (``kind`` float)
+    array; ValueError or OverflowError at a cell that does not convert."""
+    return np.fromiter(map(kind, cells), np.int64 if kind is int
+                       else np.float64, len(cells))
+
+
+def _cell_error(name, cell, kind):
+    """Why the cell does not convert, or None."""
+    try:
+        value = kind(cell)
+    except ValueError as e:
+        return e
+    if kind is int and not _INT64.min <= value <= _INT64.max:
+        return f"{name} {value} does not fit in 64 bits"
+    return None
+
+
+def _numbers(path, lines, fields, fault):
+    """([array per field], fault) for ``fields``, a sequence of (name,
+    cells, int or float) in the order a row's cells are converted.  At the
+    first row with a cell that does not convert the arrays stop, and that
+    row's error replaces ``fault``, which lies further on."""
+    try:
+        return [_column(cells, kind) for _, cells, kind in fields], fault
+    except (ValueError, OverflowError):
+        pass
+    for row in range(len(lines)):
+        why = next((e for name, cells, kind in fields
+                    if (e := _cell_error(name, cells[row], kind))), None)
+        if why is not None:
+            return ([_column(cells[:row], kind) for _, cells, kind in fields],
+                    _bad_row(path, lines[row], why))
+    raise AssertionError("a column failed to convert, no cell does")
+
+
+def _codes(cells) -> tuple:
+    """(names in order of first appearance, int64 code of each cell)."""
+    names = tuple(dict.fromkeys(cells))
+    at = {name: k for k, name in enumerate(names)}
+    return names, np.fromiter(map(at.__getitem__, cells), np.int64,
+                              len(cells))
+
+
+def _first_repeat(order, keys, lines):
+    """(row, message) for the first row in file order whose ``keys`` equal
+    an earlier row's, or None; ``order`` sorts the rows by the keys,
+    keeping file order among equal ones."""
+    same = np.ones(max(order.size - 1, 0), bool)
+    for key in keys:
+        k = key[order]
+        same &= k[1:] == k[:-1]
+    at = np.flatnonzero(same) + 1
+    if not at.size:
+        return None
+    # within a run of equal keys the rows keep file order, so the first
+    # repeat in file order is the second row of its run
+    j = at[np.argmin(order[at])]
+    return int(order[j]), f"repeats the row of line {lines[order[j - 1]]}"
+
+
+def _first_fault(mask, why):
+    """(first row of ``mask``, ``why(row)``), or None."""
+    if not mask.any():
+        return None
+    k = int(np.argmax(mask))
+    return k, why(k)
+
+
+def _raise_first(path, lines, faults, fault):
+    """Raise the fault of the earliest row among ``faults``, (row, message)
+    pairs or None, listed in the order a row's checks run; else ``fault``
+    when there is one."""
+    faults = [f for f in faults if f is not None]
+    if faults:
+        row, why = min(faults, key=operator.itemgetter(0))
+        raise _bad_row(path, lines[row], why)
+    if fault is not None:
+        raise fault
+
+
+@dataclass
+class LabelColumns:
+    """labels.csv's rows sorted by method code, node id and rank; ``method``
+    codes index ``method_names``, ``term`` holds original term ids."""
+    method_names: tuple
+    method: np.ndarray
+    node_id: np.ndarray
+    term: np.ndarray
+    score: np.ndarray
+
+    def rows_of(self, method: str) -> slice:
+        """The rows of one method."""
+        if method not in self.method_names:
+            return slice(0, 0)
+        code = self.method_names.index(method)
+        lo, hi = np.searchsorted(self.method, [code, code + 1])
+        return slice(int(lo), int(hi))
+
+
+def read_labels_csv(path) -> tuple:
+    """(LabelColumns, each row's physical line) of a labels.csv; at most
+    one row per method, node and rank."""
+    lines, (method, *cells), fault = _report_columns(
+        path, ("method", "node_id", "rank", "term_id", "score"))
+    (nid, rank, term, score), fault = _numbers(path, lines, list(zip(
+        ("node_id", "rank", "term_id", "score"), cells,
+        (int, int, int, float))), fault)
+    names, codes = _codes(method[:nid.size])
+    order = np.lexsort((rank, nid, codes))
+    _raise_first(path, lines,
+                 [_first_repeat(order, (codes, nid, rank), lines)], fault)
+    return (LabelColumns(names, codes[order], nid[order], term[order],
+                         score[order]), lines[order])
+
+
+def _labels_from_csv(tracker: OutputTracker, bundle: InputBundle,
+                     methods) -> dict:
+    """method -> (node indices, original term ids, scores) of labels.csv's
+    rows of each of ``methods``, sorted by node and rank.  A row whose node
+    the hierarchy lacks, or whose term the working vocabulary lacks (such
+    as one the df filter dropped), is an input error."""
+    path = tracker.out_dir / "labels.csv"
+    if not path.is_file():
+        raise ConfigError(f"labels.csv not found in {tracker.out_dir}; "
+                          "run the label stage first")
+    cols, lines = read_labels_csv(path)
+    out, faults = {}, []
+    for method in methods:
+        rows = cols.rows_of(method)
+        nid, term = cols.node_id[rows], cols.term[rows]
+        node, stray = _node_index(bundle.hierarchy, nid)
+        inside = (term >= 0) & (term < bundle.remap.size)
+        absent = ~inside
+        absent[inside] = bundle.remap[term[inside]] < 0
+        for fault in (
+                _first_fault(stray, lambda k: f"node {nid[k]} is not in "
+                                              f"the hierarchy"),
+                _first_fault(absent, lambda k: f"term {term[k]} is absent "
+                                               f"from the working "
+                                               f"vocabulary")):
+            if fault is not None:
+                faults.append((int(lines[rows][fault[0]]), fault[1]))
+        out[method] = (node, term, cols.score[rows])
+    if faults:
+        line, why = min(faults, key=operator.itemgetter(0))
+        raise ValidationError(f"{path}:{line}: {why}")
     return out
+
+
+def _node_index(hierarchy: corp.Hierarchy, nid) -> tuple:
+    """(each node id's internal index, mask of the ids the hierarchy
+    lacks, whose index is arbitrary)."""
+    ids = hierarchy.ids
+    node = np.minimum(np.searchsorted(ids, nid), ids.size - 1)
+    return node, ids[node] != nid
+
+
+def _node_runs(node) -> tuple:
+    """(node, start, end) lists of the runs of equal values of ``node``."""
+    cut = np.flatnonzero(node[1:] != node[:-1]) + 1
+    start = np.concatenate([[0], cut]) if node.size else cut
+    end = np.concatenate([cut, [node.size]]) if node.size else cut
+    return node[start].tolist(), start.tolist(), end.tolist()
 
 
 def _assignments_from_csv(tracker: OutputTracker, bundle: InputBundle,
                           methods) -> dict:
     """Rebuild the label stage's LabelAssignments (internal node indices,
-    working term ids) from labels.csv; a term the working vocabulary lacks,
-    such as one the df filter dropped, is an input error."""
-    path = tracker.out_dir / "labels.csv"
-    if not path.is_file():
-        raise ConfigError(f"labels.csv not found in {tracker.out_dir}; "
-                          "run the label stage first")
-    rows = read_labels_csv(path)
-    working = dict(zip(bundle.orig_id.tolist(), range(bundle.orig_id.size)))
-    ids = bundle.hierarchy.ids.tolist()
+    working term ids) from labels.csv."""
     assignments = {}
-    for method in methods:
-        per_node = rows.get(method, {})
+    for method, (node, term, score) in _labels_from_csv(
+            tracker, bundle, methods).items():
+        pairs = list(zip(bundle.remap[term].tolist(), score.tolist()))
         a = lab.LabelAssignment(method)
-        try:
-            a.labels = {i: [(working[orig], score)
-                            for orig, score in per_node.get(nid, [])]
-                        for i, nid in enumerate(ids)}
-        except KeyError as e:
-            raise ValidationError(
-                f"{path}: term {e.args[0]} is absent from the working "
-                f"vocabulary"
-            ) from None
+        a.labels = {i: [] for i in range(bundle.hierarchy.n_nodes)}
+        for i, lo, hi in zip(*_node_runs(node)):
+            a.labels[i] = pairs[lo:hi]
         assignments[method] = a
     return assignments
 
@@ -429,16 +570,13 @@ def stage_evaluate(cfg: RunConfig, tracker: OutputTracker,
                                      assignments)
     with tracker.open("metrics.csv") as fh:
         w = csv.writer(fh)
-        w.writerow(["method", "node_id", "level", "kind",
-                    "precision", "recall", "f"])
-        by_key = {(r.method, r.node_id, r.kind): r for r in table.rows}
-        for method in cfg.methods:
-            for i in range(bundle.hierarchy.n_nodes):
-                nid = int(bundle.hierarchy.ids[i])
-                for kind in KINDS:
-                    r = by_key[(method, nid, kind)]
-                    w.writerow([method, nid, r.level, kind,
-                                fmt(r.precision), fmt(r.recall), fmt(r.f)])
+        w.writerow(["method", "node_id", "level", "kind", *MEASURES])
+        # the table's rows are in method, node and kind order already
+        w.writerows(zip(
+            map(table.method_names.__getitem__, table.method.tolist()),
+            table.node_id.tolist(), table.level.tolist(),
+            map(KINDS.__getitem__, table.kind.tolist()),
+            *(map(fmt, table.values(m).tolist()) for m in MEASURES)))
     with tracker.open("queries.txt") as fh:
         for method in cfg.methods:
             render = qe.prefix_renderer()
@@ -450,30 +588,53 @@ def stage_evaluate(cfg: RunConfig, tracker: OutputTracker,
     return table
 
 
-def read_metrics_csv(path) -> qe.ObservationTable:
-    """The observations of a metrics.csv: at most one row per method, node
-    and query kind, every measure a number in [0, 1]."""
-    table = qe.ObservationTable()
-    first = {}                  # (method, node, kind) -> line
-    for line, (method, nid, level, kind, *values) in _report_rows(
-            path, ("method", "node_id", "level", "kind", *MEASURES)):
-        try:
-            nid, level = int(nid), int(level)
-            precision, recall, f = map(float, values)
-        except ValueError as e:
-            raise _bad_row(path, line, e) from None
-        if not (0 <= precision <= 1 and 0 <= recall <= 1 and 0 <= f <= 1):
-            name, value = next((name, value) for name, value in zip(
-                MEASURES, (precision, recall, f)) if not 0 <= value <= 1)
-            raise _bad_row(path, line, f"{name} {value} is not in [0, 1]")
-        seen = first.setdefault((method, nid, kind), line)
-        if seen != line:
-            raise _bad_row(path, line, f"repeats the row of line {seen}")
-        table.rows.append(qe.ObservationRow(
-            method=method, node_id=nid, level=level, kind=kind,
-            precision=precision, recall=recall, f=f,
-        ))
-    return table
+def read_metrics_csv(path) -> tuple:
+    """(ObservationTable, each row's physical line) of a metrics.csv: at
+    most one row per method, node and query kind, every kind one of
+    ``KINDS``, every measure a number in [0, 1]."""
+    lines, (method, nid, level, kind, *cells), fault = _report_columns(
+        path, ("method", "node_id", "level", "kind", *MEASURES))
+    (nid, level, *values), fault = _numbers(path, lines, list(zip(
+        ("node_id", "level", *MEASURES), (nid, level, *cells),
+        (int, int, float, float, float))), fault)
+    n = nid.size
+    names, codes = _codes(method[:n])
+    known = {name: k for k, name in enumerate(KINDS)}
+    kinds = np.fromiter((known.get(k, -1) for k in kind[:n]), np.int64, n)
+    outside = np.array([(v < 0) | (v > 1) | np.isnan(v) for v in values])
+
+    def out_of_range(k):
+        j = int(np.argmax(outside[:, k]))
+        return f"{MEASURES[j]} {float(values[j][k])} is not in [0, 1]"
+
+    order = np.lexsort((kinds, nid, codes))
+    _raise_first(path, lines, [
+        _first_fault(kinds < 0, lambda k: f"kind {kind[k]!r} is not one "
+                                          f"of {', '.join(KINDS)}"),
+        _first_fault(outside.any(axis=0), out_of_range),
+        _first_repeat(order, (codes, nid, kinds), lines)], fault)
+    return qe.ObservationTable(names, codes, nid, level, kinds,
+                               *values), lines
+
+
+def _check_metrics_rows(path, table: qe.ObservationTable, lines,
+                        hierarchy: corp.Hierarchy):
+    """Each row's node index.  Every row's node must be a hierarchy node
+    and its level that node's; the first row that breaks either is an
+    input error naming its line."""
+    node, stray = _node_index(hierarchy, table.node_id)
+    moved = ~stray & (hierarchy.level[node] != table.level)
+
+    def why(k):
+        nid = int(table.node_id[k])
+        return (f"node {nid} is not in the hierarchy" if stray[k] else
+                f"level {int(table.level[k])}, but node {nid} is at level "
+                f"{int(hierarchy.level[node[k]])}")
+
+    fault = _first_fault(stray | moved, why)
+    if fault is None:
+        return node
+    raise ValidationError(f"{path}:{lines[fault[0]]}: {fault[1]}")
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +657,24 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker,
     if not metrics_path.is_file():
         raise ConfigError(f"metrics.csv not found in {tracker.out_dir}; "
                           "run the evaluate stage first")
-    table = read_metrics_csv(metrics_path)
-    wanted = set(cfg.methods)
-    table = qe.ObservationTable([r for r in table.rows if r.method in wanted])
+    table, lines = read_metrics_csv(metrics_path)
+    # rows of other methods are neither checked nor fitted
+    wanted = table.method_rows(cfg.methods)
+    table, lines = table.take(wanted), lines[wanted]
+    node = _check_metrics_rows(metrics_path, table, lines, bundle.hierarchy)
     # a file that lacks observations is an input error, not a degenerate fit
-    present = {(r.method, r.node_id, r.kind) for r in table.rows}
-    ids = bundle.hierarchy.ids.tolist()
-    for method in cfg.methods:
-        for nid in ids:
-            for kind in KINDS:
-                if (method, nid, kind) not in present:
-                    raise ValidationError(
-                        f"{metrics_path}: no {kind} row for method {method} "
-                        f"at node {nid}")
+    at = {m: j for j, m in enumerate(cfg.methods)}
+    # no row is left of the names of other methods, which map to -1
+    method = np.array([at.get(m, -1) for m in table.method_names],
+                      np.int64)[table.method]
+    present = np.zeros((len(cfg.methods), bundle.hierarchy.n_nodes,
+                        len(KINDS)), bool)
+    present[method, node, table.kind] = True
+    if not present.all():
+        m, i, k = np.unravel_index(np.argmin(present), present.shape)
+        raise ValidationError(
+            f"{metrics_path}: no {KINDS[k]} row for method "
+            f"{cfg.methods[m]} at node {bundle.hierarchy.ids[i]}")
     for kind in KINDS:
         sub = table.filter(kind=kind)
         for measure in MEASURES:
@@ -553,14 +719,21 @@ def _coherence_labels(cfg: RunConfig, tracker: OutputTracker,
     configured method and hierarchy node, read back from labels.csv without
     ``assignments``.  The parsed rows die with this call, before the
     reference corpus is loaded."""
-    if assignments is None:
-        assignments = _assignments_from_csv(tracker, bundle, cfg.methods)
-    ids = [int(nid) for nid in bundle.hierarchy.ids]
-    orig = bundle.orig_id
-    return {m: {nid: [int(orig[t]) for t, _ in
-                      assignments[m].labels.get(i, [])]
-                for i, nid in enumerate(ids)}
-            for m in cfg.methods}
+    ids = bundle.hierarchy.ids.tolist()
+    if assignments is not None:
+        orig = bundle.orig_id
+        return {m: {nid: [int(orig[t]) for t, _ in
+                          assignments[m].labels.get(i, [])]
+                    for i, nid in enumerate(ids)}
+                for m in cfg.methods}
+    labels = {}
+    for method, (node, term, _) in _labels_from_csv(
+            tracker, bundle, cfg.methods).items():
+        terms = term.tolist()
+        per = labels[method] = {nid: [] for nid in ids}
+        for i, lo, hi in zip(*_node_runs(node)):
+            per[ids[i]] = terms[lo:hi]
+    return labels
 
 
 def stage_coherence(cfg: RunConfig, tracker: OutputTracker,

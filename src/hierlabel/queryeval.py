@@ -9,7 +9,7 @@ retrieved sets nest along every root path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -213,102 +213,129 @@ def _eval_mask(matrix: DocTermMatrix, query) -> np.ndarray:
 
 
 def _metrics_from_counts(tp, n_retrieved, n_group) -> tuple:
-    """(precision, recall, f) of a retrieved set holding ``tp`` of the
-    node's ``n_group`` documents."""
-    precision = tp / n_retrieved if n_retrieved else 0.0
-    recall = tp / n_group if n_group else 0.0
+    """(precision, recall, f) arrays of retrieved sets holding ``tp`` of
+    their nodes' ``n_group`` documents, with the scalar formulas' operation
+    order, so each value is the scalar one bit for bit."""
+    precision = np.zeros(np.shape(tp))
+    recall = np.zeros(np.shape(tp))
+    np.divide(tp, n_retrieved, out=precision, where=n_retrieved > 0)
+    np.divide(tp, n_group, out=recall, where=n_group > 0)
     # zero rule: with either factor zero the harmonic mean is taken as 0
-    f = 2.0 * precision * recall / (precision + recall) \
-        if precision > 0 and recall > 0 else 0.0
+    f = np.zeros(np.shape(tp))
+    both = (precision > 0) & (recall > 0)
+    np.divide(2.0 * precision * recall, precision + recall, out=f,
+              where=both)
     return precision, recall, f
 
 
-@dataclass
-class ObservationRow:
-    method: str
-    node_id: int
-    level: int
-    kind: str          # "specific" | "generic"
-    precision: float
-    recall: float
-    f: float
-
-    def measure(self, name: str) -> float:
-        return getattr(self, name)
+KINDS = ("specific", "generic")
+MEASURES = ("precision", "recall", "f")
 
 
 @dataclass
 class ObservationTable:
-    """Rectangular record set: one row per (method, node, query kind)."""
-    rows: list = field(default_factory=list)
+    """One row per (method, node, query kind), held as columns.  ``method``
+    codes index ``method_names`` and ``kind`` codes index ``KINDS``."""
+    method_names: tuple
+    method: np.ndarray             # int64
+    node_id: np.ndarray            # int64
+    level: np.ndarray              # int64
+    kind: np.ndarray               # int64
+    precision: np.ndarray          # float64
+    recall: np.ndarray             # float64
+    f: np.ndarray                  # float64
+
+    def __len__(self):
+        return self.method.size
+
+    def take(self, rows) -> "ObservationTable":
+        """The rows a mask or an index array selects, in table order."""
+        return ObservationTable(self.method_names, *(
+            getattr(self, c)[rows]
+            for c in ("method", "node_id", "level", "kind", *MEASURES)))
+
+    def method_rows(self, methods) -> np.ndarray:
+        """Mask of the rows of any of the named ``methods``."""
+        codes = [k for k, m in enumerate(self.method_names) if m in methods]
+        return np.isin(self.method, codes)
 
     def filter(self, method=None, kind=None) -> "ObservationTable":
-        out = [r for r in self.rows
-               if (method is None or r.method == method)
-               and (kind is None or r.kind == kind)]
-        return ObservationTable(out)
+        keep = np.ones(len(self), bool)
+        if method is not None:
+            keep &= self.method_rows((method,))
+        if kind is not None:
+            keep &= self.kind == KINDS.index(kind)
+        return self.take(keep)
 
-    def methods(self):
-        seen = []
-        for r in self.rows:
-            if r.method not in seen:
-                seen.append(r.method)
-        return seen
+    def methods(self) -> list:
+        """The names of the methods present, in order of first row."""
+        codes, first = np.unique(self.method, return_index=True)
+        return [self.method_names[c] for c in codes[np.argsort(first)]]
 
     def values(self, measure: str) -> np.ndarray:
-        return np.asarray([r.measure(measure) for r in self.rows])
+        return getattr(self, measure)
 
 
 def _query_masks(matrix: DocTermMatrix, hierarchy: Hierarchy,
                  specific: dict):
-    """Retrieved-document masks per node for the specific queries and for
-    the generic ones.  Each shared specific query is evaluated once; a
-    generic mask is the parent's generic mask AND the node's own."""
-    no_docs = np.zeros(matrix.n_docs, bool)
-    masks = {}                         # id(shared query) -> mask
-    spec_masks = {}
+    """Retrieved-document masks, one row per node, for the specific queries
+    and for the generic ones.  Each shared specific query is evaluated once;
+    a generic mask is the parent's generic mask AND the node's own."""
+    spec = np.zeros((hierarchy.n_nodes, matrix.n_docs), bool)
+    first = {}                         # id(shared query) -> first node
     for i in range(hierarchy.n_nodes):
         q = specific[i]
         if q is None:
-            spec_masks[i] = no_docs
             continue
-        hit = masks.get(id(q))
-        if hit is None:
-            hit = masks[id(q)] = _eval_mask(matrix, q)
-        spec_masks[i] = hit
-    gen_masks = {}
+        j = first.setdefault(id(q), i)
+        spec[i] = _eval_mask(matrix, q) if j == i else spec[j]
+    gen = np.empty_like(spec)
     for i in hierarchy.order_top_down():
         i = int(i)
         if i == hierarchy.root:
-            gen_masks[i] = spec_masks[i]
+            gen[i] = spec[i]
+        elif specific[i] is None:
+            gen[i] = gen[hierarchy.parent[i]]
         else:
-            parent_mask = gen_masks[int(hierarchy.parent[i])]
-            if specific[i] is None:
-                gen_masks[i] = parent_mask
-            else:
-                gen_masks[i] = parent_mask & spec_masks[i]
-    return spec_masks, gen_masks
+            np.logical_and(gen[hierarchy.parent[i]], spec[i], out=gen[i])
+    return spec, gen
 
 
 def evaluate_all(matrix: DocTermMatrix, hierarchy: Hierarchy,
                  assignments: dict):
-    """Metrics for every (method, node, kind); also returns the derived
+    """Metrics for every (method, node, kind), in the order of
+    ``assignments``, node index and ``KINDS``; also returns the derived
     queries as {method: {"specific": {...}, "generic": {...}}}."""
+    n = hierarchy.n_nodes
+    n_group = np.fromiter(map(len, hierarchy.docsets), np.int64, n)
+    # every docset's documents as flat indices into a node x document mask
+    member = (np.repeat(np.arange(n) * matrix.n_docs, n_group)
+              + np.concatenate(hierarchy.docsets))
+    bounds = np.concatenate([[0], np.cumsum(n_group)])
+
+    def tp(mask):
+        """Each node's retrieved documents that its docset holds."""
+        hits = np.concatenate([[0], np.cumsum(mask.ravel()[member])])
+        return hits[bounds[1:]] - hits[bounds[:-1]]
+
     queries = {}
-    table = ObservationTable()
+    measures = []
     for method, labels in assignments.items():
         specific = derive_specific_queries(hierarchy, labels)
         generic = derive_generic_queries(hierarchy, specific)
-        spec_masks, gen_masks = _query_masks(matrix, hierarchy, specific)
-        for i in range(hierarchy.n_nodes):
-            group = hierarchy.docsets[i]
-            nid = int(hierarchy.ids[i])
-            lvl = int(hierarchy.level[i])
-            for kind, mask in (("specific", spec_masks[i]),
-                               ("generic", gen_masks[i])):
-                precision, recall, f = _metrics_from_counts(
-                    int(mask[group].sum()), int(mask.sum()), len(group))
-                table.rows.append(ObservationRow(method, nid, lvl, kind,
-                                                 precision, recall, f))
+        masks = _query_masks(matrix, hierarchy, specific)
+        measures.append(_metrics_from_counts(
+            np.stack([tp(m) for m in masks], axis=1),
+            np.stack([np.count_nonzero(m, axis=1) for m in masks], axis=1),
+            n_group[:, None]))
         queries[method] = {"specific": specific, "generic": generic}
+    k = len(assignments)
+    table = ObservationTable(
+        tuple(assignments),
+        np.repeat(np.arange(k, dtype=np.int64), n * len(KINDS)),
+        np.tile(np.repeat(hierarchy.ids, len(KINDS)), k),
+        np.tile(np.repeat(hierarchy.level, len(KINDS)), k),
+        np.tile(np.arange(len(KINDS), dtype=np.int64), n * k),
+        *(np.concatenate([m[c].ravel() for m in measures] or [np.zeros(0)])
+          for c in range(len(MEASURES))))
     return table, queries

@@ -31,41 +31,32 @@ class GlmFit:
     n_obs: int
 
 
-def _encode_sum_to_zero(values, levels):
-    """n x (k-1) sum-to-zero contrast columns for one categorical factor."""
-    k = len(levels)
-    pos = {lv: j for j, lv in enumerate(levels)}
-    x = np.zeros((len(values), k - 1))
-    for i, v in enumerate(values):
-        j = pos[v]
-        if j < k - 1:
-            x[i, j] = 1.0
-        else:
-            x[i, :] = -1.0
-    return x
+def _sum_to_zero(pos: np.ndarray, k: int) -> np.ndarray:
+    """n x (k-1) sum-to-zero contrast columns of one categorical factor
+    whose rows hold the level positions ``pos``."""
+    return np.vstack([np.eye(k - 1), -np.ones(k - 1)])[pos]
 
 
-def _fit(y, factor_values: dict, factor_levels: dict) -> GlmFit:
+def _fit(y, factors: dict) -> GlmFit:
+    """``factors`` maps each factor's name to (its ordered level labels,
+    each row's position among them)."""
     n = y.size
-    names = list(factor_values)
     blocks = [np.ones((n, 1))]
-    for name in names:
-        levels = factor_levels[name]
+    sizes = {}
+    for name, (levels, pos) in factors.items():
         if len(levels) < 2:
             raise NumericalError(
                 f"factor {name!r} needs at least two levels, got {levels}"
             )
-        counts = {lv: 0 for lv in levels}
-        for v in factor_values[name]:
-            if v not in counts:
-                raise NumericalError(f"unexpected {name} level {v!r}")
-            counts[v] += 1
-        empty = [lv for lv, c in counts.items() if c == 0]
-        if empty:
+        counts = np.bincount(pos, minlength=len(levels))
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
             raise NumericalError(
-                f"factor {name!r} level {empty[0]!r} has no observations"
+                f"factor {name!r} level {levels[empty[0]]!r} has no "
+                f"observations"
             )
-        blocks.append(_encode_sum_to_zero(factor_values[name], levels))
+        sizes[name] = dict(zip(levels, counts.tolist()))
+        blocks.append(_sum_to_zero(pos, len(levels)))
     x = np.hstack(blocks)
     beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ beta
@@ -74,10 +65,9 @@ def _fit(y, factor_values: dict, factor_levels: dict) -> GlmFit:
     resid_var = rss / df if df > 0 else 0.0
 
     mu = float(beta[0])
-    effects, adjusted, sizes = {}, {}, {}
+    effects, adjusted = {}, {}
     col = 1
-    for name in names:
-        levels = factor_levels[name]
+    for name, (levels, _) in factors.items():
         k = len(levels)
         coef = beta[col:col + k - 1]
         col += k - 1
@@ -85,15 +75,18 @@ def _fit(y, factor_values: dict, factor_levels: dict) -> GlmFit:
         eff[levels[-1]] = float(-coef.sum())
         effects[name] = eff
         adjusted[name] = {lv: mu + e for lv, e in eff.items()}
-        cnt = {lv: 0 for lv in levels}
-        for v in factor_values[name]:
-            cnt[v] += 1
-        sizes[name] = cnt
     return GlmFit(
-        mu=mu, factors={n_: list(factor_levels[n_]) for n_ in names},
+        mu=mu, factors={name: list(levels)
+                        for name, (levels, _) in factors.items()},
         effects=effects, adjusted_means=adjusted, group_sizes=sizes,
         resid_var=resid_var, df_resid=df, n_obs=n,
     )
+
+
+def _level_factor(table: ObservationTable) -> tuple:
+    """The hierarchy-level factor: sorted level labels, row positions."""
+    levels, pos = np.unique(table.level, return_inverse=True)
+    return levels.tolist(), pos
 
 
 def fit_additive_model(table: ObservationTable, measure: str,
@@ -104,28 +97,31 @@ def fit_additive_model(table: ObservationTable, measure: str,
     factor levels come from the data; a ``methods`` list pins the method
     factor's.
     """
-    if not table.rows:
+    if not len(table):
         raise NumericalError("empty observation table")
     y = table.values(measure).astype(np.float64)
-    lv = [r.level for r in table.rows]
-    mt = [r.method for r in table.rows]
     methods = list(methods) if methods is not None else table.methods()
-    return _fit(y, {"level": lv, "method": mt},
-                {"level": sorted(set(lv)), "method": methods})
+    at = {m: j for j, m in enumerate(methods)}
+    pos = np.array([at.get(m, -1) for m in table.method_names],
+                   np.int64)[table.method]
+    if (pos < 0).any():
+        stray = table.method_names[table.method[np.argmax(pos < 0)]]
+        raise NumericalError(f"unexpected method level {stray!r}")
+    return _fit(y, {"level": _level_factor(table), "method": (methods, pos)})
 
 
 def fit_level_model(table: ObservationTable, measure: str) -> GlmFit:
     """measure ~ mean + hierarchy level, for a single method's rows."""
-    if not table.rows:
+    if not len(table):
         raise NumericalError("empty observation table")
-    methods = {r.method for r in table.rows}
-    if len(methods) > 1:
+    codes = np.unique(table.method)
+    if codes.size > 1:
         raise NumericalError(
-            f"level model expects one method, got {sorted(methods)}"
+            f"level model expects one method, got "
+            f"{sorted(table.method_names[c] for c in codes)}"
         )
     y = table.values(measure).astype(np.float64)
-    lv = [r.level for r in table.rows]
-    return _fit(y, {"level": lv}, {"level": sorted(set(lv))})
+    return _fit(y, {"level": _level_factor(table)})
 
 
 # Studentized range quantile by fixed-order composite Gauss-Legendre

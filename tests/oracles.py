@@ -26,26 +26,40 @@ as incidence-matrix products, the Salton filter as a column slice,
 CFAverage's means as sparse sums, and pair counts as the upper triangle of
 ``P.T @ P``.  The library builds the same arrays with numpy alone.
 
+The report readers here go row by row: ``read_labels_csv`` and
+``read_metrics_csv`` build per-row records and check each row as it comes,
+and ``fit_additive_model``/``fit_level_model`` read those records, with
+``_encode_sum_to_zero`` filling the design matrix one row at a time.
+The library reads the same files into columns and checks them with array
+operations.  ``observation_table``, ``observation_rows`` and
+``label_dict`` convert between the library's columns and these row forms.
+
 The scalar twins of the library's vectorised quantities live only here:
 ``score_mtwl_raw``, ``score_idf_global``, ``score_idf_local``,
 ``score_icf``, ``score_flat``, ``sibling_cf``, ``hier_weight``,
 ``cf_measure_leaf``, ``ContingencyCells``, ``contingency_popescul``,
 ``contingency_rcl``, ``chi2_2x2``, ``jsd_2x2``, ``pearson_chi2_children``,
-``select_topk``, ``retrieve``, ``evaluate_node``, ``RetrievalMetrics``
-and ``npmi``.
+``select_topk``, ``retrieve``, ``evaluate_node``, ``RetrievalMetrics``,
+``metrics_from_counts`` and ``npmi``.
 """
 
+import csv
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from hierlabel.corpus import CSR, DocTermMatrix, utf8_error
-from hierlabel.errors import ConfigError, ParseError, ValidationError
+from hierlabel.errors import (ConfigError, NumericalError, ParseError,
+                             ValidationError)
 from hierlabel.labeling import (LabelAssignment, _children_chi2_vec,
                                 _leaf_cf_row, _topk_arrays)
-from hierlabel.queryeval import And, Or, Term, _eval_mask, _metrics_from_counts
+from hierlabel import queryeval as qe
+from hierlabel.cli import MEASURES
+from hierlabel.queryeval import And, Or, Term, _eval_mask
+from hierlabel.stats import GlmFit
 
 
 def score_mtwl_raw(stats, node: int, term: int) -> float:
@@ -244,8 +258,19 @@ class RetrievalMetrics:
     f: float
 
 
+def metrics_from_counts(tp, n_retrieved, n_group) -> tuple:
+    """(precision, recall, f) of a retrieved set holding ``tp`` of the
+    node's ``n_group`` documents."""
+    precision = tp / n_retrieved if n_retrieved else 0.0
+    recall = tp / n_group if n_group else 0.0
+    # zero rule: with either factor zero the harmonic mean is taken as 0
+    f = 2.0 * precision * recall / (precision + recall) \
+        if precision > 0 and recall > 0 else 0.0
+    return precision, recall, f
+
+
 def evaluate_node(hierarchy, node: int, retrieved) -> RetrievalMetrics:
-    """Counts by set membership; precision, recall and F by the library."""
+    """Counts by set membership, then ``metrics_from_counts``."""
     docset = hierarchy.docsets[node]
     if len(docset) == 0:
         raise ValidationError(f"node {node} has an empty document set")
@@ -255,7 +280,7 @@ def evaluate_node(hierarchy, node: int, retrieved) -> RetrievalMetrics:
     fn = len(docset) - tp
     tn = hierarchy.n_docs - tp - fp - fn
     return RetrievalMetrics(tp, fp, fn, tn,
-                            *_metrics_from_counts(tp, len(got), len(docset)))
+                            *metrics_from_counts(tp, len(got), len(docset)))
 
 
 def npmi(counts, a: int, b: int, epsilon: float = 0.0) -> float:
@@ -633,3 +658,254 @@ def cooccurrence(corpus, vocab, restrict_terms=None):
     upper = joint.indices > row
     keys = terms[row[upper]] * m + terms[joint.indices[upper]]
     return unary, keys, joint.data[upper].astype(np.int64)
+
+
+@dataclass
+class ObservationRow:
+    method: str
+    node_id: int
+    level: int
+    kind: str          # "specific" | "generic"
+    precision: float
+    recall: float
+    f: float
+
+    def measure(self, name: str) -> float:
+        return getattr(self, name)
+
+
+@dataclass
+class ObservationTable:
+    """Rectangular record set: one row per (method, node, query kind)."""
+    rows: list = field(default_factory=list)
+
+    def filter(self, method=None, kind=None) -> "ObservationTable":
+        out = [r for r in self.rows
+               if (method is None or r.method == method)
+               and (kind is None or r.kind == kind)]
+        return ObservationTable(out)
+
+    def methods(self):
+        seen = []
+        for r in self.rows:
+            if r.method not in seen:
+                seen.append(r.method)
+        return seen
+
+    def values(self, measure: str) -> np.ndarray:
+        return np.asarray([r.measure(measure) for r in self.rows])
+
+
+def observation_table(rows) -> qe.ObservationTable:
+    """The library's columns of a list of ObservationRows."""
+    names = tuple(dict.fromkeys(r.method for r in rows))
+    return qe.ObservationTable(
+        names,
+        np.array([names.index(r.method) for r in rows], np.int64),
+        np.array([r.node_id for r in rows], np.int64),
+        np.array([r.level for r in rows], np.int64),
+        np.array([qe.KINDS.index(r.kind) for r in rows], np.int64),
+        *(np.array([r.measure(m) for r in rows], np.float64)
+          for m in ("precision", "recall", "f")))
+
+
+def observation_rows(table) -> list:
+    """The ObservationRows of the library's columns, in table order."""
+    return [ObservationRow(table.method_names[m], nid, lvl, qe.KINDS[k],
+                           p, r, f)
+            for m, nid, lvl, k, p, r, f in zip(
+                table.method.tolist(), table.node_id.tolist(),
+                table.level.tolist(), table.kind.tolist(),
+                table.precision.tolist(), table.recall.tolist(),
+                table.f.tolist())]
+
+
+def label_dict(columns) -> dict:
+    """method -> {node_id: [(original term id, score)] in rank order} of
+    the library's labels.csv columns, as ``read_labels_csv`` returns it."""
+    out = {}
+    for m, nid, t, s in zip(columns.method.tolist(), columns.node_id.tolist(),
+                            columns.term.tolist(), columns.score.tolist()):
+        out.setdefault(columns.method_names[m], {}).setdefault(
+            nid, []).append((t, s))
+    return out
+
+
+def _report_rows(path, columns):
+    """Yield (line number, the fields named by ``columns``, in that order)
+    for each row of a report CSV; blank lines are skipped.  A header that
+    lacks one of ``columns``, a row whose width differs from the header's,
+    undecodable text and broken CSV quoting are ParseErrors naming the file
+    and the line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            # a repeated column name counts at its last position
+            at = {name: k for k, name in enumerate(header)}
+            absent = [c for c in columns if c not in at]
+            if absent:
+                raise ParseError(f"{path}:1: header lacks column(s) "
+                                 + ", ".join(absent))
+            pick = operator.itemgetter(*(at[c] for c in columns))
+            width = len(header)
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise _bad_row(path, reader.line_num,
+                                   f"{len(row)} fields, the header has "
+                                   f"{width}")
+                yield reader.line_num, pick(row)
+        except (UnicodeDecodeError, csv.Error) as e:
+            raise ParseError(f"{path}:{reader.line_num}: {e}") from None
+
+
+def _bad_row(path, line, e) -> ParseError:
+    return ParseError(f"{path}:{line}: malformed row ({e})")
+
+
+def read_labels_csv(path) -> dict:
+    """method -> {node_id: [(original term id, score)] in rank order}; at
+    most one row per method, node and rank."""
+    out = {}
+    first = {}                  # (method, node, rank) -> line
+    for line, (method, nid, rank, term, score) in _report_rows(
+            path, ("method", "node_id", "rank", "term_id", "score")):
+        try:
+            nid = int(nid)
+            entry = (int(rank), int(term), float(score))
+        except ValueError as e:
+            raise _bad_row(path, line, e) from None
+        seen = first.setdefault((method, nid, entry[0]), line)
+        if seen != line:
+            raise _bad_row(path, line, f"repeats the row of line {seen}")
+        out.setdefault(method, {}).setdefault(nid, []).append(entry)
+    for per_node in out.values():
+        for nid, entries in per_node.items():
+            entries.sort()
+            per_node[nid] = [(t, s) for _, t, s in entries]
+    return out
+
+
+def read_metrics_csv(path) -> ObservationTable:
+    """The observations of a metrics.csv: at most one row per method, node
+    and query kind, every measure a number in [0, 1]."""
+    table = ObservationTable()
+    first = {}                  # (method, node, kind) -> line
+    for line, (method, nid, level, kind, *values) in _report_rows(
+            path, ("method", "node_id", "level", "kind", *MEASURES)):
+        try:
+            nid, level = int(nid), int(level)
+            precision, recall, f = map(float, values)
+        except ValueError as e:
+            raise _bad_row(path, line, e) from None
+        if not (0 <= precision <= 1 and 0 <= recall <= 1 and 0 <= f <= 1):
+            name, value = next((name, value) for name, value in zip(
+                MEASURES, (precision, recall, f)) if not 0 <= value <= 1)
+            raise _bad_row(path, line, f"{name} {value} is not in [0, 1]")
+        seen = first.setdefault((method, nid, kind), line)
+        if seen != line:
+            raise _bad_row(path, line, f"repeats the row of line {seen}")
+        table.rows.append(ObservationRow(
+            method=method, node_id=nid, level=level, kind=kind,
+            precision=precision, recall=recall, f=f,
+        ))
+    return table
+
+
+def _encode_sum_to_zero(values, levels):
+    """n x (k-1) sum-to-zero contrast columns for one categorical factor."""
+    k = len(levels)
+    pos = {lv: j for j, lv in enumerate(levels)}
+    x = np.zeros((len(values), k - 1))
+    for i, v in enumerate(values):
+        j = pos[v]
+        if j < k - 1:
+            x[i, j] = 1.0
+        else:
+            x[i, :] = -1.0
+    return x
+
+
+def _fit(y, factor_values: dict, factor_levels: dict) -> GlmFit:
+    n = y.size
+    names = list(factor_values)
+    blocks = [np.ones((n, 1))]
+    for name in names:
+        levels = factor_levels[name]
+        if len(levels) < 2:
+            raise NumericalError(
+                f"factor {name!r} needs at least two levels, got {levels}"
+            )
+        counts = {lv: 0 for lv in levels}
+        for v in factor_values[name]:
+            if v not in counts:
+                raise NumericalError(f"unexpected {name} level {v!r}")
+            counts[v] += 1
+        empty = [lv for lv, c in counts.items() if c == 0]
+        if empty:
+            raise NumericalError(
+                f"factor {name!r} level {empty[0]!r} has no observations"
+            )
+        blocks.append(_encode_sum_to_zero(factor_values[name], levels))
+    x = np.hstack(blocks)
+    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+    resid = y - x @ beta
+    rss = float(resid @ resid)
+    df = n - int(rank)
+    resid_var = rss / df if df > 0 else 0.0
+
+    mu = float(beta[0])
+    effects, adjusted, sizes = {}, {}, {}
+    col = 1
+    for name in names:
+        levels = factor_levels[name]
+        k = len(levels)
+        coef = beta[col:col + k - 1]
+        col += k - 1
+        eff = {lv: float(coef[j]) for j, lv in enumerate(levels[:-1])}
+        eff[levels[-1]] = float(-coef.sum())
+        effects[name] = eff
+        adjusted[name] = {lv: mu + e for lv, e in eff.items()}
+        cnt = {lv: 0 for lv in levels}
+        for v in factor_values[name]:
+            cnt[v] += 1
+        sizes[name] = cnt
+    return GlmFit(
+        mu=mu, factors={n_: list(factor_levels[n_]) for n_ in names},
+        effects=effects, adjusted_means=adjusted, group_sizes=sizes,
+        resid_var=resid_var, df_resid=df, n_obs=n,
+    )
+
+
+def fit_additive_model(table: ObservationTable, measure: str,
+                       methods=None) -> GlmFit:
+    """measure ~ mean + hierarchy level + labeling method, least squares.
+
+    The table must already be restricted to a single query kind.  The
+    factor levels come from the data; a ``methods`` list pins the method
+    factor's.
+    """
+    if not table.rows:
+        raise NumericalError("empty observation table")
+    y = table.values(measure).astype(np.float64)
+    lv = [r.level for r in table.rows]
+    mt = [r.method for r in table.rows]
+    methods = list(methods) if methods is not None else table.methods()
+    return _fit(y, {"level": lv, "method": mt},
+                {"level": sorted(set(lv)), "method": methods})
+
+
+def fit_level_model(table: ObservationTable, measure: str) -> GlmFit:
+    """measure ~ mean + hierarchy level, for a single method's rows."""
+    if not table.rows:
+        raise NumericalError("empty observation table")
+    methods = {r.method for r in table.rows}
+    if len(methods) > 1:
+        raise NumericalError(
+            f"level model expects one method, got {sorted(methods)}"
+        )
+    y = table.values(measure).astype(np.float64)
+    lv = [r.level for r in table.rows]
+    return _fit(y, {"level": lv}, {"level": sorted(set(lv))})

@@ -155,7 +155,8 @@ def test_c04_retrieval_correctness(tmp_path):
             stats = corp.build_node_stats(m, h)
             a = lab.label_hierarchy(stats, "MTWL_raw", lab.LabelConfig(p_cap=2))
             table, _ = qe.evaluate_all(m, h, {"MTWL_raw": a})
-            for row in table.filter(kind="specific").rows:
+            for row in oracles.observation_rows(
+                    table.filter(kind="specific")):
                 assert row.precision == 1.0
                 assert row.recall == 1.0
                 assert row.f == 1.0
@@ -207,7 +208,7 @@ def test_c06_f_measure_zero_rule(tmp_path):
         zero_hits = 0
         for m, h, stats, assignments in suite[:40]:
             table, _ = qe.evaluate_all(m, h, assignments)
-            for row in table.rows:
+            for row in oracles.observation_rows(table):
                 rows += 1
                 if row.precision == 0.0 or row.recall == 0.0:
                     zero_hits += 1
@@ -230,10 +231,9 @@ def test_c07_glm_snk_validation():
             for level in (0, 1, 2):
                 for _ in range(5):
                     rows.append((method, level, float(rng.normal())))
-        table = qe.ObservationTable()
-        for i, (method, level, v) in enumerate(rows):
-            table.rows.append(qe.ObservationRow(method, i, level, "specific",
-                                                v, v, v))
+        table = oracles.observation_table([
+            oracles.ObservationRow(method, i, level, "specific", v, v, v)
+            for i, (method, level, v) in enumerate(rows)])
         fit = st.fit_additive_model(table, "f")
         y = np.array([v for _, _, v in rows])
         for method in ("A", "B", "C", "D"):
@@ -257,15 +257,15 @@ def test_c07_glm_snk_validation():
 
         # worked SNK example: means 10 / 9 / 8.2 / 7, n=6, MSE=1, df=20
         unit = np.array([1.5, -1.5, 0.5, -0.5, 0.0, 0.0])
-        toy = qe.ObservationTable()
+        toy = []
         i = 0
         for level, mean in enumerate((10.0, 9.0, 8.2, 7.0)):
             for r in range(6):
                 v = mean + unit[r]
-                toy.rows.append(qe.ObservationRow("A", i, level, "specific",
+                toy.append(oracles.ObservationRow("A", i, level, "specific",
                                                   v, v, v))
                 i += 1
-        lfit = st.fit_level_model(toy, "f")
+        lfit = st.fit_level_model(oracles.observation_table(toy), "f")
         grouping = st.snk_compare(lfit, "level", 0.05)
         assert [(lv, letters) for lv, _, letters in grouping.entries] == \
             [(0, "a"), (1, "ab"), (2, "bc"), (3, "c")]

@@ -4,6 +4,7 @@ stage independence, overrides, and exit codes."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from hierlabel import cli
 from hierlabel import coherence as coh
 from hierlabel import labeling as lab
 
+import oracles
 
 def write_fixture(root, n_docs=12, seed=5):
     """12 docs in a 7-node tree (root, two internal, four leaves)."""
@@ -251,6 +253,12 @@ class TestExitCodes:
         ("stats", "metrics.csv", "short", 2),
         ("stats", "metrics.csv", "repeat", 3),
         ("coherence", "labels.csv", "repeat", 3),
+        # rows that disagree with the hierarchy or name an unknown kind
+        ("evaluate", "labels.csv", "stray", 3),
+        ("coherence", "labels.csv", "stray", 3),
+        ("stats", "metrics.csv", "stray", 3),
+        ("stats", "metrics.csv", "level", 2),
+        ("stats", "metrics.csv", "kind", 2),
     ])
     def test_malformed_report_csv_is_input_error(self, tmp_path, capsys,
                                                  stage, name, damage, line):
@@ -271,6 +279,15 @@ class TestExitCodes:
             rows[1] = rows[1].rsplit(",", 1)[0]
         elif damage == "repeat":
             rows.insert(2, rows[1])
+        elif damage == "stray":             # a row for node 99999
+            fields = rows[1].split(",")
+            fields[1] = "99999"
+            rows.insert(2, ",".join(fields))
+        elif damage in ("level", "kind"):   # node 0 is at level 0
+            fields = rows[1].split(",")
+            fields[rows[0].split(",").index(damage)] = \
+                {"level": "7", "kind": "bogus"}[damage]
+            rows[1] = ",".join(fields)
         else:
             rows = (out / "metrics.csv").read_text().splitlines()
         path.write_text("\n".join(rows) + "\n")
@@ -298,7 +315,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main([stage, "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
-        assert f"{path}: term 1 " in err, err
+        assert f"{path}:2: term 1 " in err, err
 
     @pytest.mark.parametrize("column", ["precision", "recall", "f"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-0.1"])
@@ -593,7 +610,7 @@ class TestReportReaders:
                             f"{0.5 / (k + 1):.6g}"])
                 if k == 2:
                     fh.write("\r\n")              # a blank row is skipped
-        got = cli.read_labels_csv(path)
+        got = oracles.label_dict(cli.read_labels_csv(path)[0])
         assert got == {"RLUM": {
             0: [(10, 0.5), (12, float("0.166667")), (14, 0.1)],
             1: [(11, 0.25), (13, 0.125), (15, float("0.0833333"))],
@@ -613,18 +630,23 @@ class TestReportMutationFuzz:
     STAGES = {"labels.csv": ("evaluate", "coherence"),
               "metrics.csv": ("stats",)}
 
+    @classmethod
+    def mutations(cls, originals):
+        """(case, file name, damaged bytes) of the 120 mutations."""
+        rng = np.random.default_rng(4049)
+        for case in range(120):
+            name = ("labels.csv", "metrics.csv")[case % 2]
+            yield case, name, TestMutationFuzz.mutate(rng, originals[name])
+
     def test_exit_codes(self, tmp_path, capsys):
         cfg = write_fixture(tmp_path / "fx")
         out = tmp_path / "fx" / "out"
         assert cli.main(["all", "--config", str(cfg)]) == 0
         originals = {n: (out / n).read_bytes() for n in self.STAGES}
-        rng = np.random.default_rng(4049)
         escaped, codes = [], []
-        for case in range(120):
-            name = ("labels.csv", "metrics.csv")[case % 2]
+        for case, name, damaged in self.mutations(originals):
             stages = self.STAGES[name]
             stage = stages[(case // 2) % len(stages)]
-            damaged = TestMutationFuzz.mutate(rng, originals[name])
             (out / name).write_bytes(damaged)
             try:
                 rc = cli.main([stage, "--config", str(cfg)])
@@ -640,6 +662,66 @@ class TestReportMutationFuzz:
             capsys.readouterr()
         assert not escaped, escaped[:3]
         assert {0, 3} <= set(codes)
+
+    @staticmethod
+    def content(name, got):
+        """A reader's result with floats as their bits, comparable across
+        the row oracles and the columnar readers."""
+        if name == "labels.csv":
+            return sorted((m, nid, [(t, s.hex()) for t, s in entries])
+                          for m, per in got.items()
+                          for nid, entries in per.items())
+        return [(r.method, r.node_id, r.level, r.kind, r.precision.hex(),
+                 r.recall.hex(), r.f.hex()) for r in got]
+
+    def test_columnar_readers_match_the_row_oracles(self, tmp_path):
+        """On every mutation the columnar reader accepts what the row-wise
+        oracle accepts, with equal content, and rejects what it rejects at
+        the same line.  Beyond the oracle, it rejects a metrics.csv kind
+        other than specific/generic and an integer beyond 64 bits."""
+        cfg = write_fixture(tmp_path / "fx")
+        out = tmp_path / "fx" / "out"
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+        originals = {n: (out / n).read_bytes() for n in self.STAGES}
+        readers = {
+            "labels.csv": (oracles.read_labels_csv,
+                           lambda p: oracles.label_dict(
+                               cli.read_labels_csv(p)[0])),
+            "metrics.csv": (lambda p: oracles.read_metrics_csv(p).rows,
+                            lambda p: oracles.observation_rows(
+                                cli.read_metrics_csv(p)[0])),
+        }
+        outcomes = set()
+        for case, name, damaged in self.mutations(originals):
+            path = tmp_path / f"{case}-{name}"
+            path.write_bytes(damaged)
+            got = {}
+            for side, read in zip(("oracle", "columns"), readers[name]):
+                try:
+                    got[side] = self.content(name, read(path))
+                except cli.ParseError as e:
+                    got[side] = e
+            want, have = got["oracle"], got["columns"]
+            where = (case, name, damaged)
+            if isinstance(want, Exception):
+                outcomes.add("rejected")
+                assert isinstance(have, Exception), where
+                line = rf"^{re.escape(str(path))}:(\d+): "
+                assert re.match(line, str(have)).group(1) == \
+                    re.match(line, str(want)).group(1), (where, have, want)
+            elif isinstance(have, Exception):
+                # the two checks the columnar reader adds
+                outcomes.add("rejected beyond the oracle")
+                if "does not fit in 64 bits" in str(have):
+                    assert re.search(rb"[0-9]{19}", damaged), (where, have)
+                else:
+                    assert name == "metrics.csv" and "kind" in str(have), \
+                        (where, have)
+                    assert {row[3] for row in want} - set(cli.KINDS), where
+            else:
+                outcomes.add("accepted")
+                assert have == want, where
+        assert {"accepted", "rejected"} <= outcomes
 
 
 class TestImports:

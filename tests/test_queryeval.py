@@ -373,9 +373,10 @@ class TestEvaluateAll:
         assignments = {meth: lab.label_hierarchy(stats, meth)
                        for meth in ("MTWL_raw", "RLUM")}
         table, _ = qe.evaluate_all(m, h, assignments)
+        rows = oracles.observation_rows(table)
         # 3 nodes x 2 methods x 2 kinds, each row carrying 3 measures
-        assert len(table.rows) == 12
-        assert len(table.rows) * 3 == 36
+        assert len(rows) == 12
+        assert len(rows) * 3 == 36
 
     def test_disjoint_vocabulary_perfect_f(self, tmp_path):
         from conftest import disjoint_vocab_instance
@@ -386,7 +387,7 @@ class TestEvaluateAll:
         for i in range(h.n_nodes):
             assert sorted(a.terms(i)) == owned[i]
         table, _ = qe.evaluate_all(m, h, {"MTWL_raw": a})
-        for row in table.filter(kind="specific").rows:
+        for row in oracles.observation_rows(table.filter(kind="specific")):
             assert row.precision == 1.0 and row.recall == 1.0 and row.f == 1.0
 
     def test_deterministic(self, tmp_path):
@@ -397,7 +398,7 @@ class TestEvaluateAll:
                        for meth in ("MTWL_raw", "RCL_jsd")}
         t1, _ = qe.evaluate_all(m, h, assignments)
         t2, _ = qe.evaluate_all(m, h, assignments)
-        assert t1.rows == t2.rows
+        assert oracles.observation_rows(t1) == oracles.observation_rows(t2)
 
     def test_zero_rule_over_all_rows(self, tmp_path):
         rng = np.random.default_rng(87)
@@ -405,9 +406,34 @@ class TestEvaluateAll:
         stats = corp.build_node_stats(m, h)
         assignments = lab.label_all(stats)
         table, _ = qe.evaluate_all(m, h, assignments)
-        for row in table.rows:
+        for row in oracles.observation_rows(table):
             if row.precision == 0.0 or row.recall == 0.0:
                 assert row.f == 0.0
+
+    def test_metrics_equal_the_scalar_oracle(self, tmp_path):
+        """Every row's precision, recall and F equal ``evaluate_node``'s on
+        the documents its query retrieves, bit for bit, in method, node and
+        kind order."""
+        rng = np.random.default_rng(86)
+        for trial in range(4):
+            m, h = random_instance(rng, tmp_path, name=f"r{trial}.json")
+            assignments = lab.label_all(corp.build_node_stats(m, h))
+            table, queries = qe.evaluate_all(m, h, assignments)
+            rows = iter(oracles.observation_rows(table))
+            for method in assignments:
+                for i in range(h.n_nodes):
+                    for kind in qe.KINDS:
+                        row = next(rows)
+                        assert (row.method, row.node_id, row.level,
+                                row.kind) == (method, int(h.ids[i]),
+                                              int(h.level[i]), kind)
+                        want = oracles.evaluate_node(h, i, oracles.retrieve(
+                            m, queries[method][kind][i]))
+                        assert [v.hex() for v in (row.precision, row.recall,
+                                                  row.f)] == \
+                            [v.hex() for v in (want.precision, want.recall,
+                                               want.f)]
+            assert next(rows, None) is None
 
     def test_generic_masks_match_retrieve(self, tmp_path):
         # the incremental generic evaluation equals direct query retrieval
@@ -417,7 +443,8 @@ class TestEvaluateAll:
         a = lab.label_hierarchy(stats, "RCL_chi2")
         table, queries = qe.evaluate_all(m, h, {"RCL_chi2": a})
         gen = queries["RCL_chi2"]["generic"]
-        by_key = {(r.node_id, r.kind): r for r in table.rows}
+        by_key = {(r.node_id, r.kind): r
+                  for r in oracles.observation_rows(table)}
         for i in range(h.n_nodes):
             got = by_key[(int(h.ids[i]), "generic")]
             expect = oracles.evaluate_node(h, i, oracles.retrieve(m, gen[i]))

@@ -2,24 +2,24 @@
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hierlabel import queryeval as qe
 from hierlabel import stats as st
 from hierlabel.errors import NumericalError
+
+import oracles
 
 
 def make_table(rows):
     """rows: (method, level, value) -> ObservationTable with f carrying value."""
-    table = qe.ObservationTable()
-    for i, (method, level, value) in enumerate(rows):
-        table.rows.append(qe.ObservationRow(
-            method=method, node_id=i, level=level, kind="specific",
-            precision=value, recall=value, f=value))
-    return table
+    return oracles.observation_table([oracles.ObservationRow(
+        method=method, node_id=i, level=level, kind="specific",
+        precision=value, recall=value, f=value)
+        for i, (method, level, value) in enumerate(rows)])
 
 
 class TestAdditiveModel:
@@ -112,6 +112,56 @@ class TestAdditiveModel:
         for name in ("method", "level"):
             for lv, e in f1.effects[name].items():
                 assert f2.effects[name][lv] == pytest.approx(e, abs=1e-10)
+
+
+class TestColumnsAgainstRows:
+    """The fits on columns against the row-wise fits of tests/oracles.py."""
+
+    def test_design_matrix_equals_the_row_encoding(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            k = int(rng.integers(2, 9))
+            n = int(rng.integers(k, 80))
+            levels = sorted(rng.choice(1000, k, replace=False).tolist())
+            # every level present, in random unbalanced counts and order
+            pos = rng.permutation(np.concatenate(
+                [np.arange(k), rng.integers(0, k, n - k)]))
+            values = [levels[j] for j in pos]
+            got = st._sum_to_zero(pos, k)
+            want = oracles._encode_sum_to_zero(values, levels)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_fits_equal_the_row_fits_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for _ in range(25):
+            methods = [f"M{j}" for j in rng.permutation(
+                int(rng.integers(2, 7)))]
+            levels = sorted(rng.choice(9, int(rng.integers(2, 5)),
+                                       replace=False).tolist())
+            cells = [(m, lv) for m in methods for lv in levels
+                     for _ in range(int(rng.integers(1, 5)))]
+            rows = [oracles.ObservationRow(m, i, lv, "specific",
+                                           *rng.random(3).tolist())
+                    for i, (m, lv) in enumerate(
+                        cells[j] for j in rng.permutation(len(cells)))]
+            columns = oracles.observation_table(rows)
+            table = oracles.ObservationTable(rows)
+            for measure in ("precision", "recall", "f"):
+                for pinned in (methods, None):
+                    assert_same_fit(
+                        st.fit_additive_model(columns, measure, pinned),
+                        oracles.fit_additive_model(table, measure, pinned))
+                for m in methods:
+                    assert_same_fit(
+                        st.fit_level_model(columns.filter(method=m), measure),
+                        oracles.fit_level_model(table.filter(method=m),
+                                                measure))
+
+
+def assert_same_fit(got, want):
+    """Equal GlmFits, every float bit for bit (repr round-trips floats)."""
+    assert repr(asdict(got)) == repr(asdict(want))
 
 
 class TestLevelModel:
