@@ -24,6 +24,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -316,15 +317,31 @@ def stage_label(cfg: RunConfig, tracker: OutputTracker,
         w = csv.writer(fh)
         w.writerow(["method", "node_id", "rank", "term_id", "term_surface",
                     "score"])
-        for method in cfg.methods:
-            labels = assignments[method].labels
-            for i in range(bundle.hierarchy.n_nodes):
-                nid = int(bundle.hierarchy.ids[i])
-                for rank, (t, score) in enumerate(labels.get(i, []), start=1):
-                    orig = int(bundle.orig_id[t])
-                    w.writerow([method, nid, rank, orig,
-                                bundle.vocab_full.surface(orig), fmt(score)])
+        w.writerows(_label_rows(assignments, cfg.methods, bundle))
     return bundle, assignments
+
+
+def _label_rows(assignments, methods, bundle):
+    """labels.csv's rows in method, node and rank order, zipped from
+    columns: method, node id, rank, original term id, surface, score."""
+    h = bundle.hierarchy
+    per_method, sizes, pairs = [], [], []
+    for method in methods:
+        lists = [assignments[method].labels.get(i, [])
+                 for i in range(h.n_nodes)]
+        sizes.extend(map(len, lists))
+        n_before = len(pairs)
+        pairs.extend(chain.from_iterable(lists))
+        per_method.append(repeat(method, len(pairs) - n_before))
+    sizes = np.array(sizes, np.int64)
+    node = np.repeat(np.tile(h.ids, len(methods)), sizes)
+    rank = np.arange(1, len(pairs) + 1) - np.repeat(np.cumsum(sizes) - sizes,
+                                                     sizes)
+    term = bundle.orig_id[np.fromiter((t for t, _ in pairs), np.int64,
+                                      len(pairs))].tolist()
+    return zip(chain.from_iterable(per_method), node.tolist(), rank.tolist(),
+               term, map(bundle.vocab_full.surfaces.__getitem__, term),
+               map(fmt, (score for _, score in pairs)))
 
 
 def _report_columns(path, columns):

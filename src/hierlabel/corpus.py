@@ -162,9 +162,25 @@ class DocTermMatrix:
 
 _INT64_END = 1 << 63
 
+# The node statistics and the labeling methods hold counts and their sums
+# as float64, which are exact only below 2^53; a matrix's whole mass must
+# stay below it.
+MASS_END = 1 << 53
+
 
 def _fits_int64(value: int) -> bool:
     return -_INT64_END <= value < _INT64_END
+
+
+def _mass_reaches(counts, end: int) -> bool:
+    """Whether positive int64 counts sum to ``end`` (at most 2^62) or more,
+    without overflow: with every count below ``end``, the first prefix sum
+    that reaches it is below 2 * end, so it is exact."""
+    if counts.size == 0:
+        return False
+    if counts.max() >= end:
+        return True
+    return bool((np.cumsum(counts) >= end).any())
 
 
 def utf8_error(path) -> ParseError:
@@ -208,7 +224,8 @@ def load_matrix(path, max_docs: int | None = None) -> DocTermMatrix:
     that size is allocated.  The triplets are parsed in bulk when the text
     is ASCII and breaks lines only at "\n" (numpy misreads some non-ASCII
     characters as digits); otherwise, and whenever the bulk parse fails,
-    a loop over the lines parses them and names the first bad line.
+    a loop over the lines parses them and names the first bad line.  A
+    matrix whose counts sum to 2^53 or more is rejected.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -240,8 +257,17 @@ def load_matrix(path, max_docs: int | None = None) -> DocTermMatrix:
                          f"the hierarchy lists only {max_docs} document ids")
     cells = _bulk_cells(body) if bulk else None
     if cells is not None:
-        return DocTermMatrix.from_cells(n_docs, n_terms, *cells)
-    lines = lines or text.splitlines()
+        matrix = DocTermMatrix.from_cells(n_docs, n_terms, *cells)
+    else:
+        matrix = _matrix_from_lines(path, lines or text.splitlines(),
+                                    n_docs, n_terms)
+    if _mass_reaches(matrix.csr.data, MASS_END):
+        raise ValidationError(f"{path}: the counts sum to 2^53 or more, "
+                              f"beyond exact float64 sums")
+    return matrix
+
+
+def _matrix_from_lines(path, lines, n_docs, n_terms) -> DocTermMatrix:
     docs, terms, counts = [], [], []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():

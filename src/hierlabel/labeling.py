@@ -116,32 +116,38 @@ def _icf_at(stats, node, idx):
 # The 2x2 chi-square and Jensen-Shannon statistics, shared by RCL, HierRCL
 # and the per-child chi-square test; their scalar forms are in
 # tests/oracles.py.  A cell is 0 whenever a marginal (chi-square) or the
-# node or grand mass (JSD) is not strictly positive, and x*log2(y) is 0
-# when x = 0.  The cells broadcast, so a term-only cell (shape (k,)) is
-# computed once for a block of rows (shape (r, k)).  Cells that a guard
-# rejects are computed too and replaced by a select, which costs a
-# fraction of masking every operation and keeps the guarded values.
+# node mass (JSD, whose callers skip such a node) is 0, and x*log2(y) is 0
+# when x = 0.  Callers pass each input at the scope it depends on (a
+# scalar, a term row of shape (k,), an ancestor column of shape (r, 1)), so
+# broadcasting computes every intermediate once per scope and only the rest
+# per cell.  Cell counts are exact integers below 2^53, so the marginals
+# the callers derive are exact and never negative, and the guards follow
+# from them without masks.
 
-def _chi2_formula_vec(tp, fn, fp, tn, s):
-    m1, m2, m3, m4 = tp + fn, fp + tn, tp + fp, fn + tn
-    ok = (m1 > 0) & (m2 > 0) & (m3 > 0) & (m4 > 0)
+def _chi2_formula_vec(tp, tn, fn_fp, m1, m2, m3, m4, s):
+    """(tp*tn - fn*fp)^2 * s / (m1*m2*m3*m4), with ``fn_fp`` = fn*fp and
+    m1..m4 = tp+fn, fp+tn, tp+fp, fn+tn.  The marginals are >= 0, so their
+    product is positive exactly when all four are; the other cells are 0."""
+    den = m1 * m2 * m3 * m4
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = (tp * tn - fn * fp) ** 2 * s / (m1 * m2 * m3 * m4)
-    return np.where(ok, v, 0.0)
+        v = (tp * tn - fn_fp) ** 2 * s / den
+    np.copyto(v, 0.0, where=den <= 0)
+    return v
 
 
-def _jsd_formula_vec(tp, fn, fp, tn):
-    node_mass = tp + fn
-    grand = tp + fp + fn + tn
-    valid = (node_mass > 0) & (grand > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = tp / node_mass
-        q = (tp + fp) / grand
-        log_mid = np.log2(0.5 * (p + q))
-        p_part = p * (np.log2(p) - log_mid)
-        q_part = q * (np.log2(q) - log_mid)
-    return (np.where(valid & (p > 0), p_part, 0.0)
-            + np.where(valid & (q > 0), q_part, 0.0))
+def _log2_or_zero(x):
+    """log2(x), with 0 where x = 0."""
+    return np.log2(np.where(x > 0, x, 1.0))
+
+
+def _jsd_formula_vec(p, log2_p, q):
+    """p*(log2(p) - log2(mid)) + q*(log2(q) - log2(mid)), mid = (p + q)/2,
+    for the node share p = tp/(tp+fn) of a node with mass and the reference
+    share q = (tp+fp)/(tp+fn+fp+tn).  ``log2_p`` is ``_log2_or_zero(p)``:
+    where p = 0 the first term is 0 * (0 - log2(mid)) = +0.0, as mid <= 1.
+    The callers score only terms with tp + fp > 0, so q > 0 throughout."""
+    log_mid = np.log2(0.5 * (p + q))
+    return p * (log2_p - log_mid) + q * (np.log2(q) - log_mid)
 
 
 def _children_chi2_vec(stats, node):
@@ -171,16 +177,19 @@ def _children_chi2_vec(stats, node):
 def _children_max_2x2_vec(stats, node):
     """Literal reading: the worst per-child 2x2 statistic for each term."""
     kids = stats.hierarchy.children[node]
-    f_node = stats.freq_row(node).astype(np.float64)
+    f_node = stats.freq_row(node).astype(np.float64)   # tp + fp
     s = float(stats.node_total[node])
+    m4 = s - f_node                                     # fn + tn
     best = np.zeros(stats.n_terms)
     for ch in kids:
         ch = int(ch)
         tp = stats.freq_row(ch).astype(np.float64)
-        fn = float(stats.node_total[ch]) - tp
+        m1 = float(stats.node_total[ch])
+        fn = m1 - tp
         fp = f_node - tp
         tn = s - (tp + fn + fp)
-        np.maximum(best, _chi2_formula_vec(tp, fn, fp, tn, s), out=best)
+        v = _chi2_formula_vec(tp, tn, fn * fp, m1, s - m1, f_node, m4, s)
+        np.maximum(best, v, out=best)
     return best
 
 
@@ -259,19 +268,27 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
         for i in range(n):
             p = int(stats.parent_or_self[i])
             # a term absent from the parent's subtree has tp = fp = 0 and
-            # scores 0, so only the parent's sparse row is scored
+            # scores 0, so only the parent's sparse row, where tp + fp > 0,
+            # is scored; tp + fn + fp + tn is the parent's mass
             idx, f_p = _row_arrays(stats.freq, p)
             tp = stats.freq_row(i)[idx].astype(np.float64)
-            fn = float(stats.node_total[i]) - tp
+            m1 = float(stats.node_total[i])
+            fn = m1 - tp
             fp = f_p - tp
             if cfg.rcl_fp == "literal":
                 fp = np.maximum(fp - tp, 0.0)
-            s = float(stats.node_total[p]) - float(stats.node_total[i])
+            grand = float(stats.node_total[p])
+            s = grand - m1          # fp + tn
             tn = s - fp
             if method == "RCL_chi2":
-                score = _chi2_formula_vec(tp, fn, fp, tn, s)
+                score = _chi2_formula_vec(tp, tn, fn * fp, m1, s, tp + fp,
+                                          fn + tn, s)
+            elif m1 > 0:
+                p_share = tp / m1
+                score = _jsd_formula_vec(p_share, _log2_or_zero(p_share),
+                                         (tp + fp) / grand)
             else:
-                score = _jsd_formula_vec(tp, fn, fp, tn)
+                score = np.zeros(idx.size)
             out.labels[i] = _topk_arrays(idx, score, tp, cfg.p_cap)
         return out
 
@@ -296,7 +313,14 @@ def _hier_rcl(stats, method, cfg):
     scored against its ancestors in blocks of rows; only s and e differ
     between the rows.  g runs in pre-order, so every acc[i, t] adds its
     terms in descendants(i) order, and the sums are the ones the per-node
-    loop over descendants(i) gives, bit for bit."""
+    loop over descendants(i) gives, bit for bit.
+
+    Every value is computed at the scope it depends on: per g those of
+    the term alone, per block row those of s alone, per cell the rest.  A
+    g without mass scores +0.0 throughout, which leaves acc as it is, so
+    it is skipped.  A g with mass holds a term, so its parent's support
+    row is not empty; on it s >= tp + fn + fp and s >= tp + fp > 0, and
+    tp + fn + fp + tn is s exactly."""
     h = stats.hierarchy
     internal = np.flatnonzero(stats.child_count > 0)
     acc_row = np.full(stats.n_nodes, -1, np.int64)
@@ -304,30 +328,37 @@ def _hier_rcl(stats, method, cfg):
     acc = np.zeros((internal.size, stats.n_terms))
     s_of = stats.node_total[stats.parent_or_self].astype(np.float64)
     path = np.empty(int(h.level.max()) + 1, np.int64)   # root ... g
+    chi2 = method == "HierRCL_chi2"
     for g in h.preorder:
         lvl = int(h.level[g])
         path[lvl] = g
-        if lvl == 0:
+        m1 = float(stats.node_total[g])    # tp + fn on every term
+        if lvl == 0 or m1 == 0:
             continue
         pg = int(h.parent[g])
         idx, support = _row_arrays(stats.child_support, pg)
-        if idx.size == 0:
-            continue
         cf = support / int(stats.child_count[pg])
         tp = stats.freq_row(g)[idx].astype(np.float64)
-        fn = float(stats.node_total[g]) - tp
+        fn = m1 - tp
         fp = stats.freq_row(pg)[idx].astype(np.float64) - tp
         if cfg.rcl_fp == "literal":
             fp = np.maximum(fp - tp, 0.0)
+        m3 = tp + fp
+        if chi2:
+            t3 = tp + fn + fp
+            fn_fp = fn * fp
+        else:
+            p = tp / m1
+            log2_p = _log2_or_zero(p)
         step = max(1, _BLOCK_CELLS // idx.size)   # ancestors per block
         for a in range(0, lvl, step):
             anc = path[a:min(a + step, lvl)]
             s = s_of[anc][:, None]
-            tn = s - (tp + fn + fp)
-            if method == "HierRCL_chi2":
-                v = _chi2_formula_vec(tp, fn, fp, tn, s)
+            if chi2:
+                v = _chi2_formula_vec(tp, s - t3, fn_fp, m1, s - m1, m3,
+                                      s - m3, s)
             else:
-                v = _jsd_formula_vec(tp, fn, fp, tn)
+                v = _jsd_formula_vec(p, log2_p, m3 / s)
             e = (lvl - np.arange(a, a + anc.size, dtype=np.float64))[:, None]
             # one row at a time: 1-D fancy indexing is about twice as fast
             # as np.ix_ here

@@ -14,8 +14,10 @@ adds the same terms into dense rows.
 HierRCL here is the per-(node, descendant) loop over dense term rows, with
 the descendants found by a stack walk and the 2x2 statistics evaluated
 under masks; the library scores each descendant once, against all its
-ancestors, on a sparse row.  Top-P here sorts every positive score; the
-library partitions first.
+ancestors, on a sparse row, and folds the guards into exact identities of
+the cell counts.  RCL and the per-child 2x2 maximum here are the same
+masked statistics on dense rows.  Top-P here sorts every positive score;
+the library partitions first.
 
 The matrix reader here parses every line in a Python loop; the library
 parses the triplets in one numpy call and keeps the loop for the inputs
@@ -436,6 +438,43 @@ def topk(term_ids, scores, tie_freq, p_cap):
     return [(int(t[i]), float(sc[i])) for i in order]
 
 
+def rcl(stats, method, cfg):
+    """RCL_chi2 / RCL_jsd: each node against its parent's subtree less the
+    node itself, on dense rows."""
+    out = LabelAssignment(method)
+    all_terms = np.arange(stats.n_terms, dtype=np.int64)
+    for i in range(stats.n_nodes):
+        p = int(stats.parent_or_self[i])
+        tp = stats.freq_row(i).astype(np.float64)
+        fn = float(stats.node_total[i]) - tp
+        fp = stats.freq_row(p).astype(np.float64) - tp
+        if cfg.rcl_fp == "literal":
+            fp = np.maximum(fp - tp, 0.0)
+        s = float(stats.node_total[p]) - float(stats.node_total[i])
+        tn = s - fp
+        if method == "RCL_chi2":
+            v = chi2_masked(tp, fn, fp, tn, s)
+        else:
+            v = jsd_masked(tp, fn, fp, tn)
+        out.labels[i] = topk(all_terms, v, tp, cfg.p_cap)
+    return out
+
+
+def children_max_2x2(stats, node):
+    """The largest per-child 2x2 chi-square of each term over the node's
+    children (the ``per_child_2x2`` reading), on dense rows."""
+    f_node = stats.freq_row(node).astype(np.float64)
+    s = float(stats.node_total[node])
+    best = np.zeros(stats.n_terms)
+    for ch in stats.hierarchy.children[node]:
+        tp = stats.freq_row(int(ch)).astype(np.float64)
+        fn = float(stats.node_total[int(ch)]) - tp
+        fp = f_node - tp
+        tn = s - (tp + fn + fp)
+        best = np.maximum(best, chi2_masked(tp, fn, fp, tn, s))
+    return best
+
+
 def hier_rcl(stats, method, cfg):
     """HierRCL_chi2 / HierRCL_jsd: for each node, the discounted sum over
     its descendants of sibling_cf times the 2x2 statistic, on dense rows."""
@@ -499,7 +538,8 @@ def hier_base(stats):
 
 def load_matrix(path):
     """The triplet reader as a loop over ``str.splitlines``: each line
-    stripped, split on whitespace and read with ``int``."""
+    stripped, split on whitespace and read with ``int``; the counts' sum
+    is a Python int."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -533,13 +573,18 @@ def load_matrix(path):
         terms.append(t)
         counts.append(c)
     try:
-        return DocTermMatrix.from_cells(n_docs, n_terms, docs, terms, counts)
+        matrix = DocTermMatrix.from_cells(n_docs, n_terms, docs, terms,
+                                          counts)
     except OverflowError:
         ln = next(ln for ln, line in enumerate(lines[1:], start=2)
                   if not all(-(1 << 63) <= int(x) < 1 << 63
                              for x in line.split()))
         raise ParseError(f"{path}:{ln}: value does not fit in 64 bits") \
             from None
+    if sum(counts) >= 1 << 53:
+        raise ValidationError(f"{path}: the counts sum to 2^53 or more, "
+                              f"beyond exact float64 sums")
+    return matrix
 
 
 def to_scipy(record: CSR) -> sp.csr_matrix:

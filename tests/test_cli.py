@@ -359,6 +359,23 @@ class TestExitCodes:
         assert f"{path}:1:" in err, err
         assert "1099511627776" in err and "12" in err, err
 
+    def test_matrix_mass_beyond_2_53_is_input_error(self, tmp_path, capsys):
+        # two cells of 2^62 wrap an int64 node total; nothing is labeled
+        cfg = write_fixture(tmp_path / "fx")
+        path = tmp_path / "fx" / "matrix.txt"
+        lines = path.read_text().splitlines()
+        term = lines[1].split()[1]
+        rows = [k for k, ln in enumerate(lines[1:], 1)
+                if ln.split()[1] == term][:2]
+        for k in rows:
+            d, t, _ = lines[k].split()
+            lines[k] = f"{d} {t} {1 << 62}"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["all", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}:" in err and "2^53" in err, err
+        assert not (tmp_path / "fx" / "out" / "labels.csv").exists()
+
     @pytest.mark.parametrize("name,code", [
         ("matrix.txt", 3), ("vocab.tsv", 3), ("hier.json", 3),
         ("reference.txt", 3), ("config.json", 2),

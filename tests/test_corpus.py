@@ -52,6 +52,29 @@ class TestLoadMatrix:
         with pytest.raises(ValidationError, match="count"):
             corp.load_matrix(p)
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])   # bulk parse, line loop
+    def test_mass_below_2_53_only(self, tmp_path, eol):
+        # float64 holds the node sums exactly only below 2^53
+        p = tmp_path / "m.txt"
+        for total, ok in ((corp.MASS_END - 1, True), (corp.MASS_END, False)):
+            p.write_text(eol.join(["2 2", "0 0 5", f"1 1 {total - 5}", ""]))
+            if ok:
+                assert int(corp.load_matrix(p).csr.data.sum()) == total
+            else:
+                with pytest.raises(ValidationError, match="2\\^53") as e:
+                    corp.load_matrix(p)
+                assert str(p) in str(e.value)
+
+    def test_mass_check_does_not_wrap(self):
+        # 2^12 counts of 2^52 sum to 2^64, which an int64 sum wraps to 0
+        wraps = np.full(1 << 12, 1 << 52, np.int64)
+        assert wraps.sum() == 0
+        assert corp._mass_reaches(wraps, corp.MASS_END)
+        assert corp._mass_reaches(np.array([1 << 62, 1 << 62]), corp.MASS_END)
+        assert not corp._mass_reaches(np.array([corp.MASS_END - 2, 1]),
+                                      corp.MASS_END)
+        assert not corp._mass_reaches(np.array([], np.int64), corp.MASS_END)
+
     def test_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(7)
         m = matrix_from_cells(5, 6, [(0, 1, 2), (4, 5, 1), (2, 0, 9)])
@@ -135,6 +158,7 @@ class TestBulkMatrixAgainstLoop:
         "0 1 1\x0c\n1 2 1\n", "0\u20281 1\n", "0 1 1\n1\u01fe 2 1\n",
         "0 1 1\r\n\r\n \t\r\n1\t2\t+1\r\n",
         f"0 1 {2**63}\n", f"0 1 {2**63 - 1}\n", f"{-2**63} 1 1\n",
+        f"0 1 {2**53 - 1}\n",
     ])
     def test_cases_the_bulk_parse_must_hand_on(self, tmp_path, body):
         path = tmp_path / "m.txt"

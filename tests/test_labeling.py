@@ -479,33 +479,82 @@ class TestRankingMethods:
                 assert s1 == pytest.approx(s2, rel=1e-9)
 
 
+def edge_instance(rng, n_terms=5):
+    """A 9-node tree whose HierRCL cells hit each zero guard: node 5 holds
+    no cells (m1 = 0); node 4 holds all of its grandparent 1's mass, as 1
+    is unary and 4's sibling is 5 (m2 = 0 against ancestor 3); and node 2's
+    subtree holds term 0 alone (m4 = 0 for 7 and 8 against ancestor 6)."""
+    records = [
+        {"id": 0, "parent": None, "children": [1, 2], "docs": []},
+        {"id": 1, "parent": 0, "children": [3], "docs": []},
+        {"id": 2, "parent": 0, "children": [6], "docs": []},
+        {"id": 3, "parent": 1, "children": [4, 5], "docs": []},
+        {"id": 4, "parent": 3, "children": [], "docs": [0, 1, 2]},
+        {"id": 5, "parent": 3, "children": [], "docs": [3]},
+        {"id": 6, "parent": 2, "children": [7, 8], "docs": []},
+        {"id": 7, "parent": 6, "children": [], "docs": [4, 5]},
+        {"id": 8, "parent": 6, "children": [], "docs": [6]},
+    ]
+    cells = [(d, int(t), int(rng.integers(1, 7))) for d in (0, 1, 2)
+             for t in rng.choice(n_terms, int(rng.integers(1, n_terms + 1)),
+                                 replace=False)]
+    cells += [(d, 0, int(rng.integers(1, 7))) for d in (4, 5, 6)]
+    return matrix_from_cells(7, n_terms, cells), records
+
+
 class TestHierRclAgainstOracle:
 
     @pytest.mark.parametrize("rcl_fp", ["corrected", "literal"])
     def test_property_against_oracle(self, tmp_path, rcl_fp):
-        # unary nodes and children declared out of id order; every
-        # positive score is ranked and compared exactly
+        # unary nodes, children declared out of id order and the edge
+        # instances; every positive score is ranked and compared exactly,
+        # and so are RCL's and the per-child 2x2 statistics
         rng = np.random.default_rng(61)
-        unary = shuffled = 0
-        for trial in range(14):
-            n_docs = int(rng.integers(4, 40))
-            n_terms = int(rng.integers(3, 25))
-            m = random_matrix(rng, n_docs, n_terms)
-            records = random_tree_records(rng, n_docs,
-                                          int(rng.integers(4, 24)))
+        seen = dict.fromkeys(("unary", "shuffled", "no_mass", "m2_zero",
+                              "m4_zero"), 0)
+        for trial in range(17):
+            if trial < 14:
+                n_docs = int(rng.integers(4, 40))
+                n_terms = int(rng.integers(3, 25))
+                m = random_matrix(rng, n_docs, n_terms)
+                records = random_tree_records(rng, n_docs,
+                                              int(rng.integers(4, 24)))
+            else:
+                m, records = edge_instance(rng)
+                n_terms = m.n_terms
             for r in records:
-                unary += len(r["children"]) == 1
+                seen["unary"] += len(r["children"]) == 1
                 before = list(r["children"])
                 rng.shuffle(r["children"])
-                shuffled += r["children"] != before
+                seen["shuffled"] += r["children"] != before
             h = hierarchy_from_records(records, m, tmp_path, f"o{trial}.json")
             stats = corp.build_node_stats(m, h)
+            # s, the mass of an ancestor's parent subtree, is smallest at
+            # g's parent: a cell has m2 = s - m1 = 0 or m4 = s - f_pg = 0
+            # (corrected fp) there
+            mass = stats.node_total
+            g = np.flatnonzero(h.level > 0)
+            s_g = mass[stats.parent_or_self[h.parent[g]]]
+            seen["no_mass"] += (mass[g] == 0).any()
+            seen["m2_zero"] += ((mass[g] > 0) & (mass[g] == s_g)).any()
+            for pg in np.unique(h.parent[g]):
+                f = stats.freq_row(int(pg))
+                s_p = mass[stats.parent_or_self[pg]]
+                seen["m4_zero"] += ((f > 0) & (f == s_p)).any()
             cfg = lab.LabelConfig(p_cap=n_terms, rcl_fp=rcl_fp)
             for method in lab.HIER_RCL_SCHEMES:
                 got = lab.label_hierarchy(stats, method, cfg).labels
                 want = oracles.hier_rcl(stats, method, cfg).labels
                 assert got == want, (trial, method)
-        assert unary and shuffled
+            for method in lab.RCL_SCHEMES:
+                got = lab.label_hierarchy(stats, method, cfg).labels
+                want = oracles.rcl(stats, method, cfg).labels
+                assert got == want, (trial, method)
+            for i in np.flatnonzero(stats.child_count > 0):
+                got = lab._children_max_2x2_vec(stats, int(i))
+                want = oracles.children_max_2x2(stats, int(i))
+                assert np.array_equal(got, want), (trial, i)
+        assert all(seen.values()), seen
 
 
 class TestPopesculUngar:
