@@ -655,10 +655,14 @@ class NodeTermStats:
         leaf_freq = (np.add.reduceat(c.data[order], start) if start.size
                      else np.empty(0, np.int64))
         leaf_df = np.diff(np.append(start, key.size))
-        ptr = np.searchsorted(leaf_node, np.arange(n + 1))
+        ptr = np.searchsorted(leaf_node, np.arange(n + 1)).tolist()
+        # a list per table with a row per node; the leaf rows are views,
+        # which alone keep the leaf arrays alive from here on
+        terms, freqs, dfs = ([v[ptr[i]:ptr[i + 1]] for i in range(n)]
+                             for v in (leaf_term, leaf_freq, leaf_df))
         empty = np.empty(0, np.int64)
-        rows = [(leaf_term[ptr[i]:ptr[i + 1]], leaf_freq[ptr[i]:ptr[i + 1]],
-                 leaf_df[ptr[i]:ptr[i + 1]], empty) for i in range(n)]
+        supports = [empty] * n
+        del key, order, start, leaf_node, leaf_term, leaf_freq, leaf_df
 
         # internal rows: the children's rows added into dense rows, children
         # before parents; a child adds 1 to the support of each of its terms
@@ -667,28 +671,30 @@ class NodeTermStats:
             if not hierarchy.children[i].size:
                 continue
             for ch in hierarchy.children[i]:
-                idx, f, df, _ = rows[ch]
-                f_acc[idx] += f
-                df_acc[idx] += df
+                idx = terms[ch]
+                f_acc[idx] += freqs[ch]
+                df_acc[idx] += dfs[ch]
                 support_acc[idx] += 1
             idx = np.flatnonzero(f_acc)
-            rows[i] = (idx, f_acc[idx], df_acc[idx], support_acc[idx])
+            terms[i], freqs[i] = idx, f_acc[idx]
+            dfs[i], supports[i] = df_acc[idx], support_acc[idx]
             f_acc[idx] = df_acc[idx] = support_acc[idx] = 0
 
-        # freq and docfreq share their structure
+        # each list is emptied as soon as its table is built, so the rows
+        # and the tables are not all held at once; freq and docfreq share
+        # their structure, and child_support's rows are those of the nodes
+        # with children
         indptr = np.zeros(n + 1, np.int64)
-        np.cumsum([r[0].size for r in rows], out=indptr[1:])
-        indices = np.concatenate([r[0] for r in rows])
-        self.freq = CSR(indptr, indices, np.concatenate([r[1] for r in rows]),
-                        (n, m))
-        self.docfreq = CSR(indptr, indices,
-                           np.concatenate([r[2] for r in rows]), (n, m))
+        np.cumsum([t.size for t in terms], out=indptr[1:])
+        indices = _drain(terms)
         support_ptr = np.zeros(n + 1, np.int64)
-        np.cumsum([r[3].size for r in rows], out=support_ptr[1:])
+        np.cumsum([t.size for t in supports], out=support_ptr[1:])
         self.child_support = CSR(
             support_ptr,
-            np.concatenate([empty] + [r[0] for r in rows if r[3].size]),
-            np.concatenate([r[3] for r in rows]), (n, m))
+            indices[np.repeat(np.diff(support_ptr) > 0, np.diff(indptr))],
+            _drain(supports), (n, m))
+        self.freq = CSR(indptr, indices, _drain(freqs), (n, m))
+        self.docfreq = CSR(indptr, indices, _drain(dfs), (n, m))
 
         running = np.concatenate([[0], np.cumsum(self.freq.data)])
         self.node_total = running[self.freq.indptr[1:]] \
@@ -770,6 +776,14 @@ class NodeTermStats:
             self._hier_base = CSR.from_sorted(internal[ir], it, total[ir, it],
                                               (n, m))
         return self._hier_base
+
+
+def _drain(pieces: list) -> np.ndarray:
+    """The arrays of ``pieces`` concatenated; the list is emptied, so they
+    can be freed as soon as the result exists."""
+    out = np.concatenate(pieces)
+    pieces.clear()
+    return out
 
 
 def build_node_stats(matrix: DocTermMatrix, hierarchy: Hierarchy) -> NodeTermStats:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .corpus import NodeTermStats
 from .errors import ConfigError
+from .special import gamma_quantile
 
 METHODS = (
     "MTWL_raw", "MTWL_idf", "ICWL_raw", "ICWL_idf",
@@ -77,11 +78,11 @@ class LabelAssignment:
 
 @lru_cache(maxsize=None)
 def _chi2_critical(alpha: float, df: int) -> float:
-    """Upper-alpha quantile of chi-square with df degrees of freedom, as
-    scipy's chi2.ppf(1 - alpha, df) computes it.  scipy.special is imported
-    here, so that only runs of PopesculUngar or RLUM load it."""
-    from scipy.special import gammaincinv
-    return float(2 * gammaincinv(df / 2, 1.0 - alpha))
+    """Upper-alpha quantile of chi-square with df degrees of freedom:
+    2 P^-1(df / 2, 1 - alpha), P the regularized lower incomplete gamma
+    function, as scipy's chi2.ppf(1 - alpha, df) defines it.  Where
+    1 - alpha rounds to 1 (alpha <= 2^-54) it is inf."""
+    return 2.0 * gamma_quantile(df / 2, 1.0 - alpha)
 
 
 def _idf_global_vec(stats):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .queryeval import ObservationTable
+from .special import gamma_quantile, ndtr
 
 
 @dataclass
@@ -132,8 +133,8 @@ def fit_level_model(table: ObservationTable, measure: str) -> GlmFit:
 #     W(w) = k int phi(z) (Phi(z + w) - Phi(z))^(k - 1) dz.
 # z runs over [-8.5, 8.5] and u = log s between the 1e-17 tails of S, each
 # on 6 panels of 32 nodes; from df = 1e5 on, F(q) = W(q) (known variance).
-# Phi and the tails of S come from scipy.special, imported where they are
-# used, so that importing this module does not load scipy.
+# Phi is the cephes normal cdf and the tails of S are inverse incomplete
+# gamma functions, both from .special, so no stats run loads scipy.
 _GL_PANELS, _GL_ORDER = 6, 32
 _Z_SPAN = 8.5
 _S_TAIL = 1e-17
@@ -153,7 +154,6 @@ def _gauss_legendre(lo: float, hi: float, panels: int = _GL_PANELS):
 @lru_cache(maxsize=1)
 def _z_rule():
     """z nodes, phi(z) * weight and Phi(z); built on first use."""
-    from scipy.special import ndtr
     z, w = _gauss_legendre(-_Z_SPAN, _Z_SPAN)
     return z, w * _INV_SQRT_2PI * np.exp(-0.5 * z * z), ndtr(z)
 
@@ -161,10 +161,9 @@ def _z_rule():
 @lru_cache(maxsize=None)
 def _s_rule(df: float):
     """s nodes and the weights of the density of S in u = log s."""
-    from scipy.special import gammainccinv, gammaincinv
     a = 0.5 * df
-    lo = math.log(2.0 * gammaincinv(a, _S_TAIL) / df) / 2.0
-    hi = math.log(2.0 * gammainccinv(a, _S_TAIL) / df) / 2.0
+    lo = math.log(2.0 * gamma_quantile(a, _S_TAIL) / df) / 2.0
+    hi = math.log(2.0 * gamma_quantile(a, _S_TAIL, upper=True) / df) / 2.0
     # df < 5 widens the range (to 41 at df = 1); keep panels <= 1.6 wide
     u, w = _gauss_legendre(lo, hi, max(_GL_PANELS, math.ceil((hi - lo) / 1.6)))
     s = np.exp(u)
@@ -178,7 +177,6 @@ def _s_rule(df: float):
 def _range_cdf_pdf(w, k: int):
     """W and dW/dw of the range of k standard normals at each w in the
     column vector ``w``."""
-    from scipy.special import ndtr
     z, wphi, cdf_z = _z_rule()
     zw = z + w
     d = ndtr(zw) - cdf_z

@@ -759,22 +759,25 @@ class TestImports:
         code = "import sys, hierlabel.cli; print('scipy.stats' in sys.modules)"
         assert self.loaded(code) == "False"
 
-    def test_stages_without_special_functions_load_no_scipy(self, tmp_path):
-        """validate, evaluate, coherence and a label run without the
-        chi-square methods use numpy alone; no run loads scipy.sparse."""
+    def test_no_stage_loads_scipy(self, tmp_path):
+        """Every subcommand uses numpy alone: the chi-square methods, the
+        studentized range of stats, and all of them in one `all` run.  The
+        run also reaches both special functions, so a lazy scipy import in
+        either would show."""
         cfg = write_fixture(tmp_path / "fx")
         assert cli.main(["all", "--config", str(cfg)]) == 0
-        runs = [["validate"], ["evaluate"], ["coherence"],
+        runs = [["validate"],
+                ["label", "--methods", "PopesculUngar,RLUM", "--out",
+                 str(tmp_path / "chi2")],
                 ["label", "--methods", "MTWL_raw", "--out",
-                 str(tmp_path / "mtwl")]]
-        code = ("import sys\nfrom hierlabel import cli\n"
+                 str(tmp_path / "mtwl")],
+                ["evaluate"], ["stats"], ["coherence"],
+                ["all", "--out", str(tmp_path / "all")]]
+        code = ("import sys\nfrom hierlabel import cli, labeling, stats\n"
                 f"for argv in {runs!r}:\n"
                 f"    assert cli.main(argv[:1] + ['--config', {str(cfg)!r}]"
                 " + argv[1:]) == 0, argv\n"
+                "assert labeling._chi2_critical.cache_info().currsize\n"
+                "assert stats._srq_cached.cache_info().currsize\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         assert self.loaded(code) == "[]"
-        code = ("import sys\nfrom hierlabel import cli\n"
-                f"assert cli.main(['all', '--config', {str(cfg)!r}, '--out',"
-                f" {str(tmp_path / 'all')!r}]) == 0\n"
-                "print('scipy.sparse' in sys.modules)")
-        assert self.loaded(code) == "False"

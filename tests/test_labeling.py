@@ -314,10 +314,32 @@ class TestChi2AndJsd:
             assert oracles.jsd_2x2(cells) >= -1e-15
 
     def test_chi2_critical_equals_scipy_ppf(self):
+        """Within 1e-14 relative: scipy's own quantile is up to 25 ulp off
+        the exact one on this grid, so bit equality is not the target."""
         for alpha in (0.001, 0.01, 0.025, 0.05, 0.1, 0.5, 0.9):
             for df in range(1, 300):
-                assert lab._chi2_critical(alpha, df) == \
-                    float(chi2.ppf(1.0 - alpha, df)), (alpha, df)
+                assert lab._chi2_critical(alpha, df) == pytest.approx(
+                    float(chi2.ppf(1.0 - alpha, df)), rel=1e-14, abs=0), \
+                    (alpha, df)
+
+    def test_chi2_critical_at_extreme_alpha(self):
+        # 1 - alpha rounds to 1 (alpha <= 2^-54): no finite quantile
+        for alpha in (2.0 ** -60, 2.0 ** -54, 1e-300):
+            assert lab._chi2_critical(alpha, 3) == math.inf
+        # 1 - alpha = 2^-53 exactly: a small finite quantile
+        tiny = lab._chi2_critical(1.0 - 2.0 ** -53, 1)
+        assert 0.0 < tiny < 1e-30
+        assert tiny == pytest.approx(float(chi2.ppf(2.0 ** -53, 1)), rel=1e-12)
+        # every alpha in (0, 1) and df up to a fan-out of 1,000 gives a
+        # number scipy agrees with, or inf where scipy's is inf
+        alphas = [2.0 ** -54 * (1 + 2.0 ** -52), 2.0 ** -53, 1e-12,
+                  *np.geomspace(1e-9, 0.5, 12), 0.5 + 2.0 ** -53,
+                  *(1.0 - np.geomspace(1e-15, 0.4, 8)), 1.0 - 2.0 ** -53]
+        for alpha in alphas:
+            for df in (1, 2, 3, 7, 23, 24, 100, 575, 999):
+                got = lab._chi2_critical(float(alpha), df)
+                want = float(chi2.ppf(1.0 - alpha, df))
+                assert got == pytest.approx(want, rel=1e-12), (alpha, df)
 
     def test_pearson_children_table2(self, table2):
         _, h, stats = table2

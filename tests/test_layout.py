@@ -2,7 +2,7 @@
 function and class of ``src/hierlabel`` is used elsewhere in the library
 or in ``pipebench/``.  Scalar forms that only tests use belong in
 ``tests/oracles.py``.  Uses are read from the syntax trees, so docstrings,
-comments and imports do not count."""
+comments and imports do not count.  No library module imports scipy."""
 
 import ast
 from pathlib import Path
@@ -29,3 +29,20 @@ def test_every_library_definition_has_a_caller():
               and not any(d.name in names
                           for stmt, names in used if stmt is not d)]
     assert unused == [], unused
+
+
+def test_no_library_module_imports_scipy():
+    """scipy is a test dependency only: no import of it anywhere in
+    ``src/hierlabel``, at module level or inside a function."""
+    found = []
+    for p in sorted((ROOT / "src" / "hierlabel").glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{p.name}:{node.lineno} {n}" for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert found == [], found
