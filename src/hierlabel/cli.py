@@ -24,8 +24,8 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
-from itertools import chain, repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -317,31 +317,41 @@ def stage_label(cfg: RunConfig, tracker: OutputTracker,
         w = csv.writer(fh)
         w.writerow(["method", "node_id", "rank", "term_id", "term_surface",
                     "score"])
-        w.writerows(_label_rows(assignments, cfg.methods, bundle))
+        fh.write(_label_rows(assignments, cfg.methods, bundle))
     return bundle, assignments
 
 
-def _label_rows(assignments, methods, bundle):
-    """labels.csv's rows in method, node and rank order, zipped from
-    columns: method, node id, rank, original term id, surface, score."""
-    h = bundle.hierarchy
-    per_method, sizes, pairs = [], [], []
-    for method in methods:
-        lists = [assignments[method].labels.get(i, [])
-                 for i in range(h.n_nodes)]
-        sizes.extend(map(len, lists))
-        n_before = len(pairs)
-        pairs.extend(chain.from_iterable(lists))
-        per_method.append(repeat(method, len(pairs) - n_before))
-    sizes = np.array(sizes, np.int64)
-    node = np.repeat(np.tile(h.ids, len(methods)), sizes)
-    rank = np.arange(1, len(pairs) + 1) - np.repeat(np.cumsum(sizes) - sizes,
-                                                     sizes)
-    term = bundle.orig_id[np.fromiter((t for t, _ in pairs), np.int64,
-                                      len(pairs))].tolist()
-    return zip(chain.from_iterable(per_method), node.tolist(), rank.tolist(),
-               term, map(bundle.vocab_full.surfaces.__getitem__, term),
-               map(fmt, (score for _, score in pairs)))
+def _label_rows(assignments, methods, bundle) -> str:
+    """labels.csv's rows in method, node and rank order, as csv.writer
+    writes them: method, node id, rank, original term id, surface, score.
+    Of these only a surface can need quoting, so each distinct surface is
+    encoded once by csv.writer, each distinct score formatted once by
+    ``fmt``, and the rows joined from the columns' cells."""
+    records = [assignments[m] for m in methods]
+    sizes = np.concatenate([np.diff(a.indptr) for a in records])
+    owner = np.repeat(np.arange(sizes.size), sizes)     # (method, node) code
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    term, term_at = np.unique(
+        bundle.orig_id[np.concatenate([a.term for a in records])],
+        return_inverse=True)
+    score, score_at = np.unique(np.concatenate([a.score for a in records]),
+                                return_inverse=True)
+    encoded = []
+    # a row of the surface and an empty field: "<encoded surface>,\r\n"
+    csv.writer(SimpleNamespace(write=encoded.append)).writerows(
+        [bundle.vocab_full.surfaces[t], ""] for t in term.tolist())
+    ids = bundle.hierarchy.ids.tolist()
+    cells = np.empty((owner.size, 4), object)
+    # each column's distinct cells, with the separators that follow them
+    for k, (distinct, at) in enumerate((
+            ([f"{m},{nid}," for m in methods for nid in ids], owner),
+            ([f"{r}," for r in range(1, int(sizes.max(initial=0)) + 1)],
+             rank),
+            ([f"{t},{cell[:-3]}," for t, cell in zip(term.tolist(), encoded)],
+             term_at),
+            ([fmt(v) + "\r\n" for v in score.tolist()], score_at))):
+        cells[:, k] = np.array(distinct, object)[at]
+    return "".join(cells.ravel().tolist())
 
 
 def _report_columns(path, columns):
@@ -349,7 +359,51 @@ def _report_columns(path, columns):
     each of ``columns``, fault).  Reading stops at the first row that breaks
     the file's form: a width other than the header's, broken CSV quoting or
     undecodable text; ``fault`` is that row's ParseError, else None.  Blank
-    lines are skipped.  A header that lacks one of ``columns`` raises."""
+    lines are skipped.  A header that lacks one of ``columns`` raises.
+
+    A file that ``_split_columns`` takes is split in one pass; every other
+    is read row by row through csv.reader (``_reader_columns``)."""
+    return (_split_columns(path, columns)
+            or _reader_columns(path, columns))
+
+
+def _split_columns(path, columns):
+    """``_report_columns``'s result for a file that csv.reader splits at
+    every comma and line end, else None.  That is UTF-8 text with no quote
+    whose every carriage return is part of a \\r\\n, and whose header holds
+    ``columns`` and at least one comma.  Every line must hold as many
+    commas as the header, so none is blank, and be shorter than csv's
+    field size limit.  The rows then all parse, each on its own line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        return None
+    raw = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, raw.size)
+    commas = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends),
+                     prepend=0)
+    if commas[0] == 0 or (commas != commas[0]).any() \
+            or np.diff(ends, prepend=-1).max() >= csv.field_size_limit():
+        return None
+    head, _, body = text.replace("\r\n", "\n").removesuffix("\n") \
+        .partition("\n")
+    header = head.split(",")
+    at = {name: k for k, name in enumerate(header)}
+    if any(c not in at for c in columns):
+        return None
+    width, n = len(header), ends.size - 1
+    flat = body.replace("\n", ",").split(",") if n else []
+    return (np.arange(2, n + 2, dtype=np.int64),
+            [flat[at[c]::width] for c in columns], None)
+
+
+def _reader_columns(path, columns):
+    """``_report_columns``'s result, read row by row through csv.reader."""
     lines, rows, fault = [], [], None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -490,8 +544,10 @@ class LabelColumns:
 
 
 def read_labels_csv(path) -> tuple:
-    """(LabelColumns, each row's physical line) of a labels.csv; at most
-    one row per method, node and rank."""
+    """(LabelColumns, each row's physical line) of a labels.csv: at most
+    one row per method, node and rank, every score positive and finite,
+    and the ranks of each method and node running 1..k.  The file's form
+    and the repeats are checked first, the values after them."""
     lines, (method, *cells), fault = _report_columns(
         path, ("method", "node_id", "rank", "term_id", "score"))
     (nid, rank, term, score), fault = _numbers(path, lines, list(zip(
@@ -501,8 +557,30 @@ def read_labels_csv(path) -> tuple:
     order = np.lexsort((rank, nid, codes))
     _raise_first(path, lines,
                  [_first_repeat(order, (codes, nid, rank), lines)], fault)
+    k = _rows_per_node(order, codes, nid)
+    _raise_first(path, lines, [
+        _first_fault(~((score > 0) & (score < math.inf)),
+                     lambda r: f"score {score[r]} is not positive and "
+                               f"finite"),
+        _first_fault((rank < 1) | (rank > k),
+                     lambda r: f"rank {rank[r]}, but {names[codes[r]]} has "
+                               f"{k[r]} rows at node {nid[r]}, ranked "
+                               f"1..{k[r]}")], None)
     return (LabelColumns(names, codes[order], nid[order], term[order],
                          score[order]), lines[order])
+
+
+def _rows_per_node(order, codes, nid) -> np.ndarray:
+    """For each row, the number of rows of its method and node; ``order``
+    sorts the rows by method and node.  Without repeats, the ranks of a
+    method and node run 1..k exactly when each lies in 1..k."""
+    c, n = codes[order], nid[order]
+    start = np.flatnonzero(np.concatenate(
+        [[True], (c[1:] != c[:-1]) | (n[1:] != n[:-1])]))
+    size = np.diff(start, append=order.size)
+    k = np.empty(order.size, np.int64)
+    k[order] = np.repeat(size, size)
+    return k
 
 
 def _labels_from_csv(tracker: OutputTracker, bundle: InputBundle,
@@ -547,28 +625,15 @@ def _node_index(hierarchy: corp.Hierarchy, nid) -> tuple:
     return node, ids[node] != nid
 
 
-def _node_runs(node) -> tuple:
-    """(node, start, end) lists of the runs of equal values of ``node``."""
-    cut = np.flatnonzero(node[1:] != node[:-1]) + 1
-    start = np.concatenate([[0], cut]) if node.size else cut
-    end = np.concatenate([cut, [node.size]]) if node.size else cut
-    return node[start].tolist(), start.tolist(), end.tolist()
-
-
 def _assignments_from_csv(tracker: OutputTracker, bundle: InputBundle,
                           methods) -> dict:
     """Rebuild the label stage's LabelAssignments (internal node indices,
     working term ids) from labels.csv."""
-    assignments = {}
-    for method, (node, term, score) in _labels_from_csv(
-            tracker, bundle, methods).items():
-        pairs = list(zip(bundle.remap[term].tolist(), score.tolist()))
-        a = lab.LabelAssignment(method)
-        a.labels = {i: [] for i in range(bundle.hierarchy.n_nodes)}
-        for i, lo, hi in zip(*_node_runs(node)):
-            a.labels[i] = pairs[lo:hi]
-        assignments[method] = a
-    return assignments
+    nodes = np.arange(bundle.hierarchy.n_nodes + 1)
+    return {method: lab.LabelAssignment(method, np.searchsorted(node, nodes),
+                                        bundle.remap[term], score)
+            for method, (node, term, score) in _labels_from_csv(
+                tracker, bundle, methods).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -732,25 +797,14 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker,
 
 def _coherence_labels(cfg: RunConfig, tracker: OutputTracker,
                       bundle: InputBundle, assignments: dict | None) -> dict:
-    """method -> {node id: [original term ids in rank order]} for every
-    configured method and hierarchy node, read back from labels.csv without
-    ``assignments``.  The parsed rows die with this call, before the
-    reference corpus is loaded."""
-    ids = bundle.hierarchy.ids.tolist()
-    if assignments is not None:
-        orig = bundle.orig_id
-        return {m: {nid: [int(orig[t]) for t, _ in
-                          assignments[m].labels.get(i, [])]
-                    for i, nid in enumerate(ids)}
-                for m in cfg.methods}
-    labels = {}
-    for method, (node, term, _) in _labels_from_csv(
-            tracker, bundle, cfg.methods).items():
-        terms = term.tolist()
-        per = labels[method] = {nid: [] for nid in ids}
-        for i, lo, hi in zip(*_node_runs(node)):
-            per[ids[i]] = terms[lo:hi]
-    return labels
+    """method -> (node ids, indptr, original term ids) of every configured
+    method, as ``coh.score_labels`` takes them; read back from labels.csv
+    without ``assignments``.  The parsed rows die with this call, before
+    the reference corpus is loaded."""
+    if assignments is None:
+        assignments = _assignments_from_csv(tracker, bundle, cfg.methods)
+    return {m: (bundle.hierarchy.ids, assignments[m].indptr,
+                bundle.orig_id[assignments[m].term]) for m in cfg.methods}
 
 
 def stage_coherence(cfg: RunConfig, tracker: OutputTracker,
@@ -762,13 +816,11 @@ def stage_coherence(cfg: RunConfig, tracker: OutputTracker,
         raise ConfigError("coherence stage requires a reference_corpus path")
     bundle = bundle or load_inputs(cfg)
     labels = _coherence_labels(cfg, tracker, bundle, assignments)
-    label_terms = set()
-    for per in labels.values():
-        for terms in per.values():
-            label_terms.update(terms)
+    label_terms = np.unique(np.concatenate([t for _, _, t in
+                                            labels.values()]))
     counts = coh.count_cooccurrence(_load_reference_corpus(cfg),
                                     bundle.vocab_full,
-                                    restrict_terms=sorted(label_terms))
+                                    restrict_terms=label_terms.tolist())
     report = coh.score_labels(counts, labels, cfg.p_cap, cfg.npmi_epsilon,
                               cfg.oc_aggregate)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -194,15 +193,18 @@ class _LabelPairs(NamedTuple):
     b: np.ndarray
 
 
-def _label_pairs(labels: list, p_cap: int) -> _LabelPairs:
-    tops = [label[:p_cap] for label in labels]
-    size = np.fromiter(map(len, tops), np.int64, len(tops))
-    flat = np.fromiter(chain.from_iterable(tops), np.int64, int(size.sum()))
-    owner = np.repeat(np.arange(len(tops)), size)
+def _label_pairs(indptr: np.ndarray, terms: np.ndarray,
+                 p_cap: int) -> _LabelPairs:
+    """The pairs of the labels ``terms[indptr[k]:indptr[k + 1]]``, each
+    cut at its first ``p_cap`` terms."""
+    size = np.minimum(np.diff(indptr), p_cap)
+    owner = np.repeat(np.arange(size.size), size)
+    # each kept term's place in its label
+    place = np.arange(owner.size) - np.repeat(size.cumsum() - size, size)
+    flat = terms[indptr[:-1][owner] + place]
     width = int(size.max()) if size.size else 0
-    grid_terms = np.zeros((len(tops), width), np.int64)
-    grid_terms[owner, np.arange(flat.size) - np.repeat(size.cumsum() - size,
-                                                       size)] = flat
+    grid_terms = np.zeros((size.size, width), np.int64)
+    grid_terms[owner, place] = flat
     i, j = np.tril_indices(width, -1)
     n_pairs = size * (size - 1) // 2
     present = np.arange(i.size) < n_pairs[:, None]
@@ -213,19 +215,19 @@ def _label_pairs(labels: list, p_cap: int) -> _LabelPairs:
 def _oc_values(counts: CooccurrenceCounts, groups: list, p_cap: int,
                epsilon: float, aggregate: str) -> list:
     """(OC, count of label terms absent from the reference) per label, for
-    each group of ``groups`` (lists of term-id sequences).  The distinct
-    pairs of all groups are counted together, each once; then each group's
-    pairs are built again and scored, which holds one group's pair arrays
-    at a time."""
+    each group of ``groups``, (indptr, term ids) pairs of labels in rank
+    order.  The distinct pairs of all groups are counted together, each
+    once; then each group's pairs are built again and scored, which holds
+    one group's pair arrays at a time."""
     if not groups:
         return []
     distinct = _distinct(np.concatenate(
         [_distinct(counts.row_pairs(p.a, p.b))
-         for p in (_label_pairs(labels, p_cap) for labels in groups)]))
+         for p in (_label_pairs(*labels, p_cap) for labels in groups)]))
     tally = counts.count_row_pairs(distinct)
     out = []
     for labels in groups:
-        p = _label_pairs(labels, p_cap)
+        p = _label_pairs(*labels, p_cap)
         keys = counts.row_pairs(p.a, p.b)
         joint = np.where(p.a == p.b, counts.unary[p.a], 0)
         joint[keys >= 0] = tally[np.searchsorted(distinct, keys[keys >= 0])]
@@ -249,8 +251,9 @@ def oc_npmi(counts: CooccurrenceCounts, label_terms, p_cap: int,
             epsilon: float = 0.0, aggregate: str = "sum") -> float:
     """Observed coherence: NPMI summed (or averaged) over all unordered
     pairs among the top-P label terms; fewer than two terms scores 0."""
-    [(total, _)] = _oc_values(counts, [[list(label_terms)]], p_cap, epsilon,
-                              aggregate)
+    terms = np.fromiter(label_terms, np.int64)
+    [(total, _)] = _oc_values(counts, [(np.array([0, terms.size]), terms)],
+                              p_cap, epsilon, aggregate)
     return float(total[0])
 
 
@@ -281,15 +284,18 @@ def summarize_coherence(per_node: dict) -> dict:
 def score_labels(counts: CooccurrenceCounts, labels: dict, p_cap: int,
                  epsilon: float = 0.0,
                  aggregate: str = "sum") -> CoherenceReport:
-    """OC for every label of ``labels``, a mapping method -> {node_id:
-    [term ids in rank order]}.  The distinct pairs of all methods are
-    counted once, then each method's pairs are scored in one vectorised
-    pass; the values equal ``oc_npmi``'s bit for bit."""
+    """OC for every label of ``labels``, a mapping method -> (node ids,
+    indptr, term ids) whose node ``node_ids[k]`` is labeled by
+    ``terms[indptr[k]:indptr[k + 1]]`` in rank order.  The distinct pairs
+    of all methods are counted once, then each method's pairs are scored
+    in one vectorised pass; the values equal ``oc_npmi``'s bit for bit."""
     report = CoherenceReport()
-    nids = {method: list(per) for method, per in labels.items()}
-    values = _oc_values(counts, [[labels[m][n] for n in nids[m]]
-                                 for m in nids], p_cap, epsilon, aggregate)
-    for (method, ids), (total, missing) in zip(nids.items(), values):
+    values = _oc_values(counts, [(indptr, terms) for _, indptr, terms
+                                 in labels.values()], p_cap, epsilon,
+                        aggregate)
+    for (method, (nids, _, _)), (total, missing) in zip(labels.items(),
+                                                        values):
+        ids = nids.tolist()
         report.per_node[method] = dict(zip(ids, total.tolist()))
         report.missing[method] = dict(zip(ids, missing.tolist()))
     report.summary = summarize_coherence(report.per_node)

@@ -9,15 +9,17 @@ of g's parent's children whose subtree holds the term) over its edge
 distance.
 
 Every method yields, per node, a ranked list of at most ``p_cap`` terms
-with strictly positive scores.  Ties break by (score desc, node
+with strictly positive scores, held for all nodes in one columnar
+``LabelAssignment``.  Ties break by (score desc, node
 cumulated frequency desc, term id asc), which makes every run
 deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -64,16 +66,36 @@ class LabelConfig:
 
 @dataclass
 class LabelAssignment:
-    """Ranked per-node label lists for one method.
-
-    ``labels`` maps internal node index -> list of (term_id, score),
-    scores non-increasing, length <= p_cap.
-    """
+    """Ranked labels of one method for every node, as columns in the shape
+    of ``corpus.CSR``: the labels of internal node index i are entries
+    ``indptr[i]:indptr[i + 1]`` of ``term`` (working term ids) and
+    ``score``, in rank order; at most p_cap per node, scores positive and
+    non-increasing."""
     method: str
-    labels: dict = field(default_factory=dict)
+    indptr: np.ndarray          # int64, one more than the nodes
+    term: np.ndarray            # int64
+    score: np.ndarray           # float64
 
-    def terms(self, node: int):
-        return [t for t, _ in self.labels.get(node, [])]
+    @classmethod
+    def from_ranked(cls, method: str, ranked: list) -> "LabelAssignment":
+        """The record of ``ranked``, node index -> (term ids, scores) as
+        ``_topk_arrays`` returns them."""
+        indptr = np.zeros(len(ranked) + 1, np.int64)
+        np.cumsum([t.size for t, _ in ranked], out=indptr[1:])
+        return cls(method, indptr,
+                   np.concatenate([t for t, _ in ranked], dtype=np.int64),
+                   np.concatenate([v for _, v in ranked], dtype=np.float64))
+
+    # kept for pipebench/traced.py's empty_labels until ROADMAP's
+    # run-telemetry item
+    @cached_property
+    def labels(self) -> MappingProxyType:
+        """Read-only node index -> [(term id, score)] view."""
+        bounds = self.indptr.tolist()
+        terms, scores = self.term.tolist(), self.score.tolist()
+        return MappingProxyType({
+            i: list(zip(terms[lo:hi], scores[lo:hi]))
+            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))})
 
 
 @lru_cache(maxsize=None)
@@ -198,12 +220,16 @@ def _children_max_2x2_vec(stats, node):
 # top-P selection
 # ---------------------------------------------------------------------------
 
+_UNLABELED = (np.zeros(0, np.int64), np.zeros(0))
+
+
 def _topk_arrays(term_ids, scores, tie_freq, p_cap):
-    """Rank terms: positive scores only, sorted by score desc, then
-    ``tie_freq`` desc, then term id asc; cap at p_cap."""
+    """(term ids, scores) of the ranked terms: positive scores only,
+    sorted by score desc, then ``tie_freq`` desc, then term id asc; cap at
+    p_cap."""
     pos = scores > 0
     if not pos.any():
-        return []
+        return _UNLABELED
     t = term_ids[pos]
     sc = scores[pos]
     fr = tie_freq[pos]
@@ -213,7 +239,7 @@ def _topk_arrays(term_ids, scores, tie_freq, p_cap):
         keep = sc >= cut
         t, sc, fr = t[keep], sc[keep], fr[keep]
     order = np.lexsort((t, -fr, -sc))[:p_cap]
-    return [(int(t[i]), float(sc[i])) for i in order]
+    return t[order], sc[order]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +254,7 @@ def _row_arrays(csr, i):
 def _flat_node_label(stats, node, scheme, idf_global, p_cap):
     idx, f = _row_arrays(stats.freq, node)
     if idx.size == 0:
-        return []
+        return _UNLABELED
     score = f.copy()
     if scheme in ("MTWL_idf", "ICWL_idf"):
         score *= idf_global[idx] * _idf_local_at(stats, node, idx)
@@ -240,13 +266,13 @@ def _flat_node_label(stats, node, scheme, idf_global, p_cap):
 def select_flat_or_hier(stats: NodeTermStats, method: str,
                         cfg: LabelConfig) -> LabelAssignment:
     """Independent per-node top-P selection for the twelve ranking methods."""
-    out = LabelAssignment(method)
     n = stats.n_nodes
+    ranked = [_UNLABELED] * n
     if method in FLAT_SCHEMES:
         idfg = _idf_global_vec(stats)
         for i in range(n):
-            out.labels[i] = _flat_node_label(stats, i, method, idfg, cfg.p_cap)
-        return out
+            ranked[i] = _flat_node_label(stats, i, method, idfg, cfg.p_cap)
+        return LabelAssignment.from_ranked(method, ranked)
 
     if method in HIER_FREQ_SCHEMES:
         base = stats.hier_base()
@@ -254,7 +280,6 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
         for i in range(n):
             idx, score = _row_arrays(base, i)
             if idx.size == 0:
-                out.labels[i] = []
                 continue
             score = score.copy()
             if method in ("HierMTWL_idf", "HierICWL_idf"):
@@ -262,8 +287,8 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
             if method in ("HierICWL_raw", "HierICWL_idf"):
                 score *= _icf_at(stats, i, idx)
             tie = stats.freq_row(i)[idx].astype(np.float64)
-            out.labels[i] = _topk_arrays(idx, score, tie, cfg.p_cap)
-        return out
+            ranked[i] = _topk_arrays(idx, score, tie, cfg.p_cap)
+        return LabelAssignment.from_ranked(method, ranked)
 
     if method in RCL_SCHEMES:
         for i in range(n):
@@ -290,8 +315,8 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
                                          (tp + fp) / grand)
             else:
                 score = np.zeros(idx.size)
-            out.labels[i] = _topk_arrays(idx, score, tp, cfg.p_cap)
-        return out
+            ranked[i] = _topk_arrays(idx, score, tp, cfg.p_cap)
+        return LabelAssignment.from_ranked(method, ranked)
 
     if method in HIER_RCL_SCHEMES:
         return _hier_rcl(stats, method, cfg)
@@ -366,15 +391,12 @@ def _hier_rcl(stats, method, cfg):
             for r, add in zip(acc_row[anc], cf * v / e):
                 acc[r][idx] += add
 
-    out = LabelAssignment(method)
     all_terms = np.arange(stats.n_terms, dtype=np.int64)
-    for i in range(stats.n_nodes):
-        if acc_row[i] < 0:
-            out.labels[i] = []
-            continue
+    ranked = [_UNLABELED] * stats.n_nodes
+    for i in internal.tolist():
         tie = stats.freq_row(i).astype(np.float64)
-        out.labels[i] = _topk_arrays(all_terms, acc[acc_row[i]], tie, cfg.p_cap)
-    return out
+        ranked[i] = _topk_arrays(all_terms, acc[acc_row[i]], tie, cfg.p_cap)
+    return LabelAssignment.from_ranked(method, ranked)
 
 
 def _independence_ok(stats, node, cfg):
@@ -406,8 +428,8 @@ def select_popescul_ungar(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssign
     (and every child carries it at least MIN_CHILD_FREQ times); once
     selected it is banned on the whole subtree below.  Leaves take the
     leftover terms ranked by cumulated frequency."""
-    out = LabelAssignment("PopesculUngar")
     h = stats.hierarchy
+    ranked = [None] * stats.n_nodes
     banned = {h.root: np.zeros(stats.n_terms, bool)}
     for i in h.order_top_down():
         i = int(i)
@@ -415,18 +437,18 @@ def select_popescul_ungar(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssign
         if h.is_leaf(i):
             idx, f = _row_arrays(stats.freq, i)
             keep = ~ban[idx]
-            out.labels[i] = _topk_arrays(idx[keep], f[keep], f[keep], cfg.p_cap)
+            ranked[i] = _topk_arrays(idx[keep], f[keep], f[keep], cfg.p_cap)
             continue
         c = int(stats.child_count[i])
         freq_ok = _count_children_ge(stats, i, MIN_CHILD_FREQ) == c
         selected = freq_ok & ~ban & _independence_ok(stats, i, cfg)
         idx = np.flatnonzero(selected)
         f = stats.freq_row(i)[idx].astype(np.float64)
-        out.labels[i] = _topk_arrays(idx, f, f, cfg.p_cap)
+        ranked[i] = _topk_arrays(idx, f, f, cfg.p_cap)
         child_ban = ban | selected
         for ch in h.children[i]:
             banned[int(ch)] = child_ban
-    return out
+    return LabelAssignment.from_ranked("PopesculUngar", ranked)
 
 
 def select_rlum(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
@@ -435,7 +457,6 @@ def select_rlum(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
     all direct children.  The chi-square estimate is only trusted when some
     child frequency reaches ``big_threshold``.  Empty-label pruning stays
     disabled so the tree shape is preserved."""
-    out = LabelAssignment("RLUM")
     h = stats.hierarchy
     cand = [None] * stats.n_nodes
     for i in h.order_bottom_up():
@@ -454,11 +475,12 @@ def select_rlum(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
         keep = ~promoted
         for ch in h.children[i]:
             cand[int(ch)] &= keep
+    ranked = []
     for i in range(stats.n_nodes):
         idx = np.flatnonzero(cand[i])
         f = stats.freq_row(i)[idx].astype(np.float64)
-        out.labels[i] = _topk_arrays(idx, f, f, cfg.p_cap)
-    return out
+        ranked.append(_topk_arrays(idx, f, f, cfg.p_cap))
+    return LabelAssignment.from_ranked("RLUM", ranked)
 
 
 def _leaf_cf_row(stats, leaf):
@@ -476,7 +498,6 @@ def select_cf_average(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment
     propagated bottom-up: the children's sparse rows are added in declared
     order into a dense row, which is multiplied by 1 / (child count) - the
     sparse sum and scalar division, bit for bit."""
-    out = LabelAssignment("CFAverage")
     h = stats.hierarchy
     rows = [None] * stats.n_nodes
     acc = np.zeros(stats.n_terms)
@@ -491,24 +512,25 @@ def select_cf_average(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment
         idx = np.flatnonzero(acc)
         rows[i] = idx, acc[idx] * (1 / len(h.children[i]))
         acc[idx] = 0.0
+    ranked = []
     for i in range(stats.n_nodes):
         idx, score = rows[i]
         tie = stats.freq_row(i)[idx].astype(np.float64)
-        out.labels[i] = _topk_arrays(idx, score, tie, cfg.p_cap)
-    return out
+        ranked.append(_topk_arrays(idx, score, tie, cfg.p_cap))
+    return LabelAssignment.from_ranked("CFAverage", ranked)
 
 
 def select_cf_leave_one_out(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
     """CFMeasure with recall taken against the other clusters at the
     children's level: recall = f_i / (level mass - own children's mass);
     a non-positive denominator scores 0."""
-    out = LabelAssignment("CFLeaveOneOut")
     h = stats.hierarchy
+    ranked = []
     for i in range(stats.n_nodes):
         if h.is_leaf(i):
             idx, cf = _leaf_cf_row(stats, i)
             tie = stats.freq_row(i)[idx].astype(np.float64)
-            out.labels[i] = _topk_arrays(idx, cf, tie, cfg.p_cap)
+            ranked.append(_topk_arrays(idx, cf, tie, cfg.p_cap))
             continue
         idx, f = _row_arrays(stats.freq, i)
         mass = stats.level_freq(int(h.level[i]) + 1)[idx].astype(np.float64)
@@ -519,8 +541,8 @@ def select_cf_leave_one_out(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssi
         cf = np.zeros_like(f)
         cf[both] = (2.0 * recall[both] * precision[both]
                     / (recall[both] + precision[both]))
-        out.labels[i] = _topk_arrays(idx, cf, f, cfg.p_cap)
-    return out
+        ranked.append(_topk_arrays(idx, cf, f, cfg.p_cap))
+    return LabelAssignment.from_ranked("CFLeaveOneOut", ranked)
 
 
 _STRUCTURAL = {

@@ -86,7 +86,9 @@ def _specific_terms(hierarchy: Hierarchy, labels: LabelAssignment) -> list:
     to let nodes below a labeled ancestor inherit that ancestor's own query
     instead."""
     n = hierarchy.n_nodes
-    own = [tuple(dict.fromkeys(labels.terms(i))) or None for i in range(n)]
+    terms, bounds = labels.term.tolist(), labels.indptr.tolist()
+    own = [tuple(dict.fromkeys(terms[lo:hi])) or None
+           for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     down = list(own)
     for i in hierarchy.order_bottom_up():

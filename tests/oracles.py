@@ -36,6 +36,11 @@ The library reads the same files into columns and checks them with array
 operations.  ``observation_table``, ``observation_rows`` and
 ``label_dict`` convert between the library's columns and these row forms.
 
+Labels here are per-node lists of (term id, score) pairs; the library
+holds each method's labels as one columnar ``LabelAssignment``.
+``label_lists``, ``label_list``, ``label_terms``, ``assignment`` and
+``label_columns`` convert between the two.
+
 The scalar twins of the library's vectorised quantities live only here:
 ``score_mtwl_raw``, ``score_idf_global``, ``score_idf_local``,
 ``score_icf``, ``score_flat``, ``sibling_cf``, ``hier_weight``,
@@ -239,7 +244,55 @@ def select_topk(pairs, p_cap: int, freqs) -> list:
     terms = np.asarray([t for t, _ in pairs], np.int64)
     scores = np.asarray([s for _, s in pairs], np.float64)
     tie = np.asarray([freqs[t] for t in terms], np.float64)
-    return _topk_arrays(terms, scores, tie, p_cap)
+    return ranked_pairs(_topk_arrays(terms, scores, tie, p_cap))
+
+
+def ranked_pairs(ranked) -> list:
+    """The (term id, score) list of ``_topk_arrays``' arrays."""
+    terms, scores = ranked
+    return list(zip(terms.tolist(), scores.tolist()))
+
+
+def label_list(assignment, node: int) -> list:
+    """[(term id, score)] of one node of a LabelAssignment, in rank
+    order."""
+    lo, hi = assignment.indptr[node], assignment.indptr[node + 1]
+    return list(zip(assignment.term[lo:hi].tolist(),
+                    assignment.score[lo:hi].tolist()))
+
+
+def label_terms(assignment, node: int) -> list:
+    """The term ids of one node of a LabelAssignment, in rank order."""
+    return [t for t, _ in label_list(assignment, node)]
+
+
+def label_lists(assignment) -> dict:
+    """node index -> [(term id, score)] of every node of a
+    LabelAssignment."""
+    return {i: label_list(assignment, i)
+            for i in range(assignment.indptr.size - 1)}
+
+
+def assignment(method: str, lists: dict, n_nodes: int) -> LabelAssignment:
+    """The LabelAssignment of node index -> [(term id, score)] lists; a
+    node that ``lists`` lacks has no label."""
+    return LabelAssignment.from_ranked(method, [
+        (np.array([t for t, _ in lists.get(i, [])], np.int64),
+         np.array([v for _, v in lists.get(i, [])], np.float64))
+        for i in range(n_nodes)])
+
+
+def label_columns(labels: dict) -> dict:
+    """``score_labels``' input of method -> {node id: [term ids in rank
+    order]}: method -> (node ids, indptr, term ids)."""
+    out = {}
+    for method, per in labels.items():
+        indptr = np.zeros(len(per) + 1, np.int64)
+        np.cumsum([len(terms) for terms in per.values()], out=indptr[1:])
+        out[method] = (np.array(list(per), np.int64), indptr,
+                       np.array([t for terms in per.values() for t in terms],
+                                np.int64))
+    return out
 
 
 def retrieve(matrix: DocTermMatrix, query) -> set:
@@ -326,7 +379,7 @@ def specific_queries(hierarchy, labels) -> dict:
     n = hierarchy.n_nodes
     own = {}
     for i in range(n):
-        terms = labels.terms(i)
+        terms = label_terms(labels, i)
         own[i] = _or_of(Term(t) for t in terms) if terms else None
 
     down = dict(own)
@@ -441,7 +494,7 @@ def topk(term_ids, scores, tie_freq, p_cap):
 def rcl(stats, method, cfg):
     """RCL_chi2 / RCL_jsd: each node against its parent's subtree less the
     node itself, on dense rows."""
-    out = LabelAssignment(method)
+    out = {}
     all_terms = np.arange(stats.n_terms, dtype=np.int64)
     for i in range(stats.n_nodes):
         p = int(stats.parent_or_self[i])
@@ -456,8 +509,8 @@ def rcl(stats, method, cfg):
             v = chi2_masked(tp, fn, fp, tn, s)
         else:
             v = jsd_masked(tp, fn, fp, tn)
-        out.labels[i] = topk(all_terms, v, tp, cfg.p_cap)
-    return out
+        out[i] = topk(all_terms, v, tp, cfg.p_cap)
+    return assignment(method, out, stats.n_nodes)
 
 
 def children_max_2x2(stats, node):
@@ -479,7 +532,7 @@ def hier_rcl(stats, method, cfg):
     """HierRCL_chi2 / HierRCL_jsd: for each node, the discounted sum over
     its descendants of sibling_cf times the 2x2 statistic, on dense rows."""
     h = stats.hierarchy
-    out = LabelAssignment(method)
+    out = {}
     all_terms = np.arange(stats.n_terms, dtype=np.int64)
 
     def frow(i):
@@ -488,7 +541,6 @@ def hier_rcl(stats, method, cfg):
     for i in range(stats.n_nodes):
         desc = descendants(h, i)
         if not desc:
-            out.labels[i] = []
             continue
         s = float(stats.node_total[int(stats.parent_or_self[i])])
         acc = np.zeros(stats.n_terms)
@@ -506,8 +558,8 @@ def hier_rcl(stats, method, cfg):
                 v = jsd_masked(tp, fn, fp, tn)
             cf = stats.child_support_row(pg) / int(stats.child_count[pg])
             acc += cf * v / e
-        out.labels[i] = topk(all_terms, acc, frow(i), cfg.p_cap)
-    return out
+        out[i] = topk(all_terms, acc, frow(i), cfg.p_cap)
+    return assignment(method, out, stats.n_nodes)
 
 
 def hier_base(stats):
@@ -653,7 +705,6 @@ def df_filter_slice(matrix: DocTermMatrix, keep) -> sp.csr_matrix:
 def cf_average(stats, cfg) -> LabelAssignment:
     """CFAverage with each node's row a sparse matrix: the children's rows
     added in declared order, then divided by the child count."""
-    out = LabelAssignment("CFAverage")
     h = stats.hierarchy
     rows = [None] * stats.n_nodes
     for i in h.order_bottom_up():
@@ -668,13 +719,14 @@ def cf_average(stats, cfg) -> LabelAssignment:
             for ch in kids[1:]:
                 acc = acc + rows[int(ch)]
             rows[i] = acc / len(kids)
+    out = {}
     for i in range(stats.n_nodes):
         r = rows[i].tocsr()
         idx = r.indices.astype(np.int64)
         tie = stats.freq_row(i)[idx].astype(np.float64)
-        out.labels[i] = _topk_arrays(idx, r.data.astype(np.float64), tie,
-                                     cfg.p_cap)
-    return out
+        out[i] = ranked_pairs(_topk_arrays(
+            idx, r.data.astype(np.float64), tie, cfg.p_cap))
+    return assignment("CFAverage", out, stats.n_nodes)
 
 
 def cooccurrence(corpus, vocab, restrict_terms=None):

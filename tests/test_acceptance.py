@@ -109,7 +109,7 @@ def test_c03_method_invariant_suite(tmp_path):
             for meth in lab.METHODS:
                 a = assignments[meth]
                 for i in range(h.n_nodes):
-                    label = a.labels[i]
+                    label = oracles.label_list(a, i)
                     assert len(label) <= cfg.p_cap
                     scores = [s for _, s in label]
                     assert all(s > 0 for s in scores)
@@ -122,9 +122,9 @@ def test_c03_method_invariant_suite(tmp_path):
             # RLUM: parent/child labels disjoint
             rlum = assignments["RLUM"]
             for i in range(h.n_nodes):
-                mine = set(rlum.terms(i))
+                mine = set(oracles.label_terms(rlum, i))
                 for ch in h.children[i]:
-                    assert not (mine & set(rlum.terms(int(ch))))
+                    assert not (mine & set(oracles.label_terms(rlum, int(ch))))
             # Popescul&Ungar: term appears at most once per root path
             pu = assignments["PopesculUngar"]
             for i in range(h.n_nodes):
@@ -132,7 +132,7 @@ def test_c03_method_invariant_suite(tmp_path):
                     continue
                 seen = set()
                 for node in [i] + h.ancestors(i):
-                    terms = set(pu.terms(node))
+                    terms = set(oracles.label_terms(pu, node))
                     assert not (terms & seen)
                     seen |= terms
             # deterministic tie order: relabel from scratch on a sample
@@ -140,7 +140,8 @@ def test_c03_method_invariant_suite(tmp_path):
                 stats2 = corp.build_node_stats(m, h)
                 for meth in lab.METHODS:
                     again = lab.label_hierarchy(stats2, meth, cfg)
-                    assert again.labels == assignments[meth].labels
+                    assert oracles.label_lists(again) == \
+                        oracles.label_lists(assignments[meth])
 
 
 @pytest.mark.slow

@@ -259,6 +259,13 @@ class TestExitCodes:
         ("stats", "metrics.csv", "stray", 3),
         ("stats", "metrics.csv", "level", 2),
         ("stats", "metrics.csv", "kind", 2),
+        # values the label stage never writes
+        ("evaluate", "labels.csv", "score:nan", 2),
+        ("coherence", "labels.csv", "score:inf", 2),
+        ("evaluate", "labels.csv", "score:-1", 2),
+        ("coherence", "labels.csv", "score:0", 2),
+        ("evaluate", "labels.csv", "rank:-3", 2),
+        ("coherence", "labels.csv", "rank:gap", 10),
     ])
     def test_malformed_report_csv_is_input_error(self, tmp_path, capsys,
                                                  stage, name, damage, line):
@@ -288,6 +295,18 @@ class TestExitCodes:
             fields[rows[0].split(",").index(damage)] = \
                 {"level": "7", "kind": "bogus"}[damage]
             rows[1] = ",".join(fields)
+        elif damage.startswith(("score:", "rank:")):
+            column, value = damage.split(":")
+            row = 1
+            if value == "gap":
+                # the last of the first node's k ranks becomes k + 3
+                first = rows[1].split(",")[:2]
+                row = max(j for j, r in enumerate(rows)
+                          if r.split(",")[:2] == first)
+                value = str(row + 3)
+            fields = rows[row].split(",")
+            fields[rows[0].split(",").index(column)] = value
+            rows[row] = ",".join(fields)
         else:
             rows = (out / "metrics.csv").read_text().splitlines()
         path.write_text("\n".join(rows) + "\n")
@@ -527,6 +546,61 @@ class TestSingleLoad:
                 (tmp_path / "ob" / rel).read_bytes(), rel
 
 
+    def test_all_equals_stagewise_with_quoted_surfaces(self, tmp_path):
+        # surfaces with commas and quotes make labels.csv quoted, which the
+        # staged runs read back through csv.reader
+        cfg_path = write_fixture(tmp_path / "fx")
+        for name in ("vocab.tsv", "reference.txt"):
+            path = tmp_path / "fx" / name
+            path.write_text(path.read_text().replace("term", 'te,r"m'))
+        assert cli.main(["all", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "oa")]) == 0
+        labels = tmp_path / "oa" / "labels.csv"
+        assert b'"te,r""m' in labels.read_bytes()
+        assert cli._split_columns(labels, ("method",)) is None
+        for stage in ("label", "evaluate", "stats", "coherence"):
+            assert cli.main([stage, "--config", str(cfg_path),
+                             "--out", str(tmp_path / "ob")]) == 0
+        for rel in EXPECTED_FILES:
+            if rel == "run_manifest.json":
+                continue
+            assert (tmp_path / "oa" / rel).read_bytes() == \
+                (tmp_path / "ob" / rel).read_bytes(), rel
+
+
+class TestTracedBenchmark:
+
+    def test_traced_stages_complete(self, tmp_path):
+        """pipebench/traced.py runs the label, evaluate and coherence
+        stages and ``all`` on the program as it is, and its counters agree
+        with the label records."""
+        cfg = write_fixture(tmp_path / "fx")
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        spans = {}
+        for stage in ("label", "evaluate", "coherence", "all"):
+            path = tmp_path / f"{stage}.json"
+            done = subprocess.run(
+                [sys.executable, str(root / "pipebench" / "traced.py"),
+                 str(path), stage, "--config", str(cfg)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, (stage, done.stderr)
+            spans[stage] = json.loads(path.read_text())
+        bundle = cli.load_inputs(cli.load_config(cfg, {}))
+        records = lab.label_all(
+            hierlabel.build_node_stats(bundle.matrix, bundle.hierarchy))
+        empty = sum(int((np.diff(a.indptr) == 0).sum())
+                    for a in records.values())
+        for stage in ("label", "all"):
+            names = {span[0] for span in spans[stage]["spans"]}
+            assert {f"labeling.{m}" for m in lab.METHODS} <= names, stage
+            assert spans[stage]["counts"]["labeling.empty_label_nodes"] \
+                == empty, stage
+        for stage in ("evaluate", "coherence"):
+            names = {span[0] for span in spans[stage]["spans"]}
+            assert "cli.read_labels_csv" in names, stage
+
+
 class TestAtomicReports:
 
     def test_failure_mid_write_leaves_no_torn_report(self, tmp_path,
@@ -640,6 +714,50 @@ class TestReportReaders:
             cli.read_labels_csv(path)
 
 
+HEADER = b"method,node_id,rank,term_id,term_surface,score"
+ROW_A = b"RLUM,0,1,10,alpha,0.5"
+ROW_B = b"RLUM,1,1,11,beta,0.25"
+
+
+class TestSplitPath:
+    """A quote-free report CSV is split in one pass; every file gives the
+    columns, lines and first fault that csv.reader gives."""
+
+    @pytest.mark.parametrize("data,split", [
+        (HEADER + b"\n" + ROW_A + b"\n" + ROW_B + b"\n", True),
+        (HEADER + b"\r\n" + ROW_A + b"\r\n" + ROW_B + b"\r\n", True),
+        (HEADER + b"\n" + ROW_A + b"\n" + ROW_B, True),
+        (HEADER + b"\n", True),
+        (HEADER, True),
+        (HEADER + b"\n" + ROW_A + b"\r" + ROW_B + b"\n", False),
+        (HEADER + b"\n" + ROW_A + b"\n\n" + ROW_B + b"\n", False),
+        (HEADER + b"\r\n" + ROW_A + b"\r\n\r\n" + ROW_B + b"\r\n", False),
+        (HEADER + b"\n" + ROW_A + b"\n" + ROW_B + b"\n\n", False),
+        (HEADER + b"\n" + ROW_A.rsplit(b",", 1)[0] + b"\n" + ROW_B + b"\n",
+         False),
+        (HEADER + b"\n" + ROW_A + b",x\n" + ROW_B + b"\n", False),
+        (HEADER + b"\n" + ROW_A + b"\n" + ROW_B.replace(b"beta", b"b\xffta")
+         + b"\n", False),
+    ], ids=["lf", "crlf", "no-final-newline", "header-only",
+            "header-only-no-newline", "bare-cr", "blank-mid", "blank-mid-crlf",
+            "blank-end", "short-row", "long-row", "non-utf8"])
+    def test_split_equals_reader(self, tmp_path, data, split):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(data)
+        columns = ("method", "node_id", "rank", "term_id", "score")
+        assert (cli._split_columns(path, columns) is not None) == split
+
+        def read(reader):
+            try:
+                lines, cells, fault = reader(path, columns)
+            except cli.ParseError as e:
+                return str(e)
+            return (lines.tolist(), [list(c) for c in cells],
+                    None if fault is None else str(fault))
+
+        assert read(cli._report_columns) == read(cli._reader_columns)
+
+
 class TestReportMutationFuzz:
     """Damaged labels.csv and metrics.csv files end in exit 0 or 3, never
     in a traceback."""
@@ -691,11 +809,27 @@ class TestReportMutationFuzz:
         return [(r.method, r.node_id, r.level, r.kind, r.precision.hex(),
                  r.recall.hex(), r.f.hex()) for r in got]
 
+    @staticmethod
+    def labels_row(path, line):
+        """(the cells of the labels.csv row on physical ``line`` by column
+        name, the number of rows of its method and node)."""
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            rows = [(reader.line_num, dict(zip(header, row)))
+                    for row in reader if row]
+        [row] = [r for n, r in rows if n == line]
+        key = (row["method"], int(row["node_id"]))
+        return row, sum(1 for _, r in rows
+                        if (r["method"], int(r["node_id"])) == key)
+
     def test_columnar_readers_match_the_row_oracles(self, tmp_path):
         """On every mutation the columnar reader accepts what the row-wise
         oracle accepts, with equal content, and rejects what it rejects at
         the same line.  Beyond the oracle, it rejects a metrics.csv kind
-        other than specific/generic and an integer beyond 64 bits."""
+        other than specific/generic, an integer beyond 64 bits, and a
+        labels.csv score that is not positive and finite or rank outside
+        1..k, k the rows of its method and node."""
         cfg = write_fixture(tmp_path / "fx")
         out = tmp_path / "fx" / "out"
         assert cli.main(["all", "--config", str(cfg)]) == 0
@@ -727,10 +861,19 @@ class TestReportMutationFuzz:
                 assert re.match(line, str(have)).group(1) == \
                     re.match(line, str(want)).group(1), (where, have, want)
             elif isinstance(have, Exception):
-                # the two checks the columnar reader adds
+                # the checks the columnar reader adds
                 outcomes.add("rejected beyond the oracle")
+                line = int(re.match(rf"^{re.escape(str(path))}:(\d+): ",
+                                    str(have)).group(1))
                 if "does not fit in 64 bits" in str(have):
                     assert re.search(rb"[0-9]{19}", damaged), (where, have)
+                elif name == "labels.csv" and "score" in str(have):
+                    row, _ = self.labels_row(path, line)
+                    assert not 0 < float(row["score"]) < float("inf"), \
+                        (where, have)
+                elif name == "labels.csv" and "rank" in str(have):
+                    row, k = self.labels_row(path, line)
+                    assert not 1 <= int(row["rank"]) <= k, (where, have)
                 else:
                     assert name == "metrics.csv" and "kind" in str(have), \
                         (where, have)

@@ -304,8 +304,8 @@ class TestScoreLabels:
             p_cap = int(rng.integers(1, 9))
             epsilon = float(rng.choice([0.0, 0.05, 1e-6]))
             aggregate = str(rng.choice(["sum", "mean"]))
-            report = coh.score_labels(counts, labels, p_cap, epsilon,
-                                      aggregate)
+            report = coh.score_labels(counts, oracles.label_columns(labels),
+                                      p_cap, epsilon, aggregate)
             for method, per in labels.items():
                 assert list(report.per_node[method]) == list(per)
                 for nid, terms in per.items():

@@ -418,7 +418,8 @@ class TestSelectTopk:
             scores = rng.integers(-1, 4, n).astype(np.float64)
             tie = rng.integers(0, 3, n).astype(np.float64)
             p_cap = int(rng.integers(1, n + 2))
-            assert lab._topk_arrays(terms, scores, tie, p_cap) == \
+            assert oracles.ranked_pairs(
+                lab._topk_arrays(terms, scores, tie, p_cap)) == \
                 oracles.topk(terms, scores, tie, p_cap)
 
 
@@ -427,7 +428,7 @@ class TestRankingMethods:
     def test_mtwl_raw_table2_score(self, table2):
         _, h, stats = table2
         a = lab.select_flat_or_hier(stats, "MTWL_raw", lab.LabelConfig())
-        scores = dict(a.labels[h.index_of(0)])
+        scores = dict(oracles.label_list(a, h.index_of(0)))
         assert scores[0] == 10.0
 
     def test_hier_on_leaf_empty(self, table2):
@@ -436,7 +437,7 @@ class TestRankingMethods:
             a = lab.label_hierarchy(stats, meth)
             for i in range(h.n_nodes):
                 if h.is_leaf(i):
-                    assert a.labels[i] == []
+                    assert oracles.label_list(a, i) == []
 
     def test_rcl_chi2_composition_oracle(self, tmp_path):
         rng = np.random.default_rng(51)
@@ -452,7 +453,7 @@ class TestRankingMethods:
                          for t in range(m.n_terms)]
                 freqs = stats.freq_row(i)
                 expect = oracles.select_topk(pairs, cfg.p_cap, freqs)
-                got = a.labels[i]
+                got = oracles.label_list(a, i)
                 assert [t for t, _ in got] == [t for t, _ in expect]
                 for (_, s1), (_, s2) in zip(got, expect):
                     assert s1 == pytest.approx(s2, rel=1e-9)
@@ -468,7 +469,7 @@ class TestRankingMethods:
                                          lambda g, t=t: oracles.score_mtwl_raw(stats, g, t)))
                      for t in range(m.n_terms)]
             expect = oracles.select_topk(pairs, cfg.p_cap, stats.freq_row(i))
-            got = a.labels[i]
+            got = oracles.label_list(a, i)
             assert [t for t, _ in got] == [t for t, _ in expect]
             for (_, s1), (_, s2) in zip(got, expect):
                 assert s1 == pytest.approx(s2, rel=1e-9)
@@ -495,7 +496,7 @@ class TestRankingMethods:
                                          lambda g, t=t: v(g, t)))
                      for t in range(m.n_terms)]
             expect = oracles.select_topk(pairs, cfg.p_cap, stats.freq_row(i))
-            got = a.labels[i]
+            got = oracles.label_list(a, i)
             assert [t for t, _ in got] == [t for t, _ in expect]
             for (_, s1), (_, s2) in zip(got, expect):
                 assert s1 == pytest.approx(s2, rel=1e-9)
@@ -565,12 +566,15 @@ class TestHierRclAgainstOracle:
                 seen["m4_zero"] += ((f > 0) & (f == s_p)).any()
             cfg = lab.LabelConfig(p_cap=n_terms, rcl_fp=rcl_fp)
             for method in lab.HIER_RCL_SCHEMES:
-                got = lab.label_hierarchy(stats, method, cfg).labels
-                want = oracles.hier_rcl(stats, method, cfg).labels
+                got = oracles.label_lists(
+                    lab.label_hierarchy(stats, method, cfg))
+                want = oracles.label_lists(
+                    oracles.hier_rcl(stats, method, cfg))
                 assert got == want, (trial, method)
             for method in lab.RCL_SCHEMES:
-                got = lab.label_hierarchy(stats, method, cfg).labels
-                want = oracles.rcl(stats, method, cfg).labels
+                got = oracles.label_lists(
+                    lab.label_hierarchy(stats, method, cfg))
+                want = oracles.label_lists(oracles.rcl(stats, method, cfg))
                 assert got == want, (trial, method)
             for i in np.flatnonzero(stats.child_count > 0):
                 got = lab._children_max_2x2_vec(stats, int(i))
@@ -594,18 +598,19 @@ class TestPopesculUngar:
         ]
         m, h, stats = build(tmp_path, cells, records, 4, 2)
         a = lab.select_popescul_ungar(stats, lab.LabelConfig())
-        root_terms = a.terms(h.root)
+        root_terms = oracles.label_terms(a, h.root)
         assert 0 in root_terms
         for i in (h.index_of(1), h.index_of(2)):
-            assert 0 not in a.terms(i)
+            assert 0 not in oracles.label_terms(a, i)
 
     def test_low_frequency_no_decision(self, table2):
         # research appears 3/4/3: below the f >= 5 rule, so no root label
         _, h, stats = table2
         a = lab.select_popescul_ungar(stats, lab.LabelConfig())
-        assert 0 not in a.terms(h.root)
+        assert 0 not in oracles.label_terms(a, h.root)
         # the term stays available to the leaves
-        assert any(0 in a.terms(h.index_of(i)) for i in (1, 2, 3))
+        assert any(0 in oracles.label_terms(a, h.index_of(i))
+                   for i in (1, 2, 3))
 
     def test_path_uniqueness_random(self, tmp_path):
         rng = np.random.default_rng(61)
@@ -619,7 +624,7 @@ class TestPopesculUngar:
                 path = [i] + h.ancestors(i)
                 seen = set()
                 for node in path:
-                    terms = set(a.terms(node))
+                    terms = set(oracles.label_terms(a, node))
                     assert not (terms & seen)
                     seen |= terms
 
@@ -637,9 +642,9 @@ class TestRlum:
         ]
         m, h, stats = build(tmp_path, cells, records, 2, 2)
         a = lab.select_rlum(stats, lab.LabelConfig())
-        assert set(a.terms(h.root)) == {0, 1}
-        assert a.terms(h.index_of(1)) == []
-        assert a.terms(h.index_of(2)) == []
+        assert set(oracles.label_terms(a, h.root)) == {0, 1}
+        assert oracles.label_terms(a, h.index_of(1)) == []
+        assert oracles.label_terms(a, h.index_of(2)) == []
 
     def test_zero_in_one_child_stays(self, tmp_path):
         cells = [(0, 0, 9), (0, 1, 1), (1, 1, 9)]
@@ -650,8 +655,8 @@ class TestRlum:
         ]
         m, h, stats = build(tmp_path, cells, records, 2, 2)
         a = lab.select_rlum(stats, lab.LabelConfig())
-        assert 0 not in a.terms(h.root)
-        assert 0 in a.terms(h.index_of(1))
+        assert 0 not in oracles.label_terms(a, h.root)
+        assert 0 in oracles.label_terms(a, h.index_of(1))
 
     def test_edge_disjoint_random(self, tmp_path):
         rng = np.random.default_rng(62)
@@ -660,9 +665,9 @@ class TestRlum:
             stats = corp.build_node_stats(m, h)
             a = lab.select_rlum(stats, lab.LabelConfig())
             for i in range(h.n_nodes):
-                mine = set(a.terms(i))
+                mine = set(oracles.label_terms(a, i))
                 for ch in h.children[i]:
-                    assert not (mine & set(a.terms(int(ch))))
+                    assert not (mine & set(oracles.label_terms(a, int(ch))))
                 # no zero-frequency term may be labeled
                 row = stats.freq_row(i)
                 assert all(row[t] > 0 for t in mine)
@@ -693,7 +698,7 @@ class TestCfMethods:
     def test_cf_average_two_children(self, table2):
         _, h, stats = table2
         a = lab.select_cf_average(stats, lab.LabelConfig())
-        root_scores = dict(a.labels[h.root])
+        root_scores = dict(oracles.label_list(a, h.root))
         expect = np.mean([oracles.cf_measure_leaf(stats, h.index_of(i), 0)
                           for i in (1, 2, 3)])
         assert root_scores[0] == pytest.approx(expect, rel=1e-12)
@@ -711,7 +716,7 @@ class TestCfMethods:
             return sum(oracle(int(c), t) for c in kids) / len(kids)
 
         for i in range(h.n_nodes):
-            got = dict(a.labels[i])
+            got = dict(oracles.label_list(a, i))
             for t in range(m.n_terms):
                 expect = oracle(i, t)
                 if expect > 0:
@@ -726,15 +731,15 @@ class TestCfMethods:
         for m, h in shuffled_instances(rng, tmp_path, 30):
             stats = corp.build_node_stats(m, h)
             cfg = lab.LabelConfig(p_cap=int(rng.choice([1, 3, 1000])))
-            got = lab.select_cf_average(stats, cfg).labels
-            assert got == oracles.cf_average(stats, cfg).labels
+            got = oracles.label_lists(lab.select_cf_average(stats, cfg))
+            assert got == oracles.label_lists(oracles.cf_average(stats, cfg))
 
     def test_cf_loo_leaves_match_leaf_measure(self, table2):
         _, h, stats = table2
         a = lab.select_cf_leave_one_out(stats, lab.LabelConfig())
         for i in (1, 2, 3):
             node = h.index_of(i)
-            for t, score in a.labels[node]:
+            for t, score in oracles.label_list(a, node):
                 assert score == pytest.approx(
                     oracles.cf_measure_leaf(stats, node, t), rel=1e-12)
 
@@ -742,7 +747,7 @@ class TestCfMethods:
         # level below the root holds only the root's own children
         _, h, stats = table2
         a = lab.select_cf_leave_one_out(stats, lab.LabelConfig())
-        assert a.labels[h.root] == []
+        assert oracles.label_list(a, h.root) == []
 
     def test_cf_loo_two_subtrees(self, tmp_path):
         # two internal subtrees at level 1; for node A recall is its own
@@ -761,8 +766,8 @@ class TestCfMethods:
         m, h, stats = build(tmp_path, cells, records, 4, 2)
         node_a = h.index_of(1)
         # term 0: f_A = 5, level-2 total = 10, own children 5 -> recall 1
-        got = dict(lab.select_cf_leave_one_out(stats, lab.LabelConfig())
-                   .labels[node_a])
+        got = dict(oracles.label_list(
+            lab.select_cf_leave_one_out(stats, lab.LabelConfig()), node_a))
         recall = 5 / (10 - 5)
         precision = 5 / 6
         assert got[0] == pytest.approx(2 * recall * precision / (recall + precision))
@@ -779,7 +784,7 @@ class TestMethodInvariants:
             for meth in lab.METHODS:
                 a = lab.label_hierarchy(stats, meth, cfg)
                 for i in range(h.n_nodes):
-                    label = a.labels[i]
+                    label = oracles.label_list(a, i)
                     assert len(label) <= 5
                     scores = [s for _, s in label]
                     assert all(s > 0 for s in scores)
@@ -803,7 +808,7 @@ class TestMethodInvariants:
         for meth in lab.METHODS:
             a1 = lab.label_hierarchy(stats, meth)
             a2 = lab.label_hierarchy(stats2, meth)
-            assert a1.labels == a2.labels
+            assert oracles.label_lists(a1) == oracles.label_lists(a2)
 
     def test_mtwl_idf_pointwise_identity(self, tmp_path):
         rng = np.random.default_rng(73)
@@ -832,8 +837,8 @@ class TestMethodInvariants:
             a1 = lab.label_hierarchy(s1, meth)
             a2 = lab.label_hierarchy(s2, meth)
             for i in range(h.n_nodes):
-                assert [t for t, _ in a1.labels[i]] == \
-                    [t for t, _ in a2.labels[i]]
+                assert [t for t, _ in oracles.label_list(a1, i)] == \
+                    [t for t, _ in oracles.label_list(a2, i)]
 
     def test_config_switches(self, tmp_path):
         rng = np.random.default_rng(75)
@@ -849,8 +854,8 @@ class TestMethodInvariants:
         for meth in ("PopesculUngar", "RLUM", "RCL_chi2", "HierRCL_jsd"):
             a = lab.label_hierarchy(stats, meth, alt)
             for i in range(h.n_nodes):
-                assert len(a.labels[i]) <= alt.p_cap
-                assert all(s > 0 for _, s in a.labels[i])
+                assert len(oracles.label_list(a, i)) <= alt.p_cap
+                assert all(s > 0 for _, s in oracles.label_list(a, i))
         # literal FP clamps at zero instead of going negative
         lit = lab.label_hierarchy(stats, "RCL_chi2", alt)
         assert isinstance(lit, lab.LabelAssignment)
@@ -864,6 +869,7 @@ class TestMethodInvariants:
         for meth in lab.METHODS:
             a = lab.label_hierarchy(stats, meth)
             assert isinstance(a, lab.LabelAssignment)
-            assert 0 in a.labels
+            assert 0 in oracles.label_lists(a)
         # frequency ranking still works on the degenerate root
-        assert lab.label_hierarchy(stats, "MTWL_raw").terms(0) == [0, 1]
+        assert oracles.label_terms(lab.label_hierarchy(stats, "MTWL_raw"),
+                                   0) == [0, 1]

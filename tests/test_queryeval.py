@@ -49,12 +49,13 @@ def labeled_tree(tmp_path):
         {"id": 12, "parent": 3, "children": [], "docs": [6]},
     ]
     h = hierarchy_from_records(records, m, tmp_path)
-    a = lab.LabelAssignment("fixture")
     label_terms = {3: [AGRI], 8: [RESEARCH], 9: [INNOV], 10: [TECH],
                    11: [UNIV], 12: [TECHNO, PROCESS]}
+    lists = {}
     for i in range(h.n_nodes):
         nid = int(h.ids[i])
-        a.labels[i] = [(t, 1.0) for t in label_terms.get(nid, [])]
+        lists[i] = [(t, 1.0) for t in label_terms.get(nid, [])]
+    a = oracles.assignment("fixture", lists, h.n_nodes)
     return m, h, a
 
 
@@ -88,8 +89,8 @@ class TestSpecificQueries:
             {"id": 2, "parent": 0, "children": [], "docs": [1]},
         ]
         h = hierarchy_from_records(records, m, tmp_path)
-        a = lab.LabelAssignment("fixture")
-        a.labels = {0: [], 1: [], 2: [(0, 1.0)]}
+        a = oracles.assignment("fixture", {0: [], 1: [], 2: [(0, 1.0)]},
+                               h.n_nodes)
         q = qe.derive_specific_queries(h, a)
         assert q[1] is None
         assert q[0] == qe.Term(0)     # case (ii) via the one labeled child
@@ -138,15 +139,15 @@ def _with_docs(rng, records):
 def _random_labels(rng, n_nodes, n_terms):
     """Many empty labels; a small vocabulary so that siblings and
     ancestors repeat terms; now and then a term repeated in one label."""
-    a = lab.LabelAssignment("random")
+    lists = {}
     for i in range(n_nodes):
         if rng.random() < 0.45:
-            a.labels[i] = []
+            lists[i] = []
             continue
         terms = [int(t) for t in rng.integers(0, n_terms,
                                               int(rng.integers(1, 5)))]
-        a.labels[i] = [(t, 1.0) for t in terms]
-    return a
+        lists[i] = [(t, 1.0) for t in terms]
+    return oracles.assignment("random", lists, n_nodes)
 
 
 class TestTupleQueriesAgainstOracle:
@@ -385,7 +386,7 @@ class TestEvaluateAll:
         stats = corp.build_node_stats(m, h)
         a = lab.label_hierarchy(stats, "MTWL_raw", lab.LabelConfig(p_cap=2))
         for i in range(h.n_nodes):
-            assert sorted(a.terms(i)) == owned[i]
+            assert sorted(oracles.label_terms(a, i)) == owned[i]
         table, _ = qe.evaluate_all(m, h, {"MTWL_raw": a})
         for row in oracles.observation_rows(table.filter(kind="specific")):
             assert row.precision == 1.0 and row.recall == 1.0 and row.f == 1.0
