@@ -11,9 +11,8 @@ from .labeling import (
     select_popescul_ungar, select_rlum,
 )
 from .queryeval import (
-    And, ObservationTable, Or, Term,
-    derive_generic_queries, derive_specific_queries, evaluate_all,
-    query_to_prefix,
+    ObservationTable, derive_generic_queries, derive_specific_queries,
+    evaluate_all, query_to_prefix,
 )
 from .stats import (
     GlmFit, SnkGrouping, fit_additive_model, fit_level_model, snk_compare,

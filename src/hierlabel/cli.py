@@ -402,15 +402,37 @@ def _split_columns(path, columns):
             [flat[at[c]::width] for c in columns], None)
 
 
+def _undecodable(path) -> tuple:
+    """(the line of the file's first byte that is not UTF-8, counted as
+    csv.reader counts lines, and its ParseError), or (inf, None)."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start].decode("utf-8")
+        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        return line, ParseError(f"{path}:{line}: not UTF-8 text ({e.reason})")
+    return math.inf, None
+
+
 def _reader_columns(path, columns):
-    """``_report_columns``'s result, read row by row through csv.reader."""
+    """``_report_columns``'s result, read row by row through csv.reader.
+    The rows end before the row that holds the file's first undecodable
+    byte, which is the fault unless an earlier row is.  The text is
+    decoded as a whole beforehand, because the reader's line count runs
+    ahead of a decoding error in the file's text layer."""
+    bad_line, bad = _undecodable(path)
     lines, rows, fault = [], [], None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
-        except (UnicodeDecodeError, csv.Error) as e:
-            raise ParseError(f"{path}:{reader.line_num}: {e}") from None
+        except csv.Error as e:
+            raise (bad if reader.line_num >= bad_line else
+                   ParseError(f"{path}:{reader.line_num}: {e}")) from None
+        if reader.line_num >= bad_line:
+            raise bad
         # a repeated column name counts at its last position
         at = {name: k for k, name in enumerate(header)}
         absent = [c for c in columns if c not in at]
@@ -420,6 +442,9 @@ def _reader_columns(path, columns):
         width = len(header)
         try:
             for row in reader:
+                if reader.line_num >= bad_line:
+                    fault = bad
+                    break
                 if len(row) != width:
                     if not row:
                         continue
@@ -429,8 +454,9 @@ def _reader_columns(path, columns):
                     break
                 lines.append(reader.line_num)
                 rows.append(row)
-        except (UnicodeDecodeError, csv.Error) as e:
-            fault = ParseError(f"{path}:{reader.line_num}: {e}")
+        except csv.Error as e:
+            fault = (bad if reader.line_num >= bad_line else
+                     ParseError(f"{path}:{reader.line_num}: {e}"))
     table = list(zip(*rows)) or [()] * width
     return (np.array(lines, np.int64), [table[at[c]] for c in columns],
             fault)
@@ -545,9 +571,10 @@ class LabelColumns:
 
 def read_labels_csv(path) -> tuple:
     """(LabelColumns, each row's physical line) of a labels.csv: at most
-    one row per method, node and rank, every score positive and finite,
-    and the ranks of each method and node running 1..k.  The file's form
-    and the repeats are checked first, the values after them."""
+    one row per method, node and rank, every method one of the sixteen,
+    every score positive and finite, and the ranks of each method and node
+    running 1..k.  The file's form and the repeats are checked first, the
+    values after them."""
     lines, (method, *cells), fault = _report_columns(
         path, ("method", "node_id", "rank", "term_id", "score"))
     (nid, rank, term, score), fault = _numbers(path, lines, list(zip(
@@ -558,7 +585,11 @@ def read_labels_csv(path) -> tuple:
     _raise_first(path, lines,
                  [_first_repeat(order, (codes, nid, rank), lines)], fault)
     k = _rows_per_node(order, codes, nid)
+    unknown = np.array([name not in lab.METHODS for name in names], bool)
     _raise_first(path, lines, [
+        _first_fault(unknown[codes],
+                     lambda r: f"method {names[codes[r]]!r} is not a "
+                               f"labeling method"),
         _first_fault(~((score > 0) & (score < math.inf)),
                      lambda r: f"score {score[r]} is not positive and "
                                f"finite"),
@@ -659,14 +690,14 @@ def stage_evaluate(cfg: RunConfig, tracker: OutputTracker,
             table.node_id.tolist(), table.level.tolist(),
             map(KINDS.__getitem__, table.kind.tolist()),
             *(map(fmt, table.values(m).tolist()) for m in MEASURES)))
+    ids = bundle.hierarchy.ids.tolist()
     with tracker.open("queries.txt") as fh:
         for method in cfg.methods:
-            render = qe.prefix_renderer()
-            for kind in KINDS:
-                qmap = queries[method][kind]
-                for i in range(bundle.hierarchy.n_nodes):
-                    nid = int(bundle.hierarchy.ids[i])
-                    fh.write(f"{method} {nid} {kind} {render(qmap[i])}\n")
+            q = queries[method]
+            for kind, texts in zip(KINDS, qe.prefix_strings(q["specific"],
+                                                             q["generic"])):
+                fh.writelines(f"{method} {nid} {kind} {text}\n"
+                              for nid, text in zip(ids, texts))
     return table
 
 

@@ -152,9 +152,6 @@ class DocTermMatrix:
                 (self.n_terms, self.n_docs))
         return self._presence_csc
 
-    def doc_ids_for_term(self, term: int) -> np.ndarray:
-        return self.presence_csc.row(term)[0]
-
     def term_doc_freq(self) -> np.ndarray:
         """Document frequency of every term (dense, int64)."""
         return np.bincount(self.csr.indices, minlength=self.n_terms)
@@ -703,6 +700,9 @@ class NodeTermStats:
         self.global_df = self.docfreq_row(hierarchy.root)
         self._level_freq = {}
         self._hier_base = None
+        # (node, alpha, chi2_shape) -> the labeling's per-term verdict that
+        # the node's children are independent, filled on first use
+        self.independence = {}
 
     def freq_row(self, i: int) -> np.ndarray:
         return self.freq.dense_row(i)

@@ -401,15 +401,21 @@ def _hier_rcl(stats, method, cfg):
 
 def _independence_ok(stats, node, cfg):
     """Boolean per-term vector: chi-square independence NOT rejected at
-    alpha over the node's children (df = c - 1)."""
-    c = int(stats.child_count[node])
-    if c <= 1:
-        return np.ones(stats.n_terms, bool)
-    if cfg.chi2_shape == "full_table":
-        stat = _children_chi2_vec(stats, node)
-    else:
-        stat = _children_max_2x2_vec(stats, node)
-    return stat <= _chi2_critical(cfg.alpha, c - 1)
+    alpha over the node's children (df = c - 1).  PopesculUngar and RLUM
+    share each node's read-only vector through ``stats.independence``."""
+    key = (node, cfg.alpha, cfg.chi2_shape)
+    ok = stats.independence.get(key)
+    if ok is None:
+        c = int(stats.child_count[node])
+        if c <= 1:
+            ok = np.ones(stats.n_terms, bool)
+        else:
+            stat = (_children_chi2_vec if cfg.chi2_shape == "full_table"
+                    else _children_max_2x2_vec)(stats, node)
+            ok = stat <= _chi2_critical(cfg.alpha, c - 1)
+        ok.flags.writeable = False
+        stats.independence[key] = ok
+    return ok
 
 
 def _count_children_ge(stats, node, threshold):

@@ -4,7 +4,9 @@ Specific queries OR a node's label terms together; a node with an empty
 label inherits the nearest labeled ancestor's query, or, with no labeled
 ancestor anywhere above it, ORs its children's queries.  Generic queries
 AND a node's specific query onto its parent's generic query, so the
-retrieved sets nest along every root path.
+retrieved sets nest along every root path.  A specific query is the tuple
+of the term ids it ORs, a generic one the tuple of the specific tuples it
+ANDs.
 """
 
 from __future__ import annotations
@@ -19,58 +21,39 @@ from .errors import ValidationError
 from .labeling import LabelAssignment
 
 
-@dataclass(frozen=True)
-class Term:
-    term: int
-
-
-@dataclass(frozen=True)
-class Or:
-    children: tuple
-
-    def __post_init__(self):
-        if not self.children:
-            raise ValidationError("OR node needs at least one child")
-
-
-@dataclass(frozen=True)
-class And:
-    children: tuple
-
-    def __post_init__(self):
-        if not self.children:
-            raise ValidationError("AND node needs at least one child")
-
-
-def query_to_prefix(query) -> str:
-    """Parenthesized prefix notation, e.g. (AND (OR t12 t77) (OR t3))."""
-    if query is None:
+def query_to_prefix(terms) -> str:
+    """One specific query in prefix notation: ``()`` for None, ``t12``
+    for one term, ``(OR t12 t77)`` for more."""
+    if terms is None:
         return "()"
-    if isinstance(query, Term):
-        return f"t{query.term}"
-    op = "OR" if isinstance(query, Or) else "AND"
-    return "(" + op + " " + " ".join(query_to_prefix(c) for c in query.children) + ")"
+    if len(terms) == 1:
+        return f"t{terms[0]}"
+    return "(OR " + " ".join(f"t{t}" for t in terms) + ")"
 
 
-def prefix_renderer():
-    """``query_to_prefix`` for the shared query objects of one derivation.
-
-    Each distinct specific query (one object per term-id tuple) goes
-    through ``query_to_prefix`` once; an And joins its conjuncts' cached
-    strings.  The cache keeps every query it saw alive, so object ids are
-    never reused while the renderer lives.
-    """
+def prefix_strings(specific: dict, generic: dict) -> tuple:
+    """(specific, generic): iterators over each node's queries in prefix
+    notation, in node index order.  Each distinct specific tuple goes
+    through ``query_to_prefix`` once; a generic chain of several conjuncts
+    joins their strings into ``(AND ...)``.  The strings are made as they
+    are read: on a deep tree one method's generic strings can take tens
+    of MB."""
     cache = {}
 
-    def render(query) -> str:
-        if isinstance(query, And):
-            return "(AND " + " ".join(map(render, query.children)) + ")"
-        hit = cache.get(id(query))
-        if hit is None:
-            hit = cache[id(query)] = (query, query_to_prefix(query))
-        return hit[1]
+    def one(terms):
+        text = cache.get(terms)
+        if text is None:
+            text = cache[terms] = query_to_prefix(terms)
+        return text
 
-    return render
+    def conjunction(conjuncts):
+        if conjuncts is not None and len(conjuncts) > 1:
+            return "(AND " + " ".join(map(one, conjuncts)) + ")"
+        return one(conjuncts[0] if conjuncts else None)
+
+    nodes = range(len(specific))
+    return ((one(specific[i]) for i in nodes),
+            (conjunction(generic[i]) for i in nodes))
 
 
 def _union(parts) -> tuple:
@@ -79,12 +62,14 @@ def _union(parts) -> tuple:
     return tuple(dict.fromkeys(chain.from_iterable(parts)))
 
 
-def _specific_terms(hierarchy: Hierarchy, labels: LabelAssignment) -> list:
-    """Node index -> term-id tuple of its specific query, None when the
-    node is unretrievable.  Two passes: bottom-up to resolve empty-label
-    nodes into ORs over their children's resolved queries, then top-down
-    to let nodes below a labeled ancestor inherit that ancestor's own query
-    instead."""
+def derive_specific_queries(hierarchy: Hierarchy,
+                            labels: LabelAssignment) -> dict:
+    """Node index -> the term-id tuple that its specific query ORs, None
+    when the node is unretrievable.  Two passes: bottom-up to resolve
+    empty-label nodes into ORs over their children's resolved queries,
+    then top-down to let nodes below a labeled ancestor inherit that
+    ancestor's own query instead.  A node that inherits a query shares its
+    ancestor's tuple."""
     n = hierarchy.n_nodes
     terms, bounds = labels.term.tolist(), labels.indptr.tolist()
     own = [tuple(dict.fromkeys(terms[lo:hi])) or None
@@ -110,108 +95,42 @@ def _specific_terms(hierarchy: Hierarchy, labels: LabelAssignment) -> list:
             out[i] = down[i]
         for c in hierarchy.children[i]:
             nearest[int(c)] = own[i] if own[i] is not None else inherited
-    return out
-
-
-def _terms_of(query) -> tuple:
-    """Term-id tuple of a Term or of an OR of Terms."""
-    if isinstance(query, Term):
-        return (query.term,)
-    return tuple(c.term for c in query.children)
-
-
-def derive_specific_queries(hierarchy: Hierarchy, labels: LabelAssignment) -> dict:
-    """Map node index -> query (or None for unretrievable nodes).
-
-    A single term is a bare Term, more terms an Or of Terms.  Nodes with
-    the same term tuple share one query object, and queries share their
-    Term objects.
-    """
-    terms, queries = {}, {}
-
-    def term(t):
-        q = terms.get(t)
-        if q is None:
-            q = terms[t] = Term(t)
-        return q
-
-    def query(key):
-        if key is None:
-            return None
-        q = queries.get(key)
-        if q is None:
-            q = queries[key] = (term(key[0]) if len(key) == 1
-                                else Or(tuple(map(term, key))))
-        return q
-
-    return {i: query(key)
-            for i, key in enumerate(_specific_terms(hierarchy, labels))}
+    return dict(enumerate(out))
 
 
 def derive_generic_queries(hierarchy: Hierarchy, specific: dict) -> dict:
-    """AND each node's specific query onto its ancestors' conjuncts,
-    skipping structurally duplicate conjuncts (inherited copies).
-
-    ``specific`` maps node index -> Term, Or of Terms or None, as
-    ``derive_specific_queries`` returns it.  A node that adds no conjunct
-    shares its parent's query object.
-    """
-    tuples = {}                        # id(query) -> term-id tuple
-    conjuncts = {}                     # node -> (term tuples, queries)
+    """Node index -> the conjuncts that its generic query ANDs: the
+    specific term tuples along its root path, each once (an inherited copy
+    adds none), or None when there are none.  ``specific`` is
+    ``derive_specific_queries``'s map.  A node that adds no conjunct
+    shares its parent's tuple."""
     out = {}
     for i in hierarchy.order_top_down():
         i = int(i)
-        root = i == hierarchy.root
-        keys, parts = ((), ()) if root else conjuncts[int(hierarchy.parent[i])]
-        q = specific.get(i)
-        key = None
-        if q is not None:
-            key = tuples.get(id(q))
-            if key is None:
-                key = tuples[id(q)] = _terms_of(q)
-        if key is None or key in keys:
-            out[i] = None if root else out[int(hierarchy.parent[i])]
+        above = None if i == hierarchy.root else out[int(hierarchy.parent[i])]
+        key = specific[i]
+        if key is None or key in (above or ()):
+            out[i] = above
         else:
-            keys, parts = keys + (key,), parts + (q,)
-            out[i] = q if len(parts) == 1 else And(parts)
-        conjuncts[i] = (keys, parts)
+            out[i] = (above or ()) + (key,)
     return out
 
 
-def _eval_mask(matrix: DocTermMatrix, query) -> np.ndarray:
-    if isinstance(query, Term):
-        if not (0 <= query.term < matrix.n_terms):
-            raise ValidationError(f"query term {query.term} out of range")
-        mask = np.zeros(matrix.n_docs, bool)
-        mask[matrix.doc_ids_for_term(query.term)] = True
-        return mask
-    if isinstance(query, Or):
-        flat = [c.term for c in query.children if isinstance(c, Term)]
-        if len(flat) == len(query.children):
-            ids = np.asarray(flat, np.int64)
-            bad = ids[(ids < 0) | (ids >= matrix.n_terms)]
-            if bad.size:
-                raise ValidationError(f"query term {bad[0]} out of range")
-            # the terms' document lists, concatenated by index arithmetic
-            # (measured faster than a slice per term)
-            csc = matrix.presence_csc
-            start = csc.indptr[ids]
-            size = csc.indptr[ids + 1] - start
-            at = np.arange(size.sum()) + np.repeat(start - size.cumsum() + size,
-                                                   size)
-            mask = np.zeros(matrix.n_docs, bool)
-            mask[csc.indices[at]] = True
-            return mask
-        mask = np.zeros(matrix.n_docs, bool)
-        for c in query.children:
-            mask |= _eval_mask(matrix, c)
-        return mask
-    if isinstance(query, And):
-        mask = _eval_mask(matrix, query.children[0])
-        for c in query.children[1:]:
-            mask &= _eval_mask(matrix, c)
-        return mask
-    raise ValidationError(f"not a query node: {query!r}")
+def _or_mask(matrix: DocTermMatrix, terms) -> np.ndarray:
+    """The documents holding any of ``terms``, as a bool mask."""
+    ids = np.asarray(terms, np.int64)
+    bad = ids[(ids < 0) | (ids >= matrix.n_terms)]
+    if bad.size:
+        raise ValidationError(f"query term {bad[0]} out of range")
+    # the terms' document lists, concatenated by index arithmetic
+    # (measured faster than a slice per term)
+    csc = matrix.presence_csc
+    start = csc.indptr[ids]
+    size = csc.indptr[ids + 1] - start
+    at = np.arange(size.sum()) + np.repeat(start - size.cumsum() + size, size)
+    mask = np.zeros(matrix.n_docs, bool)
+    mask[csc.indices[at]] = True
+    return mask
 
 
 def _metrics_from_counts(tp, n_retrieved, n_group) -> tuple:
@@ -281,16 +200,15 @@ class ObservationTable:
 def _query_masks(matrix: DocTermMatrix, hierarchy: Hierarchy,
                  specific: dict):
     """Retrieved-document masks, one row per node, for the specific queries
-    and for the generic ones.  Each shared specific query is evaluated once;
-    a generic mask is the parent's generic mask AND the node's own."""
+    and for the generic ones.  Each distinct specific tuple is evaluated
+    once; a generic mask is the parent's generic mask AND the node's own."""
     spec = np.zeros((hierarchy.n_nodes, matrix.n_docs), bool)
-    first = {}                         # id(shared query) -> first node
-    for i in range(hierarchy.n_nodes):
-        q = specific[i]
-        if q is None:
+    first = {}                         # term tuple -> first node
+    for i, terms in specific.items():
+        if terms is None:
             continue
-        j = first.setdefault(id(q), i)
-        spec[i] = _eval_mask(matrix, q) if j == i else spec[j]
+        j = first.setdefault(terms, i)
+        spec[i] = _or_mask(matrix, terms) if j == i else spec[j]
     gen = np.empty_like(spec)
     for i in hierarchy.order_top_down():
         i = int(i)
@@ -307,7 +225,8 @@ def evaluate_all(matrix: DocTermMatrix, hierarchy: Hierarchy,
                  assignments: dict):
     """Metrics for every (method, node, kind), in the order of
     ``assignments``, node index and ``KINDS``; also returns the derived
-    queries as {method: {"specific": {...}, "generic": {...}}}."""
+    queries as {method: {"specific": {...}, "generic": {...}}}, the maps
+    of ``derive_specific_queries`` and ``derive_generic_queries``."""
     n = hierarchy.n_nodes
     n_group = np.fromiter(map(len, hierarchy.docsets), np.int64, n)
     # every docset's documents as flat indices into a node x document mask

@@ -3,7 +3,10 @@
 The query derivation here is the direct structural one: queries are built
 as Term/Or/And objects from the start, ORs are canonicalised by a linear
 membership scan, and generic conjuncts are deduplicated by structural
-equality.  The library derives the same queries from term-id tuples.
+equality.  They are rendered by a recursive ``query_to_prefix`` and
+evaluated by a recursive mask walk (``retrieve``).  The library derives the
+same queries as term-id tuples; ``specific_query`` and ``generic_query``
+turn those into the objects.
 
 Observed coherence here is the scalar pair loop over ``npmi``;
 the library scores every pair of a method in one vectorised pass.
@@ -65,7 +68,6 @@ from hierlabel.labeling import (LabelAssignment, _children_chi2_vec,
                                 _leaf_cf_row, _topk_arrays)
 from hierlabel import queryeval as qe
 from hierlabel.cli import MEASURES
-from hierlabel.queryeval import And, Or, Term, _eval_mask
 from hierlabel.stats import GlmFit
 
 
@@ -295,11 +297,77 @@ def label_columns(labels: dict) -> dict:
     return out
 
 
+@dataclass(frozen=True)
+class Term:
+    term: int
+
+
+@dataclass(frozen=True)
+class Or:
+    children: tuple
+
+    def __post_init__(self):
+        if not self.children:
+            raise ValidationError("OR node needs at least one child")
+
+
+@dataclass(frozen=True)
+class And:
+    children: tuple
+
+    def __post_init__(self):
+        if not self.children:
+            raise ValidationError("AND node needs at least one child")
+
+
+def specific_query(terms):
+    """The query object of a library specific query, a term-id tuple or
+    None: a bare Term for one term, an Or of Terms for more."""
+    if terms is None:
+        return None
+    if len(terms) == 1:
+        return Term(terms[0])
+    return Or(tuple(map(Term, terms)))
+
+
+def generic_query(conjuncts):
+    """The query object of a library generic query, a tuple of specific
+    term tuples or None: a lone conjunct bare, more of them in an And."""
+    if conjuncts is None:
+        return None
+    parts = tuple(map(specific_query, conjuncts))
+    return parts[0] if len(parts) == 1 else And(parts)
+
+
+def query_to_prefix(query) -> str:
+    """Parenthesized prefix notation, e.g. (AND (OR t12 t77) (OR t3))."""
+    if query is None:
+        return "()"
+    if isinstance(query, Term):
+        return f"t{query.term}"
+    op = "OR" if isinstance(query, Or) else "AND"
+    return "(" + op + " " + " ".join(query_to_prefix(c)
+                                     for c in query.children) + ")"
+
+
+def _mask(matrix: DocTermMatrix, query) -> np.ndarray:
+    if isinstance(query, Term):
+        if not (0 <= query.term < matrix.n_terms):
+            raise ValidationError(f"query term {query.term} out of range")
+        mask = np.zeros(matrix.n_docs, bool)
+        c = matrix.csr
+        mask[c.row_ids()[c.indices == query.term]] = True
+        return mask
+    masks = [_mask(matrix, c) for c in query.children]
+    combine = np.logical_or if isinstance(query, Or) else np.logical_and
+    return combine.reduce(masks)
+
+
 def retrieve(matrix: DocTermMatrix, query) -> set:
     """Documents satisfying the query; presence-only semantics."""
     if query is None:
         return set()
-    return set(np.flatnonzero(_eval_mask(matrix, query)).tolist())
+    return set(np.flatnonzero(_mask(matrix, query)).tolist())
 
 
 @dataclass(frozen=True)
@@ -834,28 +902,41 @@ def _report_rows(path, columns):
     lacks one of ``columns``, a row whose width differs from the header's,
     undecodable text and broken CSV quoting are ParseErrors naming the file
     and the line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(_decoded_lines(path))
+    try:
+        header = next(reader, [])
+        # a repeated column name counts at its last position
+        at = {name: k for k, name in enumerate(header)}
+        absent = [c for c in columns if c not in at]
+        if absent:
+            raise ParseError(f"{path}:1: header lacks column(s) "
+                             + ", ".join(absent))
+        pick = operator.itemgetter(*(at[c] for c in columns))
+        width = len(header)
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise _bad_row(path, reader.line_num,
+                               f"{len(row)} fields, the header has "
+                               f"{width}")
+            yield reader.line_num, pick(row)
+    except csv.Error as e:
+        raise ParseError(f"{path}:{reader.line_num}: {e}") from None
+
+
+def _decoded_lines(path):
+    """The file's lines as csv.reader counts them (ended by \\n, \\r\\n or
+    \\r), each decoded on its own; the first line that is not UTF-8 is a
+    ParseError naming it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for k, line in enumerate(data.splitlines(keepends=True), 1):
         try:
-            header = next(reader, [])
-            # a repeated column name counts at its last position
-            at = {name: k for k, name in enumerate(header)}
-            absent = [c for c in columns if c not in at]
-            if absent:
-                raise ParseError(f"{path}:1: header lacks column(s) "
-                                 + ", ".join(absent))
-            pick = operator.itemgetter(*(at[c] for c in columns))
-            width = len(header)
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    raise _bad_row(path, reader.line_num,
-                                   f"{len(row)} fields, the header has "
-                                   f"{width}")
-                yield reader.line_num, pick(row)
-        except (UnicodeDecodeError, csv.Error) as e:
-            raise ParseError(f"{path}:{reader.line_num}: {e}") from None
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}:{k}: not UTF-8 text ({e.reason})") \
+                from None
 
 
 def _bad_row(path, line, e) -> ParseError:

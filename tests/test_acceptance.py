@@ -7,9 +7,11 @@ Criterion 9 builds a 5,000-doc x 10,000-term synthetic corpus under a
 1 thread); criterion 10 reads the per-level curves from that run.
 """
 
+import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,20 +166,20 @@ def test_c04_retrieval_correctness(tmp_path):
 
         def brute(mat, query, d):
             row_ = mat.csr.dense_row(d)
-            if isinstance(query, qe.Term):
+            if isinstance(query, oracles.Term):
                 return row_[query.term] > 0
-            if isinstance(query, qe.Or):
+            if isinstance(query, oracles.Or):
                 return any(brute(mat, c, d) for c in query.children)
             return all(brute(mat, c, d) for c in query.children)
 
         def random_query(n_terms, depth=0):
             kind = rng.integers(0, 3 if depth < 3 else 1)
             if kind == 0:
-                return qe.Term(int(rng.integers(n_terms)))
+                return oracles.Term(int(rng.integers(n_terms)))
             arity = int(rng.integers(1, 4))
             parts = tuple(random_query(n_terms, depth + 1)
                           for _ in range(arity))
-            return qe.Or(parts) if kind == 1 else qe.And(parts)
+            return oracles.Or(parts) if kind == 1 else oracles.And(parts)
 
         m = random_matrix(rng, 40, 25)
         for _ in range(1000):
@@ -185,6 +187,13 @@ def test_c04_retrieval_correctness(tmp_path):
             got = oracles.retrieve(m, q)
             expect = {d for d in range(m.n_docs) if brute(m, q, d)}
             assert got == expect
+        # the library evaluates ORs of terms; ANDs only along root paths
+        for _ in range(1000):
+            terms = tuple(int(t) for t in rng.integers(
+                0, m.n_terms, int(rng.integers(1, 6))))
+            got = set(np.flatnonzero(qe._or_mask(m, terms)).tolist())
+            q = oracles.specific_query(terms)
+            assert got == {d for d in range(m.n_docs) if brute(m, q, d)}
 
 
 def test_c05_generic_query_nesting(tmp_path):
@@ -195,7 +204,8 @@ def test_c05_generic_query_nesting(tmp_path):
             for meth in lab.METHODS:
                 spec = qe.derive_specific_queries(h, assignments[meth])
                 gen = qe.derive_generic_queries(h, spec)
-                sets = {i: oracles.retrieve(m, gen[i]) for i in range(h.n_nodes)}
+                sets = {i: oracles.retrieve(m, oracles.generic_query(gen[i]))
+                        for i in range(h.n_nodes)}
                 for i in range(h.n_nodes):
                     if i != h.root:
                         assert sets[i] <= sets[int(h.parent[i])]
@@ -378,10 +388,15 @@ def _report_files(out):
                   and p.name != "run_manifest.json")
 
 
+# sha256 of every smoke report but the manifest, as ``sha256sum`` lists them
+SMOKE_DIGESTS = Path(__file__).with_name("smoke_reports.sha256")
+
+
 @pytest.mark.slow
 def test_c09_determinism_and_scale(tmp_path_factory):
     """Criterion 9: the full pipeline at benchmark scale finishes inside
-    ten minutes and is byte-deterministic across thread counts."""
+    ten minutes, is byte-deterministic across thread counts, and writes
+    the pinned report bytes."""
     with _Timer("criterion 9: determinism & scale smoke test", 900.0):
         root = tmp_path_factory.mktemp("smoke")
         cfg_path = build_smoke_fixture(root)
@@ -404,6 +419,11 @@ def test_c09_determinism_and_scale(tmp_path_factory):
             [p.relative_to(root / "o1") for p in files1]
         for p8, p1 in zip(files8, files1):
             assert p8.read_bytes() == p1.read_bytes(), p8.name
+        want = dict(line.split()[::-1]
+                    for line in SMOKE_DIGESTS.read_text().splitlines())
+        got = {p.relative_to(root / "o8").as_posix():
+               hashlib.sha256(p.read_bytes()).hexdigest() for p in files8}
+        assert got == want
         m8 = json.loads((root / "o8" / "run_manifest.json").read_text())
         m1 = json.loads((root / "o1" / "run_manifest.json").read_text())
         assert {k: v["sha256"] for k, v in m8["inputs"].items()} == \

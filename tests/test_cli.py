@@ -16,6 +16,7 @@ import hierlabel
 from hierlabel import cli
 from hierlabel import coherence as coh
 from hierlabel import labeling as lab
+from hierlabel import queryeval as qe
 
 import oracles
 
@@ -266,6 +267,8 @@ class TestExitCodes:
         ("coherence", "labels.csv", "score:0", 2),
         ("evaluate", "labels.csv", "rank:-3", 2),
         ("coherence", "labels.csv", "rank:gap", 10),
+        ("evaluate", "labels.csv", "method", 2),
+        ("coherence", "labels.csv", "method", 2),
     ])
     def test_malformed_report_csv_is_input_error(self, tmp_path, capsys,
                                                  stage, name, damage, line):
@@ -280,6 +283,8 @@ class TestExitCodes:
             fields = rows[1].split(",")
             fields[1] = "x"
             rows[1] = ",".join(fields)
+        elif damage == "method":            # not a labeling method
+            rows[1] = "Bogus" + rows[1][rows[1].index(","):]
         elif damage == "long":
             rows[1] += ",x"
         elif damage == "short":
@@ -573,7 +578,7 @@ class TestTracedBenchmark:
     def test_traced_stages_complete(self, tmp_path):
         """pipebench/traced.py runs the label, evaluate and coherence
         stages and ``all`` on the program as it is, and its counters agree
-        with the label records."""
+        with the label records and the queries derived from them."""
         cfg = write_fixture(tmp_path / "fx")
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -599,6 +604,17 @@ class TestTracedBenchmark:
         for stage in ("evaluate", "coherence"):
             names = {span[0] for span in spans[stage]["spans"]}
             assert "cli.read_labels_csv" in names, stage
+        unretrievable = sum(
+            1 for a in records.values()
+            for q in qe.derive_specific_queries(bundle.hierarchy, a).values()
+            if q is None)
+        for stage in ("evaluate", "all"):
+            names = {span[0] for span in spans[stage]["spans"]}
+            assert "queryeval.derive_specific_queries" in names, stage
+            assert spans[stage]["counts"]["queryeval.unretrievable_nodes"] \
+                == unretrievable, stage
+            assert spans[stage]["agg"]["queryeval.query_to_prefix"][0] >= 1, \
+                stage
 
 
 class TestAtomicReports:
@@ -610,20 +626,16 @@ class TestAtomicReports:
         assert cli.main(["all", "--config", str(cfg_path)]) == 0
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         seen = []
-        real = cli.qe.prefix_renderer
+        real = cli.qe.query_to_prefix
 
-        def failing_renderer():
-            render = real()
-
-            def wrapped(query):
-                if len(seen) == 5:
-                    # what a reader of queries.txt finds mid-write
-                    seen.append((out / "queries.txt").read_bytes())
-                    raise OSError("device full")
-                seen.append(None)
-                return render(query)
-            return wrapped
-        monkeypatch.setattr(cli.qe, "prefix_renderer", failing_renderer)
+        def failing_renderer(query):
+            if len(seen) == 5:
+                # what a reader of queries.txt finds mid-write
+                seen.append((out / "queries.txt").read_bytes())
+                raise OSError("device full")
+            seen.append(None)
+            return real(query)
+        monkeypatch.setattr(cli.qe, "query_to_prefix", failing_renderer)
         cfg = cli.load_config(cfg_path, {})
         with pytest.raises(OSError, match="device full"):
             cli.run_stage("evaluate", cfg)
@@ -757,6 +769,22 @@ class TestSplitPath:
 
         assert read(cli._report_columns) == read(cli._reader_columns)
 
+    @pytest.mark.parametrize("n_rows", [1, 1000], ids=["near", "far"])
+    def test_undecodable_byte_names_its_line(self, tmp_path, n_rows):
+        """The fault names the line of the first byte that is not UTF-8,
+        and every row before that line is kept, however far into the file
+        the byte lies."""
+        path = tmp_path / "labels.csv"
+        rows = [b"RLUM,%d,1,10,alpha,0.5" % k for k in range(n_rows)]
+        path.write_bytes(b"\n".join(
+            [HEADER, *rows, ROW_B.replace(b"beta", b"b\xffta")]) + b"\n")
+        columns = ("method", "node_id", "rank", "term_id", "score")
+        for reader in (cli._report_columns, cli._reader_columns):
+            lines, cells, fault = reader(path, columns)
+            assert lines.tolist() == list(range(2, n_rows + 2))
+            assert list(cells[1]) == [str(k) for k in range(n_rows)]
+            assert str(fault).startswith(f"{path}:{n_rows + 2}: not UTF-8")
+
 
 class TestReportMutationFuzz:
     """Damaged labels.csv and metrics.csv files end in exit 0 or 3, never
@@ -828,8 +856,9 @@ class TestReportMutationFuzz:
         oracle accepts, with equal content, and rejects what it rejects at
         the same line.  Beyond the oracle, it rejects a metrics.csv kind
         other than specific/generic, an integer beyond 64 bits, and a
-        labels.csv score that is not positive and finite or rank outside
-        1..k, k the rows of its method and node."""
+        labels.csv method that is not a labeling method, score that is not
+        positive and finite or rank outside 1..k, k the rows of its method
+        and node."""
         cfg = write_fixture(tmp_path / "fx")
         out = tmp_path / "fx" / "out"
         assert cli.main(["all", "--config", str(cfg)]) == 0
@@ -867,6 +896,9 @@ class TestReportMutationFuzz:
                                     str(have)).group(1))
                 if "does not fit in 64 bits" in str(have):
                     assert re.search(rb"[0-9]{19}", damaged), (where, have)
+                elif name == "labels.csv" and "labeling method" in str(have):
+                    row, _ = self.labels_row(path, line)
+                    assert row["method"] not in lab.METHODS, (where, have)
                 elif name == "labels.csv" and "score" in str(have):
                     row, _ = self.labels_row(path, line)
                     assert not 0 < float(row["score"]) < float("inf"), \

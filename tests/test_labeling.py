@@ -629,6 +629,40 @@ class TestPopesculUngar:
                     seen |= terms
 
 
+class TestSharedIndependenceTest:
+
+    @pytest.mark.parametrize("shape", ["full_table", "per_child_2x2"])
+    def test_one_test_per_node_and_labels_unchanged(self, tmp_path,
+                                                    monkeypatch, shape):
+        """PopesculUngar and RLUM share each internal node's children
+        test: run together, they test each node with two or more children
+        once, and each method's labels equal those it gives on fresh
+        statistics, bit for bit."""
+        def bits(assignment):
+            return {i: [(t, s.hex()) for t, s in per]
+                    for i, per in oracles.label_lists(assignment).items()}
+
+        calls = []
+        for name in ("_children_chi2_vec", "_children_max_2x2_vec"):
+            real = getattr(lab, name)
+            monkeypatch.setattr(lab, name, lambda stats, node, real=real:
+                                calls.append(node) or real(stats, node))
+        rng = np.random.default_rng(62)
+        methods = ("PopesculUngar", "RLUM")
+        for trial in range(6):
+            m, h = random_instance(rng, tmp_path, name=f"it{trial}.json")
+            cfg = lab.LabelConfig(chi2_shape=shape)
+            calls.clear()
+            shared = lab.label_all(corp.build_node_stats(m, h), methods, cfg)
+            tested = [i for i in range(h.n_nodes)
+                      if len(h.children[i]) > 1]
+            assert sorted(calls) == tested, trial
+            for method in methods:
+                alone = lab.label_hierarchy(corp.build_node_stats(m, h),
+                                            method, cfg)
+                assert bits(alone) == bits(shared[method]), (trial, method)
+
+
 class TestRlum:
 
     def test_promote_and_delete(self, tmp_path):

@@ -64,22 +64,23 @@ class TestSpecificQueries:
     def test_two_term_label_is_or(self, labeled_tree):
         m, h, a = labeled_tree
         q = qe.derive_specific_queries(h, a)
-        assert q[h.index_of(12)] == qe.Or((qe.Term(TECHNO), qe.Term(PROCESS)))
+        assert q[h.index_of(12)] == (TECHNO, PROCESS)
+        assert oracles.specific_query(q[h.index_of(12)]) == \
+            oracles.Or((oracles.Term(TECHNO), oracles.Term(PROCESS)))
 
     def test_empty_node_inherits_labeled_ancestor(self, labeled_tree):
         m, h, a = labeled_tree
         q = qe.derive_specific_queries(h, a)
-        assert q[h.index_of(6)] == qe.Term(AGRI)
-        assert q[h.index_of(7)] == qe.Term(AGRI)
+        assert q[h.index_of(6)] == (AGRI,)
+        assert q[h.index_of(7)] == (AGRI,)
 
     def test_empty_node_with_empty_ancestors_ors_children(self, labeled_tree):
         m, h, a = labeled_tree
         q = qe.derive_specific_queries(h, a)
-        assert q[h.index_of(4)] == qe.Or((qe.Term(RESEARCH), qe.Term(INNOV)))
-        assert q[h.index_of(5)] == qe.Or((qe.Term(TECH), qe.Term(UNIV)))
+        assert q[h.index_of(4)] == (RESEARCH, INNOV)
+        assert q[h.index_of(5)] == (TECH, UNIV)
         # and the chain keeps flattening upward
-        assert q[h.index_of(2)] == qe.Or((qe.Term(RESEARCH), qe.Term(INNOV),
-                                          qe.Term(TECH), qe.Term(UNIV)))
+        assert q[h.index_of(2)] == (RESEARCH, INNOV, TECH, UNIV)
 
     def test_unlabeled_leaf_with_empty_ancestors_is_unretrievable(self, tmp_path):
         m = matrix_from_cells(2, 1, [(0, 0, 1), (1, 0, 1)])
@@ -93,7 +94,7 @@ class TestSpecificQueries:
                                h.n_nodes)
         q = qe.derive_specific_queries(h, a)
         assert q[1] is None
-        assert q[0] == qe.Term(0)     # case (ii) via the one labeled child
+        assert q[0] == (0,)           # case (ii) via the one labeled child
 
 
 def _comb_records(n_spine):
@@ -180,14 +181,16 @@ class TestTupleQueriesAgainstOracle:
             gen = qe.derive_generic_queries(h, spec)
             want_spec = oracles.specific_queries(h, a)
             want_gen = oracles.generic_queries(h, want_spec)
-            assert spec == want_spec, name
-            assert gen == want_gen, name
+            assert {i: oracles.specific_query(q)
+                    for i, q in spec.items()} == want_spec, name
+            assert {i: oracles.generic_query(q)
+                    for i, q in gen.items()} == want_gen, name
 
-            render = qe.prefix_renderer()
+            spec_texts, gen_texts = map(list, qe.prefix_strings(spec, gen))
             spec_masks, gen_masks = qe._query_masks(m, h, spec)
             for i in range(h.n_nodes):
-                assert render(spec[i]) == qe.query_to_prefix(want_spec[i])
-                assert render(gen[i]) == qe.query_to_prefix(want_gen[i])
+                assert spec_texts[i] == oracles.query_to_prefix(want_spec[i])
+                assert gen_texts[i] == oracles.query_to_prefix(want_gen[i])
                 assert set(np.flatnonzero(spec_masks[i]).tolist()) == \
                     oracles.retrieve(m, want_spec[i]), (name, i)
                 assert set(np.flatnonzero(gen_masks[i]).tolist()) == \
@@ -200,9 +203,10 @@ class TestTupleQueriesAgainstOracle:
         assert spec[n3] is spec[n6] is spec[n7]
 
     def test_renderer_keeps_distinct_temporaries_apart(self):
-        render = qe.prefix_renderer()
-        assert [render(qe.Term(t)) for t in range(50)] == \
-            [f"t{t}" for t in range(50)]
+        spec = {t: (t,) for t in range(50)}
+        gen = {t: (terms,) for t, terms in spec.items()}
+        want = [f"t{t}" for t in range(50)]
+        assert list(map(list, qe.prefix_strings(spec, gen))) == [want, want]
 
 
 class TestGenericQueries:
@@ -211,16 +215,19 @@ class TestGenericQueries:
         m, h, a = labeled_tree
         spec = qe.derive_specific_queries(h, a)
         gen = qe.derive_generic_queries(h, spec)
-        assert gen[h.root] == spec[h.root]
+        assert oracles.generic_query(gen[h.root]) == \
+            oracles.specific_query(spec[h.root])
 
     def test_and_of_ancestor_conjuncts(self, labeled_tree):
         m, h, a = labeled_tree
         spec = qe.derive_specific_queries(h, a)
         gen = qe.derive_generic_queries(h, spec)
         n12 = h.index_of(12)
-        expect = qe.And((spec[h.root], qe.Term(AGRI),
-                         qe.Or((qe.Term(TECHNO), qe.Term(PROCESS)))))
-        assert gen[n12] == expect
+        expect = oracles.And((oracles.specific_query(spec[h.root]),
+                              oracles.Term(AGRI),
+                              oracles.Or((oracles.Term(TECHNO),
+                                          oracles.Term(PROCESS)))))
+        assert oracles.generic_query(gen[n12]) == expect
 
     def test_inherited_copy_not_duplicated(self, labeled_tree):
         m, h, a = labeled_tree
@@ -241,8 +248,9 @@ class TestGenericQueries:
             for i in range(h.n_nodes):
                 if i == h.root:
                     continue
-                child_set = oracles.retrieve(m, gen[i])
-                parent_set = oracles.retrieve(m, gen[int(h.parent[i])])
+                child_set = oracles.retrieve(m, oracles.generic_query(gen[i]))
+                parent_set = oracles.retrieve(
+                    m, oracles.generic_query(gen[int(h.parent[i])]))
                 assert child_set <= parent_set
 
 
@@ -250,24 +258,24 @@ class TestRetrieve:
 
     def test_term_presence(self, tmp_path):
         m = matrix_from_cells(6, 2, [(1, 0, 2), (4, 0, 1), (5, 1, 1)])
-        assert oracles.retrieve(m, qe.Term(0)) == {1, 4}
+        assert oracles.retrieve(m, oracles.Term(0)) == {1, 4}
 
     def brute(self, m, query, d):
         row = m.csr.dense_row(d)
-        if isinstance(query, qe.Term):
+        if isinstance(query, oracles.Term):
             return row[query.term] > 0
-        if isinstance(query, qe.Or):
+        if isinstance(query, oracles.Or):
             return any(self.brute(m, c, d) for c in query.children)
         return all(self.brute(m, c, d) for c in query.children)
 
     def _random_query(self, rng, n_terms, depth=0):
         kind = rng.integers(0, 3 if depth < 3 else 1)
         if kind == 0:
-            return qe.Term(int(rng.integers(n_terms)))
+            return oracles.Term(int(rng.integers(n_terms)))
         arity = int(rng.integers(1, 4))
         parts = tuple(self._random_query(rng, n_terms, depth + 1)
                       for _ in range(arity))
-        return qe.Or(parts) if kind == 1 else qe.And(parts)
+        return oracles.Or(parts) if kind == 1 else oracles.And(parts)
 
     def test_random_queries_match_document_scan(self, tmp_path):
         rng = np.random.default_rng(82)
@@ -287,11 +295,11 @@ class TestRetrieve:
         for _ in range(200):
             terms = [int(t) for t in rng.integers(0, m.n_terms,
                                                   int(rng.integers(1, 12)))]
-            got = oracles.retrieve(m, qe.Or(tuple(map(qe.Term, terms))))
+            got = set(np.flatnonzero(qe._or_mask(m, tuple(terms))).tolist())
             assert got == set().union(*(docs_of[t] for t in terms))
         for bad in (-1, m.n_terms):
             with pytest.raises(ValidationError, match="out of range"):
-                oracles.retrieve(m, qe.Or((qe.Term(0), qe.Term(bad))))
+                qe._or_mask(m, (0, bad))
 
     def test_and_or_containment(self, tmp_path):
         rng = np.random.default_rng(83)
@@ -300,21 +308,24 @@ class TestRetrieve:
         for _ in range(100):
             q1 = self._random_query(rng, m.n_terms)
             q2 = self._random_query(rng, m.n_terms)
-            both_and = oracles.retrieve(m, qe.And((q1, q2)))
-            both_or = oracles.retrieve(m, qe.Or((q1, q2)))
+            both_and = oracles.retrieve(m, oracles.And((q1, q2)))
+            both_or = oracles.retrieve(m, oracles.Or((q1, q2)))
             r1, r2 = oracles.retrieve(m, q1), oracles.retrieve(m, q2)
             assert both_and <= r1 and both_and <= r2
             assert both_or >= r1 and both_or >= r2
 
     def test_empty_operator_rejected(self):
         with pytest.raises(ValidationError):
-            qe.Or(())
+            oracles.Or(())
         with pytest.raises(ValidationError):
-            qe.And(())
+            oracles.And(())
 
     def test_prefix_notation(self):
-        q = qe.And((qe.Or((qe.Term(12), qe.Term(77))), qe.Or((qe.Term(3),))))
-        assert qe.query_to_prefix(q) == "(AND (OR t12 t77) (OR t3))"
+        q = oracles.And((oracles.Or((oracles.Term(12), oracles.Term(77))),
+                         oracles.Or((oracles.Term(3),))))
+        assert oracles.query_to_prefix(q) == "(AND (OR t12 t77) (OR t3))"
+        assert [qe.query_to_prefix(t) for t in (None, (3,), (12, 77))] == \
+            ["()", "t3", "(OR t12 t77)"]
 
 
 class TestEvaluateNode:
@@ -428,8 +439,11 @@ class TestEvaluateAll:
                         assert (row.method, row.node_id, row.level,
                                 row.kind) == (method, int(h.ids[i]),
                                               int(h.level[i]), kind)
+                        query = queries[method][kind][i]
                         want = oracles.evaluate_node(h, i, oracles.retrieve(
-                            m, queries[method][kind][i]))
+                            m, oracles.specific_query(query)
+                            if kind == "specific"
+                            else oracles.generic_query(query)))
                         assert [v.hex() for v in (row.precision, row.recall,
                                                   row.f)] == \
                             [v.hex() for v in (want.precision, want.recall,
@@ -448,7 +462,8 @@ class TestEvaluateAll:
                   for r in oracles.observation_rows(table)}
         for i in range(h.n_nodes):
             got = by_key[(int(h.ids[i]), "generic")]
-            expect = oracles.evaluate_node(h, i, oracles.retrieve(m, gen[i]))
+            expect = oracles.evaluate_node(
+                h, i, oracles.retrieve(m, oracles.generic_query(gen[i])))
             assert got.precision == pytest.approx(expect.precision)
             assert got.recall == pytest.approx(expect.recall)
             assert got.f == pytest.approx(expect.f)
