@@ -569,14 +569,17 @@ class LabelColumns:
         return slice(int(lo), int(hi))
 
 
-def read_labels_csv(path) -> tuple:
+def read_labels_csv(path, surfaces) -> tuple:
     """(LabelColumns, each row's physical line) of a labels.csv: at most
     one row per method, node and rank, every method one of the sixteen,
-    every score positive and finite, and the ranks of each method and node
-    running 1..k.  The file's form and the repeats are checked first, the
-    values after them."""
-    lines, (method, *cells), fault = _report_columns(
-        path, ("method", "node_id", "rank", "term_id", "score"))
+    every score positive and finite, the ranks of each method and node
+    running 1..k, and every term_surface the surface in ``surfaces`` (the
+    full vocabulary's) of its term_id, where ``surfaces`` holds that id.
+    The file's form and the repeats are checked first, the values after
+    them."""
+    lines, (method, surface, *cells), fault = _report_columns(
+        path, ("method", "term_surface", "node_id", "rank", "term_id",
+               "score"))
     (nid, rank, term, score), fault = _numbers(path, lines, list(zip(
         ("node_id", "rank", "term_id", "score"), cells,
         (int, int, int, float))), fault)
@@ -586,6 +589,10 @@ def read_labels_csv(path) -> tuple:
                  [_first_repeat(order, (codes, nid, rank), lines)], fault)
     k = _rows_per_node(order, codes, nid)
     unknown = np.array([name not in lab.METHODS for name in names], bool)
+    known = (term >= 0) & (term < len(surfaces))
+    misnamed = known.copy()
+    misnamed[known] = (np.array(surface[:nid.size], object)[known]
+                       != np.array(surfaces, object)[term[known]])
     _raise_first(path, lines, [
         _first_fault(unknown[codes],
                      lambda r: f"method {names[codes[r]]!r} is not a "
@@ -596,7 +603,11 @@ def read_labels_csv(path) -> tuple:
         _first_fault((rank < 1) | (rank > k),
                      lambda r: f"rank {rank[r]}, but {names[codes[r]]} has "
                                f"{k[r]} rows at node {nid[r]}, ranked "
-                               f"1..{k[r]}")], None)
+                               f"1..{k[r]}"),
+        _first_fault(misnamed,
+                     lambda r: f"term_surface {surface[r]!r} is not the "
+                               f"surface of term {term[r]}, "
+                               f"{surfaces[term[r]]!r}")], None)
     return (LabelColumns(names, codes[order], nid[order], term[order],
                          score[order]), lines[order])
 
@@ -624,7 +635,7 @@ def _labels_from_csv(tracker: OutputTracker, bundle: InputBundle,
     if not path.is_file():
         raise ConfigError(f"labels.csv not found in {tracker.out_dir}; "
                           "run the label stage first")
-    cols, lines = read_labels_csv(path)
+    cols, lines = read_labels_csv(path, bundle.vocab_full.surfaces)
     out, faults = {}, []
     for method in methods:
         rows = cols.rows_of(method)
@@ -657,14 +668,23 @@ def _node_index(hierarchy: corp.Hierarchy, nid) -> tuple:
 
 
 def _assignments_from_csv(tracker: OutputTracker, bundle: InputBundle,
-                          methods) -> dict:
+                          cfg: RunConfig) -> dict:
     """Rebuild the label stage's LabelAssignments (internal node indices,
-    working term ids) from labels.csv."""
+    working term ids) of the configured methods from labels.csv.  Only
+    each label's first p_cap ranks are kept, the terms the label stage
+    would have written under ``cfg``."""
     nodes = np.arange(bundle.hierarchy.n_nodes + 1)
-    return {method: lab.LabelAssignment(method, np.searchsorted(node, nodes),
-                                        bundle.remap[term], score)
-            for method, (node, term, score) in _labels_from_csv(
-                tracker, bundle, methods).items()}
+    out = {}
+    for method, (node, term, score) in _labels_from_csv(
+            tracker, bundle, cfg.methods).items():
+        # the rows run in node and rank order
+        start = np.searchsorted(node, nodes)
+        keep = (np.arange(node.size) - np.repeat(start[:-1], np.diff(start))
+                < cfg.p_cap)
+        node, term, score = node[keep], term[keep], score[keep]
+        out[method] = lab.LabelAssignment(
+            method, np.searchsorted(node, nodes), bundle.remap[term], score)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +698,7 @@ def stage_evaluate(cfg: RunConfig, tracker: OutputTracker,
     them the labels are read back from labels.csv."""
     bundle = bundle or load_inputs(cfg)
     if assignments is None:
-        assignments = _assignments_from_csv(tracker, bundle, cfg.methods)
+        assignments = _assignments_from_csv(tracker, bundle, cfg)
     table, queries = qe.evaluate_all(bundle.matrix, bundle.hierarchy,
                                      assignments)
     with tracker.open("metrics.csv") as fh:
@@ -833,7 +853,7 @@ def _coherence_labels(cfg: RunConfig, tracker: OutputTracker,
     without ``assignments``.  The parsed rows die with this call, before
     the reference corpus is loaded."""
     if assignments is None:
-        assignments = _assignments_from_csv(tracker, bundle, cfg.methods)
+        assignments = _assignments_from_csv(tracker, bundle, cfg)
     return {m: (bundle.hierarchy.ids, assignments[m].indptr,
                 bundle.orig_id[assignments[m].term]) for m in cfg.methods}
 

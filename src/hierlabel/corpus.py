@@ -53,7 +53,8 @@ class Vocabulary:
 class CSR:
     """Compressed sparse rows: row i holds the columns
     ``indices[indptr[i]:indptr[i + 1]]``, ascending, and their values at the
-    same positions of ``data``.  No stored value is zero."""
+    same positions of ``data``.  Only the node statistics' tables that
+    share freq's pattern store zeros (``NodeTermStats``)."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -617,11 +618,15 @@ class NodeTermStats:
     node_size[i]     number of docs in node i's subtree
     parent_or_self   parent index, with the root mapped to itself
 
-    The three tables are CSR records.  Documents sit on leaves only, so the
-    leaves' rows come from one sort of the matrix cells by (leaf, term);
-    an internal node's rows are its children's, added bottom-up into one
-    dense row per table.  The sums are of integers, so their order does
-    not matter.
+    The tables are CSR records on one pattern: they share ``indptr`` and
+    ``indices`` (freq's cells, term ids as int32), and each holds only its
+    own ``data``.  child_support and ``hier_base()`` store 0 on the leaves'
+    cells.  Documents sit on leaves only, so the leaves' rows come from one
+    sort of the matrix cells by (leaf, term).  The build makes two passes
+    bottom-up: the first unites the children's terms into each internal
+    row's pattern, the second adds the children's rows into one dense row
+    per table and gathers it into the table's data on the parent's row.
+    The sums are of integers, so their order does not matter.
     """
 
     def __init__(self, matrix: DocTermMatrix, hierarchy: Hierarchy):
@@ -652,50 +657,60 @@ class NodeTermStats:
         leaf_freq = (np.add.reduceat(c.data[order], start) if start.size
                      else np.empty(0, np.int64))
         leaf_df = np.diff(np.append(start, key.size))
-        ptr = np.searchsorted(leaf_node, np.arange(n + 1)).tolist()
-        # a list per table with a row per node; the leaf rows are views,
-        # which alone keep the leaf arrays alive from here on
-        terms, freqs, dfs = ([v[ptr[i]:ptr[i + 1]] for i in range(n)]
-                             for v in (leaf_term, leaf_freq, leaf_df))
-        empty = np.empty(0, np.int64)
-        supports = [empty] * n
-        del key, order, start, leaf_node, leaf_term, leaf_freq, leaf_df
+        ptr = np.searchsorted(leaf_node, np.arange(n + 1))
+        running = np.concatenate([[0], np.cumsum(leaf_freq)])
+        self.node_total = running[ptr[1:]] - running[ptr[:-1]]
+        ptr = ptr.tolist()
+        # term ids as int32, unless the vocabulary outgrows them
+        leaf_term = leaf_term.astype(
+            np.int32 if m <= np.iinfo(np.int32).max else np.int64)
+        del key, order, start, leaf_node, running
 
-        # internal rows: the children's rows added into dense rows, children
-        # before parents; a child adds 1 to the support of each of its terms
+        # the pattern: a leaf's row holds its cells' terms, an internal
+        # node's the union of its children's, children before parents
+        rows = [leaf_term[ptr[i]:ptr[i + 1]] for i in range(n)]
+        mark = np.zeros(m, bool)
+        for i in hierarchy.preorder[::-1]:
+            if hierarchy.children[i].size:
+                for ch in hierarchy.children[i]:
+                    mark[rows[ch]] = True
+                rows[i] = np.flatnonzero(mark).astype(leaf_term.dtype)
+                mark[rows[i]] = False
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum([r.size for r in rows], out=indptr[1:])
+        indices = np.concatenate(rows)
+        del rows, leaf_term
+
+        # the data, filled in place: the leaves' cells come in node and
+        # term order, and each internal row adds its children's rows into
+        # dense rows, children before parents; a child adds 1 to the
+        # support of each of its terms, so a leaf's support stays 0
+        leaf_cells = np.repeat(self.child_count == 0, np.diff(indptr))
+        freq, docfreq, support = (np.zeros(indices.size, np.int64)
+                                  for _ in range(3))
+        freq[leaf_cells], docfreq[leaf_cells] = leaf_freq, leaf_df
+        del leaf_cells, leaf_freq, leaf_df
+        bounds = indptr.tolist()
         f_acc, df_acc, support_acc = (np.zeros(m, np.int64) for _ in range(3))
         for i in hierarchy.preorder[::-1]:
             if not hierarchy.children[i].size:
                 continue
             for ch in hierarchy.children[i]:
-                idx = terms[ch]
-                f_acc[idx] += freqs[ch]
-                df_acc[idx] += dfs[ch]
+                lo, hi = bounds[ch], bounds[ch + 1]
+                idx = indices[lo:hi].astype(np.intp)
+                f_acc[idx] += freq[lo:hi]
+                df_acc[idx] += docfreq[lo:hi]
                 support_acc[idx] += 1
-            idx = np.flatnonzero(f_acc)
-            terms[i], freqs[i] = idx, f_acc[idx]
-            dfs[i], supports[i] = df_acc[idx], support_acc[idx]
+            lo, hi = bounds[i], bounds[i + 1]
+            idx = indices[lo:hi].astype(np.intp)
+            freq[lo:hi], docfreq[lo:hi] = f_acc[idx], df_acc[idx]
+            support[lo:hi] = support_acc[idx]
             f_acc[idx] = df_acc[idx] = support_acc[idx] = 0
+            self.node_total[i] = self.node_total[hierarchy.children[i]].sum()
+        self.freq = CSR(indptr, indices, freq, (n, m))
+        self.docfreq = CSR(indptr, indices, docfreq, (n, m))
+        self.child_support = CSR(indptr, indices, support, (n, m))
 
-        # each list is emptied as soon as its table is built, so the rows
-        # and the tables are not all held at once; freq and docfreq share
-        # their structure, and child_support's rows are those of the nodes
-        # with children
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum([t.size for t in terms], out=indptr[1:])
-        indices = _drain(terms)
-        support_ptr = np.zeros(n + 1, np.int64)
-        np.cumsum([t.size for t in supports], out=support_ptr[1:])
-        self.child_support = CSR(
-            support_ptr,
-            indices[np.repeat(np.diff(support_ptr) > 0, np.diff(indptr))],
-            _drain(supports), (n, m))
-        self.freq = CSR(indptr, indices, _drain(freqs), (n, m))
-        self.docfreq = CSR(indptr, indices, _drain(dfs), (n, m))
-
-        running = np.concatenate([[0], np.cumsum(self.freq.data)])
-        self.node_total = running[self.freq.indptr[1:]] \
-            - running[self.freq.indptr[:-1]]
         self.global_freq = self.freq_row(hierarchy.root)
         self.global_df = self.docfreq_row(hierarchy.root)
         self._level_freq = {}
@@ -736,7 +751,8 @@ class NodeTermStats:
         ascending index order into a dense row, and the dense row S[i] adds
         each depth's row in turn: the sums of the sparse matrix products,
         bit for bit (the terms a sparse sum leaves out are +0.0 here).
-        (C^d U)[i] is zero unless i is at least d edges above a leaf."""
+        (C^d U)[i] is zero unless i is at least d edges above a leaf.  The
+        record holds S on freq's pattern, 0 on the leaves' rows."""
         if self._hier_base is None:
             h = self.hierarchy
             n, m = self.n_nodes, self.n_terms
@@ -748,22 +764,28 @@ class NodeTermStats:
             kids = {int(i): np.sort(h.children[i]).tolist() for i in internal}
             acc = np.zeros(m)
 
-            def add_up(parts):
+            def add_up(parts, idx=None):
+                """The sum of the sparse rows ``parts``, on ``idx``, its
+                nonzero terms, when they are known."""
                 if len(parts) == 1:             # 0.0 + row is the row
                     return parts[0]
-                for idx, vals in parts:
-                    acc[idx] += vals
-                idx = np.flatnonzero(acc)
+                for part, vals in parts:
+                    acc[part] += vals
+                if idx is None:
+                    idx = np.flatnonzero(acc)
                 vals = acc[idx]
                 acc[idx] = 0.0
                 return idx, vals
 
-            x = {}                              # i -> (C^d U)[i], d = 1
+            # i -> (C^d U)[i], d = 1, which is positive exactly on freq's
+            # row i (see below), so its terms are that row's
+            x = {}
             for i, ks in kids.items():
                 cf = (self.child_support_row(i).astype(np.float64)
                       / int(self.child_count[i]))
                 x[i] = add_up([(idx, cf[idx] * f.astype(np.float64))
-                               for idx, f in map(self.freq.row, ks)])
+                               for idx, f in map(self.freq.row, ks)],
+                              self.freq.row(i)[0])
             total = np.zeros((internal.size, m))
             for depth in range(1, int(height.max()) + 1):
                 for slot, i in enumerate(kids):
@@ -772,18 +794,16 @@ class NodeTermStats:
                         total[slot, idx] += vals * (1 / depth)
                 x = {i: add_up([x[c] for c in ks if height[c] >= depth])
                      for i, ks in kids.items() if height[i] > depth}
-            ir, it = np.nonzero(total)
-            self._hier_base = CSR.from_sorted(internal[ir], it, total[ir, it],
-                                              (n, m))
+            # S[i] is positive on every term of i's subtree, which reaches
+            # i through a child of positive support, and 0 elsewhere: its
+            # pattern is freq's
+            data = np.zeros(self.freq.nnz)
+            for slot, i in enumerate(kids):
+                lo, hi = self.freq.indptr[i], self.freq.indptr[i + 1]
+                data[lo:hi] = total[slot, self.freq.indices[lo:hi]]
+            self._hier_base = CSR(self.freq.indptr, self.freq.indices, data,
+                                  (n, m))
         return self._hier_base
-
-
-def _drain(pieces: list) -> np.ndarray:
-    """The arrays of ``pieces`` concatenated; the list is emptied, so they
-    can be freed as soon as the result exists."""
-    out = np.concatenate(pieces)
-    pieces.clear()
-    return out
 
 
 def build_node_stats(matrix: DocTermMatrix, hierarchy: Hierarchy) -> NodeTermStats:

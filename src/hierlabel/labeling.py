@@ -126,12 +126,13 @@ def _idf_local_at(stats, node, idx):
 
 
 def _icf_at(stats, node, idx):
+    """icf of the node on its own row's terms ``idx``."""
     p = int(stats.parent_or_self[node])
     support = stats.child_support_row(p)[idx].astype(np.float64)
     out = np.zeros_like(support)
     nz = support > 0
     if nz.any():
-        frac = stats.docfreq_row(node)[idx][nz] / stats.node_size[node]
+        frac = stats.docfreq.row(node)[1][nz] / stats.node_size[node]
         out[nz] = np.exp(frac) * np.log(stats.child_count[p] / support[nz] + 1.0)
     return out
 
@@ -147,13 +148,20 @@ def _icf_at(stats, node, idx):
 # the callers derive are exact and never negative, and the guards follow
 # from them without masks.
 
-def _chi2_formula_vec(tp, tn, fn_fp, m1, m2, m3, m4, s):
+def _chi2_formula_vec(tp, tn, fn_fp, m1, m2, m3, m4, s, out=None, den=None):
     """(tp*tn - fn*fp)^2 * s / (m1*m2*m3*m4), with ``fn_fp`` = fn*fp and
     m1..m4 = tp+fn, fp+tn, tp+fp, fn+tn.  The marginals are >= 0, so their
-    product is positive exactly when all four are; the other cells are 0."""
-    den = m1 * m2 * m3 * m4
+    product is positive exactly when all four are; the other cells are 0.
+    ``out`` and ``den``, buffers of the result's shape, take the result and
+    the denominator when given; ``out`` may hold ``tn``."""
+    den = np.multiply(m1 * m2, m3, out=den)
+    den *= m4
+    v = np.multiply(tp, tn, out=out)
+    v -= fn_fp
+    np.square(v, out=v)
+    v *= s
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = (tp * tn - fn_fp) ** 2 * s / den
+        v /= den
     np.copyto(v, 0.0, where=den <= 0)
     return v
 
@@ -163,14 +171,24 @@ def _log2_or_zero(x):
     return np.log2(np.where(x > 0, x, 1.0))
 
 
-def _jsd_formula_vec(p, log2_p, q):
+def _jsd_formula_vec(p, log2_p, q, out=None, work=None):
     """p*(log2(p) - log2(mid)) + q*(log2(q) - log2(mid)), mid = (p + q)/2,
     for the node share p = tp/(tp+fn) of a node with mass and the reference
     share q = (tp+fp)/(tp+fn+fp+tn).  ``log2_p`` is ``_log2_or_zero(p)``:
     where p = 0 the first term is 0 * (0 - log2(mid)) = +0.0, as mid <= 1.
-    The callers score only terms with tp + fp > 0, so q > 0 throughout."""
-    log_mid = np.log2(0.5 * (p + q))
-    return p * (log2_p - log_mid) + q * (np.log2(q) - log_mid)
+    The callers score only terms with tp + fp > 0, so q > 0 throughout.
+    ``out`` and ``work``, buffers of the result's shape, take the result
+    and the second term when given."""
+    log_mid = np.add(p, q, out=out)
+    log_mid *= 0.5
+    np.log2(log_mid, out=log_mid)
+    second = np.log2(q, out=work)
+    second -= log_mid
+    second *= q
+    first = np.subtract(log2_p, log_mid, out=log_mid)
+    first *= p
+    first += second
+    return first
 
 
 def _children_chi2_vec(stats, node):
@@ -275,18 +293,17 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
         return LabelAssignment.from_ranked(method, ranked)
 
     if method in HIER_FREQ_SCHEMES:
+        # the base is 0 on the leaves, which stay unlabeled, and holds freq's
+        # pattern on every other row
         base = stats.hier_base()
         idfg = _idf_global_vec(stats)
-        for i in range(n):
+        for i in np.flatnonzero(stats.child_count).tolist():
             idx, score = _row_arrays(base, i)
-            if idx.size == 0:
-                continue
-            score = score.copy()
             if method in ("HierMTWL_idf", "HierICWL_idf"):
                 score *= idfg[idx] * _idf_local_at(stats, i, idx)
             if method in ("HierICWL_raw", "HierICWL_idf"):
                 score *= _icf_at(stats, i, idx)
-            tie = stats.freq_row(i)[idx].astype(np.float64)
+            tie = stats.freq.row(i)[1].astype(np.float64)
             ranked[i] = _topk_arrays(idx, score, tie, cfg.p_cap)
         return LabelAssignment.from_ranked(method, ranked)
 
@@ -355,6 +372,8 @@ def _hier_rcl(stats, method, cfg):
     s_of = stats.node_total[stats.parent_or_self].astype(np.float64)
     path = np.empty(int(h.level.max()) + 1, np.int64)   # root ... g
     chi2 = method == "HierRCL_chi2"
+    # a block holds at most max(_BLOCK_CELLS, n_terms) cells
+    buffers = np.empty((3, max(_BLOCK_CELLS, stats.n_terms)))
     for g in h.preorder:
         lvl = int(h.level[g])
         path[lvl] = g
@@ -366,7 +385,7 @@ def _hier_rcl(stats, method, cfg):
         cf = support / int(stats.child_count[pg])
         tp = stats.freq_row(g)[idx].astype(np.float64)
         fn = m1 - tp
-        fp = stats.freq_row(pg)[idx].astype(np.float64) - tp
+        fp = stats.freq.row(pg)[1] - tp
         if cfg.rcl_fp == "literal":
             fp = np.maximum(fp - tp, 0.0)
         m3 = tp + fp
@@ -379,16 +398,22 @@ def _hier_rcl(stats, method, cfg):
         step = max(1, _BLOCK_CELLS // idx.size)   # ancestors per block
         for a in range(0, lvl, step):
             anc = path[a:min(a + step, lvl)]
+            b1, b2, b3 = (b[:anc.size * idx.size].reshape(anc.size, idx.size)
+                          for b in buffers)
             s = s_of[anc][:, None]
             if chi2:
-                v = _chi2_formula_vec(tp, s - t3, fn_fp, m1, s - m1, m3,
-                                      s - m3, s)
+                v = _chi2_formula_vec(tp, np.subtract(s, t3, out=b1), fn_fp,
+                                      m1, s - m1, m3,
+                                      np.subtract(s, m3, out=b2), s,
+                                      out=b1, den=b3)
             else:
-                v = _jsd_formula_vec(p, log2_p, m3 / s)
-            e = (lvl - np.arange(a, a + anc.size, dtype=np.float64))[:, None]
+                v = _jsd_formula_vec(p, log2_p, np.divide(m3, s, out=b1),
+                                     out=b2, work=b3)
+            v *= cf
+            v /= (lvl - np.arange(a, a + anc.size, dtype=np.float64))[:, None]
             # one row at a time: 1-D fancy indexing is about twice as fast
             # as np.ix_ here
-            for r, add in zip(acc_row[anc], cf * v / e):
+            for r, add in zip(acc_row[anc], v):
                 acc[r][idx] += add
 
     all_terms = np.arange(stats.n_terms, dtype=np.int64)
@@ -506,23 +531,24 @@ def select_cf_average(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment
     sparse sum and scalar division, bit for bit."""
     h = stats.hierarchy
     rows = [None] * stats.n_nodes
+    ranked = [None] * stats.n_nodes
     acc = np.zeros(stats.n_terms)
     for i in h.order_bottom_up():
         i = int(i)
         if h.is_leaf(i):
             rows[i] = _leaf_cf_row(stats, i)
-            continue
-        for ch in h.children[i]:
-            idx, cf = rows[int(ch)]
-            acc[idx] += cf
-        idx = np.flatnonzero(acc)
-        rows[i] = idx, acc[idx] * (1 / len(h.children[i]))
-        acc[idx] = 0.0
-    ranked = []
-    for i in range(stats.n_nodes):
+        else:
+            # only the parent reads a row, so it is dropped once read
+            for ch in h.children[i]:
+                idx, cf = rows[int(ch)]
+                rows[int(ch)] = None
+                acc[idx] += cf
+            idx = np.flatnonzero(acc)
+            rows[i] = idx, acc[idx] * (1 / len(h.children[i]))
+            acc[idx] = 0.0
         idx, score = rows[i]
         tie = stats.freq_row(i)[idx].astype(np.float64)
-        ranked.append(_topk_arrays(idx, score, tie, cfg.p_cap))
+        ranked[i] = _topk_arrays(idx, score, tie, cfg.p_cap)
     return LabelAssignment.from_ranked("CFAverage", ranked)
 
 
@@ -535,7 +561,7 @@ def select_cf_leave_one_out(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssi
     for i in range(stats.n_nodes):
         if h.is_leaf(i):
             idx, cf = _leaf_cf_row(stats, i)
-            tie = stats.freq_row(i)[idx].astype(np.float64)
+            tie = stats.freq.row(i)[1].astype(np.float64)
             ranked.append(_topk_arrays(idx, cf, tie, cfg.p_cap))
             continue
         idx, f = _row_arrays(stats.freq, i)

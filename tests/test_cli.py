@@ -269,6 +269,8 @@ class TestExitCodes:
         ("coherence", "labels.csv", "rank:gap", 10),
         ("evaluate", "labels.csv", "method", 2),
         ("coherence", "labels.csv", "method", 2),
+        ("evaluate", "labels.csv", "surface", 2),
+        ("coherence", "labels.csv", "surface", 2),
     ])
     def test_malformed_report_csv_is_input_error(self, tmp_path, capsys,
                                                  stage, name, damage, line):
@@ -285,6 +287,10 @@ class TestExitCodes:
             rows[1] = ",".join(fields)
         elif damage == "method":            # not a labeling method
             rows[1] = "Bogus" + rows[1][rows[1].index(","):]
+        elif damage == "surface":           # not the term's surface
+            fields = rows[1].split(",")
+            fields[4] = "term" + fields[3] + "x"
+            rows[1] = ",".join(fields)
         elif damage == "long":
             rows[1] += ",x"
         elif damage == "short":
@@ -319,6 +325,24 @@ class TestExitCodes:
         assert cli.main([stage, "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert f"{path}:{line}:" in err, err
+
+    def test_labels_beyond_p_cap_are_cut(self, tmp_path):
+        """evaluate and coherence read only each label's first p_cap ranks:
+        on the labels of p_cap 10 at p_cap 2, they write the reports of a
+        whole run at p_cap 2."""
+        cfg = write_fixture(tmp_path / "fx")
+        out, cut = tmp_path / "fx" / "out", tmp_path / "cut"
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+        assert cli.main(["all", "--config", str(cfg), "--p-cap", "2",
+                         "--out", str(cut)]) == 0
+        with open(out / "labels.csv", newline="") as fh:
+            assert max(int(r["rank"]) for r in csv.DictReader(fh)) > 2
+        for stage in ("evaluate", "coherence"):
+            assert cli.main([stage, "--config", str(cfg),
+                             "--p-cap", "2"]) == 0
+        for name in ("metrics.csv", "queries.txt", "coherence.csv",
+                     "coherence_summary.csv"):
+            assert (out / name).read_bytes() == (cut / name).read_bytes()
 
     @pytest.mark.parametrize("stage", ["evaluate", "coherence"])
     def test_labels_csv_term_outside_the_filtered_vocabulary(
@@ -713,7 +737,8 @@ class TestReportReaders:
                             f"{0.5 / (k + 1):.6g}"])
                 if k == 2:
                     fh.write("\r\n")              # a blank row is skipped
-        got = oracles.label_dict(cli.read_labels_csv(path)[0])
+        vocab = (*(f"t{i}" for i in range(10)), *surfaces)
+        got = oracles.label_dict(cli.read_labels_csv(path, vocab)[0])
         assert got == {"RLUM": {
             0: [(10, 0.5), (12, float("0.166667")), (14, 0.1)],
             1: [(11, 0.25), (13, 0.125), (15, float("0.0833333"))],
@@ -723,7 +748,7 @@ class TestReportReaders:
         with open(path, "a", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerow(["RLUM", "x", 1, 1, "s", "0.1"])
         with pytest.raises(cli.ParseError, match=f":{lines + 1}: "):
-            cli.read_labels_csv(path)
+            cli.read_labels_csv(path, vocab)
 
 
 HEADER = b"method,node_id,rank,term_id,term_surface,score"
@@ -857,16 +882,18 @@ class TestReportMutationFuzz:
         the same line.  Beyond the oracle, it rejects a metrics.csv kind
         other than specific/generic, an integer beyond 64 bits, and a
         labels.csv method that is not a labeling method, score that is not
-        positive and finite or rank outside 1..k, k the rows of its method
-        and node."""
+        positive and finite, rank outside 1..k, k the rows of its method
+        and node, or term_surface other than the vocabulary's surface of
+        its term_id."""
         cfg = write_fixture(tmp_path / "fx")
         out = tmp_path / "fx" / "out"
         assert cli.main(["all", "--config", str(cfg)]) == 0
         originals = {n: (out / n).read_bytes() for n in self.STAGES}
+        surfaces = tuple(f"term{i}" for i in range(9))
         readers = {
             "labels.csv": (oracles.read_labels_csv,
                            lambda p: oracles.label_dict(
-                               cli.read_labels_csv(p)[0])),
+                               cli.read_labels_csv(p, surfaces)[0])),
             "metrics.csv": (lambda p: oracles.read_metrics_csv(p).rows,
                             lambda p: oracles.observation_rows(
                                 cli.read_metrics_csv(p)[0])),
@@ -896,6 +923,10 @@ class TestReportMutationFuzz:
                                     str(have)).group(1))
                 if "does not fit in 64 bits" in str(have):
                     assert re.search(rb"[0-9]{19}", damaged), (where, have)
+                elif name == "labels.csv" and "(term_surface " in str(have):
+                    row, _ = self.labels_row(path, line)
+                    assert row["term_surface"] != \
+                        surfaces[int(row["term_id"])], (where, have)
                 elif name == "labels.csv" and "labeling method" in str(have):
                     row, _ = self.labels_row(path, line)
                     assert row["method"] not in lab.METHODS, (where, have)

@@ -1,5 +1,7 @@
 """Matrix/hierarchy ingestion, the Salton df filter, and node statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -376,11 +378,10 @@ class TestNodeStats:
             m = random_matrix(rng, n_docs, int(rng.integers(2, 30)))
             h = hierarchy_from_records(records, m, tmp_path, f"b{trial}.json")
             stats = corp.build_node_stats(m, h)
-            got, want = stats.hier_base(), oracles.hier_base(stats)
+            got = stats.hier_base()
             assert got is stats.hier_base()
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.data, want.data)
+            assert_same_matrix(got, oracles.hier_base(stats))
+            assert_shared_pattern(stats)
 
     def test_table2_totals(self, table2):
         _, h, stats = table2
@@ -433,6 +434,94 @@ class TestNodeStats:
             assert np.array_equal(stats.docfreq_row(i), expect_df)
             assert np.array_equal(stats.freq_row(i), expect_f)
             assert stats.node_size[i] == len(docs)
+
+
+def comb_instance(tmp_path, spine=30, docs_per_leaf=4, n_terms=300,
+                  terms_per_doc=25):
+    """A comb: each spine node has a leaf and the next spine node as
+    children, the last one two leaves; every document holds
+    ``terms_per_doc`` random terms, so the spine's rows are nearly full."""
+    rng = np.random.default_rng(5)
+    records, docs = [], 0
+
+    def leaf(parent):
+        nonlocal docs
+        records.append({"id": len(records), "parent": parent,
+                        "children": [],
+                        "docs": list(range(docs, docs + docs_per_leaf))})
+        docs += docs_per_leaf
+        return len(records) - 1
+
+    for k in range(spine):
+        sid = 1000 + k
+        kids = [leaf(sid), sid + 1 if k < spine - 1 else leaf(sid)]
+        records.append({"id": sid, "parent": None if k == 0 else sid - 1,
+                        "children": kids, "docs": []})
+    cells = [(d, int(t), int(rng.integers(1, 5))) for d in range(docs)
+             for t in rng.choice(n_terms, terms_per_doc, replace=False)]
+    m = matrix_from_cells(docs, n_terms, cells)
+    return m, hierarchy_from_records(records, m, tmp_path, "comb.json")
+
+
+class TestSharedPattern:
+    """The node statistics keep one term pattern and build it without
+    holding their rows twice."""
+
+    def test_kept_bytes(self, tmp_path):
+        m, h = comb_instance(tmp_path)
+        stats = corp.build_node_stats(m, h)
+        tables = (stats.freq, stats.docfreq, stats.child_support,
+                  stats.hier_base())
+        arrays = {id(a): a for t in tables
+                  for a in (t.indptr, t.indices, t.data)}
+        assert sum(a.nbytes for a in arrays.values()) == \
+            stats.freq.indptr.nbytes + stats.freq.nnz * (4 + 4 * 8)
+        assert_shared_pattern(stats)
+
+    def test_build_peak(self, tmp_path):
+        """Building the statistics and the Hier base peaks below 1.5 times
+        what they keep: the tables' own bytes, the dense accumulator rows
+        and the Hier base's per-depth rows fit in that.  Four tables that
+        store their pattern three times, or rows held in lists while they
+        are concatenated, come to about twice."""
+        m, h = comb_instance(tmp_path)
+        tracemalloc.start()
+        try:
+            stats = corp.build_node_stats(m, h)
+            stats.hier_base()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = stats.freq.indptr.nbytes + stats.freq.nnz * (4 + 4 * 8)
+        assert peak <= 1.5 * kept, (peak, kept)
+
+
+def assert_same_matrix(record, csr):
+    """A table on the node statistics' shared pattern equal to a canonical
+    scipy matrix: the same nonzero cells with the same values, and the
+    same data dtype.  The record may store zeros besides."""
+    assert record.shape == csr.shape
+    assert record.data.dtype == csr.data.dtype
+    kept = record.data != 0
+    assert np.array_equal(record.row_ids()[kept],
+                          np.repeat(np.arange(csr.shape[0]),
+                                    np.diff(csr.indptr)))
+    assert np.array_equal(record.indices[kept], csr.indices)
+    assert np.array_equal(record.data[kept], csr.data)
+
+
+def assert_shared_pattern(stats):
+    """freq, docfreq, child_support and the Hier base hold one int32 term
+    pattern, and store zeros on the leaves' rows only."""
+    tables = (stats.freq, stats.docfreq, stats.child_support,
+              stats.hier_base())
+    for table in tables:
+        assert table.indptr is stats.freq.indptr
+        assert table.indices is stats.freq.indices
+        zero_rows = table.row_ids()[table.data == 0]
+        assert not stats.child_count[zero_rows].any()
+    assert stats.freq.indices.dtype == np.int32
+    assert stats.freq.data.all()
 
 
 def assert_same_table(record, csr):
@@ -488,9 +577,10 @@ class TestAgainstScipy:
         for m, h in shuffled_instances(rng, tmp_path, 30):
             stats = corp.build_node_stats(m, h)
             freq, docfreq, support = oracles.node_stats(m, h)
-            assert_same_table(stats.freq, freq)
-            assert_same_table(stats.docfreq, docfreq)
-            assert_same_table(stats.child_support, support)
+            assert_same_matrix(stats.freq, freq)
+            assert_same_matrix(stats.docfreq, docfreq)
+            assert_same_matrix(stats.child_support, support)
             assert np.array_equal(stats.node_total,
                                   np.asarray(freq.sum(axis=1)).ravel())
-            assert_same_table(stats.hier_base(), oracles.hier_base(stats))
+            assert_same_matrix(stats.hier_base(), oracles.hier_base(stats))
+            assert_shared_pattern(stats)
