@@ -196,8 +196,10 @@ class _LabelPairs(NamedTuple):
 def _label_pairs(indptr: np.ndarray, terms: np.ndarray,
                  p_cap: int) -> _LabelPairs:
     """The pairs of the labels ``terms[indptr[k]:indptr[k + 1]]``, each
-    cut at its first ``p_cap`` terms."""
-    size = np.minimum(np.diff(indptr), p_cap)
+    cut at its first ``p_cap`` terms.  The cut is taken no longer than the
+    longest label, so that any ``p_cap`` >= 1 fits the int64 sizes."""
+    size = np.diff(indptr)
+    size = np.minimum(size, min(p_cap, int(size.max(initial=0))))
     owner = np.repeat(np.arange(size.size), size)
     # each kept term's place in its label
     place = np.arange(owner.size) - np.repeat(size.cumsum() - size, size)

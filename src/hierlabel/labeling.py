@@ -345,6 +345,10 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
 # many cells, so that the block's temporaries stay in cache
 _BLOCK_CELLS = 1 << 16
 
+# a descendant scored against at least this many ancestor rows is scored
+# once per class of equal (tp, f_pg, support), not once per term
+_CLASS_MIN_ROWS = 3
+
 
 def _hier_rcl(stats, method, cfg):
     """acc[i] = sum over proper descendants g of i of
@@ -363,7 +367,31 @@ def _hier_rcl(stats, method, cfg):
     g without mass scores +0.0 throughout, which leaves acc as it is, so
     it is skipped.  A g with mass holds a term, so its parent's support
     row is not empty; on it s >= tp + fn + fp and s >= tp + fp > 0, and
-    tp + fn + fp + tn is s exactly."""
+    tp + fn + fp + tn is s exactly.
+
+    A cell depends on its term only through tp, the parent's count f_pg
+    and the parent's support, and the terms share these triples:
+    on deep-comb v0 the 46.6M cells of a method hold 557,252 distinct
+    (row, triple) values; per g the median is 99.5 triples against 9,052.5
+    pattern terms.  So a g scored against at least
+    ``_CLASS_MIN_ROWS`` ancestor rows is scored once per class of equal
+    triples, found by ``np.unique`` on one packed int64 key per term; a
+    class value is computed by the same operations on the same inputs as
+    each of its terms' cells, so it has the same bits.  Nearer the root the
+    ``np.unique`` costs more than it saves: scoring every g by class took
+    wide-staged v0 (depth 2) from 0.075 / 0.078 s (chi2 / jsd) to 0.126 /
+    0.119 s.  A g whose key could overflow int64 is scored per term.
+
+    Where the parent's pattern holds at least half of the terms, a row of
+    class values is taken onto every term, those off the pattern onto one
+    more class of +0.0, and added to the whole acc row; acc is never -0.0,
+    so adding +0.0 leaves it as it is.  Elsewhere the values are taken
+    onto the pattern and scattered.  Measured in one process on a 2-vCPU
+    Xeon VM, median of 7: on deep-comb v0, per-term scoring takes 0.579 /
+    0.659 s, classes 0.247 / 0.236 s, classes onto whole rows only 0.240 /
+    0.229 s and onto the pattern only 0.373 / 0.366 s; on wide-staged v0
+    with every g scored by class, whole rows only take 0.157 / 0.148 s and
+    this split 0.126 / 0.119 s."""
     h = stats.hierarchy
     internal = np.flatnonzero(stats.child_count > 0)
     acc_row = np.full(stats.n_nodes, -1, np.int64)
@@ -381,11 +409,30 @@ def _hier_rcl(stats, method, cfg):
         if lvl == 0 or m1 == 0:
             continue
         pg = int(h.parent[g])
-        idx, support = _row_arrays(stats.child_support, pg)
-        cf = support / int(stats.child_count[pg])
-        tp = stats.freq_row(g)[idx].astype(np.float64)
+        c = int(stats.child_count[pg])
+        idx, support = stats.child_support.row(pg)
+        idx = idx.astype(np.int64)
+        tp = stats.freq_row(g)[idx]
+        f_pg = stats.freq.row(pg)[1]
+        # a row of values adds to acc's columns ``cols``; where g is scored
+        # by class, value ``take[j]`` adds to the j-th column
+        take, cols = None, idx
+        width = int(stats.node_total[pg]) + 1      # above tp and f_pg
+        if (lvl >= _CLASS_MIN_ROWS
+                and width * width * (c + 1) <= np.iinfo(np.int64).max):
+            key, take = np.unique((tp * width + f_pg) * (c + 1) + support,
+                                  return_inverse=True)
+            key, support = np.divmod(key, c + 1)
+            tp, f_pg = np.divmod(key, width)
+            if 2 * idx.size >= stats.n_terms:
+                # whole rows: the terms off the pattern take class tp.size
+                whole = np.full(stats.n_terms, tp.size, take.dtype)
+                whole[idx] = take
+                take, cols = whole, slice(None)
+        cf = support / c
+        tp = tp.astype(np.float64)
         fn = m1 - tp
-        fp = stats.freq.row(pg)[1] - tp
+        fp = f_pg - tp
         if cfg.rcl_fp == "literal":
             fp = np.maximum(fp - tp, 0.0)
         m3 = tp + fp
@@ -395,10 +442,10 @@ def _hier_rcl(stats, method, cfg):
         else:
             p = tp / m1
             log2_p = _log2_or_zero(p)
-        step = max(1, _BLOCK_CELLS // idx.size)   # ancestors per block
+        step = max(1, _BLOCK_CELLS // tp.size)    # ancestors per block
         for a in range(0, lvl, step):
             anc = path[a:min(a + step, lvl)]
-            b1, b2, b3 = (b[:anc.size * idx.size].reshape(anc.size, idx.size)
+            b1, b2, b3 = (b[:anc.size * tp.size].reshape(anc.size, tp.size)
                           for b in buffers)
             s = s_of[anc][:, None]
             if chi2:
@@ -411,10 +458,13 @@ def _hier_rcl(stats, method, cfg):
                                      out=b2, work=b3)
             v *= cf
             v /= (lvl - np.arange(a, a + anc.size, dtype=np.float64))[:, None]
+            if take is not None:
+                # class tp.size, the terms off the pattern: +0.0
+                v = np.concatenate((v, np.zeros((anc.size, 1))), axis=1)
             # one row at a time: 1-D fancy indexing is about twice as fast
             # as np.ix_ here
             for r, add in zip(acc_row[anc], v):
-                acc[r][idx] += add
+                acc[r][cols] += add if take is None else add[take]
 
     all_terms = np.arange(stats.n_terms, dtype=np.int64)
     ranked = [_UNLABELED] * stats.n_nodes

@@ -344,6 +344,19 @@ class TestExitCodes:
                      "coherence_summary.csv"):
             assert (out / name).read_bytes() == (cut / name).read_bytes()
 
+    def test_coherence_takes_a_p_cap_beyond_int64(self, tmp_path):
+        """A p_cap of 10^30 keeps every rank of every label: coherence
+        writes the reports it writes at the labels' own p_cap."""
+        cfg = write_fixture(tmp_path / "fx")
+        out = tmp_path / "fx" / "out"
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+        names = ("coherence.csv", "coherence_summary.csv")
+        want = {name: (out / name).read_bytes() for name in names}
+        assert cli.main(["coherence", "--config", str(cfg),
+                         "--p-cap", str(10 ** 30)]) == 0
+        for name in names:
+            assert (out / name).read_bytes() == want[name]
+
     @pytest.mark.parametrize("stage", ["evaluate", "coherence"])
     def test_labels_csv_term_outside_the_filtered_vocabulary(
             self, tmp_path, capsys, stage):

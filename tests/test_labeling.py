@@ -502,11 +502,12 @@ class TestRankingMethods:
                 assert s1 == pytest.approx(s2, rel=1e-9)
 
 
-def edge_instance(rng, n_terms=5):
+def edge_instance(rng, n_terms=5, base=0):
     """A 9-node tree whose HierRCL cells hit each zero guard: node 5 holds
     no cells (m1 = 0); node 4 holds all of its grandparent 1's mass, as 1
     is unary and 4's sibling is 5 (m2 = 0 against ancestor 3); and node 2's
-    subtree holds term 0 alone (m4 = 0 for 7 and 8 against ancestor 6)."""
+    subtree holds term 0 alone (m4 = 0 for 7 and 8 against ancestor 6).
+    Every count is ``base`` plus 1 to 6."""
     records = [
         {"id": 0, "parent": None, "children": [1, 2], "docs": []},
         {"id": 1, "parent": 0, "children": [3], "docs": []},
@@ -518,10 +519,10 @@ def edge_instance(rng, n_terms=5):
         {"id": 7, "parent": 6, "children": [], "docs": [4, 5]},
         {"id": 8, "parent": 6, "children": [], "docs": [6]},
     ]
-    cells = [(d, int(t), int(rng.integers(1, 7))) for d in (0, 1, 2)
+    cells = [(d, int(t), base + int(rng.integers(1, 7))) for d in (0, 1, 2)
              for t in rng.choice(n_terms, int(rng.integers(1, n_terms + 1)),
                                  replace=False)]
-    cells += [(d, 0, int(rng.integers(1, 7))) for d in (4, 5, 6)]
+    cells += [(d, 0, base + int(rng.integers(1, 7))) for d in (4, 5, 6)]
     return matrix_from_cells(7, n_terms, cells), records
 
 
@@ -530,12 +531,14 @@ class TestHierRclAgainstOracle:
     @pytest.mark.parametrize("rcl_fp", ["corrected", "literal"])
     def test_property_against_oracle(self, tmp_path, rcl_fp):
         # unary nodes, children declared out of id order and the edge
-        # instances; every positive score is ranked and compared exactly,
-        # and so are RCL's and the per-child 2x2 statistics
+        # instances, the last with counts near 2^31; every positive score
+        # is ranked and compared exactly, and so are RCL's and the
+        # per-child 2x2 statistics
         rng = np.random.default_rng(61)
         seen = dict.fromkeys(("unary", "shuffled", "no_mass", "m2_zero",
-                              "m4_zero"), 0)
-        for trial in range(17):
+                              "m4_zero", "per_term", "classes", "whole_rows",
+                              "pattern", "key_overflow"), 0)
+        for trial in range(18):
             if trial < 14:
                 n_docs = int(rng.integers(4, 40))
                 n_terms = int(rng.integers(3, 25))
@@ -543,7 +546,8 @@ class TestHierRclAgainstOracle:
                 records = random_tree_records(rng, n_docs,
                                               int(rng.integers(4, 24)))
             else:
-                m, records = edge_instance(rng)
+                m, records = edge_instance(
+                    rng, base=2 ** 31 if trial == 17 else 0)
                 n_terms = m.n_terms
             for r in records:
                 seen["unary"] += len(r["children"]) == 1
@@ -556,6 +560,7 @@ class TestHierRclAgainstOracle:
             # g's parent: a cell has m2 = s - m1 = 0 or m4 = s - f_pg = 0
             # (corrected fp) there
             mass = stats.node_total
+            assert mass.max() < 2 ** 53     # every count is exact
             g = np.flatnonzero(h.level > 0)
             s_g = mass[stats.parent_or_self[h.parent[g]]]
             seen["no_mass"] += (mass[g] == 0).any()
@@ -564,6 +569,21 @@ class TestHierRclAgainstOracle:
                 f = stats.freq_row(int(pg))
                 s_p = mass[stats.parent_or_self[pg]]
                 seen["m4_zero"] += ((f > 0) & (f == s_p)).any()
+            # the path _hier_rcl takes for each g with mass: per term near
+            # the root or where the packed class key could overflow int64,
+            # else by class, taken onto whole rows or onto the pattern
+            for gi in g[mass[g] > 0].tolist():
+                pg = int(h.parent[gi])
+                width = int(mass[pg]) + 1
+                if h.level[gi] < lab._CLASS_MIN_ROWS:
+                    seen["per_term"] += 1
+                elif (width * width * (int(stats.child_count[pg]) + 1)
+                        > np.iinfo(np.int64).max):
+                    seen["key_overflow"] += 1
+                else:
+                    seen["classes"] += 1
+                    k = stats.child_support.row(pg)[0].size
+                    seen["whole_rows" if 2 * k >= n_terms else "pattern"] += 1
             cfg = lab.LabelConfig(p_cap=n_terms, rcl_fp=rcl_fp)
             for method in lab.HIER_RCL_SCHEMES:
                 got = oracles.label_lists(
