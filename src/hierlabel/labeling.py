@@ -350,6 +350,22 @@ _BLOCK_CELLS = 1 << 16
 _CLASS_MIN_ROWS = 3
 
 
+def _class_width(stats, g):
+    """M = node_total[pg] + 1 where ``_hier_rcl`` scores g by class, pg
+    being g's parent: the base of g's packed class key
+    ``(tp * M + f_pg) * (c + 1) + support``, as tp, f_pg < M and support
+    <= c, the parent's child count.  0 where g is scored per term: it has
+    fewer than ``_CLASS_MIN_ROWS`` ancestors, or its key could overflow
+    int64."""
+    pg = int(stats.hierarchy.parent[g])
+    width = int(stats.node_total[pg]) + 1
+    c = int(stats.child_count[pg])
+    if (stats.hierarchy.level[g] < _CLASS_MIN_ROWS
+            or width * width * (c + 1) > np.iinfo(np.int64).max):
+        return 0
+    return width
+
+
 def _hier_rcl(stats, method, cfg):
     """acc[i] = sum over proper descendants g of i of
     sibling_cf(g) * v_i(g) / e(i, g), with v_i(g) the 2x2 statistic of g
@@ -373,25 +389,25 @@ def _hier_rcl(stats, method, cfg):
     and the parent's support, and the terms share these triples:
     on deep-comb v0 the 46.6M cells of a method hold 557,252 distinct
     (row, triple) values; per g the median is 99.5 triples against 9,052.5
-    pattern terms.  So a g scored against at least
-    ``_CLASS_MIN_ROWS`` ancestor rows is scored once per class of equal
-    triples, found by ``np.unique`` on one packed int64 key per term; a
-    class value is computed by the same operations on the same inputs as
-    each of its terms' cells, so it has the same bits.  Nearer the root the
-    ``np.unique`` costs more than it saves: scoring every g by class took
-    wide-staged v0 (depth 2) from 0.075 / 0.078 s (chi2 / jsd) to 0.126 /
-    0.119 s.  A g whose key could overflow int64 is scored per term.
+    pattern terms.  So a g with at least ``_CLASS_MIN_ROWS`` ancestors is
+    scored once per class of equal triples, found by ``np.unique`` on one
+    packed int64 key per term (``_class_width``); a class value is computed
+    by the same operations on the same inputs as each of its terms' cells,
+    so it has the same bits.  Each row of class values is taken onto every
+    term, those off the pattern onto one more class of +0.0, and added to
+    the whole acc row; acc is never -0.0, so adding +0.0 leaves it as it
+    is.  A g nearer the root, or whose key could overflow int64, is scored
+    per term and scattered onto the pattern.
 
-    Where the parent's pattern holds at least half of the terms, a row of
-    class values is taken onto every term, those off the pattern onto one
-    more class of +0.0, and added to the whole acc row; acc is never -0.0,
-    so adding +0.0 leaves it as it is.  Elsewhere the values are taken
-    onto the pattern and scattered.  Measured in one process on a 2-vCPU
-    Xeon VM, median of 7: on deep-comb v0, per-term scoring takes 0.579 /
-    0.659 s, classes 0.247 / 0.236 s, classes onto whole rows only 0.240 /
-    0.229 s and onto the pattern only 0.373 / 0.366 s; on wide-staged v0
-    with every g scored by class, whole rows only take 0.157 / 0.148 s and
-    this split 0.126 / 0.119 s."""
+    Measured in one process on a 2-vCPU Xeon VM, median of 7 (chi2 / jsd):
+    on deep-comb v0 per-term scoring takes 0.582 / 0.676 s and classes
+    0.255 / 0.246 s; taking the class values onto the pattern and
+    scattering them took 0.373 / 0.366 s.  On wide-staged v0 (depth 2)
+    scoring every g by class takes 0.124 / 0.120 s against 0.067 / 0.069 s
+    per term.  ``_CLASS_MIN_ROWS`` = 3 is the smallest depth that keeps
+    wide-staged on the per-term path, not a measured break-even: deep-comb
+    v0 holds two g per level, and cut-offs from 1 to 10 all took 0.24 to
+    0.26 s per method there (20 took 0.28 s)."""
     h = stats.hierarchy
     internal = np.flatnonzero(stats.child_count > 0)
     acc_row = np.full(stats.n_nodes, -1, np.int64)
@@ -414,21 +430,17 @@ def _hier_rcl(stats, method, cfg):
         idx = idx.astype(np.int64)
         tp = stats.freq_row(g)[idx]
         f_pg = stats.freq.row(pg)[1]
-        # a row of values adds to acc's columns ``cols``; where g is scored
-        # by class, value ``take[j]`` adds to the j-th column
-        take, cols = None, idx
-        width = int(stats.node_total[pg]) + 1      # above tp and f_pg
-        if (lvl >= _CLASS_MIN_ROWS
-                and width * width * (c + 1) <= np.iinfo(np.int64).max):
-            key, take = np.unique((tp * width + f_pg) * (c + 1) + support,
-                                  return_inverse=True)
+        # where g is scored by class, acc[i, t] adds value ``take[t]`` of
+        # row i; the terms off the pattern take class tp.size, +0.0
+        take = None
+        width = _class_width(stats, g)
+        if width:
+            key, inverse = np.unique((tp * width + f_pg) * (c + 1) + support,
+                                     return_inverse=True)
             key, support = np.divmod(key, c + 1)
             tp, f_pg = np.divmod(key, width)
-            if 2 * idx.size >= stats.n_terms:
-                # whole rows: the terms off the pattern take class tp.size
-                whole = np.full(stats.n_terms, tp.size, take.dtype)
-                whole[idx] = take
-                take, cols = whole, slice(None)
+            take = np.full(stats.n_terms, tp.size, inverse.dtype)
+            take[idx] = inverse
         cf = support / c
         tp = tp.astype(np.float64)
         fn = m1 - tp
@@ -458,13 +470,15 @@ def _hier_rcl(stats, method, cfg):
                                      out=b2, work=b3)
             v *= cf
             v /= (lvl - np.arange(a, a + anc.size, dtype=np.float64))[:, None]
-            if take is not None:
-                # class tp.size, the terms off the pattern: +0.0
-                v = np.concatenate((v, np.zeros((anc.size, 1))), axis=1)
             # one row at a time: 1-D fancy indexing is about twice as fast
             # as np.ix_ here
-            for r, add in zip(acc_row[anc], v):
-                acc[r][cols] += add if take is None else add[take]
+            if take is None:
+                for r, add in zip(acc_row[anc], v):
+                    acc[r][idx] += add
+            else:
+                v = np.concatenate((v, np.zeros((anc.size, 1))), axis=1)
+                for r, add in zip(acc_row[anc], v):
+                    acc[r] += add[take]
 
     all_terms = np.arange(stats.n_terms, dtype=np.int64)
     ranked = [_UNLABELED] * stats.n_nodes
