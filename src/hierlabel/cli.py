@@ -23,7 +23,7 @@ import operator
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -88,10 +88,8 @@ class RunConfig:
                 or not all(isinstance(m, str) for m in self.methods):
             raise ConfigError(
                 f"methods must be a list of method names, got {self.methods!r}")
-        if self.p_cap < 1:
-            raise ConfigError("p_cap must be >= 1")
-        if not (0 < self.alpha < 1):
-            raise ConfigError("alpha must be in (0, 1)")
+        # LabelConfig checks p_cap, alpha, chi2_shape, rcl_fp, big_threshold
+        self.label_config()
         if not self.methods:
             raise ConfigError("method list is empty")
         bad = [m for m in self.methods if m not in lab.METHODS]
@@ -117,8 +115,6 @@ class RunConfig:
                 and not Path(self.reference_corpus).is_file():
             raise ConfigError(
                 f"reference corpus not found: {self.reference_corpus}")
-        # construction re-checks chi2_shape / rcl_fp / big_threshold
-        self.label_config()
 
     def label_config(self) -> lab.LabelConfig:
         return lab.LabelConfig(
@@ -131,10 +127,6 @@ class RunConfig:
         for k, v in d.items():
             if isinstance(v, Path):
                 d[k] = str(v)
-        if d["reference_corpus"] is not None:
-            d["reference_corpus"] = str(d["reference_corpus"])
-        if d["df_filter"] is not None:
-            d["df_filter"] = list(d["df_filter"])
         return d
 
 
@@ -148,14 +140,12 @@ def load_config(path, overrides: dict) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON: {e.msg}") from None
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") \
+            from None
     if not isinstance(blob, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    known = {
-        "matrix", "vocabulary", "hierarchy", "reference_corpus", "out_dir",
-        "p_cap", "alpha", "methods", "chi2_shape", "rcl_fp", "oc_aggregate",
-        "big_threshold", "npmi_epsilon", "df_filter", "threads",
-    }
-    unknown = set(blob) - known
+    unknown = set(blob) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
     base = path.parent
@@ -175,8 +165,7 @@ def load_config(path, overrides: dict) -> RunConfig:
         kwargs[name] = respath(name)
     if blob.get("reference_corpus") is not None:
         kwargs["reference_corpus"] = respath("reference_corpus")
-    for name in ("p_cap", "alpha", "methods", "chi2_shape", "rcl_fp",
-                 "oc_aggregate", "big_threshold", "npmi_epsilon", "threads"):
+    for name in (*_SCALAR_TYPES, "methods"):
         if name in blob:
             kwargs[name] = blob[name]
     if blob.get("df_filter") is not None:
@@ -225,9 +214,8 @@ def load_inputs(cfg: RunConfig) -> InputBundle:
     vocab_full = corp.load_vocabulary(cfg.vocabulary)
     if len(vocab_full) != matrix.n_terms:
         raise ValidationError(
-            f"vocabulary has {len(vocab_full)} terms, matrix has "
-            f"{matrix.n_terms}"
-        )
+            f"{cfg.vocabulary}: vocabulary has {len(vocab_full)} terms, "
+            f"matrix {cfg.matrix} has {matrix.n_terms}")
     if cfg.df_filter is not None:
         matrix, remap = corp.salton_df_filter(matrix, *cfg.df_filter)
         orig_id = np.flatnonzero(remap >= 0)
@@ -309,8 +297,7 @@ def write_manifest(tracker: OutputTracker, cfg: RunConfig, stage: str,
 # ---------------------------------------------------------------------------
 
 def stage_label(cfg: RunConfig, tracker: OutputTracker,
-                bundle: InputBundle | None = None):
-    bundle = bundle or load_inputs(cfg)
+                bundle: InputBundle) -> dict:
     stats = corp.build_node_stats(bundle.matrix, bundle.hierarchy)
     assignments = lab.label_all(stats, cfg.methods, cfg.label_config())
     with tracker.open("labels.csv") as fh:
@@ -318,7 +305,7 @@ def stage_label(cfg: RunConfig, tracker: OutputTracker,
         w.writerow(["method", "node_id", "rank", "term_id", "term_surface",
                     "score"])
         fh.write(_label_rows(assignments, cfg.methods, bundle))
-    return bundle, assignments
+    return assignments
 
 
 def _label_rows(assignments, methods, bundle) -> str:
@@ -625,19 +612,22 @@ def _rows_per_node(order, codes, nid) -> np.ndarray:
     return k
 
 
-def _labels_from_csv(tracker: OutputTracker, bundle: InputBundle,
-                     methods) -> dict:
-    """method -> (node indices, original term ids, scores) of labels.csv's
-    rows of each of ``methods``, sorted by node and rank.  A row whose node
-    the hierarchy lacks, or whose term the working vocabulary lacks (such
-    as one the df filter dropped), is an input error."""
+def _assignments_from_csv(tracker: OutputTracker, bundle: InputBundle,
+                          cfg: RunConfig) -> dict:
+    """The label stage's LabelAssignments (internal node indices, working
+    term ids) of the configured methods, read back from labels.csv.  Only
+    each label's first p_cap ranks are kept, the terms the label stage
+    would have written under ``cfg``.  A row whose node the hierarchy
+    lacks, or whose term the working vocabulary lacks (such as one the df
+    filter dropped), is an input error."""
     path = tracker.out_dir / "labels.csv"
     if not path.is_file():
         raise ConfigError(f"labels.csv not found in {tracker.out_dir}; "
                           "run the label stage first")
     cols, lines = read_labels_csv(path, bundle.vocab_full.surfaces)
-    out, faults = {}, []
-    for method in methods:
+    nodes = np.arange(bundle.hierarchy.n_nodes + 1)
+    read, faults = {}, []
+    for method in cfg.methods:
         rows = cols.rows_of(method)
         nid, term = cols.node_id[rows], cols.term[rows]
         node, stray = _node_index(bundle.hierarchy, nid)
@@ -652,10 +642,19 @@ def _labels_from_csv(tracker: OutputTracker, bundle: InputBundle,
                                                f"vocabulary")):
             if fault is not None:
                 faults.append((int(lines[rows][fault[0]]), fault[1]))
-        out[method] = (node, term, cols.score[rows])
+        read[method] = (node, term, cols.score[rows])
     if faults:
         line, why = min(faults, key=operator.itemgetter(0))
         raise ValidationError(f"{path}:{line}: {why}")
+    out = {}
+    for method, (node, term, score) in read.items():
+        # the rows run in node and rank order
+        start = np.searchsorted(node, nodes)
+        keep = (np.arange(node.size) - np.repeat(start[:-1], np.diff(start))
+                < cfg.p_cap)
+        node, term, score = node[keep], term[keep], score[keep]
+        out[method] = lab.LabelAssignment(
+            method, np.searchsorted(node, nodes), bundle.remap[term], score)
     return out
 
 
@@ -667,36 +666,14 @@ def _node_index(hierarchy: corp.Hierarchy, nid) -> tuple:
     return node, ids[node] != nid
 
 
-def _assignments_from_csv(tracker: OutputTracker, bundle: InputBundle,
-                          cfg: RunConfig) -> dict:
-    """Rebuild the label stage's LabelAssignments (internal node indices,
-    working term ids) of the configured methods from labels.csv.  Only
-    each label's first p_cap ranks are kept, the terms the label stage
-    would have written under ``cfg``."""
-    nodes = np.arange(bundle.hierarchy.n_nodes + 1)
-    out = {}
-    for method, (node, term, score) in _labels_from_csv(
-            tracker, bundle, cfg.methods).items():
-        # the rows run in node and rank order
-        start = np.searchsorted(node, nodes)
-        keep = (np.arange(node.size) - np.repeat(start[:-1], np.diff(start))
-                < cfg.p_cap)
-        node, term, score = node[keep], term[keep], score[keep]
-        out[method] = lab.LabelAssignment(
-            method, np.searchsorted(node, nodes), bundle.remap[term], score)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # stage: evaluate
 # ---------------------------------------------------------------------------
 
 def stage_evaluate(cfg: RunConfig, tracker: OutputTracker,
-                   bundle: InputBundle | None = None,
-                   assignments: dict | None = None):
+                   bundle: InputBundle, assignments: dict | None = None):
     """``assignments`` are the label stage's in-memory results; without
     them the labels are read back from labels.csv."""
-    bundle = bundle or load_inputs(cfg)
     if assignments is None:
         assignments = _assignments_from_csv(tracker, bundle, cfg)
     table, queries = qe.evaluate_all(bundle.matrix, bundle.hierarchy,
@@ -784,8 +761,7 @@ def emit_level_plot_data(fits: dict, measure: str, kind: str,
 
 
 def stage_stats(cfg: RunConfig, tracker: OutputTracker,
-                bundle: InputBundle | None = None):
-    bundle = bundle or load_inputs(cfg)
+                bundle: InputBundle):
     metrics_path = tracker.out_dir / "metrics.csv"
     if not metrics_path.is_file():
         raise ConfigError(f"metrics.csv not found in {tracker.out_dir}; "
@@ -811,13 +787,15 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker,
     for kind in KINDS:
         sub = table.filter(kind=kind)
         for measure in MEASURES:
+            level_fits = {method: st.fit_level_model(
+                sub.filter(method=method), measure) for method in cfg.methods}
             if len(cfg.methods) >= 2:
                 fit = st.fit_additive_model(sub, measure, methods=cfg.methods)
                 entries = st.snk_compare(fit, "method", cfg.alpha).entries
             else:
                 # single-method run: the method factor degenerates; the
-                # level-only fit supplies the mean and variance
-                fit = st.fit_level_model(sub, measure)
+                # method's level-only fit supplies the mean and variance
+                fit = level_fits[cfg.methods[0]]
                 entries = [(cfg.methods[0], fit.mu, "a")]
             with tracker.open(f"stats_{measure}_{kind}.csv") as fh:
                 fh.write(f"# df_r={fit.df_resid},V_E={fmt(fit.resid_var)},"
@@ -827,10 +805,6 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker,
                 for lv, mean, letters in entries:
                     w.writerow([lv, fmt(mean), letters])
 
-            level_fits = {}
-            for method in cfg.methods:
-                mtab = sub.filter(method=method)
-                level_fits[method] = st.fit_level_model(mtab, measure)
             with tracker.open(f"level_means_{measure}_{kind}.csv") as fh:
                 w = csv.writer(fh)
                 w.writerow(["method", "level", "mean"])
@@ -846,27 +820,17 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker,
 # stage: coherence
 # ---------------------------------------------------------------------------
 
-def _coherence_labels(cfg: RunConfig, tracker: OutputTracker,
-                      bundle: InputBundle, assignments: dict | None) -> dict:
-    """method -> (node ids, indptr, original term ids) of every configured
-    method, as ``coh.score_labels`` takes them; read back from labels.csv
-    without ``assignments``.  The parsed rows die with this call, before
-    the reference corpus is loaded."""
-    if assignments is None:
-        assignments = _assignments_from_csv(tracker, bundle, cfg)
-    return {m: (bundle.hierarchy.ids, assignments[m].indptr,
-                bundle.orig_id[assignments[m].term]) for m in cfg.methods}
-
-
 def stage_coherence(cfg: RunConfig, tracker: OutputTracker,
-                    bundle: InputBundle | None = None,
-                    assignments: dict | None = None):
+                    bundle: InputBundle, assignments: dict | None = None):
     """``assignments`` are the label stage's in-memory results; without
-    them the labels are read back from labels.csv."""
+    them the labels are read back from labels.csv, and only the node ids,
+    bounds and original term ids that ``coh.score_labels`` takes outlive
+    the reading, before the reference corpus is loaded."""
     if cfg.reference_corpus is None:
         raise ConfigError("coherence stage requires a reference_corpus path")
-    bundle = bundle or load_inputs(cfg)
-    labels = _coherence_labels(cfg, tracker, bundle, assignments)
+    labels = {m: (bundle.hierarchy.ids, a.indptr, bundle.orig_id[a.term])
+              for m, a in (assignments if assignments is not None else
+                           _assignments_from_csv(tracker, bundle, cfg)).items()}
     label_terms = np.unique(np.concatenate([t for _, _, t in
                                             labels.values()]))
     counts = coh.count_cooccurrence(_load_reference_corpus(cfg),
@@ -947,7 +911,7 @@ def run_stage(stage: str, cfg: RunConfig, dry_run: bool = False) -> list:
     try:
         assignments = None
         if stage in ("label", "all"):
-            _, assignments = stage_label(cfg, tracker, bundle)
+            assignments = stage_label(cfg, tracker, bundle)
         if stage in ("evaluate", "all"):
             stage_evaluate(cfg, tracker, bundle, assignments)
         if stage in ("stats", "all"):

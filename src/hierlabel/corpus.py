@@ -254,11 +254,14 @@ def load_matrix(path, max_docs: int | None = None) -> DocTermMatrix:
         raise ParseError(f"{path}:1: header declares {n_docs} documents, but "
                          f"the hierarchy lists only {max_docs} document ids")
     cells = _bulk_cells(body) if bulk else None
-    if cells is not None:
-        matrix = DocTermMatrix.from_cells(n_docs, n_terms, *cells)
-    else:
-        matrix = _matrix_from_lines(path, lines or text.splitlines(),
-                                    n_docs, n_terms)
+    try:
+        if cells is not None:
+            matrix = DocTermMatrix.from_cells(n_docs, n_terms, *cells)
+        else:
+            matrix = _matrix_from_lines(path, lines or text.splitlines(),
+                                        n_docs, n_terms)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
     if _mass_reaches(matrix.csr.data, MASS_END):
         raise ValidationError(f"{path}: the counts sum to 2^53 or more, "
                               f"beyond exact float64 sums")
@@ -324,7 +327,10 @@ def load_vocabulary(path) -> Vocabulary:
         raise utf8_error(path) from None
     if sorted(entries) != list(range(len(entries))):
         raise ValidationError(f"{path}: term ids are not contiguous 0..m-1")
-    return Vocabulary(tuple(entries[i] for i in range(len(entries))))
+    try:
+        return Vocabulary(tuple(entries[i] for i in range(len(entries))))
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
@@ -508,7 +514,10 @@ def load_hierarchy(path, matrix: DocTermMatrix, records=None) -> Hierarchy:
     already (``read_hierarchy``)."""
     if records is None:
         records = read_hierarchy(path)
-    return _build_hierarchy(records, matrix.n_docs)
+    try:
+        return _build_hierarchy(records, matrix.n_docs)
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
 
 
 def read_hierarchy(path) -> list:
@@ -520,6 +529,9 @@ def read_hierarchy(path) -> list:
             raise ParseError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
         except UnicodeDecodeError:
             raise utf8_error(path) from None
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply to parse") \
+                from None
     if not isinstance(blob, dict) or not isinstance(blob.get("nodes"), list):
         raise ParseError(f"{path}: expected an object with a 'nodes' list")
     for k, record in enumerate(blob["nodes"]):

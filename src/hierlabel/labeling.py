@@ -269,39 +269,24 @@ def _row_arrays(csr, i):
     return csr.indices[lo:hi].astype(np.int64), csr.data[lo:hi].astype(np.float64)
 
 
-def _flat_node_label(stats, node, scheme, idf_global, p_cap):
-    idx, f = _row_arrays(stats.freq, node)
-    if idx.size == 0:
-        return _UNLABELED
-    score = f.copy()
-    if scheme in ("MTWL_idf", "ICWL_idf"):
-        score *= idf_global[idx] * _idf_local_at(stats, node, idx)
-    if scheme in ("ICWL_raw", "ICWL_idf"):
-        score *= _icf_at(stats, node, idx)
-    return _topk_arrays(idx, score, f, p_cap)
-
-
 def select_flat_or_hier(stats: NodeTermStats, method: str,
                         cfg: LabelConfig) -> LabelAssignment:
     """Independent per-node top-P selection for the twelve ranking methods."""
     n = stats.n_nodes
     ranked = [_UNLABELED] * n
-    if method in FLAT_SCHEMES:
+    if method in FLAT_SCHEMES + HIER_FREQ_SCHEMES:
+        # a Hier method is its flat twin on the path-weighted base; the base
+        # is 0 on the leaves, which stay unlabeled, and holds freq's pattern
+        # on every other row, so freq's row is the tie in both
+        hier = method in HIER_FREQ_SCHEMES
+        base = stats.hier_base() if hier else stats.freq
         idfg = _idf_global_vec(stats)
-        for i in range(n):
-            ranked[i] = _flat_node_label(stats, i, method, idfg, cfg.p_cap)
-        return LabelAssignment.from_ranked(method, ranked)
-
-    if method in HIER_FREQ_SCHEMES:
-        # the base is 0 on the leaves, which stay unlabeled, and holds freq's
-        # pattern on every other row
-        base = stats.hier_base()
-        idfg = _idf_global_vec(stats)
-        for i in np.flatnonzero(stats.child_count).tolist():
+        for i in (np.flatnonzero(stats.child_count) if hier
+                  else np.arange(n)).tolist():
             idx, score = _row_arrays(base, i)
-            if method in ("HierMTWL_idf", "HierICWL_idf"):
+            if "_idf" in method:
                 score *= idfg[idx] * _idf_local_at(stats, i, idx)
-            if method in ("HierICWL_raw", "HierICWL_idf"):
+            if "ICWL" in method:
                 score *= _icf_at(stats, i, idx)
             tie = stats.freq.row(i)[1].astype(np.float64)
             ranked[i] = _topk_arrays(idx, score, tie, cfg.p_cap)
@@ -663,8 +648,4 @@ def label_hierarchy(stats: NodeTermStats, method: str,
 def label_all(stats: NodeTermStats, methods=METHODS,
               cfg: LabelConfig | None = None) -> dict:
     """All requested methods, in order."""
-    cfg = cfg or LabelConfig()
-    bad = [m for m in methods if m not in METHODS]
-    if bad:
-        raise ConfigError(f"unknown methods: {', '.join(bad)}")
     return {m: label_hierarchy(stats, m, cfg) for m in methods}

@@ -701,6 +701,8 @@ def load_matrix(path):
                              for x in line.split()))
         raise ParseError(f"{path}:{ln}: value does not fit in 64 bits") \
             from None
+    except ValidationError as e:
+        raise ValidationError(f"{path}: {e}") from None
     if sum(counts) >= 1 << 53:
         raise ValidationError(f"{path}: the counts sum to 2^53 or more, "
                               f"beyond exact float64 sums")

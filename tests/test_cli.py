@@ -2,6 +2,7 @@
 stage independence, overrides, and exit codes."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -70,6 +71,11 @@ EXPECTED_FILES = (
     "coherence_summary.csv", "run_manifest.json",
 )
 
+# sha256 of the stats reports of ``all --methods MTWL_raw`` on the fixture,
+# as ``sha256sum`` lists them: the one method's level-only fit supplies the
+# stats_*.csv mean and variance
+SINGLE_METHOD_STATS = Path(__file__).with_name("single_method_stats.sha256")
+
 
 class TestPipeline:
 
@@ -109,6 +115,20 @@ class TestPipeline:
             with open(out / name) as fh:
                 rows = list(csv.DictReader(fh))
             assert {r["method"] for r in rows} == {"MTWL_raw"}
+
+    def test_single_method_stats_reports_pinned(self, tmp_path):
+        cfg = write_fixture(tmp_path / "fx")
+        assert cli.main(["all", "--config", str(cfg),
+                         "--methods", "MTWL_raw"]) == 0
+        out = tmp_path / "fx" / "out"
+        got = {p.relative_to(out).as_posix():
+               hashlib.sha256(p.read_bytes()).hexdigest()
+               for pattern in ("stats_*.csv", "level_means_*.csv",
+                               "plots/*.dat")
+               for p in out.glob(pattern)}
+        want = dict(line.split()[::-1]
+                    for line in SINGLE_METHOD_STATS.read_text().splitlines())
+        assert got == want
 
     def test_identical_rerun_bitwise_stable(self, tmp_path):
         cfg = write_fixture(tmp_path / "fx")
@@ -191,6 +211,37 @@ class TestPipeline:
             assert expr.startswith(("(", "t"))
 
 
+# (file, its fault, a part of the message): one row per input fault that
+# is found after parsing
+INPUT_FAULTS = [
+    # hierarchy faults found while building the tree
+    ("hier.json", lambda n: n[0].update(parent=1), "has no root"),
+    ("hier.json", lambda n: n[2].update(parent=None), "multiple roots"),
+    ("hier.json", lambda n: n.append(dict(n[6])), "duplicate node id"),
+    ("hier.json", lambda n: n[1].update(children=[3]), "disagrees"),
+    ("hier.json", lambda n: (n[5]["docs"].extend(n[6]["docs"]),
+                             n[6].update(docs=[])), "empty leaf"),
+    ("hier.json", lambda n: n[6]["docs"].append(12),
+     "doc-id out of range"),
+    ("hier.json", lambda n: n[6]["docs"].append(0), "two leaves"),
+    ("hier.json", lambda n: n[1].update(docs=[0]),
+     "attached to an internal node"),
+    # matrix cells
+    ("matrix.txt", "12 9\n0 0 0\n", "zero or negative count"),
+    ("matrix.txt", "12 9\n0 0 1\n0 0 1\n", "duplicate (doc, term)"),
+    ("matrix.txt", "12 9\n0 9 1\n", "term-id out of range"),
+    ("matrix.txt", "12 9\n12 0 1\n", "doc-id out of range"),
+    # vocabulary surfaces
+    ("vocab.tsv", lambda v: v.replace("\tterm3", "\t"),
+     "empty surface"),
+    ("vocab.tsv", lambda v: v.replace("term3", "term2"),
+     "duplicate surface"),
+    # the vocabulary against the matrix: both files are named
+    ("vocab.tsv", lambda v: v.replace("8\tterm8\n", ""),
+     "vocabulary has 8 terms, matrix"),
+]
+
+
 class TestExitCodes:
 
     def test_missing_config(self, tmp_path):
@@ -239,6 +290,40 @@ class TestExitCodes:
         assert cli.main(["validate", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert f"{hier}: nodes[{position}]" in err, err
+
+    @pytest.mark.parametrize("name,code", [
+        ("config.json", 2), ("hier.json", 3)])
+    def test_deeply_nested_json(self, tmp_path, capsys, name, code):
+        # json's decoder recurses once per nesting level
+        cfg = write_fixture(tmp_path / "fx")
+        path = tmp_path / "fx" / name
+        path.write_text("[" * 5000 + "]" * 5000 if name == "config.json"
+                        else "[" * 100_000)
+        assert cli.main(["validate", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert f"{path}: JSON nested too deeply" in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name,change,why", INPUT_FAULTS,
+                             ids=[f"{name}: {why}"
+                                  for name, _, why in INPUT_FAULTS])
+    def test_input_fault_names_its_file(self, tmp_path, capsys, name,
+                                        change, why):
+        cfg = write_fixture(tmp_path / "fx")
+        path = tmp_path / "fx" / name
+        if name == "hier.json":
+            nodes = json.loads(path.read_text())["nodes"]
+            change(nodes)
+            path.write_text(json.dumps({"nodes": nodes}))
+        elif callable(change):
+            path.write_text(change(path.read_text()))
+        else:
+            path.write_text(change)
+        assert cli.main(["validate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and why in err, err
+        if why.endswith("matrix"):
+            assert str(tmp_path / "fx" / "matrix.txt") in err, err
 
     @pytest.mark.parametrize("stage,name,damage,line", [
         ("evaluate", "labels.csv", "header", 1),

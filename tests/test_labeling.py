@@ -600,6 +600,64 @@ class TestHierRclAgainstOracle:
         assert all(seen.values()), seen
 
 
+class TestFrequencyMethodsAgainstOracle:
+
+    def test_property_against_oracle(self, tmp_path):
+        # the eight MTWL/ICWL methods on random trees with unary nodes: a
+        # flat method scores score_flat at the node; a Hier method scores
+        # hier_weight over freq at the node, times the idf and icf factors
+        # its name selects.  The oracle sums and multiplies in other orders
+        # than the library, so terms that tie exactly can differ in the
+        # last bits there: every term's score must match the oracle's to
+        # rel 1e-12 (0 where it is 0), and the term order must be exactly
+        # that of those scores by (score desc, node frequency desc, term id
+        # asc), which catches a wrong tie-break row.  A smaller p_cap keeps
+        # a prefix of the same order.
+        rng = np.random.default_rng(71)
+        unary = 0
+        for trial in range(12):
+            n_docs = int(rng.integers(4, 40))
+            n_terms = int(rng.integers(3, 25))
+            m = random_matrix(rng, n_docs, n_terms)
+            records = random_tree_records(rng, n_docs,
+                                          int(rng.integers(4, 24)))
+            unary += sum(len(r["children"]) == 1 for r in records)
+            h = hierarchy_from_records(records, m, tmp_path, f"f{trial}.json")
+            stats = corp.build_node_stats(m, h)
+            all_terms = np.arange(n_terms)
+
+            def oracle(method, i, t):
+                if method in lab.FLAT_SCHEMES:
+                    return oracles.score_flat(method, stats, i, t)
+                v = oracles.hier_weight(
+                    stats, i, t, lambda g: oracles.score_mtwl_raw(stats, g, t))
+                if "_idf" in method:
+                    v *= (oracles.score_idf_global(stats, t)
+                          * oracles.score_idf_local(stats, i, t))
+                if "ICWL" in method:
+                    v *= oracles.score_icf(stats, i, t)
+                return v
+
+            for method in lab.FLAT_SCHEMES + lab.HIER_FREQ_SCHEMES:
+                full = lab.label_hierarchy(stats, method,
+                                           lab.LabelConfig(p_cap=n_terms))
+                short = lab.label_hierarchy(stats, method,
+                                            lab.LabelConfig(p_cap=3))
+                for i in range(h.n_nodes):
+                    want = np.array([oracle(method, i, t)
+                                     for t in all_terms])
+                    got = np.zeros(n_terms)
+                    for t, score in oracles.label_list(full, i):
+                        got[t] = score
+                    where = (trial, method, i)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0), where
+                    order = oracles.topk(all_terms, got,
+                                         stats.freq_row(i), n_terms)
+                    assert oracles.label_list(full, i) == order, where
+                    assert oracles.label_list(short, i) == order[:3], where
+        assert unary
+
+
 class TestPopesculUngar:
 
     def test_uniform_term_goes_to_parent(self, tmp_path):
