@@ -198,7 +198,6 @@ def load_config(path, overrides: dict) -> RunConfig:
 @dataclass
 class InputBundle:
     matrix: corp.DocTermMatrix        # df-filtered when configured
-    vocab: corp.Vocabulary            # filtered vocabulary
     vocab_full: corp.Vocabulary       # as loaded from disk
     hierarchy: corp.Hierarchy
     remap: np.ndarray                 # original term id -> working id, -1 dropped
@@ -219,13 +218,11 @@ def load_inputs(cfg: RunConfig) -> InputBundle:
     if cfg.df_filter is not None:
         matrix, remap = corp.salton_df_filter(matrix, *cfg.df_filter)
         orig_id = np.flatnonzero(remap >= 0)
-        vocab = vocab_full.subset(orig_id)
     else:
         remap = np.arange(matrix.n_terms, dtype=np.int64)
         orig_id = remap
-        vocab = vocab_full
     hierarchy = corp.load_hierarchy(cfg.hierarchy, matrix, records)
-    return InputBundle(matrix, vocab, vocab_full, hierarchy, remap, orig_id)
+    return InputBundle(matrix, vocab_full, hierarchy, remap, orig_id)
 
 
 def _sha256(path) -> str:
@@ -242,17 +239,15 @@ class OutputTracker:
     Each report is written to a temporary file beside it and renamed over
     it when complete, so no reader ever sees a torn report."""
 
-    def __init__(self, out_dir: Path, dry_run: bool = False):
+    def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
-        self.dry_run = dry_run
         self.written = []
         self.pending = []
-        if not dry_run:
-            try:
-                self.out_dir.mkdir(parents=True, exist_ok=True)
-                (self.out_dir / "plots").mkdir(exist_ok=True)
-            except OSError as e:
-                raise ConfigError(f"cannot create output dir: {e}") from None
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            (self.out_dir / "plots").mkdir(exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output dir: {e}") from None
 
     @contextmanager
     def open(self, relname: str):

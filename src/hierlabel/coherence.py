@@ -32,8 +32,7 @@ class CooccurrenceCounts:
     the windows of term t as packed words, bit w % 64 of word w // 64 set
     when window w contains t; ``rows[t]`` is -1 for a term not counted.
     Joint counts are not stored: each is the popcount of two rows ANDed,
-    taken for the pairs asked for (``pairwise``, and ``score_labels`` for
-    the labels' pairs)."""
+    taken by ``score_labels`` for the labels' pairs."""
     n_windows: int
     n_terms: int
     unary: np.ndarray          # term -> number of windows containing it
@@ -65,12 +64,6 @@ class CooccurrenceCounts:
             both = self.bits[lo[at:at + step]] & self.bits[hi[at:at + step]]
             out[at:at + step] = np.bitwise_count(both).sum(axis=1)
         return out
-
-    def pairwise(self, a: int, b: int) -> int:
-        if a == b:
-            return int(self.unary[a])
-        [key] = self.row_pairs(np.array([a]), np.array([b]))
-        return int(self.count_row_pairs(np.array([key]))[0]) if key >= 0 else 0
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -106,8 +99,7 @@ def count_cooccurrence(corpus, vocab: Vocabulary,
     Each counted term gets a bitset of the windows that contain it, set by
     ``np.bitwise_or.at`` over its tokens (a repeated token sets its bit
     again); unary counts are the bitsets' popcounts, and joint counts are
-    taken from them when asked for (``CooccurrenceCounts.pairwise``, and
-    ``score_labels`` for the labels' pairs).
+    taken from them by ``score_labels`` for the labels' pairs.
     Documents are split one at a time, and the counted tokens' rows of a
     block of documents are turned into bits together, so no token
     outlives its block.

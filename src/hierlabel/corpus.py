@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class Vocabulary:
 
     def surface(self, term_id: int) -> str:
         return self.surfaces[term_id]
-
-    def subset(self, keep_terms) -> "Vocabulary":
-        """New vocabulary containing only ``keep_terms``, recompacted."""
-        return Vocabulary(tuple(self.surfaces[t] for t in keep_terms))
 
 
 @dataclass(frozen=True)
@@ -87,17 +83,14 @@ class CSR:
         out[idx] = vals
         return out
 
-    def get(self, i: int, j: int):
-        idx, vals = self.row(i)
-        k = int(np.searchsorted(idx, j))
-        if k < idx.size and idx[k] == j:
-            return vals[k]
-        return self.data.dtype.type(0)
 
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape, self.data.dtype)
-        out[self.row_ids(), self.indices] = self.data
-        return out
+class CellError(ValidationError):
+    """A matrix cell that breaks an invariant; ``row`` is its position
+    among the cells as given."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = int(row)
 
 
 class DocTermMatrix:
@@ -117,26 +110,33 @@ class DocTermMatrix:
 
     @classmethod
     def from_cells(cls, n_docs, n_terms, docs, terms, counts) -> "DocTermMatrix":
+        """The matrix of the given cells.  Each check in turn raises a
+        ``CellError`` at the first cell that fails it; of two equal
+        (doc, term) cells, the later one fails."""
         docs = np.asarray(docs, np.int64)
         terms = np.asarray(terms, np.int64)
         counts = np.asarray(counts, np.int64)
         if docs.size:
             if docs.min() < 0 or docs.max() >= n_docs:
-                bad = docs[(docs < 0) | (docs >= n_docs)][0]
-                raise ValidationError(f"doc-id out of range: {bad}")
+                row = np.argmax((docs < 0) | (docs >= n_docs))
+                raise CellError(f"doc-id out of range: {docs[row]}", row)
             if terms.min() < 0 or terms.max() >= n_terms:
-                bad = terms[(terms < 0) | (terms >= n_terms)][0]
-                raise ValidationError(f"term-id out of range: {bad}")
+                row = np.argmax((terms < 0) | (terms >= n_terms))
+                raise CellError(f"term-id out of range: {terms[row]}", row)
             if counts.min() <= 0:
-                raise ValidationError("zero or negative count in matrix cell")
+                raise CellError("zero or negative count in matrix cell",
+                                np.argmax(counts <= 0))
             key = docs * n_terms + terms
             # files written by save_matrix are already in (doc, term) order
             if not (key[1:] > key[:-1]).all():
                 order = np.argsort(key, kind="stable")
                 key, docs, terms, counts = (key[order], docs[order],
                                             terms[order], counts[order])
-                if (key[1:] == key[:-1]).any():
-                    raise ValidationError("duplicate (doc, term) cell")
+                repeat = key[1:] == key[:-1]
+                if repeat.any():
+                    # the stable sort keeps a repeat after the cell it repeats
+                    raise CellError("duplicate (doc, term) cell",
+                                    order[1:][repeat].min())
         return cls(n_docs, n_terms,
                    CSR.from_sorted(docs, terms, counts, (n_docs, n_terms)))
 
@@ -222,8 +222,9 @@ def load_matrix(path, max_docs: int | None = None) -> DocTermMatrix:
     that size is allocated.  The triplets are parsed in bulk when the text
     is ASCII and breaks lines only at "\n" (numpy misreads some non-ASCII
     characters as digits); otherwise, and whenever the bulk parse fails,
-    a loop over the lines parses them and names the first bad line.  A
-    matrix whose counts sum to 2^53 or more is rejected.
+    a loop over the lines parses them and names the first bad line.  Either
+    way, a cell that ``DocTermMatrix.from_cells`` rejects is named by its
+    line.  A matrix whose counts sum to 2^53 or more is rejected.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -254,14 +255,17 @@ def load_matrix(path, max_docs: int | None = None) -> DocTermMatrix:
         raise ParseError(f"{path}:1: header declares {n_docs} documents, but "
                          f"the hierarchy lists only {max_docs} document ids")
     cells = _bulk_cells(body) if bulk else None
-    try:
-        if cells is not None:
+    if cells is None:
+        matrix = _matrix_from_lines(path, lines or text.splitlines(),
+                                    n_docs, n_terms)
+    else:
+        try:
             matrix = DocTermMatrix.from_cells(n_docs, n_terms, *cells)
-        else:
-            matrix = _matrix_from_lines(path, lines or text.splitlines(),
-                                        n_docs, n_terms)
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
+        except CellError as e:
+            # np.loadtxt skips the blank and whitespace-only lines
+            at = [ln for ln, line in enumerate(body.split("\n"), start=2)
+                  if line.strip()]
+            raise ValidationError(f"{path}:{at[e.row]}: {e}") from None
     if _mass_reaches(matrix.csr.data, MASS_END):
         raise ValidationError(f"{path}: the counts sum to 2^53 or more, "
                               f"beyond exact float64 sums")
@@ -269,7 +273,7 @@ def load_matrix(path, max_docs: int | None = None) -> DocTermMatrix:
 
 
 def _matrix_from_lines(path, lines, n_docs, n_terms) -> DocTermMatrix:
-    docs, terms, counts = [], [], []
+    docs, terms, counts, at = [], [], [], []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -283,8 +287,11 @@ def _matrix_from_lines(path, lines, n_docs, n_terms) -> DocTermMatrix:
         docs.append(d)
         terms.append(t)
         counts.append(c)
+        at.append(ln)
     try:
         return DocTermMatrix.from_cells(n_docs, n_terms, docs, terms, counts)
+    except CellError as e:
+        raise ValidationError(f"{path}:{at[e.row]}: {e}") from None
     except OverflowError:
         ln = next(ln for ln, line in enumerate(lines[1:], start=2)
                   if not all(_fits_int64(int(x)) for x in line.split()))
@@ -354,49 +361,16 @@ class Hierarchy:
     leaf_docs: list               # list of int arrays, empty for internal nodes
     level: np.ndarray
     root: int
-    n_docs: int
-    # Euler-tour index: node indices in pre-order (a stack seeded with the
-    # root, children pushed in declared order); node i's subtree is
-    # preorder[tin[i]:tout[i]], i first
+    # node indices in pre-order (a stack seeded with the root, children
+    # pushed in declared order), the one order every walk of the tree
+    # takes: top-down as it is, bottom-up reversed; node i's subtree is a
+    # run of it, i first
     preorder: np.ndarray
-    tin: np.ndarray
-    tout: np.ndarray
-    docsets: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.ids)
+    docsets: list
 
     @property
     def n_nodes(self):
         return len(self.ids)
-
-    def is_leaf(self, i: int) -> bool:
-        return len(self.children[i]) == 0
-
-    def index_of(self, node_id: int) -> int:
-        return int(np.searchsorted(self.ids, node_id))
-
-    def order_top_down(self) -> np.ndarray:
-        """Node indices sorted by (level, id) - parents before children."""
-        return np.lexsort((self.ids, self.level))
-
-    def order_bottom_up(self) -> np.ndarray:
-        return self.order_top_down()[::-1]
-
-    def ancestors(self, i: int):
-        """Proper ancestors of node i, nearest first."""
-        out = []
-        while i != self.root:
-            i = int(self.parent[i])
-            out.append(i)
-        return out
-
-    def descendants(self, i: int):
-        """(descendant index, edge distance) pairs for all proper
-        descendants, in pre-order."""
-        lvl = int(self.level[i])
-        return [(int(g), int(self.level[g]) - lvl)
-                for g in self.preorder[self.tin[i] + 1:self.tout[i]]]
 
 
 def _build_hierarchy(records, n_docs) -> Hierarchy:
@@ -466,15 +440,10 @@ def _build_hierarchy(records, n_docs) -> Hierarchy:
         bad = ids[int(np.flatnonzero(level < 0)[0])]
         raise ValidationError(f"cycle: node {bad} is unreachable from the root")
     preorder = np.asarray(preorder, np.int64)
-    tin = np.empty(n, np.int64)
-    tin[preorder] = np.arange(n)
-    size = np.ones(n, np.int64)
-    for u in preorder[:0:-1]:
-        size[parent[u]] += size[u]
 
     seen_docs = np.zeros(n_docs, np.int64)
     for k in range(n):
-        if len(children[k]) == 0:
+        if not children[k].size:
             if leaf_docs[k].size == 0:
                 raise ValidationError(f"empty leaf: node {ids[k]}")
             if leaf_docs[k].min() < 0 or leaf_docs[k].max() >= n_docs:
@@ -491,21 +460,17 @@ def _build_hierarchy(records, n_docs) -> Hierarchy:
         d = int(np.flatnonzero(seen_docs == 0)[0])
         raise ValidationError(f"doc {d} not assigned to any leaf")
 
-    h = Hierarchy(
-        ids=np.asarray(ids, np.int64), parent=parent, children=children,
-        leaf_docs=leaf_docs, level=level, root=root, n_docs=n_docs,
-        preorder=preorder, tin=tin, tout=tin + size,
-    )
     # docsets bottom-up: union of descendant leaf docs
-    docsets = [None] * n
-    for k in h.order_bottom_up():
-        k = int(k)
-        if h.is_leaf(k):
-            docsets[k] = leaf_docs[k]
-        else:
-            docsets[k] = np.sort(np.concatenate([docsets[int(c)] for c in children[k]]))
-    h.docsets = docsets
-    return h
+    docsets = list(leaf_docs)
+    for k in preorder[::-1].tolist():
+        if children[k].size:
+            docsets[k] = np.sort(np.concatenate(
+                [docsets[c] for c in children[k]]))
+    return Hierarchy(
+        ids=np.asarray(ids, np.int64), parent=parent, children=children,
+        leaf_docs=leaf_docs, level=level, root=root, preorder=preorder,
+        docsets=docsets,
+    )
 
 
 def load_hierarchy(path, matrix: DocTermMatrix, records=None) -> Hierarchy:
@@ -628,7 +593,6 @@ class NodeTermStats:
     child_support[i, k]  direct children of i whose subtree contains k
     node_total[i]    sum of freq row i
     node_size[i]     number of docs in node i's subtree
-    parent_or_self   parent index, with the root mapped to itself
 
     The tables are CSR records on one pattern: they share ``indptr`` and
     ``indices`` (freq's cells, term ids as int32), and each holds only its
@@ -642,7 +606,6 @@ class NodeTermStats:
     """
 
     def __init__(self, matrix: DocTermMatrix, hierarchy: Hierarchy):
-        self.matrix = matrix
         self.hierarchy = hierarchy
         n, m = hierarchy.n_nodes, matrix.n_terms
         self.n_docs = matrix.n_docs
@@ -654,7 +617,6 @@ class NodeTermStats:
         self.child_count = np.asarray(
             [len(hierarchy.children[i]) for i in range(n)], np.int64
         )
-        self.parent_or_self = hierarchy.parent.copy()
 
         # leaf rows: the cells grouped by (leaf, term)
         leaf_of = np.empty(matrix.n_docs, np.int64)
@@ -723,25 +685,13 @@ class NodeTermStats:
         self.docfreq = CSR(indptr, indices, docfreq, (n, m))
         self.child_support = CSR(indptr, indices, support, (n, m))
 
-        self.global_freq = self.freq_row(hierarchy.root)
-        self.global_df = self.docfreq_row(hierarchy.root)
+        self.global_freq = self.freq.dense_row(hierarchy.root)
+        self.global_df = self.docfreq.dense_row(hierarchy.root)
         self._level_freq = {}
         self._hier_base = None
         # (node, alpha, chi2_shape) -> the labeling's per-term verdict that
         # the node's children are independent, filled on first use
         self.independence = {}
-
-    def freq_row(self, i: int) -> np.ndarray:
-        return self.freq.dense_row(i)
-
-    def docfreq_row(self, i: int) -> np.ndarray:
-        return self.docfreq.dense_row(i)
-
-    def child_support_row(self, i: int) -> np.ndarray:
-        return self.child_support.dense_row(i)
-
-    def freq_of(self, i: int, term: int) -> int:
-        return int(self.freq.get(i, term))
 
     def level_freq(self, lvl: int) -> np.ndarray:
         """Summed term counts over every node at a given level (dense)."""
@@ -793,7 +743,7 @@ class NodeTermStats:
             # row i (see below), so its terms are that row's
             x = {}
             for i, ks in kids.items():
-                cf = (self.child_support_row(i).astype(np.float64)
+                cf = (self.child_support.dense_row(i).astype(np.float64)
                       / int(self.child_count[i]))
                 x[i] = add_up([(idx, cf[idx] * f.astype(np.float64))
                                for idx, f in map(self.freq.row, ks)],

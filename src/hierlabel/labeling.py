@@ -117,8 +117,8 @@ def _idf_global_vec(stats):
 
 def _idf_local_at(stats, node, idx):
     """idf_local of the node at the given term indices."""
-    p = int(stats.parent_or_self[node])
-    df = stats.docfreq_row(p)[idx].astype(np.float64)
+    p = int(stats.hierarchy.parent[node])
+    df = stats.docfreq.dense_row(p)[idx].astype(np.float64)
     out = np.zeros_like(df)
     nz = df > 0
     out[nz] = np.log(stats.node_size[p] / df[nz])
@@ -127,8 +127,8 @@ def _idf_local_at(stats, node, idx):
 
 def _icf_at(stats, node, idx):
     """icf of the node on its own row's terms ``idx``."""
-    p = int(stats.parent_or_self[node])
-    support = stats.child_support_row(p)[idx].astype(np.float64)
+    p = int(stats.hierarchy.parent[node])
+    support = stats.child_support.dense_row(p)[idx].astype(np.float64)
     out = np.zeros_like(support)
     nz = support > 0
     if nz.any():
@@ -195,7 +195,7 @@ def _children_chi2_vec(stats, node):
     """Per-term full-table Pearson statistic over the node's children."""
     kids = stats.hierarchy.children[node]
     m = stats.n_terms
-    f_node = stats.freq_row(node).astype(np.float64)
+    f_node = stats.freq.dense_row(node).astype(np.float64)
     s = float(stats.node_total[node])
     out = np.zeros(m)
     if s <= 0:
@@ -205,7 +205,7 @@ def _children_chi2_vec(stats, node):
         t_j = float(stats.node_total[ch])
         if t_j == 0:
             continue
-        o1 = stats.freq_row(ch).astype(np.float64)
+        o1 = stats.freq.dense_row(ch).astype(np.float64)
         e1 = t_j * f_node / s
         nz = e1 > 0
         out[nz] += (o1[nz] - e1[nz]) ** 2 / e1[nz]
@@ -218,13 +218,13 @@ def _children_chi2_vec(stats, node):
 def _children_max_2x2_vec(stats, node):
     """Literal reading: the worst per-child 2x2 statistic for each term."""
     kids = stats.hierarchy.children[node]
-    f_node = stats.freq_row(node).astype(np.float64)   # tp + fp
+    f_node = stats.freq.dense_row(node).astype(np.float64)   # tp + fp
     s = float(stats.node_total[node])
     m4 = s - f_node                                     # fn + tn
     best = np.zeros(stats.n_terms)
     for ch in kids:
         ch = int(ch)
-        tp = stats.freq_row(ch).astype(np.float64)
+        tp = stats.freq.dense_row(ch).astype(np.float64)
         m1 = float(stats.node_total[ch])
         fn = m1 - tp
         fp = f_node - tp
@@ -294,12 +294,12 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
 
     if method in RCL_SCHEMES:
         for i in range(n):
-            p = int(stats.parent_or_self[i])
+            p = int(stats.hierarchy.parent[i])
             # a term absent from the parent's subtree has tp = fp = 0 and
             # scores 0, so only the parent's sparse row, where tp + fp > 0,
             # is scored; tp + fn + fp + tn is the parent's mass
             idx, f_p = _row_arrays(stats.freq, p)
-            tp = stats.freq_row(i)[idx].astype(np.float64)
+            tp = stats.freq.dense_row(i)[idx].astype(np.float64)
             m1 = float(stats.node_total[i])
             fn = m1 - tp
             fp = f_p - tp
@@ -398,7 +398,7 @@ def _hier_rcl(stats, method, cfg):
     acc_row = np.full(stats.n_nodes, -1, np.int64)
     acc_row[internal] = np.arange(internal.size)
     acc = np.zeros((internal.size, stats.n_terms))
-    s_of = stats.node_total[stats.parent_or_self].astype(np.float64)
+    s_of = stats.node_total[h.parent].astype(np.float64)
     path = np.empty(int(h.level.max()) + 1, np.int64)   # root ... g
     chi2 = method == "HierRCL_chi2"
     # a block holds at most max(_BLOCK_CELLS, n_terms) cells
@@ -413,7 +413,7 @@ def _hier_rcl(stats, method, cfg):
         c = int(stats.child_count[pg])
         idx, support = stats.child_support.row(pg)
         idx = idx.astype(np.int64)
-        tp = stats.freq_row(g)[idx]
+        tp = stats.freq.dense_row(g)[idx]
         f_pg = stats.freq.row(pg)[1]
         # where g is scored by class, acc[i, t] adds value ``take[t]`` of
         # row i; the terms off the pattern take class tp.size, +0.0
@@ -468,7 +468,7 @@ def _hier_rcl(stats, method, cfg):
     all_terms = np.arange(stats.n_terms, dtype=np.int64)
     ranked = [_UNLABELED] * stats.n_nodes
     for i in internal.tolist():
-        tie = stats.freq_row(i).astype(np.float64)
+        tie = stats.freq.dense_row(i).astype(np.float64)
         ranked[i] = _topk_arrays(all_terms, acc[acc_row[i]], tie, cfg.p_cap)
     return LabelAssignment.from_ranked(method, ranked)
 
@@ -511,10 +511,9 @@ def select_popescul_ungar(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssign
     h = stats.hierarchy
     ranked = [None] * stats.n_nodes
     banned = {h.root: np.zeros(stats.n_terms, bool)}
-    for i in h.order_top_down():
-        i = int(i)
+    for i in h.preorder.tolist():
         ban = banned.pop(i)
-        if h.is_leaf(i):
+        if not stats.child_count[i]:
             idx, f = _row_arrays(stats.freq, i)
             keep = ~ban[idx]
             ranked[i] = _topk_arrays(idx[keep], f[keep], f[keep], cfg.p_cap)
@@ -523,7 +522,7 @@ def select_popescul_ungar(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssign
         freq_ok = _count_children_ge(stats, i, MIN_CHILD_FREQ) == c
         selected = freq_ok & ~ban & _independence_ok(stats, i, cfg)
         idx = np.flatnonzero(selected)
-        f = stats.freq_row(i)[idx].astype(np.float64)
+        f = stats.freq.dense_row(i)[idx].astype(np.float64)
         ranked[i] = _topk_arrays(idx, f, f, cfg.p_cap)
         child_ban = ban | selected
         for ch in h.children[i]:
@@ -539,16 +538,15 @@ def select_rlum(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
     disabled so the tree shape is preserved."""
     h = stats.hierarchy
     cand = [None] * stats.n_nodes
-    for i in h.order_bottom_up():
-        i = int(i)
-        if h.is_leaf(i):
+    for i in h.preorder[::-1].tolist():
+        if not stats.child_count[i]:
             row = np.zeros(stats.n_terms, bool)
             idx, _ = _row_arrays(stats.freq, i)
             row[idx] = True
             cand[i] = row
             continue
         c = int(stats.child_count[i])
-        all_present = stats.child_support_row(i) == c
+        all_present = stats.child_support.dense_row(i) == c
         trusted = _count_children_ge(stats, i, cfg.big_threshold) >= 1
         promoted = all_present & trusted & _independence_ok(stats, i, cfg)
         cand[i] = promoted
@@ -558,7 +556,7 @@ def select_rlum(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
     ranked = []
     for i in range(stats.n_nodes):
         idx = np.flatnonzero(cand[i])
-        f = stats.freq_row(i)[idx].astype(np.float64)
+        f = stats.freq.dense_row(i)[idx].astype(np.float64)
         ranked.append(_topk_arrays(idx, f, f, cfg.p_cap))
     return LabelAssignment.from_ranked("RLUM", ranked)
 
@@ -582,21 +580,20 @@ def select_cf_average(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment
     rows = [None] * stats.n_nodes
     ranked = [None] * stats.n_nodes
     acc = np.zeros(stats.n_terms)
-    for i in h.order_bottom_up():
-        i = int(i)
-        if h.is_leaf(i):
+    for i in h.preorder[::-1].tolist():
+        if not stats.child_count[i]:
             rows[i] = _leaf_cf_row(stats, i)
         else:
             # only the parent reads a row, so it is dropped once read
-            for ch in h.children[i]:
-                idx, cf = rows[int(ch)]
-                rows[int(ch)] = None
+            for ch in h.children[i].tolist():
+                idx, cf = rows[ch]
+                rows[ch] = None
                 acc[idx] += cf
             idx = np.flatnonzero(acc)
-            rows[i] = idx, acc[idx] * (1 / len(h.children[i]))
+            rows[i] = idx, acc[idx] * (1 / int(stats.child_count[i]))
             acc[idx] = 0.0
         idx, score = rows[i]
-        tie = stats.freq_row(i)[idx].astype(np.float64)
+        tie = stats.freq.dense_row(i)[idx].astype(np.float64)
         ranked[i] = _topk_arrays(idx, score, tie, cfg.p_cap)
     return LabelAssignment.from_ranked("CFAverage", ranked)
 
@@ -608,7 +605,7 @@ def select_cf_leave_one_out(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssi
     h = stats.hierarchy
     ranked = []
     for i in range(stats.n_nodes):
-        if h.is_leaf(i):
+        if not stats.child_count[i]:
             idx, cf = _leaf_cf_row(stats, i)
             tie = stats.freq.row(i)[1].astype(np.float64)
             ranked.append(_topk_arrays(idx, cf, tie, cfg.p_cap))

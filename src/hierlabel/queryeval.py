@@ -76,16 +76,14 @@ def derive_specific_queries(hierarchy: Hierarchy,
            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     down = list(own)
-    for i in hierarchy.order_bottom_up():
-        i = int(i)
-        if down[i] is None and not hierarchy.is_leaf(i):
-            down[i] = _union(down[int(c)] for c in hierarchy.children[i]
-                             if down[int(c)] is not None) or None
+    for i in hierarchy.preorder[::-1].tolist():
+        if down[i] is None and hierarchy.children[i].size:
+            down[i] = _union(down[c] for c in hierarchy.children[i].tolist()
+                             if down[c] is not None) or None
 
     out = [None] * n
     nearest = {hierarchy.root: None}   # nearest labeled ancestor's own query
-    for i in hierarchy.order_top_down():
-        i = int(i)
+    for i in hierarchy.preorder.tolist():
         inherited = nearest.pop(i)
         if own[i] is not None:
             out[i] = own[i]
@@ -104,16 +102,15 @@ def derive_generic_queries(hierarchy: Hierarchy, specific: dict) -> dict:
     adds none), or None when there are none.  ``specific`` is
     ``derive_specific_queries``'s map.  A node that adds no conjunct
     shares its parent's tuple."""
-    out = {}
-    for i in hierarchy.order_top_down():
-        i = int(i)
-        above = None if i == hierarchy.root else out[int(hierarchy.parent[i])]
+    out = [None] * hierarchy.n_nodes
+    for i in hierarchy.preorder.tolist():
+        above = None if i == hierarchy.root else out[hierarchy.parent[i]]
         key = specific[i]
         if key is None or key in (above or ()):
             out[i] = above
         else:
             out[i] = (above or ()) + (key,)
-    return out
+    return dict(enumerate(out))
 
 
 def _or_mask(matrix: DocTermMatrix, terms) -> np.ndarray:
@@ -210,8 +207,7 @@ def _query_masks(matrix: DocTermMatrix, hierarchy: Hierarchy,
         j = first.setdefault(terms, i)
         spec[i] = _or_mask(matrix, terms) if j == i else spec[j]
     gen = np.empty_like(spec)
-    for i in hierarchy.order_top_down():
-        i = int(i)
+    for i in hierarchy.preorder.tolist():
         if i == hierarchy.root:
             gen[i] = spec[i]
         elif specific[i] is None:

@@ -29,7 +29,6 @@ class GlmFit:
     group_sizes: dict              # name -> {level: observation count}
     resid_var: float
     df_resid: int
-    n_obs: int
 
 
 def _sum_to_zero(pos: np.ndarray, k: int) -> np.ndarray:
@@ -80,7 +79,7 @@ def _fit(y, factors: dict) -> GlmFit:
         mu=mu, factors={name: list(levels)
                         for name, (levels, _) in factors.items()},
         effects=effects, adjusted_means=adjusted, group_sizes=sizes,
-        resid_var=resid_var, df_resid=df, n_obs=n,
+        resid_var=resid_var, df_resid=df,
     )
 
 

@@ -39,6 +39,13 @@ The library reads the same files into columns and checks them with array
 operations.  ``observation_table``, ``observation_rows`` and
 ``label_dict`` convert between the library's columns and these row forms.
 
+The query and CFAverage oracles here walk the tree by (level, id)
+(``_top_down``); the library walks it in pre-order.  The tree and table
+readers that only tests call live here too: ``index_of``, ``ancestors``,
+``descendants`` (a stack walk), ``preorder_descendants`` (a run of the
+library's pre-order), ``csr_get``, ``toarray``, ``freq_of`` and
+``pairwise``.
+
 Labels here are per-node lists of (term id, score) pairs; the library
 holds each method's labels as one columnar ``LabelAssignment``.
 ``label_lists``, ``label_list``, ``label_terms``, ``assignment`` and
@@ -61,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from hierlabel.corpus import CSR, DocTermMatrix, utf8_error
+from hierlabel.corpus import CSR, CellError, DocTermMatrix, utf8_error
 from hierlabel.errors import (ConfigError, NumericalError, ParseError,
                              ValidationError)
 from hierlabel.labeling import (LabelAssignment, _children_chi2_vec,
@@ -71,9 +78,49 @@ from hierlabel.cli import MEASURES
 from hierlabel.stats import GlmFit
 
 
+def index_of(hierarchy, node_id: int) -> int:
+    """The internal index of an external node id."""
+    return int(np.searchsorted(hierarchy.ids, node_id))
+
+
+def ancestors(hierarchy, i: int) -> list:
+    """Proper ancestors of node i, nearest first."""
+    out = []
+    while i != hierarchy.root:
+        i = int(hierarchy.parent[i])
+        out.append(i)
+    return out
+
+
+def _top_down(hierarchy) -> list:
+    """Node indices by (level, id): parents before children, in another
+    order than the library's pre-order walks."""
+    return np.lexsort((hierarchy.ids, hierarchy.level)).tolist()
+
+
+def csr_get(record: CSR, i: int, j: int):
+    """Cell (i, j) of a CSR record, 0 when it is not stored."""
+    idx, vals = record.row(i)
+    k = int(np.searchsorted(idx, j))
+    if k < idx.size and idx[k] == j:
+        return vals[k]
+    return record.data.dtype.type(0)
+
+
+def toarray(record: CSR) -> np.ndarray:
+    """A CSR record as a dense array."""
+    out = np.zeros(record.shape, record.data.dtype)
+    out[record.row_ids(), record.indices] = record.data
+    return out
+
+
+def freq_of(stats, i: int, term: int) -> int:
+    return int(csr_get(stats.freq, i, term))
+
+
 def score_mtwl_raw(stats, node: int, term: int) -> float:
     """Cumulated frequency of the term in the node's subtree."""
-    return float(stats.freq_of(node, term))
+    return float(freq_of(stats, node, term))
 
 
 def score_idf_global(stats, term: int) -> float:
@@ -84,8 +131,8 @@ def score_idf_global(stats, term: int) -> float:
 
 
 def score_idf_local(stats, node: int, term: int) -> float:
-    p = int(stats.parent_or_self[node])
-    df = int(stats.docfreq.get(p, term))
+    p = int(stats.hierarchy.parent[node])
+    df = int(csr_get(stats.docfreq, p, term))
     if df == 0:
         return 0.0
     return math.log(stats.node_size[p] / df)
@@ -93,11 +140,11 @@ def score_idf_local(stats, node: int, term: int) -> float:
 
 def score_icf(stats, node: int, term: int) -> float:
     """Inverse cluster frequency: promotes terms concentrated in one sibling."""
-    p = int(stats.parent_or_self[node])
-    support = int(stats.child_support.get(p, term))
+    p = int(stats.hierarchy.parent[node])
+    support = int(csr_get(stats.child_support, p, term))
     if support == 0:
         return 0.0
-    frac = int(stats.docfreq.get(node, term)) / stats.node_size[node]
+    frac = int(csr_get(stats.docfreq, node, term)) / stats.node_size[node]
     return math.exp(frac) * math.log(stats.child_count[p] / support + 1.0)
 
 
@@ -120,18 +167,18 @@ def score_flat(scheme: str, stats, node: int, term: int) -> float:
 def sibling_cf(stats, node: int, term: int) -> float:
     """Fraction of the node's sibling group (its parent's direct children,
     the node included) whose subtree contains the term."""
-    p = int(stats.parent_or_self[node])
+    p = int(stats.hierarchy.parent[node])
     c = int(stats.child_count[p])
     if c == 0:
         return 0.0
-    return int(stats.child_support.get(p, term)) / c
+    return int(csr_get(stats.child_support, p, term)) / c
 
 
 def hier_weight(stats, node: int, term: int, value_fn) -> float:
     """Path-length-discounted sum over all proper descendants g:
     sum 1/e(node,g) * sibling_cf(g) * value_fn(g).  Leaves yield 0."""
     total = 0.0
-    for g, e in stats.hierarchy.descendants(node):
+    for g, e in descendants(stats.hierarchy, node):
         cf = sibling_cf(stats, g, term)
         if cf:
             total += cf * value_fn(g) / e
@@ -141,7 +188,7 @@ def hier_weight(stats, node: int, term: int, value_fn) -> float:
 def cf_measure_leaf(stats, leaf: int, term: int) -> float:
     """Harmonic mean of clustering recall (leaf frequency over collection
     frequency) and clustering precision (leaf frequency over leaf mass)."""
-    f = stats.freq_of(leaf, term)
+    f = freq_of(stats, leaf, term)
     if f == 0:
         return 0.0
     recall = f / stats.global_freq[term]
@@ -164,9 +211,9 @@ class ContingencyCells:
 def contingency_popescul(stats, parent: int, child: int,
                          term: int) -> ContingencyCells:
     """Child-versus-parent cells; s is the parent's total term mass."""
-    tp = stats.freq_of(child, term)
+    tp = freq_of(stats, child, term)
     fn = int(stats.node_total[child]) - tp
-    fp = stats.freq_of(parent, term) - tp
+    fp = freq_of(stats, parent, term) - tp
     s = int(stats.node_total[parent])
     tn = s - (tp + fn + fp)
     if min(tp, fn, fp, tn) < 0:
@@ -181,10 +228,10 @@ def contingency_rcl(stats, parent: int, node: int, term: int,
     """Node-versus-reference-collection cells.  The reference collection is
     the parent's subtree minus the node's own documents, so ``s`` counts
     reference mass only and fp + tn = s; tp/fn carry the node-side mass."""
-    tp = stats.freq_of(node, term)
+    tp = freq_of(stats, node, term)
     fn = int(stats.node_total[node]) - tp
     s = int(stats.node_total[parent]) - int(stats.node_total[node])
-    fp = stats.freq_of(parent, term) - tp
+    fp = freq_of(stats, parent, term) - tp
     if fp_mode == "literal":
         fp = max(fp - tp, 0)
     if fp < 0:
@@ -401,9 +448,19 @@ def evaluate_node(hierarchy, node: int, retrieved) -> RetrievalMetrics:
     tp = sum(1 for d in docset if int(d) in got)
     fp = len(got) - tp
     fn = len(docset) - tp
-    tn = hierarchy.n_docs - tp - fp - fn
+    # every document sits in one leaf, so the root's docset is them all
+    tn = len(hierarchy.docsets[hierarchy.root]) - tp - fp - fn
     return RetrievalMetrics(tp, fp, fn, tn,
                             *metrics_from_counts(tp, len(got), len(docset)))
+
+
+def pairwise(counts, a: int, b: int) -> int:
+    """The windows holding both terms: a term's unary count with itself, 0
+    when either term is not counted."""
+    if a == b:
+        return int(counts.unary[a])
+    [key] = counts.row_pairs(np.array([a]), np.array([b]))
+    return int(counts.count_row_pairs(np.array([key]))[0]) if key >= 0 else 0
 
 
 def npmi(counts, a: int, b: int, epsilon: float = 0.0) -> float:
@@ -413,7 +470,7 @@ def npmi(counts, a: int, b: int, epsilon: float = 0.0) -> float:
     ua, ub = int(counts.unary[a]), int(counts.unary[b])
     if ua == 0 or ub == 0:
         return 0.0
-    joint = counts.pairwise(a, b)
+    joint = pairwise(counts, a, b)
     n = counts.n_windows
     p_ab = joint / n
     if joint == 0:
@@ -451,17 +508,15 @@ def specific_queries(hierarchy, labels) -> dict:
         own[i] = _or_of(Term(t) for t in terms) if terms else None
 
     down = dict(own)
-    for i in hierarchy.order_bottom_up():
-        i = int(i)
-        if down[i] is not None or hierarchy.is_leaf(i):
+    for i in reversed(_top_down(hierarchy)):
+        if down[i] is not None or not hierarchy.children[i].size:
             continue
         down[i] = _or_of(down[int(c)] for c in hierarchy.children[i]
                          if down[int(c)] is not None)
 
     out = {}
     nearest = {hierarchy.root: None}
-    for i in hierarchy.order_top_down():
-        i = int(i)
+    for i in _top_down(hierarchy):
         inherited = nearest.pop(i)
         if own[i] is not None:
             out[i] = own[i]
@@ -479,8 +534,7 @@ def generic_queries(hierarchy, specific: dict) -> dict:
     structurally duplicate conjuncts skipped."""
     conjuncts = {}
     out = {}
-    for i in hierarchy.order_top_down():
-        i = int(i)
+    for i in _top_down(hierarchy):
         base = ([] if i == hierarchy.root
                 else list(conjuncts[int(hierarchy.parent[i])]))
         q = specific.get(i)
@@ -511,6 +565,20 @@ def oc_npmi(counts, label_terms, p_cap, epsilon=0.0, aggregate="sum"):
     if aggregate == "mean":
         return total / n_pairs
     return total
+
+
+def preorder_descendants(hierarchy, i):
+    """(descendant, edge distance) pairs of node i's proper descendants as
+    the hierarchy's pre-order holds them: the run of deeper nodes right
+    after i."""
+    order = hierarchy.preorder.tolist()
+    lvl = int(hierarchy.level[i])
+    out = []
+    for g in order[order.index(i) + 1:]:
+        if hierarchy.level[g] <= lvl:
+            break
+        out.append((g, int(hierarchy.level[g]) - lvl))
+    return out
 
 
 def descendants(hierarchy, i):
@@ -565,10 +633,10 @@ def rcl(stats, method, cfg):
     out = {}
     all_terms = np.arange(stats.n_terms, dtype=np.int64)
     for i in range(stats.n_nodes):
-        p = int(stats.parent_or_self[i])
-        tp = stats.freq_row(i).astype(np.float64)
+        p = int(stats.hierarchy.parent[i])
+        tp = stats.freq.dense_row(i).astype(np.float64)
         fn = float(stats.node_total[i]) - tp
-        fp = stats.freq_row(p).astype(np.float64) - tp
+        fp = stats.freq.dense_row(p).astype(np.float64) - tp
         if cfg.rcl_fp == "literal":
             fp = np.maximum(fp - tp, 0.0)
         s = float(stats.node_total[p]) - float(stats.node_total[i])
@@ -584,11 +652,11 @@ def rcl(stats, method, cfg):
 def children_max_2x2(stats, node):
     """The largest per-child 2x2 chi-square of each term over the node's
     children (the ``per_child_2x2`` reading), on dense rows."""
-    f_node = stats.freq_row(node).astype(np.float64)
+    f_node = stats.freq.dense_row(node).astype(np.float64)
     s = float(stats.node_total[node])
     best = np.zeros(stats.n_terms)
     for ch in stats.hierarchy.children[node]:
-        tp = stats.freq_row(int(ch)).astype(np.float64)
+        tp = stats.freq.dense_row(int(ch)).astype(np.float64)
         fn = float(stats.node_total[int(ch)]) - tp
         fp = f_node - tp
         tn = s - (tp + fn + fp)
@@ -604,13 +672,13 @@ def hier_rcl(stats, method, cfg):
     all_terms = np.arange(stats.n_terms, dtype=np.int64)
 
     def frow(i):
-        return stats.freq_row(i).astype(np.float64)
+        return stats.freq.dense_row(i).astype(np.float64)
 
     for i in range(stats.n_nodes):
         desc = descendants(h, i)
         if not desc:
             continue
-        s = float(stats.node_total[int(stats.parent_or_self[i])])
+        s = float(stats.node_total[int(h.parent[i])])
         acc = np.zeros(stats.n_terms)
         for g, e in desc:
             pg = int(h.parent[g])
@@ -624,7 +692,8 @@ def hier_rcl(stats, method, cfg):
                 v = chi2_masked(tp, fn, fp, tn, s)
             else:
                 v = jsd_masked(tp, fn, fp, tn)
-            cf = stats.child_support_row(pg) / int(stats.child_count[pg])
+            cf = (stats.child_support.dense_row(pg)
+                  / int(stats.child_count[pg]))
             acc += cf * v / e
         out[i] = topk(all_terms, acc, frow(i), cfg.p_cap)
     return assignment(method, out, stats.n_nodes)
@@ -636,11 +705,11 @@ def hier_base(stats):
     n, m = stats.n_nodes, stats.n_terms
     u = sp.lil_matrix((n, m))
     for g in range(n):
-        p = int(stats.parent_or_self[g])
+        p = int(stats.hierarchy.parent[g])
         c = int(stats.child_count[p])
         if c:
-            f = stats.freq_row(g).astype(np.float64)
-            cf = stats.child_support_row(p).astype(np.float64) / c
+            f = stats.freq.dense_row(g).astype(np.float64)
+            cf = stats.child_support.dense_row(p).astype(np.float64) / c
             nz = np.flatnonzero(f)
             u[g, nz] = cf[nz] * f[nz]
     child = child_incidence(stats.hierarchy).astype(np.float64)
@@ -678,7 +747,7 @@ def load_matrix(path):
         raise ParseError(f"{path}:1: negative dimension")
     if n_docs * n_terms >= 1 << 63:
         raise ParseError(f"{path}:1: more cells than 64-bit ids can number")
-    docs, terms, counts = [], [], []
+    docs, terms, counts, at = [], [], [], []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -692,17 +761,18 @@ def load_matrix(path):
         docs.append(d)
         terms.append(t)
         counts.append(c)
+        at.append(ln)
     try:
         matrix = DocTermMatrix.from_cells(n_docs, n_terms, docs, terms,
                                           counts)
+    except CellError as e:
+        raise ValidationError(f"{path}:{at[e.row]}: {e}") from None
     except OverflowError:
         ln = next(ln for ln, line in enumerate(lines[1:], start=2)
                   if not all(-(1 << 63) <= int(x) < 1 << 63
                              for x in line.split()))
         raise ParseError(f"{path}:{ln}: value does not fit in 64 bits") \
             from None
-    except ValidationError as e:
-        raise ValidationError(f"{path}: {e}") from None
     if sum(counts) >= 1 << 53:
         raise ValidationError(f"{path}: the counts sum to 2^53 or more, "
                               f"beyond exact float64 sums")
@@ -777,9 +847,8 @@ def cf_average(stats, cfg) -> LabelAssignment:
     added in declared order, then divided by the child count."""
     h = stats.hierarchy
     rows = [None] * stats.n_nodes
-    for i in h.order_bottom_up():
-        i = int(i)
-        if h.is_leaf(i):
+    for i in reversed(_top_down(h)):
+        if not h.children[i].size:
             idx, cf = _leaf_cf_row(stats, i)
             rows[i] = sp.csr_matrix((cf, (np.zeros(idx.size, np.int64), idx)),
                                     shape=(1, stats.n_terms))
@@ -793,7 +862,7 @@ def cf_average(stats, cfg) -> LabelAssignment:
     for i in range(stats.n_nodes):
         r = rows[i].tocsr()
         idx = r.indices.astype(np.int64)
-        tie = stats.freq_row(i)[idx].astype(np.float64)
+        tie = stats.freq.dense_row(i)[idx].astype(np.float64)
         out[i] = ranked_pairs(_topk_arrays(
             idx, r.data.astype(np.float64), tie, cfg.p_cap))
     return assignment("CFAverage", out, stats.n_nodes)
@@ -1055,7 +1124,7 @@ def _fit(y, factor_values: dict, factor_levels: dict) -> GlmFit:
     return GlmFit(
         mu=mu, factors={n_: list(factor_levels[n_]) for n_ in names},
         effects=effects, adjusted_means=adjusted, group_sizes=sizes,
-        resid_var=resid_var, df_resid=df, n_obs=n,
+        resid_var=resid_var, df_resid=df,
     )
 
 

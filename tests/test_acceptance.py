@@ -72,10 +72,10 @@ def test_c01_contingency_reproduction(table2):
     with _Timer("criterion 1: contingency reproduction", 1.0):
         _, h, stats = table2
         assert stats.node_total[h.root] == 45
-        assert [int(stats.node_total[h.index_of(i)]) for i in (1, 2, 3)] \
-            == [15, 17, 13]
-        assert [stats.freq_of(h.index_of(i), 0) for i in (1, 2, 3)] == [3, 4, 3]
-        cells = oracles.contingency_popescul(stats, h.root, h.index_of(1), 0)
+        kids = [oracles.index_of(h, i) for i in (1, 2, 3)]
+        assert [int(stats.node_total[i]) for i in kids] == [15, 17, 13]
+        assert [oracles.freq_of(stats, i, 0) for i in kids] == [3, 4, 3]
+        cells = oracles.contingency_popescul(stats, h.root, kids[0], 0)
         assert (cells.tp, cells.fn, cells.fp, cells.tn, cells.s) == \
             (3, 12, 7, 23, 45)
 
@@ -118,8 +118,8 @@ def test_c03_method_invariant_suite(tmp_path):
                     assert scores == sorted(scores, reverse=True)
                     terms = [t for t, _ in label]
                     assert len(terms) == len(set(terms))
-                    if h.is_leaf(i) and meth in (lab.HIER_FREQ_SCHEMES
-                                                 + lab.HIER_RCL_SCHEMES):
+                    if not h.children[i].size and meth in (
+                            lab.HIER_FREQ_SCHEMES + lab.HIER_RCL_SCHEMES):
                         assert label == []
             # RLUM: parent/child labels disjoint
             rlum = assignments["RLUM"]
@@ -130,10 +130,10 @@ def test_c03_method_invariant_suite(tmp_path):
             # Popescul&Ungar: term appears at most once per root path
             pu = assignments["PopesculUngar"]
             for i in range(h.n_nodes):
-                if not h.is_leaf(i):
+                if h.children[i].size:
                     continue
                 seen = set()
-                for node in [i] + h.ancestors(i):
+                for node in [i] + oracles.ancestors(h, i):
                     terms = set(oracles.label_terms(pu, node))
                     assert not (terms & seen)
                     seen |= terms

@@ -186,7 +186,7 @@ class TestPipeline:
         for name in ("matrix", "vocabulary", "hierarchy"):
             entry = manifest["inputs"][name]
             digest = hashlib.sha256(
-                open(entry["path"], "rb").read()).hexdigest()
+                Path(entry["path"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
 
     def test_dry_run_writes_nothing(self, tmp_path):
@@ -211,34 +211,40 @@ class TestPipeline:
             assert expr.startswith(("(", "t"))
 
 
-# (file, its fault, a part of the message): one row per input fault that
-# is found after parsing
+# (file, its fault, a part of the message, the line the message names or
+# None): one row per input fault that is found after parsing
 INPUT_FAULTS = [
     # hierarchy faults found while building the tree
-    ("hier.json", lambda n: n[0].update(parent=1), "has no root"),
-    ("hier.json", lambda n: n[2].update(parent=None), "multiple roots"),
-    ("hier.json", lambda n: n.append(dict(n[6])), "duplicate node id"),
-    ("hier.json", lambda n: n[1].update(children=[3]), "disagrees"),
+    ("hier.json", lambda n: n[0].update(parent=1), "has no root", None),
+    ("hier.json", lambda n: n[2].update(parent=None), "multiple roots", None),
+    ("hier.json", lambda n: n.append(dict(n[6])), "duplicate node id", None),
+    ("hier.json", lambda n: n[1].update(children=[3]), "disagrees", None),
     ("hier.json", lambda n: (n[5]["docs"].extend(n[6]["docs"]),
-                             n[6].update(docs=[])), "empty leaf"),
+                             n[6].update(docs=[])), "empty leaf", None),
     ("hier.json", lambda n: n[6]["docs"].append(12),
-     "doc-id out of range"),
-    ("hier.json", lambda n: n[6]["docs"].append(0), "two leaves"),
+     "doc-id out of range", None),
+    ("hier.json", lambda n: n[6]["docs"].append(0), "two leaves", None),
     ("hier.json", lambda n: n[1].update(docs=[0]),
-     "attached to an internal node"),
-    # matrix cells
-    ("matrix.txt", "12 9\n0 0 0\n", "zero or negative count"),
-    ("matrix.txt", "12 9\n0 0 1\n0 0 1\n", "duplicate (doc, term)"),
-    ("matrix.txt", "12 9\n0 9 1\n", "term-id out of range"),
-    ("matrix.txt", "12 9\n12 0 1\n", "doc-id out of range"),
+     "attached to an internal node", None),
+    # matrix cells, named by their line
+    ("matrix.txt", "12 9\n0 0 0\n", "zero or negative count", 2),
+    ("matrix.txt", "12 9\n0 0 1\n0 0 1\n", "duplicate (doc, term)", 3),
+    ("matrix.txt", "12 9\n0 9 1\n", "term-id out of range", 2),
+    ("matrix.txt", "12 9\n12 0 1\n", "doc-id out of range", 2),
+    # the bulk parse skips blank and whitespace-only lines; non-ASCII text
+    # takes the line loop
+    ("matrix.txt", "12 9\n0 0 1\n\n \t\n1 0 1\n0 0 1\n",
+     "duplicate (doc, term) cell", 6),
+    ("matrix.txt", "12 9\n0 0 1\n\u3000\n0\xa01\xa00\n",
+     "zero or negative count in matrix cell", 4),
     # vocabulary surfaces
     ("vocab.tsv", lambda v: v.replace("\tterm3", "\t"),
-     "empty surface"),
+     "empty surface", None),
     ("vocab.tsv", lambda v: v.replace("term3", "term2"),
-     "duplicate surface"),
+     "duplicate surface", None),
     # the vocabulary against the matrix: both files are named
     ("vocab.tsv", lambda v: v.replace("8\tterm8\n", ""),
-     "vocabulary has 8 terms, matrix"),
+     "vocabulary has 8 terms, matrix", None),
 ]
 
 
@@ -304,11 +310,11 @@ class TestExitCodes:
         assert f"{path}: JSON nested too deeply" in err, err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("name,change,why", INPUT_FAULTS,
+    @pytest.mark.parametrize("name,change,why,line", INPUT_FAULTS,
                              ids=[f"{name}: {why}"
-                                  for name, _, why in INPUT_FAULTS])
+                                  for name, _, why, _ in INPUT_FAULTS])
     def test_input_fault_names_its_file(self, tmp_path, capsys, name,
-                                        change, why):
+                                        change, why, line):
         cfg = write_fixture(tmp_path / "fx")
         path = tmp_path / "fx" / name
         if name == "hier.json":
@@ -318,12 +324,21 @@ class TestExitCodes:
         elif callable(change):
             path.write_text(change(path.read_text()))
         else:
-            path.write_text(change)
+            path.write_text(change, encoding="utf-8")
         assert cli.main(["validate", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
-        assert f"{path}: " in err and why in err, err
+        where = f"{path}: " if line is None else f"{path}:{line}: "
+        assert where in err and why in err, err
         if why.endswith("matrix"):
             assert str(tmp_path / "fx" / "matrix.txt") in err, err
+        if name == "matrix.txt":
+            # after a non-ASCII blank line the line loop parses the cells,
+            # and names the same fault one line further down
+            head, body = change.split("\n", 1)
+            path.write_text(f"{head}\n\u3000\n{body}", encoding="utf-8")
+            assert cli.main(["validate", "--config", str(cfg)]) == 3
+            err = capsys.readouterr().err
+            assert f"{path}:{line + 1}: " in err and why in err, err
 
     @pytest.mark.parametrize("stage,name,damage,line", [
         ("evaluate", "labels.csv", "header", 1),

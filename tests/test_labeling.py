@@ -27,20 +27,20 @@ class TestElementaryScores:
 
     def test_mtwl_raw_table2(self, table2):
         _, h, stats = table2
-        assert oracles.score_mtwl_raw(stats, h.index_of(0), 0) == 10.0
+        assert oracles.score_mtwl_raw(stats, oracles.index_of(h, 0), 0) == 10.0
 
     def test_mtwl_raw_absent(self, table2):
         _, h, stats = table2
         # term 2 only occurs under child 3
-        assert oracles.score_mtwl_raw(stats, h.index_of(1), 2) == 0.0
+        assert oracles.score_mtwl_raw(stats, oracles.index_of(h, 1), 2) == 0.0
 
     def test_mtwl_raw_leaf_matches_docset_sum(self, tmp_path):
         rng = np.random.default_rng(21)
         m, h = random_instance(rng, tmp_path, max_docs=20, max_terms=12)
         stats = corp.build_node_stats(m, h)
-        dense = m.csr.toarray()
+        dense = oracles.toarray(m.csr)
         for i in range(h.n_nodes):
-            if not h.is_leaf(i):
+            if h.children[i].size:
                 continue
             for t in range(m.n_terms):
                 brute = int(dense[h.docsets[i], t].sum())
@@ -66,7 +66,7 @@ class TestElementaryScores:
             {"id": 2, "parent": 0, "children": [], "docs": list(range(10, 20))},
         ]
         m, h, stats = build(tmp_path, cells, records, 20, 2)
-        child = h.index_of(1)
+        child = oracles.index_of(h, 1)
         assert oracles.score_idf_local(stats, child, 0) == pytest.approx(math.log(4.0))
         assert oracles.score_idf_local(stats, child, 1) == 0.0
         # at the root the self-parent convention makes it global idf
@@ -82,7 +82,7 @@ class TestElementaryScores:
             records.append({"id": j + 1, "parent": 0, "children": [],
                             "docs": list(range(3 * j, 3 * j + 3))})
         m, h, stats = build(tmp_path, cells, records, 12, 2)
-        node = h.index_of(1)
+        node = oracles.index_of(h, 1)
         # exp(1) * ln(4/1 + 1), oracle-evaluated
         assert oracles.score_icf(stats, node, 0) == \
             pytest.approx(math.exp(1.0) * math.log(5.0), rel=1e-12)
@@ -90,7 +90,7 @@ class TestElementaryScores:
         assert oracles.score_icf(stats, node, 1) == \
             pytest.approx(math.exp(1.0) * math.log(2.0), rel=1e-12)
         # absent from the node: exp(0) * log factor
-        node4 = h.index_of(4)
+        node4 = oracles.index_of(h, 4)
         assert oracles.score_icf(stats, node4, 0) == \
             pytest.approx(math.log(5.0), rel=1e-12)
 
@@ -103,11 +103,11 @@ class TestElementaryScores:
             {"id": 2, "parent": 0, "children": [], "docs": [1]},
         ]
         m, h, stats = build(tmp_path, cells, records, 2, 2)
-        assert oracles.score_icf(stats, h.index_of(1), 1) == 0.0
+        assert oracles.score_icf(stats, oracles.index_of(h, 1), 1) == 0.0
 
     def test_score_flat_derived_value(self, table2):
         _, h, stats = table2
-        node = h.index_of(1)
+        node = oracles.index_of(h, 1)
         f = oracles.score_mtwl_raw(stats, node, 0)
         expect = (oracles.score_idf_global(stats, 0)
                   * oracles.score_idf_local(stats, node, 0) * f)
@@ -116,7 +116,8 @@ class TestElementaryScores:
     def test_score_flat_zero_frequency(self, table2):
         _, h, stats = table2
         for scheme in lab.FLAT_SCHEMES:
-            assert oracles.score_flat(scheme, stats, h.index_of(1), 2) == 0.0
+            assert oracles.score_flat(scheme, stats, oracles.index_of(h, 1),
+                                      2) == 0.0
 
     def test_mtwl_idf_hand_value(self):
         # idf_global = ln 10, idf_local = ln 4, f = 7 -> product
@@ -139,9 +140,10 @@ class TestSiblingCfAndHierWeight:
     def test_full_support(self, table2):
         _, h, stats = table2
         # term 1 lives under children 1 and 2 but not 3
-        assert oracles.sibling_cf(stats, h.index_of(1), 1) == pytest.approx(2 / 3)
+        assert oracles.sibling_cf(stats, oracles.index_of(h, 1), 1) == \
+            pytest.approx(2 / 3)
         # term 0 is in all three children
-        assert oracles.sibling_cf(stats, h.index_of(2), 0) == 1.0
+        assert oracles.sibling_cf(stats, oracles.index_of(h, 2), 0) == 1.0
 
     def test_quarter_support(self, tmp_path):
         cells = [(0, 0, 1)] + [(d, 1, 1) for d in range(4)]
@@ -150,7 +152,7 @@ class TestSiblingCfAndHierWeight:
             records.append({"id": j + 1, "parent": 0, "children": [],
                             "docs": [j]})
         m, h, stats = build(tmp_path, cells, records, 4, 2)
-        assert oracles.sibling_cf(stats, h.index_of(1), 0) == 0.25
+        assert oracles.sibling_cf(stats, oracles.index_of(h, 1), 0) == 0.25
 
     def test_root_self_parent(self, table2):
         _, h, stats = table2
@@ -159,7 +161,8 @@ class TestSiblingCfAndHierWeight:
 
     def test_hier_weight_leaf_zero(self, table2):
         _, h, stats = table2
-        assert oracles.hier_weight(stats, h.index_of(1), 0, lambda g: 1.0) == 0.0
+        assert oracles.hier_weight(stats, oracles.index_of(h, 1), 0,
+                                   lambda g: 1.0) == 0.0
 
     def test_hier_weight_single_child(self, tmp_path):
         cells = [(0, 0, 1), (1, 0, 1)]
@@ -176,7 +179,8 @@ class TestSiblingCfAndHierWeight:
     def test_hier_weight_hand_sum(self, table2):
         _, h, stats = table2
         # fake value function and verify the 1/e * cf * v sum by hand
-        vals = {h.index_of(1): 4.0, h.index_of(2): 6.0, h.index_of(3): 0.0}
+        vals = {oracles.index_of(h, i): v
+                for i, v in ((1, 4.0), (2, 6.0), (3, 0.0))}
         got = oracles.hier_weight(stats, h.root, 0, lambda g: vals[g])
         # all three children at distance 1 with cf = 1 for term 0
         assert got == pytest.approx(4.0 + 6.0 + 0.0)
@@ -186,7 +190,8 @@ class TestContingency:
 
     def test_popescul_table2(self, table2):
         _, h, stats = table2
-        cells = oracles.contingency_popescul(stats, h.root, h.index_of(1), 0)
+        cells = oracles.contingency_popescul(stats, h.root,
+                                             oracles.index_of(h, 1), 0)
         assert (cells.tp, cells.fn, cells.fp, cells.tn, cells.s) == \
             (3, 12, 7, 23, 45)
 
@@ -198,7 +203,8 @@ class TestContingency:
             {"id": 2, "parent": 0, "children": [], "docs": [1]},
         ]
         m, h, stats = build(tmp_path, cells_m, records, 2, 2)
-        c = oracles.contingency_popescul(stats, h.root, h.index_of(1), 1)
+        c = oracles.contingency_popescul(stats, h.root,
+                                         oracles.index_of(h, 1), 1)
         assert c.tp == 0 and c.fp == 0
         assert c.tp + c.fp + c.fn + c.tn == c.s
 
@@ -208,7 +214,7 @@ class TestContingency:
             m, h = random_instance(rng, tmp_path, max_docs=25, max_terms=15,
                                    name=f"pc{trial}.json")
             stats = corp.build_node_stats(m, h)
-            dense = m.csr.toarray()
+            dense = oracles.toarray(m.csr)
             for i in range(h.n_nodes):
                 for ch in h.children[i]:
                     ch = int(ch)
@@ -223,7 +229,7 @@ class TestContingency:
 
     def test_rcl_reference_mass(self, table2):
         _, h, stats = table2
-        c = oracles.contingency_rcl(stats, h.root, h.index_of(1), 0)
+        c = oracles.contingency_rcl(stats, h.root, oracles.index_of(h, 1), 0)
         assert c.s == 30          # 45 - 15
         assert c.fp == 7          # 10 - 3
         assert c.tn == 23
@@ -232,7 +238,7 @@ class TestContingency:
     def test_rcl_term_only_in_node(self, table2):
         _, h, stats = table2
         # term 2 occurs only under child 3
-        c = oracles.contingency_rcl(stats, h.root, h.index_of(3), 2)
+        c = oracles.contingency_rcl(stats, h.root, oracles.index_of(h, 3), 2)
         assert c.fp == 0
 
     def test_rcl_fp_brute_force(self, tmp_path):
@@ -241,7 +247,7 @@ class TestContingency:
             m, h = random_instance(rng, tmp_path, max_docs=25, max_terms=15,
                                    name=f"rc{trial}.json")
             stats = corp.build_node_stats(m, h)
-            dense = m.csr.toarray()
+            dense = oracles.toarray(m.csr)
             for i in range(h.n_nodes):
                 for ch in h.children[i]:
                     ch = int(ch)
@@ -253,10 +259,10 @@ class TestContingency:
 
     def test_rcl_literal_clamps(self, table2):
         _, h, stats = table2
-        c = oracles.contingency_rcl(stats, h.root, h.index_of(1), 0,
+        c = oracles.contingency_rcl(stats, h.root, oracles.index_of(h, 1), 0,
                                 fp_mode="literal")
         assert c.fp == 4          # (10 - 3) - 3
-        c2 = oracles.contingency_rcl(stats, h.root, h.index_of(3), 2,
+        c2 = oracles.contingency_rcl(stats, h.root, oracles.index_of(h, 3), 2,
                                  fp_mode="literal")
         assert c2.fp == 0         # clamped at zero
 
@@ -372,10 +378,10 @@ class TestChi2AndJsd:
                                    name=f"px{trial}.json")
             stats = corp.build_node_stats(m, h)
             for i in range(h.n_nodes):
-                if h.is_leaf(i) or stats.child_count[i] < 2:
+                if h.children[i].size == 0 or stats.child_count[i] < 2:
                     continue
                 for t in range(m.n_terms):
-                    col = np.array([stats.freq_of(int(c), t)
+                    col = np.array([oracles.freq_of(stats, int(c), t)
                                     for c in h.children[i]], float)
                     tot = np.array([stats.node_total[int(c)]
                                     for c in h.children[i]], float)
@@ -428,7 +434,7 @@ class TestRankingMethods:
     def test_mtwl_raw_table2_score(self, table2):
         _, h, stats = table2
         a = lab.select_flat_or_hier(stats, "MTWL_raw", lab.LabelConfig())
-        scores = dict(oracles.label_list(a, h.index_of(0)))
+        scores = dict(oracles.label_list(a, oracles.index_of(h, 0)))
         assert scores[0] == 10.0
 
     def test_hier_on_leaf_empty(self, table2):
@@ -436,7 +442,7 @@ class TestRankingMethods:
         for meth in lab.HIER_FREQ_SCHEMES + lab.HIER_RCL_SCHEMES:
             a = lab.label_hierarchy(stats, meth)
             for i in range(h.n_nodes):
-                if h.is_leaf(i):
+                if h.children[i].size == 0:
                     assert oracles.label_list(a, i) == []
 
     def test_rcl_chi2_composition_oracle(self, tmp_path):
@@ -448,10 +454,10 @@ class TestRankingMethods:
             stats = corp.build_node_stats(m, h)
             a = lab.select_flat_or_hier(stats, "RCL_chi2", cfg)
             for i in range(h.n_nodes):
-                parent = int(stats.parent_or_self[i])
+                parent = int(stats.hierarchy.parent[i])
                 pairs = [(t, oracles.chi2_2x2(oracles.contingency_rcl(stats, parent, i, t)))
                          for t in range(m.n_terms)]
-                freqs = stats.freq_row(i)
+                freqs = stats.freq.dense_row(i)
                 expect = oracles.select_topk(pairs, cfg.p_cap, freqs)
                 got = oracles.label_list(a, i)
                 assert [t for t, _ in got] == [t for t, _ in expect]
@@ -468,7 +474,8 @@ class TestRankingMethods:
             pairs = [(t, oracles.hier_weight(stats, i, t,
                                          lambda g, t=t: oracles.score_mtwl_raw(stats, g, t)))
                      for t in range(m.n_terms)]
-            expect = oracles.select_topk(pairs, cfg.p_cap, stats.freq_row(i))
+            expect = oracles.select_topk(pairs, cfg.p_cap,
+                                         stats.freq.dense_row(i))
             got = oracles.label_list(a, i)
             assert [t for t, _ in got] == [t for t, _ in expect]
             for (_, s1), (_, s2) in zip(got, expect):
@@ -482,20 +489,21 @@ class TestRankingMethods:
         stats = corp.build_node_stats(m, h)
         a = lab.select_flat_or_hier(stats, "HierRCL_chi2", cfg)
         for i in range(h.n_nodes):
-            s = float(stats.node_total[int(stats.parent_or_self[i])])
+            s = float(stats.node_total[int(stats.hierarchy.parent[i])])
 
             def v(g, t):
-                tp = float(stats.freq_of(g, t))
+                tp = float(oracles.freq_of(stats, g, t))
                 fn = float(stats.node_total[g]) - tp
                 pg = int(h.parent[g])
-                fp = float(stats.freq_of(pg, t)) - tp
+                fp = float(oracles.freq_of(stats, pg, t)) - tp
                 tn = s - (tp + fn + fp)
                 return oracles.chi2_2x2(oracles.ContingencyCells(tp, fp, fn, tn, s))
 
             pairs = [(t, oracles.hier_weight(stats, i, t,
                                          lambda g, t=t: v(g, t)))
                      for t in range(m.n_terms)]
-            expect = oracles.select_topk(pairs, cfg.p_cap, stats.freq_row(i))
+            expect = oracles.select_topk(pairs, cfg.p_cap,
+                                         stats.freq.dense_row(i))
             got = oracles.label_list(a, i)
             assert [t for t, _ in got] == [t for t, _ in expect]
             for (_, s1), (_, s2) in zip(got, expect):
@@ -562,12 +570,12 @@ class TestHierRclAgainstOracle:
             mass = stats.node_total
             assert mass.max() < 2 ** 53     # every count is exact
             g = np.flatnonzero(h.level > 0)
-            s_g = mass[stats.parent_or_self[h.parent[g]]]
+            s_g = mass[stats.hierarchy.parent[h.parent[g]]]
             seen["no_mass"] += (mass[g] == 0).any()
             seen["m2_zero"] += ((mass[g] > 0) & (mass[g] == s_g)).any()
             for pg in np.unique(h.parent[g]):
-                f = stats.freq_row(int(pg))
-                s_p = mass[stats.parent_or_self[pg]]
+                f = stats.freq.dense_row(int(pg))
+                s_p = mass[stats.hierarchy.parent[pg]]
                 seen["m4_zero"] += ((f > 0) & (f == s_p)).any()
             # the path _hier_rcl takes for each g with mass, by the rule it
             # reads (_class_width): per term near the root, by class deeper,
@@ -652,7 +660,7 @@ class TestFrequencyMethodsAgainstOracle:
                     where = (trial, method, i)
                     assert got == pytest.approx(want, rel=1e-12, abs=0), where
                     order = oracles.topk(all_terms, got,
-                                         stats.freq_row(i), n_terms)
+                                         stats.freq.dense_row(i), n_terms)
                     assert oracles.label_list(full, i) == order, where
                     assert oracles.label_list(short, i) == order[:3], where
         assert unary
@@ -675,7 +683,7 @@ class TestPopesculUngar:
         a = lab.select_popescul_ungar(stats, lab.LabelConfig())
         root_terms = oracles.label_terms(a, h.root)
         assert 0 in root_terms
-        for i in (h.index_of(1), h.index_of(2)):
+        for i in (oracles.index_of(h, 1), oracles.index_of(h, 2)):
             assert 0 not in oracles.label_terms(a, i)
 
     def test_low_frequency_no_decision(self, table2):
@@ -684,7 +692,7 @@ class TestPopesculUngar:
         a = lab.select_popescul_ungar(stats, lab.LabelConfig())
         assert 0 not in oracles.label_terms(a, h.root)
         # the term stays available to the leaves
-        assert any(0 in oracles.label_terms(a, h.index_of(i))
+        assert any(0 in oracles.label_terms(a, oracles.index_of(h, i))
                    for i in (1, 2, 3))
 
     def test_path_uniqueness_random(self, tmp_path):
@@ -694,9 +702,9 @@ class TestPopesculUngar:
             stats = corp.build_node_stats(m, h)
             a = lab.select_popescul_ungar(stats, lab.LabelConfig())
             for i in range(h.n_nodes):
-                if not h.is_leaf(i):
+                if h.children[i].size:
                     continue
-                path = [i] + h.ancestors(i)
+                path = [i] + oracles.ancestors(h, i)
                 seen = set()
                 for node in path:
                     terms = set(oracles.label_terms(a, node))
@@ -752,8 +760,8 @@ class TestRlum:
         m, h, stats = build(tmp_path, cells, records, 2, 2)
         a = lab.select_rlum(stats, lab.LabelConfig())
         assert set(oracles.label_terms(a, h.root)) == {0, 1}
-        assert oracles.label_terms(a, h.index_of(1)) == []
-        assert oracles.label_terms(a, h.index_of(2)) == []
+        assert oracles.label_terms(a, oracles.index_of(h, 1)) == []
+        assert oracles.label_terms(a, oracles.index_of(h, 2)) == []
 
     def test_zero_in_one_child_stays(self, tmp_path):
         cells = [(0, 0, 9), (0, 1, 1), (1, 1, 9)]
@@ -765,7 +773,7 @@ class TestRlum:
         m, h, stats = build(tmp_path, cells, records, 2, 2)
         a = lab.select_rlum(stats, lab.LabelConfig())
         assert 0 not in oracles.label_terms(a, h.root)
-        assert 0 in oracles.label_terms(a, h.index_of(1))
+        assert 0 in oracles.label_terms(a, oracles.index_of(h, 1))
 
     def test_edge_disjoint_random(self, tmp_path):
         rng = np.random.default_rng(62)
@@ -778,7 +786,7 @@ class TestRlum:
                 for ch in h.children[i]:
                     assert not (mine & set(oracles.label_terms(a, int(ch))))
                 # no zero-frequency term may be labeled
-                row = stats.freq_row(i)
+                row = stats.freq.dense_row(i)
                 assert all(row[t] > 0 for t in mine)
 
 
@@ -793,11 +801,11 @@ class TestCfMethods:
             {"id": 2, "parent": 0, "children": [], "docs": [1]},
         ]
         m, h, stats = build(tmp_path, cells, records, 2, 2)
-        assert oracles.cf_measure_leaf(stats, h.index_of(1), 0) == 1.0
+        assert oracles.cf_measure_leaf(stats, oracles.index_of(h, 1), 0) == 1.0
 
     def test_cf_leaf_zero(self, table2):
         _, h, stats = table2
-        assert oracles.cf_measure_leaf(stats, h.index_of(1), 2) == 0.0
+        assert oracles.cf_measure_leaf(stats, oracles.index_of(h, 1), 2) == 0.0
 
     def test_cf_harmonic_value(self):
         # recall 0.5, precision 0.2 -> 2 * 0.1 / 0.7
@@ -808,8 +816,9 @@ class TestCfMethods:
         _, h, stats = table2
         a = lab.select_cf_average(stats, lab.LabelConfig())
         root_scores = dict(oracles.label_list(a, h.root))
-        expect = np.mean([oracles.cf_measure_leaf(stats, h.index_of(i), 0)
-                          for i in (1, 2, 3)])
+        expect = np.mean([
+            oracles.cf_measure_leaf(stats, oracles.index_of(h, i), 0)
+            for i in (1, 2, 3)])
         assert root_scores[0] == pytest.approx(expect, rel=1e-12)
 
     def test_cf_average_hand_recursion(self, tmp_path):
@@ -819,7 +828,7 @@ class TestCfMethods:
         a = lab.select_cf_average(stats, lab.LabelConfig(p_cap=100))
 
         def oracle(i, t):
-            if h.is_leaf(i):
+            if h.children[i].size == 0:
                 return oracles.cf_measure_leaf(stats, i, t)
             kids = h.children[i]
             return sum(oracle(int(c), t) for c in kids) / len(kids)
@@ -847,7 +856,7 @@ class TestCfMethods:
         _, h, stats = table2
         a = lab.select_cf_leave_one_out(stats, lab.LabelConfig())
         for i in (1, 2, 3):
-            node = h.index_of(i)
+            node = oracles.index_of(h, i)
             for t, score in oracles.label_list(a, node):
                 assert score == pytest.approx(
                     oracles.cf_measure_leaf(stats, node, t), rel=1e-12)
@@ -873,7 +882,7 @@ class TestCfMethods:
             {"id": 6, "parent": 2, "children": [], "docs": [3]},
         ]
         m, h, stats = build(tmp_path, cells, records, 4, 2)
-        node_a = h.index_of(1)
+        node_a = oracles.index_of(h, 1)
         # term 0: f_A = 5, level-2 total = 10, own children 5 -> recall 1
         got = dict(oracles.label_list(
             lab.select_cf_leave_one_out(stats, lab.LabelConfig()), node_a))

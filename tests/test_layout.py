@@ -1,8 +1,9 @@
 """The library holds only what the pipeline runs: every module-level
-function and class of ``src/hierlabel`` is used elsewhere in the library
-or in ``pipebench/``.  Scalar forms that only tests use belong in
-``tests/oracles.py``.  Uses are read from the syntax trees, so docstrings,
-comments and imports do not count.  No library module imports scipy."""
+function and class of ``src/hierlabel``, and every method and property of
+its classes, is used elsewhere in the library or in ``pipebench/``.
+Scalar forms that only tests use belong in ``tests/oracles.py``.  Uses are
+read from the syntax trees, so docstrings, comments and imports do not
+count.  No library module imports scipy."""
 
 import ast
 from pathlib import Path
@@ -11,23 +12,51 @@ ROOT = Path(__file__).resolve().parents[1]
 # the CLI entry point and the fixture writers that tests build inputs with
 ALLOWED = {"main", "save_matrix", "save_vocabulary", "save_hierarchy"}
 
+SRC = sorted((ROOT / "src" / "hierlabel").glob("*.py"))
+TREES = {p: ast.parse(p.read_text(encoding="utf-8"))
+         for p in SRC + sorted((ROOT / "pipebench").glob("*.py"))}
+
+
+def _uses(units) -> list:
+    """(unit, the names it uses) for each syntax tree in ``units``."""
+    return [(unit, {n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(unit)
+                    if isinstance(n, (ast.Name, ast.Attribute))})
+            for unit in units]
+
+
+def _unused(definitions, used) -> list:
+    return [f"{p.name}:{d.lineno} {d.name}" for p, d in definitions
+            if not any(d.name in names for unit, names in used
+                       if unit is not d)]
+
 
 def test_every_library_definition_has_a_caller():
-    src = sorted((ROOT / "src" / "hierlabel").glob("*.py"))
-    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
-             for p in src + sorted((ROOT / "pipebench").glob("*.py"))}
     # the names each top-level statement uses, so that a definition's own
     # body is not its caller
-    used = [(stmt, {n.id if isinstance(n, ast.Name) else n.attr
-                    for n in ast.walk(stmt)
-                    if isinstance(n, (ast.Name, ast.Attribute))})
-            for tree in trees.values() for stmt in tree.body]
-    unused = [f"{p.name}:{d.lineno} {d.name}" for p in src
-              for d in trees[p].body
-              if isinstance(d, (ast.FunctionDef, ast.ClassDef))
-              and d.name not in ALLOWED
-              and not any(d.name in names
-                          for stmt, names in used if stmt is not d)]
+    used = _uses(stmt for tree in TREES.values() for stmt in tree.body)
+    unused = _unused(((p, d) for p in SRC for d in TREES[p].body
+                      if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                      and d.name not in ALLOWED), used)
+    assert unused == [], unused
+
+
+def test_every_library_method_has_a_caller():
+    """Each method and property of a library class, dunders aside, is
+    named outside its own body: a class's other members count, split
+    into one unit each.  A use is any name or attribute of the same
+    spelling, so a method named like a builtin or a common method (say
+    ``get``, which every ``dict.get`` call matches) can escape this
+    check."""
+    used = _uses(member for tree in TREES.values() for stmt in tree.body
+                 for member in (stmt.body if isinstance(stmt, ast.ClassDef)
+                                else [stmt]))
+    unused = _unused(((p, d) for p in SRC for cls in TREES[p].body
+                      if isinstance(cls, ast.ClassDef)
+                      for d in cls.body
+                      if isinstance(d, ast.FunctionDef)
+                      and not (d.name.startswith("__")
+                               and d.name.endswith("__"))), used)
     assert unused == [], unused
 
 
@@ -35,8 +64,8 @@ def test_no_library_module_imports_scipy():
     """scipy is a test dependency only: no import of it anywhere in
     ``src/hierlabel``, at module level or inside a function."""
     found = []
-    for p in sorted((ROOT / "src" / "hierlabel").glob("*.py")):
-        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"))):
+    for p in SRC:
+        for node in ast.walk(TREES[p]):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:

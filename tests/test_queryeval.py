@@ -64,23 +64,23 @@ class TestSpecificQueries:
     def test_two_term_label_is_or(self, labeled_tree):
         m, h, a = labeled_tree
         q = qe.derive_specific_queries(h, a)
-        assert q[h.index_of(12)] == (TECHNO, PROCESS)
-        assert oracles.specific_query(q[h.index_of(12)]) == \
+        assert q[oracles.index_of(h, 12)] == (TECHNO, PROCESS)
+        assert oracles.specific_query(q[oracles.index_of(h, 12)]) == \
             oracles.Or((oracles.Term(TECHNO), oracles.Term(PROCESS)))
 
     def test_empty_node_inherits_labeled_ancestor(self, labeled_tree):
         m, h, a = labeled_tree
         q = qe.derive_specific_queries(h, a)
-        assert q[h.index_of(6)] == (AGRI,)
-        assert q[h.index_of(7)] == (AGRI,)
+        assert q[oracles.index_of(h, 6)] == (AGRI,)
+        assert q[oracles.index_of(h, 7)] == (AGRI,)
 
     def test_empty_node_with_empty_ancestors_ors_children(self, labeled_tree):
         m, h, a = labeled_tree
         q = qe.derive_specific_queries(h, a)
-        assert q[h.index_of(4)] == (RESEARCH, INNOV)
-        assert q[h.index_of(5)] == (TECH, UNIV)
+        assert q[oracles.index_of(h, 4)] == (RESEARCH, INNOV)
+        assert q[oracles.index_of(h, 5)] == (TECH, UNIV)
         # and the chain keeps flattening upward
-        assert q[h.index_of(2)] == (RESEARCH, INNOV, TECH, UNIV)
+        assert q[oracles.index_of(h, 2)] == (RESEARCH, INNOV, TECH, UNIV)
 
     def test_unlabeled_leaf_with_empty_ancestors_is_unretrievable(self, tmp_path):
         m = matrix_from_cells(2, 1, [(0, 0, 1), (1, 0, 1)])
@@ -199,7 +199,7 @@ class TestTupleQueriesAgainstOracle:
     def test_equal_tuples_share_one_query(self, labeled_tree):
         m, h, a = labeled_tree
         spec = qe.derive_specific_queries(h, a)
-        n3, n6, n7 = (h.index_of(x) for x in (3, 6, 7))
+        n3, n6, n7 = (oracles.index_of(h, x) for x in (3, 6, 7))
         assert spec[n3] is spec[n6] is spec[n7]
 
     def test_renderer_keeps_distinct_temporaries_apart(self):
@@ -222,7 +222,7 @@ class TestGenericQueries:
         m, h, a = labeled_tree
         spec = qe.derive_specific_queries(h, a)
         gen = qe.derive_generic_queries(h, spec)
-        n12 = h.index_of(12)
+        n12 = oracles.index_of(h, 12)
         expect = oracles.And((oracles.specific_query(spec[h.root]),
                               oracles.Term(AGRI),
                               oracles.Or((oracles.Term(TECHNO),
@@ -234,7 +234,7 @@ class TestGenericQueries:
         spec = qe.derive_specific_queries(h, a)
         gen = qe.derive_generic_queries(h, spec)
         # n6 inherited agriculture; its generic must not AND it twice
-        n6, n3 = h.index_of(6), h.index_of(3)
+        n6, n3 = oracles.index_of(h, 6), oracles.index_of(h, 3)
         assert gen[n6] == gen[n3]
 
     def test_generic_nesting_random(self, tmp_path):
@@ -290,7 +290,8 @@ class TestRetrieve:
     def test_or_of_terms_equals_set_union(self):
         rng = np.random.default_rng(93)
         m = random_matrix(rng, 40, 50)
-        docs_of = [{d for d in range(m.n_docs) if m.csr.get(d, t) > 0}
+        docs_of = [{d for d in range(m.n_docs)
+                    if oracles.csr_get(m.csr, d, t) > 0}
                    for t in range(m.n_terms)]
         for _ in range(200):
             terms = [int(t) for t in rng.integers(0, m.n_terms,
@@ -332,7 +333,7 @@ class TestEvaluateNode:
 
     def test_perfect_retrieval(self, labeled_tree):
         m, h, a = labeled_tree
-        node = h.index_of(8)
+        node = oracles.index_of(h, 8)
         got = oracles.evaluate_node(h, node, set(h.docsets[node].tolist()))
         assert (got.precision, got.recall, got.f) == (1.0, 1.0, 1.0)
 
@@ -353,7 +354,7 @@ class TestEvaluateNode:
 
     def test_zero_rule(self, labeled_tree):
         m, h, a = labeled_tree
-        node = h.index_of(8)
+        node = oracles.index_of(h, 8)
         got = oracles.evaluate_node(h, node, set())
         assert (got.precision, got.recall, got.f) == (0.0, 0.0, 0.0)
         disjoint = oracles.evaluate_node(h, node, {8})
@@ -366,7 +367,7 @@ class TestEvaluateNode:
             retrieved = set(int(d) for d in
                             rng.choice(9, size=rng.integers(0, 9), replace=False))
             got = oracles.evaluate_node(h, node, retrieved)
-            assert got.tp + got.fp + got.fn + got.tn == h.n_docs
+            assert got.tp + got.fp + got.fn + got.tn == m.n_docs
             assert got.tp + got.fp == len(retrieved)
             assert got.tp + got.fn == len(h.docsets[node])
 
