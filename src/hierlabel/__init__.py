@@ -15,11 +15,11 @@ from .queryeval import (
     evaluate_all, query_to_prefix,
 )
 from .stats import (
-    GlmFit, SnkGrouping, fit_additive_model, fit_level_model, snk_compare,
+    GlmFit, fit_additive_model, fit_level_model, snk_compare,
     studentized_range_quantile,
 )
 from .coherence import (
-    CoherenceReport, CooccurrenceCounts, count_cooccurrence, oc_npmi,
+    CooccurrenceCounts, count_cooccurrence, oc_npmi,
     score_labels, summarize_coherence,
 )
 

@@ -384,26 +384,13 @@ def _split_columns(path, columns):
             [flat[at[c]::width] for c in columns], None)
 
 
-def _undecodable(path) -> tuple:
-    """(the line of the file's first byte that is not UTF-8, counted as
-    csv.reader counts lines, and its ParseError), or (inf, None)."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        head = data[:e.start].decode("utf-8")
-        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
-        return line, ParseError(f"{path}:{line}: not UTF-8 text ({e.reason})")
-    return math.inf, None
-
-
 def _reader_columns(path, columns):
     """``_report_columns``'s result, read row by row through csv.reader.
     The rows end before the row that holds the file's first undecodable
     byte, which is the fault unless an earlier row is.  The text is
     decoded as a whole beforehand, because the reader's line count runs
     ahead of a decoding error in the file's text layer."""
-    bad_line, bad = _undecodable(path)
+    bad_line, bad = corp.utf8_fault(path)
     lines, rows, fault = [], [], None
     with open(path, "r", encoding="utf-8", errors="surrogateescape",
               newline="") as fh:
@@ -681,7 +668,7 @@ def stage_evaluate(cfg: RunConfig, tracker: OutputTracker,
             map(table.method_names.__getitem__, table.method.tolist()),
             table.node_id.tolist(), table.level.tolist(),
             map(KINDS.__getitem__, table.kind.tolist()),
-            *(map(fmt, table.values(m).tolist()) for m in MEASURES)))
+            *(map(fmt, getattr(table, m).tolist()) for m in MEASURES)))
     ids = bundle.hierarchy.ids.tolist()
     with tracker.open("queries.txt") as fh:
         for method in cfg.methods:
@@ -762,31 +749,40 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker,
         raise ConfigError(f"metrics.csv not found in {tracker.out_dir}; "
                           "run the evaluate stage first")
     table, lines = read_metrics_csv(metrics_path)
-    # rows of other methods are neither checked nor fitted
-    wanted = table.method_rows(cfg.methods)
-    table, lines = table.take(wanted), lines[wanted]
-    node = _check_metrics_rows(metrics_path, table, lines, bundle.hierarchy)
-    # a file that lacks observations is an input error, not a degenerate fit
+    # each row's position in cfg.methods; rows of other methods (-1) are
+    # neither checked nor fitted
     at = {m: j for j, m in enumerate(cfg.methods)}
-    # no row is left of the names of other methods, which map to -1
     method = np.array([at.get(m, -1) for m in table.method_names],
                       np.int64)[table.method]
-    present = np.zeros((len(cfg.methods), bundle.hierarchy.n_nodes,
-                        len(KINDS)), bool)
+    wanted = method >= 0
+    table, lines, method = table.take(wanted), lines[wanted], method[wanted]
+    node = _check_metrics_rows(metrics_path, table, lines, bundle.hierarchy)
+    # a file that lacks observations is an input error, not a degenerate fit
+    shape = (len(cfg.methods), bundle.hierarchy.n_nodes, len(KINDS))
+    present = np.zeros(shape, bool)
     present[method, node, table.kind] = True
     if not present.all():
         m, i, k = np.unravel_index(np.argmin(present), present.shape)
         raise ValidationError(
             f"{metrics_path}: no {KINDS[k]} row for method "
             f"{cfg.methods[m]} at node {bundle.hierarchy.ids[i]}")
-    for kind in KINDS:
-        sub = table.filter(kind=kind)
-        for measure in MEASURES:
-            level_fits = {method: st.fit_level_model(
-                sub.filter(method=method), measure) for method in cfg.methods}
+    # each measure as a (method, node, kind) array, so that every fit sees
+    # its rows in method and node order, whatever the file's row order
+    values = np.empty((len(MEASURES), *shape))
+    values[:, method, node, table.kind] = [getattr(table, m)
+                                           for m in MEASURES]
+    level = bundle.hierarchy.level
+    # the additive fit's rows: every method's nodes, method after method
+    levels = np.tile(level, len(cfg.methods))
+    codes = np.repeat(np.arange(len(cfg.methods)), level.size)
+    for k, kind in enumerate(KINDS):
+        for measure, y in zip(MEASURES, values[..., k]):
+            level_fits = {m: st.fit_level_model(y[j], level)
+                          for j, m in enumerate(cfg.methods)}
             if len(cfg.methods) >= 2:
-                fit = st.fit_additive_model(sub, measure, methods=cfg.methods)
-                entries = st.snk_compare(fit, "method", cfg.alpha).entries
+                fit = st.fit_additive_model(y.ravel(), levels, codes,
+                                            cfg.methods)
+                entries = st.snk_compare(fit, "method", cfg.alpha)
             else:
                 # single-method run: the method factor degenerates; the
                 # method's level-only fit supplies the mean and variance
@@ -803,10 +799,9 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker,
             with tracker.open(f"level_means_{measure}_{kind}.csv") as fh:
                 w = csv.writer(fh)
                 w.writerow(["method", "level", "mean"])
-                for method in cfg.methods:
-                    fitm = level_fits[method]
+                for m, fitm in level_fits.items():
                     for lvl in fitm.factors["level"]:
-                        w.writerow([method, lvl,
+                        w.writerow([m, lvl,
                                     fmt(fitm.adjusted_means["level"][lvl])])
             emit_level_plot_data(level_fits, measure, kind, tracker)
 
@@ -818,48 +813,40 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker,
 def stage_coherence(cfg: RunConfig, tracker: OutputTracker,
                     bundle: InputBundle, assignments: dict | None = None):
     """``assignments`` are the label stage's in-memory results; without
-    them the labels are read back from labels.csv, and only the node ids,
-    bounds and original term ids that ``coh.score_labels`` takes outlive
-    the reading, before the reference corpus is loaded."""
+    them the labels are read back from labels.csv, and only the bounds and
+    original term ids that ``coh.score_labels`` takes outlive the reading,
+    before the reference corpus is loaded."""
     if cfg.reference_corpus is None:
         raise ConfigError("coherence stage requires a reference_corpus path")
-    labels = {m: (bundle.hierarchy.ids, a.indptr, bundle.orig_id[a.term])
+    labels = {m: (a.indptr, bundle.orig_id[a.term])
               for m, a in (assignments if assignments is not None else
                            _assignments_from_csv(tracker, bundle, cfg)).items()}
-    label_terms = np.unique(np.concatenate([t for _, _, t in
-                                            labels.values()]))
-    counts = coh.count_cooccurrence(_load_reference_corpus(cfg),
-                                    bundle.vocab_full,
-                                    restrict_terms=label_terms.tolist())
-    report = coh.score_labels(counts, labels, cfg.p_cap, cfg.npmi_epsilon,
-                              cfg.oc_aggregate)
+    label_terms = np.unique(np.concatenate([t for _, t in labels.values()]))
+    counts = coh.count_cooccurrence(
+        coh.load_reference_corpus(cfg.reference_corpus), bundle.vocab_full,
+        restrict_terms=label_terms.tolist())
+    oc = coh.score_labels(counts, labels, cfg.p_cap, cfg.npmi_epsilon,
+                          cfg.oc_aggregate)
 
+    ids = bundle.hierarchy.ids.tolist()
     with tracker.open("coherence.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "node_id", "oc"])
         for method in cfg.methods:
-            per_node = report.per_node[method]
-            for nid in sorted(per_node):
-                w.writerow([method, nid, fmt(per_node[nid])])
+            # the label of node index k is node ids[k]'s, ids ascending
+            w.writerows([method, nid, fmt(v)]
+                        for nid, v in zip(ids, oc[method].tolist()))
     with tracker.open("coherence_summary.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "upper_quartile", "maximum"])
         for method in cfg.methods:
-            uq, mx = report.summary[method]
+            uq, mx = coh.summarize_coherence(oc[method])
             w.writerow([method, fmt(uq), fmt(mx)])
 
 
 # ---------------------------------------------------------------------------
 # stage: validate
 # ---------------------------------------------------------------------------
-
-def _load_reference_corpus(cfg: RunConfig) -> list:
-    corpus = coh.load_reference_corpus(cfg.reference_corpus)
-    if not corpus:
-        raise ValidationError(
-            f"reference corpus {cfg.reference_corpus} has no documents")
-    return corpus
-
 
 def stage_validate(cfg: RunConfig, reference: bool = True):
     """Load and check every input; returns the summary lines and the input
@@ -877,7 +864,7 @@ def stage_validate(cfg: RunConfig, reference: bool = True):
         kept = bundle.matrix.n_terms
         lines.append(f"df filter kept {kept} of {len(bundle.vocab_full)} terms")
     if reference and cfg.reference_corpus is not None:
-        corpus = _load_reference_corpus(cfg)
+        corpus = coh.load_reference_corpus(cfg.reference_corpus)
         lines.append(f"reference corpus: {len(corpus)} documents")
     return lines, bundle
 

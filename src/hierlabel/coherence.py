@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Vocabulary, utf8_error
+from .corpus import Vocabulary, utf8_fault
 from .errors import ValidationError
 
 # joint counts AND about this many words of two bitsets per block, and
@@ -34,7 +34,6 @@ class CooccurrenceCounts:
     Joint counts are not stored: each is the popcount of two rows ANDed,
     taken by ``score_labels`` for the labels' pairs."""
     n_windows: int
-    n_terms: int
     unary: np.ndarray          # term -> number of windows containing it
     rows: np.ndarray
     bits: np.ndarray           # (counted terms, words) uint64
@@ -75,15 +74,18 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 def load_reference_corpus(path) -> list:
     """One document per line, whitespace-separated tokens.  The documents
     are returned as their lines, unsplit; lines holding only whitespace are
-    not documents."""
+    not documents, and a file without documents is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError:
-        raise utf8_error(path) from None
+        raise utf8_fault(path)[1] from None
     # the file's own lines: str.splitlines would also break at \x0b, \x85
     # and other characters that are blanks inside a document
-    return [line for line in text.split("\n") if line and not line.isspace()]
+    docs = [line for line in text.split("\n") if line and not line.isspace()]
+    if not docs:
+        raise ValidationError(f"reference corpus {path} has no documents")
+    return docs
 
 
 def count_cooccurrence(corpus, vocab: Vocabulary,
@@ -104,8 +106,6 @@ def count_cooccurrence(corpus, vocab: Vocabulary,
     block of documents are turned into bits together, so no token
     outlives its block.
     """
-    if not corpus:
-        raise ValidationError("empty reference corpus")
     m = len(vocab)
     terms = (np.arange(m, dtype=np.int64) if restrict_terms is None
              else np.unique(np.fromiter(restrict_terms, np.int64)))
@@ -136,7 +136,7 @@ def count_cooccurrence(corpus, vocab: Vocabulary,
     rows[terms] = np.arange(terms.size)
     unary = np.zeros(m, np.int64)
     unary[terms] = np.bitwise_count(bits).sum(axis=1)
-    return CooccurrenceCounts(len(corpus), m, unary, rows, bits)
+    return CooccurrenceCounts(len(corpus), unary, rows, bits)
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -177,8 +177,6 @@ class _LabelPairs(NamedTuple):
     """The pairs of a list of labels' top-P terms: ``a[k], b[k]`` is
     ``grid[label, column]`` at the k-th True cell of ``present``, column
     the pair's place in the loop i = 1.., j < i."""
-    terms: np.ndarray        # every label's top-P terms, label after label
-    owner: np.ndarray        # the label of each of ``terms``
     n_pairs: np.ndarray
     present: np.ndarray
     a: np.ndarray
@@ -202,17 +200,16 @@ def _label_pairs(indptr: np.ndarray, terms: np.ndarray,
     i, j = np.tril_indices(width, -1)
     n_pairs = size * (size - 1) // 2
     present = np.arange(i.size) < n_pairs[:, None]
-    return _LabelPairs(flat, owner, n_pairs, present,
+    return _LabelPairs(n_pairs, present,
                        grid_terms[:, i][present], grid_terms[:, j][present])
 
 
 def _oc_values(counts: CooccurrenceCounts, groups: list, p_cap: int,
                epsilon: float, aggregate: str) -> list:
-    """(OC, count of label terms absent from the reference) per label, for
-    each group of ``groups``, (indptr, term ids) pairs of labels in rank
-    order.  The distinct pairs of all groups are counted together, each
-    once; then each group's pairs are built again and scored, which holds
-    one group's pair arrays at a time."""
+    """OC per label, for each group of ``groups``, (indptr, term ids)
+    pairs of labels in rank order.  The distinct pairs of all groups are
+    counted together, each once; then each group's pairs are built again
+    and scored, which holds one group's pair arrays at a time."""
     if not groups:
         return []
     distinct = _distinct(np.concatenate(
@@ -234,9 +231,7 @@ def _oc_values(counts: CooccurrenceCounts, groups: list, p_cap: int,
         if aggregate == "mean":
             paired = p.n_pairs > 0
             total[paired] /= p.n_pairs[paired]
-        missing = np.bincount(p.owner[counts.unary[p.terms] == 0],
-                              minlength=len(p.n_pairs))
-        out.append((total, missing))
+        out.append(total)
     return out
 
 
@@ -246,51 +241,23 @@ def oc_npmi(counts: CooccurrenceCounts, label_terms, p_cap: int,
     """Observed coherence: NPMI summed (or averaged) over all unordered
     pairs among the top-P label terms; fewer than two terms scores 0."""
     terms = np.fromiter(label_terms, np.int64)
-    [(total, _)] = _oc_values(counts, [(np.array([0, terms.size]), terms)],
-                              p_cap, epsilon, aggregate)
+    [total] = _oc_values(counts, [(np.array([0, terms.size]), terms)],
+                         p_cap, epsilon, aggregate)
     return float(total[0])
 
 
-@dataclass
-class CoherenceReport:
-    """Per-node OC values per method plus the upper-quartile/maximum summary.
-
-    ``missing`` counts, per (method, node), label terms absent from the
-    reference corpus (their pairs contribute the zero convention).
-    """
-    per_node: dict = field(default_factory=dict)   # method -> {node_id: oc}
-    missing: dict = field(default_factory=dict)    # method -> {node_id: count}
-    summary: dict = field(default_factory=dict)    # method -> (upper_q, max)
-
-
-def summarize_coherence(per_node: dict) -> dict:
-    """method -> (75th percentile via linear interpolation, maximum),
-    computed over every node of the method including zeros."""
-    out = {}
-    for method, values in per_node.items():
-        v = np.asarray(list(values.values()), np.float64)
-        if v.size == 0:
-            raise ValidationError(f"no coherence values for method {method!r}")
-        out[method] = (float(np.percentile(v, 75)), float(v.max()))
-    return out
+def summarize_coherence(oc: np.ndarray) -> tuple:
+    """(75th percentile via linear interpolation, maximum) of one method's
+    OC values, computed over every node including zeros."""
+    return float(np.percentile(oc, 75)), float(oc.max())
 
 
 def score_labels(counts: CooccurrenceCounts, labels: dict, p_cap: int,
-                 epsilon: float = 0.0,
-                 aggregate: str = "sum") -> CoherenceReport:
-    """OC for every label of ``labels``, a mapping method -> (node ids,
-    indptr, term ids) whose node ``node_ids[k]`` is labeled by
-    ``terms[indptr[k]:indptr[k + 1]]`` in rank order.  The distinct pairs
-    of all methods are counted once, then each method's pairs are scored
-    in one vectorised pass; the values equal ``oc_npmi``'s bit for bit."""
-    report = CoherenceReport()
-    values = _oc_values(counts, [(indptr, terms) for _, indptr, terms
-                                 in labels.values()], p_cap, epsilon,
-                        aggregate)
-    for (method, (nids, _, _)), (total, missing) in zip(labels.items(),
-                                                        values):
-        ids = nids.tolist()
-        report.per_node[method] = dict(zip(ids, total.tolist()))
-        report.missing[method] = dict(zip(ids, missing.tolist()))
-    report.summary = summarize_coherence(report.per_node)
-    return report
+                 epsilon: float = 0.0, aggregate: str = "sum") -> dict:
+    """method -> float64 OC per label, for ``labels``, a mapping method ->
+    (indptr, term ids) whose k-th label is ``terms[indptr[k]:indptr[k +
+    1]]`` in rank order.  The distinct pairs of all methods are counted
+    once, then each method's pairs are scored in one vectorised pass; the
+    values equal ``oc_npmi``'s bit for bit."""
+    return dict(zip(labels, _oc_values(counts, list(labels.values()), p_cap,
+                                       epsilon, aggregate)))

@@ -181,17 +181,23 @@ def _mass_reaches(counts, end: int) -> bool:
     return bool((np.cumsum(counts) >= end).any())
 
 
-def utf8_error(path) -> ParseError:
-    """The error for an input file that is not UTF-8 text, naming the line
-    of its first undecodable byte."""
+def utf8_fault(path, splitlines: bool = False) -> tuple:
+    """(the line of the file's first byte that is not UTF-8, the ParseError
+    that names it), or (math.inf, a ParseError naming no line) when the
+    whole file decodes.  Lines end at "\n", "\r" and "\r\n", as the
+    readers with universal newlines and csv.reader end them; with
+    ``splitlines`` also at every other break of ``str.splitlines``, as the
+    matrix parser ends them."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as e:
-        line = data.count(b"\n", 0, e.start) + 1
-        return ParseError(f"{path}:{line}: not UTF-8 text ({e.reason})")
-    return ParseError(f"{path}: not UTF-8 text")
+        head = data[:e.start].decode("utf-8")
+        line = (len((head + ".").splitlines()) if splitlines else
+                head.count("\n") + head.count("\r") - head.count("\r\n") + 1)
+        return line, ParseError(f"{path}:{line}: not UTF-8 text ({e.reason})")
+    return math.inf, ParseError(f"{path}: not UTF-8 text")
 
 
 # str.splitlines breaks lines at these too, but np.loadtxt reads them as
@@ -230,7 +236,7 @@ def load_matrix(path, max_docs: int | None = None) -> DocTermMatrix:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError:
-        raise utf8_error(path) from None
+        raise utf8_fault(path, splitlines=True)[1] from None
     if not text:
         raise ParseError(f"{path}:1: missing header line")
     bulk = text.isascii() and not any(c in text for c in _OTHER_LINE_BREAKS)
@@ -331,7 +337,7 @@ def load_vocabulary(path) -> Vocabulary:
                         f"{path}:{ln}: duplicate term id {tid}")
                 entries[tid] = parts[1]
     except UnicodeDecodeError:
-        raise utf8_error(path) from None
+        raise utf8_fault(path)[1] from None
     if sorted(entries) != list(range(len(entries))):
         raise ValidationError(f"{path}: term ids are not contiguous 0..m-1")
     try:
@@ -493,7 +499,7 @@ def read_hierarchy(path) -> list:
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
         except UnicodeDecodeError:
-            raise utf8_error(path) from None
+            raise utf8_fault(path)[1] from None
         except RecursionError:
             raise ParseError(f"{path}: JSON nested too deeply to parse") \
                 from None

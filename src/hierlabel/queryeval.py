@@ -163,35 +163,11 @@ class ObservationTable:
     recall: np.ndarray             # float64
     f: np.ndarray                  # float64
 
-    def __len__(self):
-        return self.method.size
-
     def take(self, rows) -> "ObservationTable":
         """The rows a mask or an index array selects, in table order."""
         return ObservationTable(self.method_names, *(
             getattr(self, c)[rows]
             for c in ("method", "node_id", "level", "kind", *MEASURES)))
-
-    def method_rows(self, methods) -> np.ndarray:
-        """Mask of the rows of any of the named ``methods``."""
-        codes = [k for k, m in enumerate(self.method_names) if m in methods]
-        return np.isin(self.method, codes)
-
-    def filter(self, method=None, kind=None) -> "ObservationTable":
-        keep = np.ones(len(self), bool)
-        if method is not None:
-            keep &= self.method_rows((method,))
-        if kind is not None:
-            keep &= self.kind == KINDS.index(kind)
-        return self.take(keep)
-
-    def methods(self) -> list:
-        """The names of the methods present, in order of first row."""
-        codes, first = np.unique(self.method, return_index=True)
-        return [self.method_names[c] for c in codes[np.argsort(first)]]
-
-    def values(self, measure: str) -> np.ndarray:
-        return getattr(self, measure)
 
 
 def _query_masks(matrix: DocTermMatrix, hierarchy: Hierarchy,

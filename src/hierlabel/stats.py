@@ -3,20 +3,19 @@ Student-Newman-Keuls multiple mean comparison.
 
 The measure is modeled as grand mean + hierarchy-level effect + labeling-
 method effect (sum-to-zero coding, plain least squares), so balanced and
-unbalanced observation tables are both handled.  SNK letter groups are
+unbalanced designs are both handled.  SNK letter groups are
 computed over the adjusted (least-squares) means.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalError
-from .queryeval import ObservationTable
 from .special import gamma_quantile, ndtr
 
 
@@ -83,45 +82,24 @@ def _fit(y, factors: dict) -> GlmFit:
     )
 
 
-def _level_factor(table: ObservationTable) -> tuple:
+def _level_factor(level) -> tuple:
     """The hierarchy-level factor: sorted level labels, row positions."""
-    levels, pos = np.unique(table.level, return_inverse=True)
+    levels, pos = np.unique(level, return_inverse=True)
     return levels.tolist(), pos
 
 
-def fit_additive_model(table: ObservationTable, measure: str,
-                       methods=None) -> GlmFit:
-    """measure ~ mean + hierarchy level + labeling method, least squares.
-
-    The table must already be restricted to a single query kind.  The
-    factor levels come from the data; a ``methods`` list pins the method
-    factor's.
-    """
-    if not len(table):
-        raise NumericalError("empty observation table")
-    y = table.values(measure).astype(np.float64)
-    methods = list(methods) if methods is not None else table.methods()
-    at = {m: j for j, m in enumerate(methods)}
-    pos = np.array([at.get(m, -1) for m in table.method_names],
-                   np.int64)[table.method]
-    if (pos < 0).any():
-        stray = table.method_names[table.method[np.argmax(pos < 0)]]
-        raise NumericalError(f"unexpected method level {stray!r}")
-    return _fit(y, {"level": _level_factor(table), "method": (methods, pos)})
+def fit_additive_model(y, level, method, methods) -> GlmFit:
+    """measure ~ mean + hierarchy level + labeling method, least squares,
+    over the values ``y`` of one query kind.  Each row has its hierarchy
+    ``level`` and its ``method``, a position in the list ``methods``."""
+    return _fit(y, {"level": _level_factor(level),
+                    "method": (methods, method)})
 
 
-def fit_level_model(table: ObservationTable, measure: str) -> GlmFit:
-    """measure ~ mean + hierarchy level, for a single method's rows."""
-    if not len(table):
-        raise NumericalError("empty observation table")
-    codes = np.unique(table.method)
-    if codes.size > 1:
-        raise NumericalError(
-            f"level model expects one method, got "
-            f"{sorted(table.method_names[c] for c in codes)}"
-        )
-    y = table.values(measure).astype(np.float64)
-    return _fit(y, {"level": _level_factor(table)})
+def fit_level_model(y, level) -> GlmFit:
+    """measure ~ mean + hierarchy level, over one method's values ``y``
+    of one query kind."""
+    return _fit(y, {"level": _level_factor(level)})
 
 
 # Studentized range quantile by fixed-order composite Gauss-Legendre
@@ -260,17 +238,10 @@ def studentized_range_quantile(alpha: float, k: int, df) -> float:
     return _srq_cached(alpha, int(k), df)
 
 
-@dataclass
-class SnkGrouping:
-    """Factor levels sorted by adjusted mean (descending) with letter sets;
-    two levels share a letter iff SNK could not separate them."""
-    factor: str
-    alpha: float
-    entries: list = field(default_factory=list)  # (level, mean, letters)
-
-
-def snk_compare(fit: GlmFit, factor: str, alpha: float = 0.05) -> SnkGrouping:
-    """Stepwise Student-Newman-Keuls over the factor's adjusted means.
+def snk_compare(fit: GlmFit, factor: str, alpha: float = 0.05) -> list:
+    """Stepwise Student-Newman-Keuls over the factor's adjusted means: the
+    factor's (level, adjusted mean, letters), by mean descending; two
+    levels share a letter iff SNK could not separate them.
 
     A span of p adjacent sorted means is homogeneous when its range is at
     most q(alpha, p, df) * sqrt(resid_var / n~), with n~ the harmonic mean
@@ -331,10 +302,8 @@ def snk_compare(fit: GlmFit, factor: str, alpha: float = 0.05) -> SnkGrouping:
         mark = _letter(rank)
         for i in range(a, b + 1):
             letters[i].add(mark)
-    grouping = SnkGrouping(factor=factor, alpha=alpha)
-    for i, lv in enumerate(levels):
-        grouping.entries.append((lv, float(m[i]), "".join(sorted(letters[i]))))
-    return grouping
+    return [(lv, float(m[i]), "".join(sorted(letters[i])))
+            for i, lv in enumerate(levels)]
 
 
 def _letter(rank: int) -> str:

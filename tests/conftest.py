@@ -28,7 +28,7 @@ def two_term_counts(n, ua, ub, joint):
     for w in range(joint):
         bits[:, w // 64] |= np.uint64(1 << (w % 64))
     return coh.CooccurrenceCounts(
-        n_windows=n, n_terms=2, unary=np.array([ua, ub], np.int64),
+        n_windows=n, unary=np.array([ua, ub], np.int64),
         rows=np.array([0, 1], np.int64), bits=bits)
 
 

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from hierlabel.corpus import CSR, CellError, DocTermMatrix, utf8_error
+from hierlabel.corpus import CSR, CellError, DocTermMatrix, utf8_fault
 from hierlabel.errors import (ConfigError, NumericalError, ParseError,
                              ValidationError)
 from hierlabel.labeling import (LabelAssignment, _children_chi2_vec,
@@ -333,14 +333,14 @@ def assignment(method: str, lists: dict, n_nodes: int) -> LabelAssignment:
 
 def label_columns(labels: dict) -> dict:
     """``score_labels``' input of method -> {node id: [term ids in rank
-    order]}: method -> (node ids, indptr, term ids)."""
+    order]}: method -> (indptr, term ids), the labels in the dicts'
+    order."""
     out = {}
     for method, per in labels.items():
         indptr = np.zeros(len(per) + 1, np.int64)
         np.cumsum([len(terms) for terms in per.values()], out=indptr[1:])
-        out[method] = (np.array(list(per), np.int64), indptr,
-                       np.array([t for terms in per.values() for t in terms],
-                                np.int64))
+        out[method] = (indptr, np.array(
+            [t for terms in per.values() for t in terms], np.int64))
     return out
 
 
@@ -733,7 +733,7 @@ def load_matrix(path):
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError:
-        raise utf8_error(path) from None
+        raise utf8_fault(path, splitlines=True)[1] from None
     if not lines:
         raise ParseError(f"{path}:1: missing header line")
     head = lines[0].split()

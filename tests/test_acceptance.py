@@ -159,7 +159,7 @@ def test_c04_retrieval_correctness(tmp_path):
             a = lab.label_hierarchy(stats, "MTWL_raw", lab.LabelConfig(p_cap=2))
             table, _ = qe.evaluate_all(m, h, {"MTWL_raw": a})
             for row in oracles.observation_rows(
-                    table.filter(kind="specific")):
+                    table.take(table.kind == qe.KINDS.index("specific"))):
                 assert row.precision == 1.0
                 assert row.recall == 1.0
                 assert row.f == 1.0
@@ -242,11 +242,11 @@ def test_c07_glm_snk_validation():
             for level in (0, 1, 2):
                 for _ in range(5):
                     rows.append((method, level, float(rng.normal())))
-        table = oracles.observation_table([
-            oracles.ObservationRow(method, i, level, "specific", v, v, v)
-            for i, (method, level, v) in enumerate(rows)])
-        fit = st.fit_additive_model(table, "f")
+        methods = ["A", "B", "C", "D"]
         y = np.array([v for _, _, v in rows])
+        fit = st.fit_additive_model(
+            y, np.array([lv for _, lv, _ in rows]),
+            np.array([methods.index(m) for m, _, _ in rows]), methods)
         for method in ("A", "B", "C", "D"):
             marg = np.mean([v for mm, _, v in rows if mm == method])
             assert fit.effects["method"][method] == \
@@ -268,17 +268,11 @@ def test_c07_glm_snk_validation():
 
         # worked SNK example: means 10 / 9 / 8.2 / 7, n=6, MSE=1, df=20
         unit = np.array([1.5, -1.5, 0.5, -0.5, 0.0, 0.0])
-        toy = []
-        i = 0
-        for level, mean in enumerate((10.0, 9.0, 8.2, 7.0)):
-            for r in range(6):
-                v = mean + unit[r]
-                toy.append(oracles.ObservationRow("A", i, level, "specific",
-                                                  v, v, v))
-                i += 1
-        lfit = st.fit_level_model(oracles.observation_table(toy), "f")
+        means = np.array([10.0, 9.0, 8.2, 7.0])
+        lfit = st.fit_level_model((means[:, None] + unit).ravel(),
+                                  np.repeat(np.arange(4), 6))
         grouping = st.snk_compare(lfit, "level", 0.05)
-        assert [(lv, letters) for lv, _, letters in grouping.entries] == \
+        assert [(lv, letters) for lv, _, letters in grouping] == \
             [(0, "a"), (1, "ab"), (2, "bc"), (3, "c")]
 
 

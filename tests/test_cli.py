@@ -16,6 +16,7 @@ import pytest
 import hierlabel
 from hierlabel import cli
 from hierlabel import coherence as coh
+from hierlabel import corpus as corp
 from hierlabel import labeling as lab
 from hierlabel import queryeval as qe
 
@@ -176,6 +177,59 @@ class TestPipeline:
                 continue
             assert (tmp_path / "oa" / rel).read_bytes() == \
                 (tmp_path / "ob" / rel).read_bytes(), rel
+
+    def test_stats_reports_do_not_depend_on_metrics_row_order(self,
+                                                              tmp_path):
+        cfg = write_fixture(tmp_path / "fx")
+        out = tmp_path / "fx" / "out"
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+
+        def reports():
+            return {p.relative_to(out).as_posix(): p.read_bytes()
+                    for pattern in ("stats_*.csv", "level_means_*.csv",
+                                    "plots/*.dat")
+                    for p in out.glob(pattern)}
+
+        want = reports()
+        path = out / "metrics.csv"
+        head, *body = path.read_bytes().splitlines(keepends=True)
+        order = np.random.default_rng(7).permutation(len(body))
+        path.write_bytes(head + b"".join(body[k] for k in order))
+        assert cli.main(["stats", "--config", str(cfg)]) == 0
+        got = reports()
+        assert sorted(got) == sorted(want)
+        assert [name for name in want if got[name] != want[name]] == []
+
+    def test_coherence_rows_in_ascending_node_id(self, tmp_path):
+        """Node ids neither contiguous nor declared in order: each method's
+        coherence.csv rows run in ascending id, each the OC of that node's
+        label."""
+        cfg = write_fixture(tmp_path / "fx")
+        hier = tmp_path / "fx" / "hier.json"
+        ids = [50, 3, 17, 8, 42, 9, 21]
+        nodes = json.loads(hier.read_text())["nodes"]
+        for node in nodes:
+            node["id"] = ids[node["id"]]
+            node["children"] = [ids[c] for c in node["children"]]
+            if node["parent"] is not None:
+                node["parent"] = ids[node["parent"]]
+        hier.write_text(json.dumps({"nodes": nodes[::-1]}))
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+        out = tmp_path / "fx" / "out"
+        labels = {}
+        with open(out / "labels.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                labels.setdefault((row["method"], int(row["node_id"])),
+                                  []).append(int(row["term_id"]))
+        counts = coh.count_cooccurrence(
+            coh.load_reference_corpus(tmp_path / "fx" / "reference.txt"),
+            corp.load_vocabulary(tmp_path / "fx" / "vocab.tsv"))
+        with open(out / "coherence.csv", newline="") as fh:
+            got = list(csv.reader(fh))[1:]
+        assert got == [
+            [method, str(nid), cli.fmt(oracles.oc_npmi(
+                counts, labels.get((method, nid), []), 10))]
+            for method in lab.METHODS for nid in sorted(ids)]
 
     def test_manifest_checksums(self, tmp_path):
         import hashlib
@@ -537,21 +591,58 @@ class TestExitCodes:
         assert f"{path}:" in err and "2^53" in err, err
         assert not (tmp_path / "fx" / "out" / "labels.csv").exists()
 
-    @pytest.mark.parametrize("name,code", [
-        ("matrix.txt", 3), ("vocab.tsv", 3), ("hier.json", 3),
-        ("reference.txt", 3), ("config.json", 2),
-    ])
-    def test_non_utf8_input(self, tmp_path, capsys, name, code):
+    @pytest.mark.parametrize("name,code,ending", [
+        pytest.param(name, code, ending,
+                     id=f"{name}-{code}" + {"\n": "", "\r": "-cr",
+                                            "\r\n": "-crlf"}[ending])
+        for ending in ("\n", "\r", "\r\n")
+        for name, code in (("matrix.txt", 3), ("vocab.tsv", 3),
+                           ("hier.json", 3), ("reference.txt", 3),
+                           ("config.json", 2))
+    ] + [pytest.param("matrix.txt", 3, "\f", id="matrix.txt-3-ff")])
+    def test_non_utf8_input(self, tmp_path, capsys, name, code, ending):
+        """The line named is the one the file's own parser counts: lines
+        end at "\r" and "\r\n" too, and the matrix's also at "\f"."""
         cfg = write_fixture(tmp_path / "fx")
         path = tmp_path / "fx" / name
         data = path.read_bytes()
-        cut = data.find(b"\n") + 1 or 1      # start of line 2, else line 1
+        if ending == "\n":
+            cut = data.find(b"\n") + 1 or 1      # start of line 2, else line 1
+            line = 2 if b"\n" in data[:cut] else 1
+        elif ending == "\f":
+            # the bad byte after a form feed at the start of line 2
+            cut = data.find(b"\n") + 1
+            data = data[:cut] + b"\f" + data[cut:]
+            cut, line = cut + 1, 3
+        else:
+            if name.endswith(".json"):
+                data = json.dumps(json.loads(data), indent=1).encode()
+            rows = data.decode().splitlines()
+            data = "".join(row + ending for row in rows).encode()
+            cut = len("".join(row + ending for row in rows[:2]).encode())
+            line = 3                              # start of line 3
         path.write_bytes(data[:cut] + b"\xff" + data[cut:])
         assert cli.main(["validate", "--config", str(cfg)]) == code
         err = capsys.readouterr().err
-        line = 2 if b"\n" in data[:cut] else 1
         where = str(path) if code == 2 else f"{path}:{line}:"
         assert where in err and "UTF-8" in err, err
+        if ending == "\f":
+            # a bad field in the same spot names the same line
+            path.write_bytes(data[:cut] + b"x" + data[cut:])
+            assert cli.main(["validate", "--config", str(cfg)]) == code
+            assert f"{path}:{line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["validate", "coherence"])
+    def test_empty_reference_corpus_is_input_error(self, tmp_path, capsys,
+                                                   stage):
+        cfg = write_fixture(tmp_path / "fx")
+        assert cli.main(["label", "--config", str(cfg)]) == 0
+        path = tmp_path / "fx" / "reference.txt"
+        path.write_text(" \n\t\n\n")
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"reference corpus {path} has no documents" in err, err
 
     def test_failed_run_leaves_no_partial_reports(self, tmp_path):
         cfg = write_fixture(tmp_path / "fx")

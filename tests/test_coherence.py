@@ -57,9 +57,13 @@ class TestCounting:
         assert c.unary.tolist() == [3, 3, 2]
         assert (oracles.pairwise(c, 0, 2), oracles.pairwise(c, 1, 2)) == (1, 2)
 
-    def test_empty_corpus_errors(self):
-        with pytest.raises(ValidationError):
-            counts_from([], vocab(2))
+    def test_empty_corpus_errors(self, tmp_path):
+        # the check sits in the loader: a corpus without documents is
+        # rejected before anything is counted
+        path = tmp_path / "reference.txt"
+        path.write_text(" \n\t\n\n")
+        with pytest.raises(ValidationError, match="no documents"):
+            coh.load_reference_corpus(path)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(91)
@@ -264,17 +268,17 @@ class TestOcNpmi:
 class TestSummary:
 
     def test_constant_zeros(self):
-        got = coh.summarize_coherence({"M": {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}})
-        assert got["M"] == (0.0, 0.0)
+        got = coh.summarize_coherence(np.array([0.0, 0.0, 0.0, 0.0]))
+        assert got == (0.0, 0.0)
 
     def test_linear_interpolation(self):
-        got = coh.summarize_coherence({"M": {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}})
-        assert got["M"][0] == pytest.approx(3.25)
-        assert got["M"][1] == 4.0
+        got = coh.summarize_coherence(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert got[0] == pytest.approx(3.25)
+        assert got[1] == 4.0
 
     def test_single_node(self):
-        got = coh.summarize_coherence({"M": {0: 0.7}})
-        assert got["M"] == (pytest.approx(0.7), pytest.approx(0.7))
+        got = coh.summarize_coherence(np.array([0.7]))
+        assert got == (pytest.approx(0.7), pytest.approx(0.7))
 
 
 class TestScoreLabels:
@@ -306,18 +310,18 @@ class TestScoreLabels:
             p_cap = int(rng.integers(1, 9))
             epsilon = float(rng.choice([0.0, 0.05, 1e-6]))
             aggregate = str(rng.choice(["sum", "mean"]))
-            report = coh.score_labels(counts, oracles.label_columns(labels),
-                                      p_cap, epsilon, aggregate)
+            oc = coh.score_labels(counts, oracles.label_columns(labels),
+                                  p_cap, epsilon, aggregate)
+            assert list(oc) == list(labels)
             for method, per in labels.items():
-                assert list(report.per_node[method]) == list(per)
-                for nid, terms in per.items():
-                    expect = oracles.oc_npmi(counts, terms, p_cap, epsilon,
-                                             aggregate)
-                    got = report.per_node[method][nid]
-                    assert type(got) is float
-                    assert got == expect
+                assert oc[method].dtype == np.float64
+                assert oc[method].shape == (len(per),)
+                expect = [oracles.oc_npmi(counts, terms, p_cap, epsilon,
+                                          aggregate) for terms in per.values()]
+                for got, want, terms in zip(oc[method].tolist(), expect,
+                                            per.values()):
+                    assert got == want
                     assert coh.oc_npmi(counts, terms, p_cap, epsilon,
                                        aggregate) == got
-                    assert report.missing[method][nid] == sum(
-                        1 for t in terms[:p_cap] if counts.unary[t] == 0)
-            assert report.summary == coh.summarize_coherence(report.per_node)
+                assert coh.summarize_coherence(oc[method]) == (
+                    float(np.percentile(expect, 75)), max(expect))

@@ -14,12 +14,28 @@ from hierlabel.errors import NumericalError
 import oracles
 
 
-def make_table(rows):
-    """rows: (method, level, value) -> ObservationTable with f carrying value."""
-    return oracles.observation_table([oracles.ObservationRow(
-        method=method, node_id=i, level=level, kind="specific",
-        precision=value, recall=value, f=value)
-        for i, (method, level, value) in enumerate(rows)])
+def values_of(rows) -> np.ndarray:
+    """rows: (method, level, value) -> the values."""
+    return np.array([v for _, _, v in rows])
+
+
+def levels_of(rows) -> np.ndarray:
+    """rows: (method, level, value) -> the levels."""
+    return np.array([lv for _, lv, _ in rows], np.int64)
+
+
+def additive_fit(rows, methods=None):
+    """The additive fit of rows (method, level, value); ``methods``
+    defaults to the rows' methods in order of first row."""
+    methods = methods or list(dict.fromkeys(m for m, _, _ in rows))
+    return st.fit_additive_model(
+        values_of(rows), levels_of(rows),
+        np.array([methods.index(m) for m, _, _ in rows], np.int64), methods)
+
+
+def level_fit(rows):
+    """The level-only fit of rows (method, level, value)."""
+    return st.fit_level_model(values_of(rows), levels_of(rows))
 
 
 class TestAdditiveModel:
@@ -33,9 +49,8 @@ class TestAdditiveModel:
             for level in levels:
                 for _ in range(4):
                     rows.append((method, level, float(rng.normal())))
-        table = make_table(rows)
-        fit = st.fit_additive_model(table, "f")
-        y = table.values("f")
+        fit = additive_fit(rows)
+        y = values_of(rows)
         grand = y.mean()
         for method in methods:
             marginal = np.mean([v for m, l, v in rows if m == method])
@@ -53,7 +68,7 @@ class TestAdditiveModel:
         for mi, method in enumerate(["A", "B"]):
             for level in (0, 1, 2):
                 rows.append((method, level, 1.0 + 0.5 * mi + 0.1 * level))
-        fit = st.fit_additive_model(make_table(rows), "f")
+        fit = additive_fit(rows)
         assert fit.resid_var == pytest.approx(0.0, abs=1e-20)
 
     def test_unbalanced_matches_normal_equations(self):
@@ -65,11 +80,10 @@ class TestAdditiveModel:
             for level in levels:
                 for _ in range(int(rng.integers(1, 5))):
                     rows.append((method, level, float(rng.normal())))
-        table = make_table(rows)
-        fit = st.fit_additive_model(table, "f")
+        fit = additive_fit(rows)
 
         # independent oracle: dummy coding with explicit normal equations
-        y = table.values("f")
+        y = values_of(rows)
         n = len(rows)
         x = np.ones((n, 1 + (len(levels) - 1) + (len(methods) - 1)))
         for i, (method, level, _) in enumerate(rows):
@@ -97,16 +111,15 @@ class TestAdditiveModel:
     def test_missing_level_is_named(self):
         rows = [("A", 0, 1.0), ("A", 1, 2.0), ("B", 0, 1.5), ("B", 1, 2.5)]
         with pytest.raises(NumericalError, match="'C'"):
-            st.fit_additive_model(make_table(rows), "f",
-                                  methods=["A", "B", "C"])
+            additive_fit(rows, ["A", "B", "C"])
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
         rows = [(m, l, float(rng.normal()))
                 for m in "AB" for l in (0, 1) for _ in range(3)]
         shifted = [(m, l, v + 10.0) for m, l, v in rows]
-        f1 = st.fit_additive_model(make_table(rows), "f")
-        f2 = st.fit_additive_model(make_table(shifted), "f")
+        f1 = additive_fit(rows)
+        f2 = additive_fit(shifted)
         assert f2.mu == pytest.approx(f1.mu + 10.0, abs=1e-10)
         assert f2.resid_var == pytest.approx(f1.resid_var, abs=1e-12)
         for name in ("method", "level"):
@@ -148,13 +161,18 @@ class TestColumnsAgainstRows:
             columns = oracles.observation_table(rows)
             table = oracles.ObservationTable(rows)
             for measure in ("precision", "recall", "f"):
+                y = getattr(columns, measure)
                 for pinned in (methods, None):
+                    names = pinned or table.methods()
+                    code = np.array([names.index(m) for m in
+                                     columns.method_names])[columns.method]
                     assert_same_fit(
-                        st.fit_additive_model(columns, measure, pinned),
+                        st.fit_additive_model(y, columns.level, code, names),
                         oracles.fit_additive_model(table, measure, pinned))
                 for m in methods:
+                    mine = columns.method == columns.method_names.index(m)
                     assert_same_fit(
-                        st.fit_level_model(columns.filter(method=m), measure),
+                        st.fit_level_model(y[mine], columns.level[mine]),
                         oracles.fit_level_model(table.filter(method=m),
                                                 measure))
 
@@ -168,21 +186,21 @@ class TestLevelModel:
 
     def test_saturated_fit(self):
         rows = [("A", 0, 0.3), ("A", 1, 0.6), ("A", 2, 0.9)]
-        fit = st.fit_level_model(make_table(rows), "f")
+        fit = level_fit(rows)
         for level, value in ((0, 0.3), (1, 0.6), (2, 0.9)):
             assert fit.adjusted_means["level"][level] == pytest.approx(value)
         assert fit.df_resid == 0
 
     def test_constant_measure_null_effects(self):
         rows = [("A", l, 0.5) for l in (0, 1, 2) for _ in range(3)]
-        fit = st.fit_level_model(make_table(rows), "f")
+        fit = level_fit(rows)
         for level in (0, 1, 2):
             assert fit.effects["level"][level] == pytest.approx(0.0, abs=1e-12)
 
     def test_balanced_group_means(self):
         rng = np.random.default_rng(4)
         rows = [("A", l, float(rng.normal())) for l in (0, 1) for _ in range(5)]
-        fit = st.fit_level_model(make_table(rows), "f")
+        fit = level_fit(rows)
         for level in (0, 1):
             mean = np.mean([v for _, l, v in rows if l == level])
             assert fit.adjusted_means["level"][level] == \
@@ -191,12 +209,7 @@ class TestLevelModel:
     def test_single_level_errors(self):
         rows = [("A", 0, 0.5), ("A", 0, 0.7)]
         with pytest.raises(NumericalError):
-            st.fit_level_model(make_table(rows), "f")
-
-    def test_two_methods_rejected(self):
-        rows = [("A", 0, 0.5), ("B", 1, 0.7)]
-        with pytest.raises(NumericalError):
-            st.fit_level_model(make_table(rows), "f")
+            level_fit(rows)
 
 
 # upper 5% studentized range quantiles from standard published tables
@@ -248,7 +261,7 @@ def snk_toy_fit(group_means, n_rep=6, mse=1.0):
     for level, mean in enumerate(group_means):
         for r in range(n_rep):
             rows.append(("A", level, mean + math.sqrt(mse) * unit[r]))
-    return st.fit_level_model(make_table(rows), "f")
+    return level_fit(rows)
 
 
 class TestSnk:
@@ -256,13 +269,13 @@ class TestSnk:
     def test_all_equal_single_group(self):
         fit = snk_toy_fit([5.0, 5.0, 5.0])
         g = st.snk_compare(fit, "level", 0.05)
-        assert all(letters == "a" for _, _, letters in g.entries)
+        assert all(letters == "a" for _, _, letters in g)
 
     def test_forced_separation(self):
         # two means 100 standard errors apart
         fit = snk_toy_fit([50.0, 0.0])
         g = st.snk_compare(fit, "level", 0.05)
-        assert [letters for _, _, letters in g.entries] == ["a", "b"]
+        assert [letters for _, _, letters in g] == ["a", "b"]
 
     def test_worked_example_letters(self):
         """Four groups, n=6 each, MSE=1, df=20.  Hand-run SNK at the
@@ -279,9 +292,9 @@ class TestSnk:
         assert fit.df_resid == 20
         assert fit.resid_var == pytest.approx(1.0, rel=1e-12)
         g = st.snk_compare(fit, "level", 0.05)
-        means = [m for _, m, _ in g.entries]
+        means = [m for _, m, _ in g]
         assert means == sorted(means, reverse=True)
-        assert [(lv, letters) for lv, _, letters in g.entries] == \
+        assert [(lv, letters) for lv, _, letters in g] == \
             [(0, "a"), (1, "ab"), (2, "bc"), (3, "c")]
 
     def test_letters_contiguous_random(self):
@@ -291,8 +304,8 @@ class TestSnk:
                            reverse=True)
             fit = snk_toy_fit(list(means))
             g = st.snk_compare(fit, "level", 0.05)
-            for letter in set("".join(l for _, _, l in g.entries)):
-                where = [i for i, (_, _, l) in enumerate(g.entries)
+            for letter in set("".join(l for _, _, l in g)):
+                where = [i for i, (_, _, l) in enumerate(g)
                          if letter in l]
                 assert where == list(range(where[0], where[-1] + 1))
 
@@ -301,15 +314,15 @@ class TestSnk:
         fit2 = snk_toy_fit([11.0, 10.0, 9.2, 8.0])
         g1 = st.snk_compare(fit1, "level", 0.05)
         g2 = st.snk_compare(fit2, "level", 0.05)
-        assert [l for _, _, l in g1.entries] == [l for _, _, l in g2.entries]
+        assert [l for _, _, l in g1] == [l for _, _, l in g2]
 
     def test_zero_variance_distinct_letters(self):
         rows = [("A", l, v) for l, v in ((0, 3.0), (1, 2.0), (2, 2.0))
                 for _ in range(2)]
-        fit = st.fit_level_model(make_table(rows), "f")
+        fit = level_fit(rows)
         assert fit.resid_var == pytest.approx(0.0, abs=1e-18)
         g = st.snk_compare(fit, "level", 0.05)
-        by_level = {lv: letters for lv, _, letters in g.entries}
+        by_level = {lv: letters for lv, _, letters in g}
         assert by_level[0] != by_level[1]
         assert by_level[1] == by_level[2]
 
