@@ -154,10 +154,12 @@ def _npmi_pairs(counts: CooccurrenceCounts, a: np.ndarray, b: np.ndarray,
     1 for perfect co-occurrence, and float roundoff clamped."""
     ua, ub = counts.unary[a], counts.unary[b]
     n = counts.n_windows
-    p_ab = joint / n
+    live = (ua > 0) & (ub > 0)
+    # only a live pair is divided: with no reference documents n is 0, and
+    # so is every unary count
+    p_ab = np.divide(joint, n, out=np.zeros(a.size), where=live)
 
     out = np.zeros(a.size)
-    live = (ua > 0) & (ub > 0)
     unseen = live & (joint == 0)
     if epsilon <= 0:
         out[unseen] = -1.0

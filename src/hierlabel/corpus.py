@@ -609,6 +609,12 @@ class NodeTermStats:
     row's pattern, the second adds the children's rows into one dense row
     per table and gathers it into the table's data on the parent's row.
     The sums are of integers, so their order does not matter.
+
+    ``hier_base()`` sums floats, so it keeps the sparse products' order:
+    one more bottom-up pass adds each node's children in ascending index
+    order, depth by depth, and its depth rows d = 1, 2, ... in turn.  It
+    holds the dense depth rows of the nodes waiting for their parent,
+    not a dense row per internal node.
     """
 
     def __init__(self, matrix: DocTermMatrix, hierarchy: Hierarchy):
@@ -715,62 +721,53 @@ class NodeTermStats:
         freq[g], row i holds S[i] = sum_d (C^d U)[i] / d, C the child
         incidence.  The root counts as its own parent.
 
-        Depth by depth, each (C^d U)[i] adds i's children's rows in
-        ascending index order into a dense row, and the dense row S[i] adds
-        each depth's row in turn: the sums of the sparse matrix products,
-        bit for bit (the terms a sparse sum leaves out are +0.0 here).
-        (C^d U)[i] is zero unless i is at least d edges above a leaf.  The
-        record holds S on freq's pattern, 0 on the leaves' rows."""
+        One pass bottom-up gives each internal node i its dense depth rows
+        (C^1 U)[i], (C^2 U)[i], ..., in the order the sparse matrix
+        products add them: depth 1 adds i's children's U rows, depth d > 1
+        their depth d - 1 rows, each in ascending child index order into
+        a zero row; a depth with one such child takes that child's row
+        itself (0.0 + row is the row, so a comb shares one row per depth
+        along its spine).  S[i] adds row_d * (1 / d) for d ascending into
+        a zero row.  The cells a sparse sum leaves out add +0.0 to values
+        >= 0, so every stored value is the sparse sum, bit for bit.  A
+        node's rows are dropped once its parent has read them, so the pass
+        holds the depth rows of the nodes waiting for their parent, never
+        an (internal nodes x terms) array.  The record holds S on freq's
+        pattern, 0 on the leaves' rows."""
         if self._hier_base is None:
             h = self.hierarchy
-            n, m = self.n_nodes, self.n_terms
-            height = np.zeros(n, np.int64)
-            for g in h.preorder[:0:-1]:
-                p = h.parent[g]
-                height[p] = max(height[p], height[g] + 1)
-            internal = np.flatnonzero(self.child_count)
-            kids = {int(i): np.sort(h.children[i]).tolist() for i in internal}
-            acc = np.zeros(m)
-
-            def add_up(parts, idx=None):
-                """The sum of the sparse rows ``parts``, on ``idx``, its
-                nonzero terms, when they are known."""
-                if len(parts) == 1:             # 0.0 + row is the row
-                    return parts[0]
-                for part, vals in parts:
-                    acc[part] += vals
-                if idx is None:
-                    idx = np.flatnonzero(acc)
-                vals = acc[idx]
-                acc[idx] = 0.0
-                return idx, vals
-
-            # i -> (C^d U)[i], d = 1, which is positive exactly on freq's
-            # row i (see below), so its terms are that row's
-            x = {}
-            for i, ks in kids.items():
-                cf = (self.child_support.dense_row(i).astype(np.float64)
-                      / int(self.child_count[i]))
-                x[i] = add_up([(idx, cf[idx] * f.astype(np.float64))
-                               for idx, f in map(self.freq.row, ks)],
-                              self.freq.row(i)[0])
-            total = np.zeros((internal.size, m))
-            for depth in range(1, int(height.max()) + 1):
-                for slot, i in enumerate(kids):
-                    if i in x:
-                        idx, vals = x[i]
-                        total[slot, idx] += vals * (1 / depth)
-                x = {i: add_up([x[c] for c in ks if height[c] >= depth])
-                     for i, ks in kids.items() if height[i] > depth}
-            # S[i] is positive on every term of i's subtree, which reaches
-            # i through a child of positive support, and 0 elsewhere: its
-            # pattern is freq's
+            m = self.n_terms
+            indptr, indices = self.freq.indptr.tolist(), self.freq.indices
             data = np.zeros(self.freq.nnz)
-            for slot, i in enumerate(kids):
-                lo, hi = self.freq.indptr[i], self.freq.indptr[i + 1]
-                data[lo:hi] = total[slot, self.freq.indices[lo:hi]]
+            depth_rows = {}     # i -> [(C^d U)[i] for d = 1, 2, ...]
+            scaled = np.empty(m)
+            for i in h.preorder[::-1].tolist():
+                kids = np.sort(h.children[i]).tolist()
+                if not kids:
+                    continue
+                cf = (self.child_support.dense_row(i).astype(np.float64)
+                      / len(kids))
+                rows = [np.zeros(m)]
+                for idx, f in map(self.freq.row, kids):
+                    rows[0][idx] += cf[idx] * f.astype(np.float64)
+                below = [depth_rows.pop(g) for g in kids if g in depth_rows]
+                for d in range(max(map(len, below), default=0)):
+                    parts = [b[d] for b in below if len(b) > d]
+                    if len(parts) == 1:
+                        rows.append(parts[0])
+                        continue
+                    row = parts[0] + parts[1]   # 0.0 + parts[0] is parts[0]
+                    for part in parts[2:]:
+                        row += part
+                    rows.append(row)
+                total = rows[0].copy()          # 0.0 + row * 1.0 is the row
+                for d, row in enumerate(rows[1:], 2):
+                    total += np.multiply(row, 1 / d, out=scaled)
+                lo, hi = indptr[i], indptr[i + 1]
+                data[lo:hi] = total[indices[lo:hi]]
+                depth_rows[i] = rows
             self._hier_base = CSR(self.freq.indptr, self.freq.indices, data,
-                                  (n, m))
+                                  self.freq.shape)
         return self._hier_base
 
 

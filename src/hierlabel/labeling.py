@@ -244,18 +244,18 @@ _UNLABELED = (np.zeros(0, np.int64), np.zeros(0))
 def _topk_arrays(term_ids, scores, tie_freq, p_cap):
     """(term ids, scores) of the ranked terms: positive scores only,
     sorted by score desc, then ``tie_freq`` desc, then term id asc; cap at
-    p_cap."""
+    p_cap.  The three columns are gathered once, on the kept cells."""
     pos = scores > 0
-    if not pos.any():
+    n_pos = np.count_nonzero(pos)
+    if not n_pos:
         return _UNLABELED
-    t = term_ids[pos]
-    sc = scores[pos]
-    fr = tie_freq[pos]
-    if sc.size > p_cap:
-        # only scores >= the p_cap-th largest can rank; ties at the cut stay
-        cut = np.partition(sc, sc.size - p_cap)[sc.size - p_cap]
-        keep = sc >= cut
-        t, sc, fr = t[keep], sc[keep], fr[keep]
+    if n_pos > p_cap:
+        # only scores >= the p_cap-th largest positive can rank, and that
+        # cut is positive; ties at the cut stay
+        cut = np.partition(scores[pos], n_pos - p_cap)[n_pos - p_cap]
+        pos = scores >= cut
+    keep = np.flatnonzero(pos)
+    t, sc, fr = term_ids[keep], scores[keep], tie_freq[keep]
     order = np.lexsort((t, -fr, -sc))[:p_cap]
     return t[order], sc[order]
 
@@ -510,14 +510,20 @@ def select_popescul_ungar(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssign
     leftover terms ranked by cumulated frequency."""
     h = stats.hierarchy
     ranked = [None] * stats.n_nodes
-    banned = {h.root: np.zeros(stats.n_terms, bool)}
-    for i in h.preorder.tolist():
+
+    def rank_leaf(leaf, ban):
+        idx, f = _row_arrays(stats.freq, leaf)
+        keep = ~ban[idx]
+        ranked[leaf] = _topk_arrays(idx[keep], f[keep], f[keep], cfg.p_cap)
+
+    # a leaf is ranked as soon as its parent's ban is known, so only the
+    # internal nodes' bans wait for the walk
+    no_ban = np.zeros(stats.n_terms, bool)
+    if not stats.child_count[h.root]:
+        rank_leaf(h.root, no_ban)
+    banned = {h.root: no_ban}
+    for i in h.preorder[stats.child_count[h.preorder] > 0].tolist():
         ban = banned.pop(i)
-        if not stats.child_count[i]:
-            idx, f = _row_arrays(stats.freq, i)
-            keep = ~ban[idx]
-            ranked[i] = _topk_arrays(idx[keep], f[keep], f[keep], cfg.p_cap)
-            continue
         c = int(stats.child_count[i])
         freq_ok = _count_children_ge(stats, i, MIN_CHILD_FREQ) == c
         selected = freq_ok & ~ban & _independence_ok(stats, i, cfg)
@@ -525,8 +531,11 @@ def select_popescul_ungar(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssign
         f = stats.freq.dense_row(i)[idx].astype(np.float64)
         ranked[i] = _topk_arrays(idx, f, f, cfg.p_cap)
         child_ban = ban | selected
-        for ch in h.children[i]:
-            banned[int(ch)] = child_ban
+        for ch in h.children[i].tolist():
+            if stats.child_count[ch]:
+                banned[ch] = child_ban
+            else:
+                rank_leaf(ch, child_ban)
     return LabelAssignment.from_ranked("PopesculUngar", ranked)
 
 
@@ -579,22 +588,32 @@ def select_cf_average(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment
     h = stats.hierarchy
     rows = [None] * stats.n_nodes
     ranked = [None] * stats.n_nodes
+
+    def rank(i, idx, score):
+        tie = stats.freq.dense_row(i)[idx].astype(np.float64)
+        ranked[i] = _topk_arrays(idx, score, tie, cfg.p_cap)
+
+    def leaf_row(leaf):
+        """A leaf's CF row, computed and ranked when its parent reads it."""
+        idx, cf = _leaf_cf_row(stats, leaf)
+        rank(leaf, idx, cf)
+        return idx, cf
+
+    if not stats.child_count[h.root]:
+        leaf_row(h.root)
     acc = np.zeros(stats.n_terms)
     for i in h.preorder[::-1].tolist():
         if not stats.child_count[i]:
-            rows[i] = _leaf_cf_row(stats, i)
-        else:
-            # only the parent reads a row, so it is dropped once read
-            for ch in h.children[i].tolist():
-                idx, cf = rows[ch]
-                rows[ch] = None
-                acc[idx] += cf
-            idx = np.flatnonzero(acc)
-            rows[i] = idx, acc[idx] * (1 / int(stats.child_count[i]))
-            acc[idx] = 0.0
-        idx, score = rows[i]
-        tie = stats.freq.dense_row(i)[idx].astype(np.float64)
-        ranked[i] = _topk_arrays(idx, score, tie, cfg.p_cap)
+            continue
+        # only the parent reads a row, so it is dropped once read
+        for ch in h.children[i].tolist():
+            idx, cf = rows[ch] if stats.child_count[ch] else leaf_row(ch)
+            rows[ch] = None
+            acc[idx] += cf
+        idx = np.flatnonzero(acc)
+        rows[i] = idx, acc[idx] * (1 / int(stats.child_count[i]))
+        acc[idx] = 0.0
+        rank(i, *rows[i])
     return LabelAssignment.from_ranked("CFAverage", ranked)
 
 

@@ -264,6 +264,15 @@ class TestOcNpmi:
         got = coh.oc_npmi(self.counts, terms, p)
         assert abs(got) <= p * (p - 1) / 2
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+    def test_empty_reference_scores_zero(self, epsilon):
+        # no documents: every term is unseen, and nothing is divided by
+        # the zero document count (a warning is an error in this suite)
+        counts = coh.count_cooccurrence([], Vocabulary(("a", "b")))
+        assert counts.n_windows == 0
+        assert coh.oc_npmi(counts, [0, 1], 2, epsilon=epsilon) == 0.0
+        assert coh.oc_npmi(counts, [0, 1], 2, aggregate="mean") == 0.0
+
 
 class TestSummary:
 

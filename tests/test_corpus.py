@@ -465,6 +465,60 @@ def comb_instance(tmp_path, spine=30, docs_per_leaf=4, n_terms=300,
     return m, hierarchy_from_records(records, m, tmp_path, "comb.json")
 
 
+def balanced_instance(tmp_path, depth=6, docs_per_leaf=2, n_terms=300,
+                      terms_per_doc=25, seed=6):
+    """A balanced binary tree of the given depth, each node's children
+    listed larger id first; documents hold ``terms_per_doc`` random terms."""
+    rng = np.random.default_rng(seed)
+    n_nodes, first_leaf = 2 ** (depth + 1) - 1, 2 ** depth - 1
+    records = []
+    for i in range(n_nodes):
+        leaf = i >= first_leaf
+        docs = (list(range((i - first_leaf) * docs_per_leaf,
+                           (i - first_leaf + 1) * docs_per_leaf))
+                if leaf else [])
+        records.append({"id": i, "parent": None if i == 0 else (i - 1) // 2,
+                        "children": [] if leaf else [2 * i + 2, 2 * i + 1],
+                        "docs": docs})
+    n_docs = (n_nodes - first_leaf) * docs_per_leaf
+    cells = [(d, int(t), int(rng.integers(1, 5))) for d in range(n_docs)
+             for t in rng.choice(n_terms, terms_per_doc, replace=False)]
+    m = matrix_from_cells(n_docs, n_terms, cells)
+    return m, hierarchy_from_records(records, m, tmp_path, "balanced.json")
+
+
+class TestHierBaseShapes:
+    """The bottom-up Hier base on the shapes that stress its depth rows: a
+    comb, whose spine shares one row per depth, and a balanced tree, which
+    sums several rows at every depth."""
+
+    def test_comb_equals_sparse_power_sum(self, tmp_path):
+        m, h = comb_instance(tmp_path, spine=24)
+        assert h.level.max() == 24
+        stats = corp.build_node_stats(m, h)
+        assert_same_matrix(stats.hier_base(), oracles.hier_base(stats))
+
+    def test_balanced_equals_sparse_power_sum(self, tmp_path):
+        m, h = balanced_instance(tmp_path, depth=6)
+        stats = corp.build_node_stats(m, h)
+        assert_same_matrix(stats.hier_base(), oracles.hier_base(stats))
+
+    def test_peak_below_an_internal_by_terms_array(self, tmp_path):
+        """The pass holds the depth rows of the nodes waiting for their
+        parent, not one dense row per internal node."""
+        m, h = balanced_instance(tmp_path, depth=8, docs_per_leaf=1,
+                                 n_terms=4000, terms_per_doc=10)
+        stats = corp.build_node_stats(m, h)
+        dense_total = int((stats.child_count > 0).sum()) * m.n_terms * 8
+        tracemalloc.start()
+        try:
+            stats.hier_base()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= dense_total / 4, (peak, dense_total)
+
+
 class TestSharedPattern:
     """The node statistics keep one term pattern and build it without
     holding their rows twice."""
