@@ -115,7 +115,8 @@ def count_cooccurrence(corpus, vocab: Vocabulary,
             f"the vocabulary has {m} terms")
     # surface -> bitset row plus one, so that filter(None, ...) drops the
     # tokens that are not counted
-    column = {vocab.surface(t): k for k, t in enumerate(terms.tolist(), 1)}.get
+    column = {vocab.surfaces[t]: k
+              for k, t in enumerate(terms.tolist(), 1)}.get
     words = (len(corpus) + 63) // 64
     bits = np.zeros((terms.size, words), np.uint64)
     # a block of documents at a time, which bounds the token arrays

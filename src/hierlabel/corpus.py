@@ -41,9 +41,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.surfaces)
 
-    def surface(self, term_id: int) -> str:
-        return self.surfaces[term_id]
-
 
 @dataclass(frozen=True)
 class CSR:

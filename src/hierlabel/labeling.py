@@ -148,15 +148,13 @@ def _icf_at(stats, node, idx):
 # the callers derive are exact and never negative, and the guards follow
 # from them without masks.
 
-def _chi2_formula_vec(tp, tn, fn_fp, m1, m2, m3, m4, s, out=None, den=None):
+def _chi2_formula_vec(tp, tn, fn_fp, m1, m2, m3, m4, s):
     """(tp*tn - fn*fp)^2 * s / (m1*m2*m3*m4), with ``fn_fp`` = fn*fp and
     m1..m4 = tp+fn, fp+tn, tp+fp, fn+tn.  The marginals are >= 0, so their
-    product is positive exactly when all four are; the other cells are 0.
-    ``out`` and ``den``, buffers of the result's shape, take the result and
-    the denominator when given; ``out`` may hold ``tn``."""
-    den = np.multiply(m1 * m2, m3, out=den)
+    product is positive exactly when all four are; the other cells are 0."""
+    den = m1 * m2 * m3
     den *= m4
-    v = np.multiply(tp, tn, out=out)
+    v = tp * tn
     v -= fn_fp
     np.square(v, out=v)
     v *= s
@@ -171,18 +169,16 @@ def _log2_or_zero(x):
     return np.log2(np.where(x > 0, x, 1.0))
 
 
-def _jsd_formula_vec(p, log2_p, q, out=None, work=None):
+def _jsd_formula_vec(p, log2_p, q):
     """p*(log2(p) - log2(mid)) + q*(log2(q) - log2(mid)), mid = (p + q)/2,
     for the node share p = tp/(tp+fn) of a node with mass and the reference
     share q = (tp+fp)/(tp+fn+fp+tn).  ``log2_p`` is ``_log2_or_zero(p)``:
     where p = 0 the first term is 0 * (0 - log2(mid)) = +0.0, as mid <= 1.
-    The callers score only terms with tp + fp > 0, so q > 0 throughout.
-    ``out`` and ``work``, buffers of the result's shape, take the result
-    and the second term when given."""
-    log_mid = np.add(p, q, out=out)
+    The callers score only terms with tp + fp > 0, so q > 0 throughout."""
+    log_mid = p + q
     log_mid *= 0.5
     np.log2(log_mid, out=log_mid)
-    second = np.log2(q, out=work)
+    second = np.log2(q)
     second -= log_mid
     second *= q
     first = np.subtract(log2_p, log_mid, out=log_mid)
@@ -326,10 +322,6 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
     raise ConfigError(f"{method!r} is not a ranking method")
 
 
-# HierRCL scores a descendant against its ancestors in blocks of about this
-# many cells, so that the block's temporaries stay in cache
-_BLOCK_CELLS = 1 << 16
-
 # a descendant scored against at least this many ancestor rows is scored
 # once per class of equal (tp, f_pg, support), not once per term
 _CLASS_MIN_ROWS = 3
@@ -352,20 +344,30 @@ def _class_width(stats, g):
 
 
 def _hier_rcl(stats, method, cfg):
-    """acc[i] = sum over proper descendants g of i of
-    sibling_cf(g) * v_i(g) / e(i, g), with v_i(g) the 2x2 statistic of g
-    against its parent's subtree and s the mass of i's parent's subtree.
+    """Ranks on node i's ``freq`` pattern the sum over its proper
+    descendants g of sibling_cf(g) * v_i(g) / e(i, g), with v_i(g) the 2x2
+    statistic of g against its parent's subtree and s the mass of i's
+    parent's subtree.
+
+    g runs in pre-order and adds only to the nodes on its root path, so
+    ``acc`` holds one row per level: row d is the running sum of
+    ``path[d]``, the path's node at level d.  Every cell adds its terms in
+    descendants(i) order, and the sums are the ones the per-node loop over
+    descendants(i) gives, bit for bit.  Entering g at level L finishes the
+    subtrees of the path's nodes at levels >= L; each internal one is
+    ranked with ``freq``'s data as the tie and its pattern's cells are
+    zeroed.  That clears its whole row: g adds onto its parent's pattern,
+    which lies inside every ancestor's, and +0.0 elsewhere.  The nodes
+    still on the path, the root among them, are ranked after the walk.
 
     Each g is read once, on the sparse row of its parent's child support
     (sibling_cf is 0 off it, so the terms left out would add +0.0), and
-    scored against its ancestors in blocks of rows; only s and e differ
-    between the rows.  g runs in pre-order, so every acc[i, t] adds its
-    terms in descendants(i) order, and the sums are the ones the per-node
-    loop over descendants(i) gives, bit for bit.
+    scored against its ancestors, rows 0..L-1, in one pass; only s and e
+    differ between the rows.
 
     Every value is computed at the scope it depends on: per g those of
-    the term alone, per block row those of s alone, per cell the rest.  A
-    g without mass scores +0.0 throughout, which leaves acc as it is, so
+    the term alone, per ancestor row those of s alone, per cell the rest.
+    A g without mass scores +0.0 throughout, which leaves acc as it is, so
     it is skipped.  A g with mass holds a term, so its parent's support
     row is not empty; on it s >= tp + fn + fp and s >= tp + fp > 0, and
     tp + fn + fp + tn is s exactly.
@@ -394,18 +396,26 @@ def _hier_rcl(stats, method, cfg):
     v0 holds two g per level, and cut-offs from 1 to 10 all took 0.24 to
     0.26 s per method there (20 took 0.28 s)."""
     h = stats.hierarchy
-    internal = np.flatnonzero(stats.child_count > 0)
-    acc_row = np.full(stats.n_nodes, -1, np.int64)
-    acc_row[internal] = np.arange(internal.size)
-    acc = np.zeros((internal.size, stats.n_terms))
-    s_of = stats.node_total[h.parent].astype(np.float64)
     path = np.empty(int(h.level.max()) + 1, np.int64)   # root ... g
+    # the deepest level holds leaves only
+    acc = np.zeros((path.size - 1, stats.n_terms))
+    s_of = stats.node_total[h.parent].astype(np.float64)
     chi2 = method == "HierRCL_chi2"
-    # a block holds at most max(_BLOCK_CELLS, n_terms) cells
-    buffers = np.empty((3, max(_BLOCK_CELLS, stats.n_terms)))
-    for g in h.preorder:
+    ranked = [_UNLABELED] * stats.n_nodes
+
+    def rank(levels):
+        for d in levels:
+            i = int(path[d])
+            if stats.child_count[i]:
+                idx, tie = _row_arrays(stats.freq, i)
+                ranked[i] = _topk_arrays(idx, acc[d, idx], tie, cfg.p_cap)
+                acc[d, idx] = 0.0
+
+    top = 0         # the path holds levels 0 .. top - 1
+    for g in h.preorder.tolist():
         lvl = int(h.level[g])
-        path[lvl] = g
+        rank(range(lvl, top))
+        path[lvl], top = g, lvl + 1
         m1 = float(stats.node_total[g])    # tp + fn on every term
         if lvl == 0 or m1 == 0:
             continue
@@ -415,8 +425,8 @@ def _hier_rcl(stats, method, cfg):
         idx = idx.astype(np.int64)
         tp = stats.freq.dense_row(g)[idx]
         f_pg = stats.freq.row(pg)[1]
-        # where g is scored by class, acc[i, t] adds value ``take[t]`` of
-        # row i; the terms off the pattern take class tp.size, +0.0
+        # where g is scored by class, acc[d, t] adds value ``take[t]`` of
+        # row d; the terms off the pattern take class tp.size, +0.0
         take = None
         width = _class_width(stats, g)
         if width:
@@ -433,43 +443,25 @@ def _hier_rcl(stats, method, cfg):
         if cfg.rcl_fp == "literal":
             fp = np.maximum(fp - tp, 0.0)
         m3 = tp + fp
+        s = s_of[path[:lvl]][:, None]
         if chi2:
-            t3 = tp + fn + fp
-            fn_fp = fn * fp
+            v = _chi2_formula_vec(tp, s - (tp + fn + fp), fn * fp, m1, s - m1,
+                                  m3, s - m3, s)
         else:
             p = tp / m1
-            log2_p = _log2_or_zero(p)
-        step = max(1, _BLOCK_CELLS // tp.size)    # ancestors per block
-        for a in range(0, lvl, step):
-            anc = path[a:min(a + step, lvl)]
-            b1, b2, b3 = (b[:anc.size * tp.size].reshape(anc.size, tp.size)
-                          for b in buffers)
-            s = s_of[anc][:, None]
-            if chi2:
-                v = _chi2_formula_vec(tp, np.subtract(s, t3, out=b1), fn_fp,
-                                      m1, s - m1, m3,
-                                      np.subtract(s, m3, out=b2), s,
-                                      out=b1, den=b3)
-            else:
-                v = _jsd_formula_vec(p, log2_p, np.divide(m3, s, out=b1),
-                                     out=b2, work=b3)
-            v *= cf
-            v /= (lvl - np.arange(a, a + anc.size, dtype=np.float64))[:, None]
-            # one row at a time: 1-D fancy indexing is about twice as fast
-            # as np.ix_ here
-            if take is None:
-                for r, add in zip(acc_row[anc], v):
-                    acc[r][idx] += add
-            else:
-                v = np.concatenate((v, np.zeros((anc.size, 1))), axis=1)
-                for r, add in zip(acc_row[anc], v):
-                    acc[r] += add[take]
-
-    all_terms = np.arange(stats.n_terms, dtype=np.int64)
-    ranked = [_UNLABELED] * stats.n_nodes
-    for i in internal.tolist():
-        tie = stats.freq.dense_row(i).astype(np.float64)
-        ranked[i] = _topk_arrays(all_terms, acc[acc_row[i]], tie, cfg.p_cap)
+            v = _jsd_formula_vec(p, _log2_or_zero(p), m3 / s)
+        v *= cf
+        v /= (lvl - np.arange(lvl, dtype=np.float64))[:, None]
+        # one row at a time, rows 0 .. lvl - 1: 2-D fancy indexing took
+        # HierRCL_chi2 on wide-staged v0 from 0.045 to 0.055 s
+        if take is None:
+            for row, add in zip(acc, v):
+                row[idx] += add
+        else:
+            v = np.concatenate((v, np.zeros((lvl, 1))), axis=1)
+            for row, add in zip(acc, v):
+                row += add[take]
+    rank(range(top))
     return LabelAssignment.from_ranked(method, ranked)
 
 
@@ -546,7 +538,15 @@ def select_rlum(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
     child frequency reaches ``big_threshold``.  Empty-label pruning stays
     disabled so the tree shape is preserved."""
     h = stats.hierarchy
-    cand = [None] * stats.n_nodes
+    ranked = [None] * stats.n_nodes
+
+    def rank(i, row):
+        idx = np.flatnonzero(row)
+        f = stats.freq.dense_row(i)[idx].astype(np.float64)
+        ranked[i] = _topk_arrays(idx, f, f, cfg.p_cap)
+
+    # a node's row waits only for its parent's pruning, then is ranked
+    cand = {}
     for i in h.preorder[::-1].tolist():
         if not stats.child_count[i]:
             row = np.zeros(stats.n_terms, bool)
@@ -558,15 +558,13 @@ def select_rlum(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
         all_present = stats.child_support.dense_row(i) == c
         trusted = _count_children_ge(stats, i, cfg.big_threshold) >= 1
         promoted = all_present & trusted & _independence_ok(stats, i, cfg)
-        cand[i] = promoted
         keep = ~promoted
-        for ch in h.children[i]:
-            cand[int(ch)] &= keep
-    ranked = []
-    for i in range(stats.n_nodes):
-        idx = np.flatnonzero(cand[i])
-        f = stats.freq.dense_row(i)[idx].astype(np.float64)
-        ranked.append(_topk_arrays(idx, f, f, cfg.p_cap))
+        for ch in h.children[i].tolist():
+            row = cand.pop(ch)
+            row &= keep
+            rank(ch, row)
+        cand[i] = promoted
+    rank(h.root, cand.pop(h.root))
     return LabelAssignment.from_ranked("RLUM", ranked)
 
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: the worked 3-child contingency example and a random
-(matrix, hierarchy) instance generator used by the property suites."""
+"""Shared fixtures: the worked 3-child contingency example, random
+(matrix, hierarchy) instance generators used by the property suites and a
+balanced binary tree for the memory bounds."""
 
 import json
 
@@ -109,6 +110,28 @@ def random_instance(rng, tmp_path, max_docs=50, max_terms=60, max_nodes=15,
     records = random_tree_records(rng, n_docs, max_nodes)
     hierarchy = hierarchy_from_records(records, matrix, tmp_path, name)
     return matrix, hierarchy
+
+
+def balanced_instance(tmp_path, depth=6, docs_per_leaf=2, n_terms=300,
+                      terms_per_doc=25, seed=6):
+    """A balanced binary tree of the given depth, each node's children
+    listed larger id first; documents hold ``terms_per_doc`` random terms."""
+    rng = np.random.default_rng(seed)
+    n_nodes, first_leaf = 2 ** (depth + 1) - 1, 2 ** depth - 1
+    records = []
+    for i in range(n_nodes):
+        leaf = i >= first_leaf
+        docs = (list(range((i - first_leaf) * docs_per_leaf,
+                           (i - first_leaf + 1) * docs_per_leaf))
+                if leaf else [])
+        records.append({"id": i, "parent": None if i == 0 else (i - 1) // 2,
+                        "children": [] if leaf else [2 * i + 2, 2 * i + 1],
+                        "docs": docs})
+    n_docs = (n_nodes - first_leaf) * docs_per_leaf
+    cells = [(d, int(t), int(rng.integers(1, 5))) for d in range(n_docs)
+             for t in rng.choice(n_terms, terms_per_doc, replace=False)]
+    m = matrix_from_cells(n_docs, n_terms, cells)
+    return m, hierarchy_from_records(records, m, tmp_path, "balanced.json")
 
 
 def disjoint_vocab_instance(rng, tmp_path, n_docs=24, max_nodes=13,

@@ -875,7 +875,7 @@ def cooccurrence(corpus, vocab, restrict_terms=None):
     m = len(vocab)
     terms = (np.arange(m, dtype=np.int64) if restrict_terms is None
              else np.unique(np.asarray(list(restrict_terms), np.int64)))
-    column = {vocab.surface(t): k for k, t in enumerate(terms.tolist())}
+    column = {vocab.surfaces[t]: k for k, t in enumerate(terms.tolist())}
     rows, cols = [], []
     for d, doc in enumerate(corpus):
         for tok in doc.split():

@@ -9,9 +9,9 @@ from hierlabel import corpus as corp
 from hierlabel.errors import ParseError, ValidationError
 
 import oracles
-from conftest import (hierarchy_from_records, matrix_from_cells,
-                      random_instance, random_matrix, random_tree_records,
-                      shuffled_instances)
+from conftest import (balanced_instance, hierarchy_from_records,
+                      matrix_from_cells, random_instance, random_matrix,
+                      random_tree_records, shuffled_instances)
 
 
 class TestLoadMatrix:
@@ -463,28 +463,6 @@ def comb_instance(tmp_path, spine=30, docs_per_leaf=4, n_terms=300,
              for t in rng.choice(n_terms, terms_per_doc, replace=False)]
     m = matrix_from_cells(docs, n_terms, cells)
     return m, hierarchy_from_records(records, m, tmp_path, "comb.json")
-
-
-def balanced_instance(tmp_path, depth=6, docs_per_leaf=2, n_terms=300,
-                      terms_per_doc=25, seed=6):
-    """A balanced binary tree of the given depth, each node's children
-    listed larger id first; documents hold ``terms_per_doc`` random terms."""
-    rng = np.random.default_rng(seed)
-    n_nodes, first_leaf = 2 ** (depth + 1) - 1, 2 ** depth - 1
-    records = []
-    for i in range(n_nodes):
-        leaf = i >= first_leaf
-        docs = (list(range((i - first_leaf) * docs_per_leaf,
-                           (i - first_leaf + 1) * docs_per_leaf))
-                if leaf else [])
-        records.append({"id": i, "parent": None if i == 0 else (i - 1) // 2,
-                        "children": [] if leaf else [2 * i + 2, 2 * i + 1],
-                        "docs": docs})
-    n_docs = (n_nodes - first_leaf) * docs_per_leaf
-    cells = [(d, int(t), int(rng.integers(1, 5))) for d in range(n_docs)
-             for t in rng.choice(n_terms, terms_per_doc, replace=False)]
-    m = matrix_from_cells(n_docs, n_terms, cells)
-    return m, hierarchy_from_records(records, m, tmp_path, "balanced.json")
 
 
 class TestHierBaseShapes:

@@ -2,7 +2,9 @@
 contingency statistics against textbook formulas, and structural-method
 invariants on random instances."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ from hierlabel import corpus as corp
 from hierlabel import labeling as lab
 
 import oracles
-from conftest import (hierarchy_from_records, matrix_from_cells,
-                      random_instance, random_matrix, random_tree_records,
-                      shuffled_instances)
+from conftest import (balanced_instance, hierarchy_from_records,
+                      matrix_from_cells, random_instance, random_matrix,
+                      random_tree_records, shuffled_instances)
 
 
 def build(tmp_path, cells, records, n_docs, n_terms):
@@ -534,28 +536,56 @@ def edge_instance(rng, n_terms=5, base=0):
     return matrix_from_cells(7, n_terms, cells), records
 
 
+def two_comb_instance(rng, n_terms=8):
+    """Two combs of depth 4 under the root, nodes 1-4 and 5-8, the first
+    on terms below n_terms / 2 and the second on the rest: the pre-order
+    leaves the first comb for the second, which reuses its level rows on
+    a disjoint term block.  One document per leaf, counts 1 to 6."""
+    records = [{"id": 0, "parent": None, "children": [1, 5], "docs": []}]
+    leaves, cells = [], []
+    for first, block in ((1, np.arange(n_terms // 2)),
+                         (5, np.arange(n_terms // 2, n_terms))):
+        for sid in range(first, first + 4):
+            kids = [] if sid == first + 3 else [sid + 1]
+            for _ in range(len(kids), 2):
+                doc = len(leaves)
+                kids.insert(0, 9 + doc)
+                leaves.append({"id": 9 + doc, "parent": sid, "children": [],
+                               "docs": [doc]})
+                cells += [(doc, int(t), int(rng.integers(1, 7)))
+                          for t in rng.choice(block, int(rng.integers(
+                              1, block.size + 1)), replace=False)]
+            records.append({"id": sid,
+                            "parent": 0 if sid == first else sid - 1,
+                            "children": kids, "docs": []})
+    return matrix_from_cells(len(leaves), n_terms, cells), records + leaves
+
+
 class TestHierRclAgainstOracle:
 
     @pytest.mark.parametrize("rcl_fp", ["corrected", "literal"])
     def test_property_against_oracle(self, tmp_path, rcl_fp):
-        # unary nodes, children declared out of id order and the edge
-        # instances, the last with counts near 2^31; every positive score
-        # is ranked and compared exactly, and so are RCL's and the
-        # per-child 2x2 statistics
+        # unary nodes, children declared out of id order, the edge
+        # instances, the last with counts near 2^31, and two combs on
+        # disjoint terms; every positive score is ranked and compared
+        # exactly, and so are RCL's and the per-child 2x2 statistics
         rng = np.random.default_rng(61)
         seen = dict.fromkeys(("unary", "shuffled", "no_mass", "m2_zero",
                               "m4_zero", "per_term", "classes",
-                              "key_overflow"), 0)
-        for trial in range(18):
+                              "key_overflow", "disjoint_reuse"), 0)
+        for trial in range(19):
             if trial < 14:
                 n_docs = int(rng.integers(4, 40))
                 n_terms = int(rng.integers(3, 25))
                 m = random_matrix(rng, n_docs, n_terms)
                 records = random_tree_records(rng, n_docs,
                                               int(rng.integers(4, 24)))
-            else:
+            elif trial < 18:
                 m, records = edge_instance(
                     rng, base=2 ** 31 if trial == 17 else 0)
+                n_terms = m.n_terms
+            else:
+                m, records = two_comb_instance(rng)
                 n_terms = m.n_terms
             for r in records:
                 seen["unary"] += len(r["children"]) == 1
@@ -589,13 +619,29 @@ class TestHierRclAgainstOracle:
                     seen["per_term"] += 1
                 else:
                     seen["key_overflow"] += 1
-            cfg = lab.LabelConfig(p_cap=n_terms, rcl_fp=rcl_fp)
-            for method in lab.HIER_RCL_SCHEMES:
+            # _hier_rcl keeps one accumulator row per level of the root
+            # path: an internal node entered where the pre-order left a
+            # subtree two levels deep or more on terms disjoint from its own
+            # reuses rows that a stale cell would show in
+            on_path = {}
+            for gi in h.preorder.tolist():
+                prev = on_path.get(int(h.level[gi]))
+                seen["disjoint_reuse"] += bool(
+                    prev is not None and stats.child_count[gi]
+                    and stats.child_count[h.children[prev]].any()
+                    and not np.intersect1d(stats.freq.row(prev)[0],
+                                           stats.freq.row(gi)[0]).size)
+                on_path[int(h.level[gi])] = gi
+            # p_cap 1 as well: cells left out of a label stay in the row
+            for p_cap, method in itertools.product(
+                    (1, n_terms), lab.HIER_RCL_SCHEMES):
+                cut = lab.LabelConfig(p_cap=p_cap, rcl_fp=rcl_fp)
                 got = oracles.label_lists(
-                    lab.label_hierarchy(stats, method, cfg))
+                    lab.label_hierarchy(stats, method, cut))
                 want = oracles.label_lists(
-                    oracles.hier_rcl(stats, method, cfg))
-                assert got == want, (trial, method)
+                    oracles.hier_rcl(stats, method, cut))
+                assert got == want, (trial, method, p_cap)
+            cfg = lab.LabelConfig(p_cap=n_terms, rcl_fp=rcl_fp)
             for method in lab.RCL_SCHEMES:
                 got = oracles.label_lists(
                     lab.label_hierarchy(stats, method, cfg))
@@ -606,6 +652,34 @@ class TestHierRclAgainstOracle:
                 want = oracles.children_max_2x2(stats, int(i))
                 assert np.array_equal(got, want), (trial, i)
         assert all(seen.values()), seen
+
+
+class TestLabelingPeak:
+    """HierRCL keeps one accumulator row per level of the root path and
+    RLUM a node's candidate row only until its parent has pruned it, so on
+    a deep binary tree neither holds a row per node."""
+
+    @pytest.mark.parametrize("method", ["HierRCL_chi2", "HierRCL_jsd",
+                                        "RLUM"])
+    def test_peak_below_an_internal_by_terms_array(self, tmp_path, method):
+        m, h = balanced_instance(tmp_path, depth=8, docs_per_leaf=1,
+                                 n_terms=4000, terms_per_doc=10)
+        stats = corp.build_node_stats(m, h)
+        cfg = lab.LabelConfig()
+        if method == "RLUM":
+            # the independence verdicts, which the statistics keep, are
+            # filled by a first call; the bound is on one bool per cell
+            lab.label_hierarchy(stats, method, cfg)
+            bound = h.n_nodes * m.n_terms / 4
+        else:
+            bound = int((stats.child_count > 0).sum()) * m.n_terms * 8 / 4
+        tracemalloc.start()
+        try:
+            lab.label_hierarchy(stats, method, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 class TestFrequencyMethodsAgainstOracle:
