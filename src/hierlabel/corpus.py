@@ -81,6 +81,15 @@ class CSR:
         return out
 
 
+def set_bits(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Set bit cols[k] of row rows[k] of ``bits``, for every k, from int64
+    arrays.  ``bits`` is a C-contiguous (rows, words) uint64 array of
+    document sets, bit d of a row in bit d % 64 of word d // 64; a repeated
+    (row, col) sets its bit again."""
+    np.bitwise_or.at(bits.reshape(-1), rows * bits.shape[1] + (cols >> 6),
+                     np.uint64(1) << (cols & 63).astype(np.uint64))
+
+
 class CellError(ValidationError):
     """A matrix cell that breaks an invariant; ``row`` is its position
     among the cells as given."""
@@ -103,7 +112,6 @@ class DocTermMatrix:
         self.n_docs = n_docs
         self.n_terms = n_terms
         self.csr = csr
-        self._presence_csc = None
 
     @classmethod
     def from_cells(cls, n_docs, n_terms, docs, terms, counts) -> "DocTermMatrix":
@@ -136,19 +144,6 @@ class DocTermMatrix:
                                     order[1:][repeat].min())
         return cls(n_docs, n_terms,
                    CSR.from_sorted(docs, terms, counts, (n_docs, n_terms)))
-
-    @property
-    def presence_csc(self) -> CSR:
-        """Presence by term (the transpose's rows), for per-term document
-        lists: a stable sort by term keeps each term's documents
-        ascending."""
-        if self._presence_csc is None:
-            c = self.csr
-            order = np.argsort(c.indices, kind="stable")
-            self._presence_csc = CSR.from_sorted(
-                c.indices[order], c.row_ids()[order], np.ones(c.nnz, np.int64),
-                (self.n_terms, self.n_docs))
-        return self._presence_csc
 
     def term_doc_freq(self) -> np.ndarray:
         """Document frequency of every term (dense, int64)."""

@@ -187,47 +187,51 @@ def _jsd_formula_vec(p, log2_p, q):
     return first
 
 
-def _children_chi2_vec(stats, node):
-    """Per-term full-table Pearson statistic over the node's children."""
+def _children_on_pattern(stats, node):
+    """The node's ``freq`` pattern, its row there (float64) and its total,
+    and each child with mass as (total, ``freq`` row gathered onto the
+    pattern).  A child's terms are among its parent's, so both statistics
+    below are 0 off the pattern, and a child without mass adds 0 to each."""
+    idx, f = stats.freq.row(node)
     kids = stats.hierarchy.children[node]
-    m = stats.n_terms
-    f_node = stats.freq.dense_row(node).astype(np.float64)
-    s = float(stats.node_total[node])
-    out = np.zeros(m)
-    if s <= 0:
-        return out
-    for ch in kids:
-        ch = int(ch)
-        t_j = float(stats.node_total[ch])
-        if t_j == 0:
-            continue
-        o1 = stats.freq.dense_row(ch).astype(np.float64)
+    rows = []
+    for ch in kids[stats.node_total[kids] > 0].tolist():
+        c_idx, c_f = stats.freq.row(ch)
+        row = np.zeros(idx.size)
+        row[np.searchsorted(idx, c_idx)] = c_f
+        rows.append((float(stats.node_total[ch]), row))
+    return idx, f.astype(np.float64), float(stats.node_total[node]), rows
+
+
+def _children_chi2_vec(stats, node):
+    """Full-table Pearson statistic over the node's children, as (term
+    ids, values) on the node's pattern."""
+    idx, f_node, s, kids = _children_on_pattern(stats, node)
+    out = np.zeros(idx.size)
+    for t_j, o1 in kids:
+        # t_j > 0 gives s > 0, and the node's terms have f_node > 0, so
+        # e1 > 0 throughout
         e1 = t_j * f_node / s
-        nz = e1 > 0
-        out[nz] += (o1[nz] - e1[nz]) ** 2 / e1[nz]
+        out += (o1 - e1) ** 2 / e1
         e2 = t_j * (s - f_node) / s
         nz = e2 > 0
         out[nz] += ((t_j - o1[nz]) - e2[nz]) ** 2 / e2[nz]
-    return out
+    return idx, out
 
 
 def _children_max_2x2_vec(stats, node):
-    """Literal reading: the worst per-child 2x2 statistic for each term."""
-    kids = stats.hierarchy.children[node]
-    f_node = stats.freq.dense_row(node).astype(np.float64)   # tp + fp
-    s = float(stats.node_total[node])
+    """Literal reading: the worst per-child 2x2 statistic, as (term ids,
+    values) on the node's pattern."""
+    idx, f_node, s, kids = _children_on_pattern(stats, node)   # tp + fp
     m4 = s - f_node                                     # fn + tn
-    best = np.zeros(stats.n_terms)
-    for ch in kids:
-        ch = int(ch)
-        tp = stats.freq.dense_row(ch).astype(np.float64)
-        m1 = float(stats.node_total[ch])
+    best = np.zeros(idx.size)
+    for m1, tp in kids:
         fn = m1 - tp
         fp = f_node - tp
         tn = s - (tp + fn + fp)
         v = _chi2_formula_vec(tp, tn, fn * fp, m1, s - m1, f_node, m4, s)
         np.maximum(best, v, out=best)
-    return best
+    return idx, best
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +477,12 @@ def _independence_ok(stats, node, cfg):
     ok = stats.independence.get(key)
     if ok is None:
         c = int(stats.child_count[node])
-        if c <= 1:
-            ok = np.ones(stats.n_terms, bool)
-        else:
-            stat = (_children_chi2_vec if cfg.chi2_shape == "full_table"
-                    else _children_max_2x2_vec)(stats, node)
-            ok = stat <= _chi2_critical(cfg.alpha, c - 1)
+        # off the node's pattern the statistic is 0, so the test passes
+        ok = np.ones(stats.n_terms, bool)
+        if c > 1:
+            idx, stat = (_children_chi2_vec if cfg.chi2_shape == "full_table"
+                         else _children_max_2x2_vec)(stats, node)
+            ok[idx] = stat <= _chi2_critical(cfg.alpha, c - 1)
         ok.flags.writeable = False
         stats.independence[key] = ok
     return ok

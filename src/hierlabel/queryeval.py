@@ -11,12 +11,13 @@ ANDs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .corpus import DocTermMatrix, Hierarchy
+from .corpus import DocTermMatrix, Hierarchy, set_bits
 from .errors import ValidationError
 from .labeling import LabelAssignment
 
@@ -38,13 +39,7 @@ def prefix_strings(specific: dict, generic: dict) -> tuple:
     joins their strings into ``(AND ...)``.  The strings are made as they
     are read: on a deep tree one method's generic strings can take tens
     of MB."""
-    cache = {}
-
-    def one(terms):
-        text = cache.get(terms)
-        if text is None:
-            text = cache[terms] = query_to_prefix(terms)
-        return text
+    one = functools.cache(query_to_prefix)
 
     def conjunction(conjuncts):
         if conjuncts is not None and len(conjuncts) > 1:
@@ -82,17 +77,13 @@ def derive_specific_queries(hierarchy: Hierarchy,
                              if down[c] is not None) or None
 
     out = [None] * n
-    nearest = {hierarchy.root: None}   # nearest labeled ancestor's own query
+    nearest = [None] * n               # nearest labeled ancestor's own query
     for i in hierarchy.preorder.tolist():
-        inherited = nearest.pop(i)
-        if own[i] is not None:
-            out[i] = own[i]
-        elif inherited is not None:
-            out[i] = inherited
-        else:
-            out[i] = down[i]
-        for c in hierarchy.children[i]:
-            nearest[int(c)] = own[i] if own[i] is not None else inherited
+        # the tuples are never empty, so ``or`` passes over None only
+        labeled = own[i] or nearest[i]
+        out[i] = labeled or down[i]
+        for c in hierarchy.children[i].tolist():
+            nearest[c] = labeled
     return dict(enumerate(out))
 
 
@@ -113,21 +104,32 @@ def derive_generic_queries(hierarchy: Hierarchy, specific: dict) -> dict:
     return dict(enumerate(out))
 
 
-def _or_mask(matrix: DocTermMatrix, terms) -> np.ndarray:
-    """The documents holding any of ``terms``, as a bool mask."""
-    ids = np.asarray(terms, np.int64)
-    bad = ids[(ids < 0) | (ids >= matrix.n_terms)]
+def _or_rows(matrix: DocTermMatrix, queries: list) -> np.ndarray:
+    """The documents that each specific query of ``queries`` (term-id
+    tuples) retrieves, one packed row each in ``set_bits``'s form, then one
+    empty row."""
+    flat = np.fromiter(chain.from_iterable(queries), np.int64)
+    bad = flat[(flat < 0) | (flat >= matrix.n_terms)]
     if bad.size:
         raise ValidationError(f"query term {bad[0]} out of range")
-    # the terms' document lists, concatenated by index arithmetic
-    # (measured faster than a slice per term)
-    csc = matrix.presence_csc
-    start = csc.indptr[ids]
-    size = csc.indptr[ids + 1] - start
-    at = np.arange(size.sum()) + np.repeat(start - size.cumsum() + size, size)
-    mask = np.zeros(matrix.n_docs, bool)
-    mask[csc.indices[at]] = True
-    return mask
+    # the query terms' document rows, from the matrix cells that hold them
+    terms, flat = np.unique(flat, return_inverse=True)
+    held = np.isin(matrix.csr.indices, terms)
+    words = -(-matrix.n_docs // 64)
+    term_bits = np.zeros((terms.size, words), np.uint64)
+    set_bits(term_bits, np.searchsorted(terms, matrix.csr.indices[held]),
+             matrix.csr.row_ids()[held])
+    # each query ORs in its terms' rows; the tuples' terms are taken about
+    # 2^16 words of rows at a time, so a query may take several blocks
+    out = np.zeros((len(queries) + 1, words), np.uint64)
+    owner = np.repeat(np.arange(len(queries)), list(map(len, queries)))
+    step = max(1, (1 << 16) // max(1, words))
+    for lo in range(0, flat.size, step):
+        block = owner[lo:lo + step]
+        first = np.flatnonzero(np.diff(block, prepend=-1))
+        out[block[first]] |= np.bitwise_or.reduceat(
+            term_bits[flat[lo:lo + step]], first, axis=0)
+    return out
 
 
 def _metrics_from_counts(tp, n_retrieved, n_group) -> tuple:
@@ -170,27 +172,22 @@ class ObservationTable:
             for c in ("method", "node_id", "level", "kind", *MEASURES)))
 
 
-def _query_masks(matrix: DocTermMatrix, hierarchy: Hierarchy,
-                 specific: dict):
-    """Retrieved-document masks, one row per node, for the specific queries
-    and for the generic ones.  Each distinct specific tuple is evaluated
-    once; a generic mask is the parent's generic mask AND the node's own."""
-    spec = np.zeros((hierarchy.n_nodes, matrix.n_docs), bool)
-    first = {}                         # term tuple -> first node
-    for i, terms in specific.items():
-        if terms is None:
-            continue
-        j = first.setdefault(terms, i)
-        spec[i] = _or_mask(matrix, terms) if j == i else spec[j]
-    gen = np.empty_like(spec)
-    for i in hierarchy.preorder.tolist():
-        if i == hierarchy.root:
-            gen[i] = spec[i]
-        elif specific[i] is None:
-            gen[i] = gen[hierarchy.parent[i]]
-        else:
-            np.logical_and(gen[hierarchy.parent[i]], spec[i], out=gen[i])
-    return spec, gen
+def _query_rows(hierarchy: Hierarchy, retrieved: np.ndarray,
+                key: np.ndarray) -> np.ndarray:
+    """The retrieved rows of every node and kind, (nodes, ``KINDS``,
+    words): node i's specific query is row ``key[i]`` of ``retrieved``
+    (-1: the last row, empty, for no query).  A generic row is the
+    parent's generic row AND the node's own, one tree level at a time; a
+    node without a query passes its parent's row through."""
+    rows = np.repeat(retrieved[key][:, None], len(KINDS), axis=1)
+    levels = np.split(np.argsort(hierarchy.level, kind="stable"),
+                      np.cumsum(np.bincount(hierarchy.level))[:-1])
+    for nodes in levels[1:]:
+        up = rows[hierarchy.parent[nodes], 1]
+        has = key[nodes] >= 0
+        up[has] &= rows[nodes[has], 0]
+        rows[nodes, 1] = up
+    return rows
 
 
 def evaluate_all(matrix: DocTermMatrix, hierarchy: Hierarchy,
@@ -198,30 +195,29 @@ def evaluate_all(matrix: DocTermMatrix, hierarchy: Hierarchy,
     """Metrics for every (method, node, kind), in the order of
     ``assignments``, node index and ``KINDS``; also returns the derived
     queries as {method: {"specific": {...}, "generic": {...}}}, the maps
-    of ``derive_specific_queries`` and ``derive_generic_queries``."""
+    of ``derive_specific_queries`` and ``derive_generic_queries``.  Each
+    distinct specific tuple of the run is evaluated once."""
     n = hierarchy.n_nodes
     n_group = np.fromiter(map(len, hierarchy.docsets), np.int64, n)
-    # every docset's documents as flat indices into a node x document mask
-    member = (np.repeat(np.arange(n) * matrix.n_docs, n_group)
-              + np.concatenate(hierarchy.docsets))
-    bounds = np.concatenate([[0], np.cumsum(n_group)])
-
-    def tp(mask):
-        """Each node's retrieved documents that its docset holds."""
-        hits = np.concatenate([[0], np.cumsum(mask.ravel()[member])])
-        return hits[bounds[1:]] - hits[bounds[:-1]]
-
-    queries = {}
-    measures = []
-    for method, labels in assignments.items():
-        specific = derive_specific_queries(hierarchy, labels)
-        generic = derive_generic_queries(hierarchy, specific)
-        masks = _query_masks(matrix, hierarchy, specific)
-        measures.append(_metrics_from_counts(
-            np.stack([tp(m) for m in masks], axis=1),
-            np.stack([np.count_nonzero(m, axis=1) for m in masks], axis=1),
-            n_group[:, None]))
-        queries[method] = {"specific": specific, "generic": generic}
+    docset = np.zeros((n, -(-matrix.n_docs // 64)), np.uint64)
+    set_bits(docset, np.repeat(np.arange(n), n_group),
+             np.concatenate(hierarchy.docsets))
+    specific = {method: derive_specific_queries(hierarchy, labels)
+                for method, labels in assignments.items()}
+    # each distinct tuple of the run -> its row of ``retrieved``
+    row_of = {terms: k for k, terms in enumerate(dict.fromkeys(
+        t for spec in specific.values() for t in spec.values()
+        if t is not None))}
+    retrieved = _or_rows(matrix, list(row_of))
+    queries, measures = {}, []
+    for method, spec in specific.items():
+        rows = _query_rows(hierarchy, retrieved, np.fromiter(
+            (row_of.get(t, -1) for t in spec.values()), np.int64, n))
+        tp, got = (np.bitwise_count(r).sum(axis=2, dtype=np.int64)
+                   for r in (rows & docset[:, None], rows))
+        measures.append(_metrics_from_counts(tp, got, n_group[:, None]))
+        queries[method] = {"specific": spec,
+                           "generic": derive_generic_queries(hierarchy, spec)}
     k = len(assignments)
     table = ObservationTable(
         tuple(assignments),

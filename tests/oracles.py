@@ -56,8 +56,8 @@ The scalar twins of the library's vectorised quantities live only here:
 ``score_icf``, ``score_flat``, ``sibling_cf``, ``hier_weight``,
 ``cf_measure_leaf``, ``ContingencyCells``, ``contingency_popescul``,
 ``contingency_rcl``, ``chi2_2x2``, ``jsd_2x2``, ``pearson_chi2_children``,
-``select_topk``, ``retrieve``, ``evaluate_node``, ``RetrievalMetrics``,
-``metrics_from_counts`` and ``npmi``.
+``select_topk``, ``retrieve``, ``row_docs``, ``evaluate_node``,
+``RetrievalMetrics``, ``metrics_from_counts`` and ``npmi``.
 """
 
 import csv
@@ -71,8 +71,7 @@ import scipy.sparse as sp
 from hierlabel.corpus import CSR, CellError, DocTermMatrix, utf8_fault
 from hierlabel.errors import (ConfigError, NumericalError, ParseError,
                              ValidationError)
-from hierlabel.labeling import (LabelAssignment, _children_chi2_vec,
-                                _leaf_cf_row, _topk_arrays)
+from hierlabel.labeling import LabelAssignment, _leaf_cf_row, _topk_arrays
 from hierlabel import queryeval as qe
 from hierlabel.cli import MEASURES
 from hierlabel.stats import GlmFit
@@ -275,12 +274,27 @@ def jsd_2x2(cells: ContingencyCells) -> float:
 
 def pearson_chi2_children(stats, node: int, term: int):
     """Full c x 2 Pearson statistic of the term's distribution over the
-    node's direct children, with c - 1 degrees of freedom."""
+    node's direct children, with c - 1 degrees of freedom.  Each child
+    with mass adds its term cell, then its rest-of-mass cell, (observed -
+    expected)^2 / expected over the cells whose expected count is
+    positive."""
     c = int(stats.child_count[node])
     if c == 0:
         raise ValidationError(f"node {node} is a leaf; no children to test")
-    stat = _children_chi2_vec(stats, node)[term]
-    return float(stat), c - 1
+    f = float(freq_of(stats, node, term))
+    s = float(stats.node_total[node])
+    stat = 0.0
+    for ch in stats.hierarchy.children[node].tolist():
+        t_j = float(stats.node_total[ch])
+        if t_j == 0:
+            continue
+        o = float(freq_of(stats, ch, term))
+        for observed, expected in ((o, t_j * f / s),
+                                   (t_j - o, t_j * (s - f) / s)):
+            if expected > 0:
+                d = observed - expected
+                stat += d * d / expected
+    return stat, c - 1
 
 
 def select_topk(pairs, p_cap: int, freqs) -> list:
@@ -408,6 +422,13 @@ def _mask(matrix: DocTermMatrix, query) -> np.ndarray:
     masks = [_mask(matrix, c) for c in query.children]
     combine = np.logical_or if isinstance(query, Or) else np.logical_and
     return combine.reduce(masks)
+
+
+def row_docs(row) -> set:
+    """The documents that a packed row of ``corpus.set_bits``'s form
+    holds: d where bit d % 64 of word d // 64 is set."""
+    return {64 * w + b for w, word in enumerate(row.tolist()) if word
+            for b in range(64) if word >> b & 1}
 
 
 def retrieve(matrix: DocTermMatrix, query) -> set:

@@ -191,7 +191,8 @@ def test_c04_retrieval_correctness(tmp_path):
         for _ in range(1000):
             terms = tuple(int(t) for t in rng.integers(
                 0, m.n_terms, int(rng.integers(1, 6))))
-            got = set(np.flatnonzero(qe._or_mask(m, terms)).tolist())
+            [row, _] = qe._or_rows(m, [terms])
+            got = oracles.row_docs(row)
             q = oracles.specific_query(terms)
             assert got == {d for d in range(m.n_docs) if brute(m, q, d)}
 

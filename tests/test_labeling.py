@@ -648,9 +648,59 @@ class TestHierRclAgainstOracle:
                 want = oracles.label_lists(oracles.rcl(stats, method, cfg))
                 assert got == want, (trial, method)
             for i in np.flatnonzero(stats.child_count > 0):
-                got = lab._children_max_2x2_vec(stats, int(i))
+                idx, got = lab._children_max_2x2_vec(stats, int(i))
                 want = oracles.children_max_2x2(stats, int(i))
-                assert np.array_equal(got, want), (trial, i)
+                assert np.array_equal(got, want[idx]), (trial, i)
+                assert not np.delete(want, idx).any(), (trial, i)
+        assert all(seen.values()), seen
+
+
+class TestChildrenStatistics:
+    """Both shapes of the children test, ``_children_chi2_vec`` and
+    ``_children_max_2x2_vec``, against scalar loops over the children, bit
+    for bit on the node's terms; the loops give 0 on every other term."""
+
+    def test_against_scalar_loops(self, tmp_path):
+        rng = np.random.default_rng(64)
+        seen = {"child without mass": False, "term of one child": False}
+        for trial in range(12):
+            n_docs, n_terms = int(rng.integers(6, 30)), int(rng.integers(4, 12))
+            records = random_tree_records(rng, n_docs, max_nodes=12)
+            leaves = [r for r in records if not r["children"]]
+            if len(leaves) < 2:
+                continue
+            # the first leaf's documents hold no terms, and only the last
+            # leaf's hold the last term
+            empty, only = set(leaves[0]["docs"]), set(leaves[-1]["docs"])
+            cells = []
+            for d in range(n_docs):
+                if d in empty:
+                    continue
+                for t in rng.choice(n_terms - 1, int(rng.integers(1, n_terms)),
+                                    replace=False).tolist():
+                    cells.append((d, t, int(rng.integers(1, 7))))
+                if d in only:
+                    cells.append((d, n_terms - 1, int(rng.integers(1, 7))))
+            _, h, stats = build(tmp_path, cells, records, n_docs, n_terms)
+            for i in np.flatnonzero(stats.child_count > 0).tolist():
+                kids = h.children[i].tolist()
+                full, worst = np.zeros((2, n_terms))
+                for out, shape in ((full, lab._children_chi2_vec),
+                                   (worst, lab._children_max_2x2_vec)):
+                    idx, values = shape(stats, i)
+                    assert np.array_equal(idx, stats.freq.row(i)[0])
+                    out[idx] = values
+                for t in range(n_terms):
+                    want, _ = oracles.pearson_chi2_children(stats, i, t)
+                    assert full[t] == want, (trial, i, t)
+                    want = max([0.0] + [oracles.chi2_2x2(
+                        oracles.contingency_popescul(stats, i, ch, t))
+                        for ch in kids])
+                    assert worst[t] == want, (trial, i, t)
+                seen["child without mass"] |= bool(
+                    (stats.node_total[kids] == 0).any())
+                seen["term of one child"] |= len(kids) > 1 and bool(
+                    (stats.child_support.dense_row(i) == 1).any())
         assert all(seen.values()), seen
 
 

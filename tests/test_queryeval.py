@@ -125,10 +125,12 @@ def _wide_records(fanout):
     return records
 
 
-def _with_docs(rng, records):
-    """Partition a random number of documents over the leaves."""
+def _with_docs(rng, records, n_docs=None):
+    """Partition ``n_docs`` documents, by default a random number, over
+    the leaves."""
     leaves = [r for r in records if not r["children"]]
-    n_docs = len(leaves) + int(rng.integers(0, 2 * len(leaves)))
+    if n_docs is None:
+        n_docs = len(leaves) + int(rng.integers(0, 2 * len(leaves)))
     cuts = np.sort(rng.choice(np.arange(1, n_docs), len(leaves) - 1,
                               replace=False))
     for r in records:
@@ -137,12 +139,13 @@ def _with_docs(rng, records):
         leaf["docs"] = [int(d) for d in docs]
 
 
-def _random_labels(rng, n_nodes, n_terms):
-    """Many empty labels; a small vocabulary so that siblings and
-    ancestors repeat terms; now and then a term repeated in one label."""
+def _random_labels(rng, n_nodes, n_terms, empty=()):
+    """Many empty labels, and every node of ``empty``; a small vocabulary
+    so that siblings and ancestors repeat terms; now and then a term
+    repeated in one label."""
     lists = {}
     for i in range(n_nodes):
-        if rng.random() < 0.45:
+        if rng.random() < 0.45 or i in empty:
             lists[i] = []
             continue
         terms = [int(t) for t in rng.integers(0, n_terms,
@@ -151,13 +154,30 @@ def _random_labels(rng, n_nodes, n_terms):
     return oracles.assignment("random", lists, n_nodes)
 
 
+def _query_rows(m, h, spec):
+    """The packed retrieved rows of one method's queries, (nodes, KINDS,
+    words), each distinct tuple evaluated once, as ``evaluate_all`` does."""
+    tuples = list(dict.fromkeys(t for t in spec.values() if t is not None))
+    key = np.array([-1 if t is None else tuples.index(t)
+                    for t in spec.values()], np.int64)
+    return qe._query_rows(h, qe._or_rows(m, tuples), key)
+
+
 class TestTupleQueriesAgainstOracle:
-    """The term-tuple derivation, its memoised rendering and its memoised
-    masks against the structural oracle, ``query_to_prefix`` and
+    """The term-tuple derivation, its memoised rendering and its packed
+    retrieved rows against the structural oracle, ``query_to_prefix`` and
     ``retrieve``."""
 
     def _trees(self, rng):
-        """(name, records with docs) for comb, wide and random trees."""
+        """(name, records with docs) for comb, wide and random trees, and
+        a comb and a wide tree over a whole number of 64-bit words."""
+        for n_docs in (64, 128):
+            comb = _comb_records(int(rng.integers(2, 14)))
+            _with_docs(rng, comb, n_docs)
+            yield f"comb{n_docs}docs", comb
+            wide = _wide_records(int(rng.integers(1, 5)))
+            _with_docs(rng, wide, n_docs)
+            yield f"wide{n_docs}docs", wide
         for trial in range(6):
             comb = _comb_records(int(rng.integers(2, 14)))
             _with_docs(rng, comb)
@@ -170,12 +190,17 @@ class TestTupleQueriesAgainstOracle:
 
     def test_property_against_oracle(self, tmp_path):
         rng = np.random.default_rng(90)
-        for name, records in self._trees(rng):
+        for k, (name, records) in enumerate(self._trees(rng)):
             n_docs = sum(len(r["docs"]) for r in records)
             n_terms = int(rng.integers(3, 9))
             m = random_matrix(rng, n_docs, n_terms)
             h = hierarchy_from_records(records, m, tmp_path, f"{name}.json")
-            a = _random_labels(rng, h.n_nodes, n_terms)
+            # one node's whole root path unlabeled; on every fourth tree,
+            # every node, so that the root has no query either
+            node = int(rng.integers(h.n_nodes))
+            path = (range(h.n_nodes) if k % 4 == 3
+                    else {node, *oracles.ancestors(h, node)})
+            a = _random_labels(rng, h.n_nodes, n_terms, path)
 
             spec = qe.derive_specific_queries(h, a)
             gen = qe.derive_generic_queries(h, spec)
@@ -187,13 +212,13 @@ class TestTupleQueriesAgainstOracle:
                     for i, q in gen.items()} == want_gen, name
 
             spec_texts, gen_texts = map(list, qe.prefix_strings(spec, gen))
-            spec_masks, gen_masks = qe._query_masks(m, h, spec)
+            rows = _query_rows(m, h, spec)
             for i in range(h.n_nodes):
                 assert spec_texts[i] == oracles.query_to_prefix(want_spec[i])
                 assert gen_texts[i] == oracles.query_to_prefix(want_gen[i])
-                assert set(np.flatnonzero(spec_masks[i]).tolist()) == \
+                assert oracles.row_docs(rows[i, 0]) == \
                     oracles.retrieve(m, want_spec[i]), (name, i)
-                assert set(np.flatnonzero(gen_masks[i]).tolist()) == \
+                assert oracles.row_docs(rows[i, 1]) == \
                     oracles.retrieve(m, want_gen[i]), (name, i)
 
     def test_equal_tuples_share_one_query(self, labeled_tree):
@@ -293,14 +318,40 @@ class TestRetrieve:
         docs_of = [{d for d in range(m.n_docs)
                     if oracles.csr_get(m.csr, d, t) > 0}
                    for t in range(m.n_terms)]
-        for _ in range(200):
-            terms = [int(t) for t in rng.integers(0, m.n_terms,
-                                                  int(rng.integers(1, 12)))]
-            got = set(np.flatnonzero(qe._or_mask(m, tuple(terms))).tolist())
-            assert got == set().union(*(docs_of[t] for t in terms))
+        queries = [tuple(int(t) for t in rng.integers(
+            0, m.n_terms, int(rng.integers(1, 12)))) for _ in range(200)]
+        rows = qe._or_rows(m, queries)
+        assert len(rows) == len(queries) + 1
+        for terms, row in zip(queries, rows):
+            assert oracles.row_docs(row) == \
+                set().union(*(docs_of[t] for t in terms))
+        assert oracles.row_docs(rows[-1]) == set()
         for bad in (-1, m.n_terms):
-            with pytest.raises(ValidationError, match="out of range"):
-                qe._or_mask(m, (0, bad))
+            with pytest.raises(ValidationError,
+                               match=f"query term {bad} out of range"):
+                qe._or_rows(m, [(0,), (0, bad)])
+        # the first bad term in the order the tuples are met
+        with pytest.raises(ValidationError,
+                           match=f"query term {m.n_terms + 5} out of range"):
+            qe._or_rows(m, [(1, m.n_terms + 5, -3), (-1,)])
+
+    def test_long_queries_span_blocks_of_term_rows(self):
+        """Over 2^17 documents a term's row is 2,048 words, so a block of
+        2^16 words holds 32 term rows, and a longer query ORs rows from
+        several blocks."""
+        rng = np.random.default_rng(95)
+        n_docs, n_terms = 1 << 17, 120
+        docs = rng.integers(0, n_docs, (n_terms, 4))
+        docs[:, 0] = [0, 63, 64, n_docs - 1] * (n_terms // 4)
+        cells = sorted({(int(d), t) for t in range(n_terms)
+                        for d in docs[t]})
+        m = corp.DocTermMatrix.from_cells(
+            n_docs, n_terms, *zip(*cells), [1] * len(cells))
+        queries = [tuple(rng.choice(n_terms, k, replace=False).tolist())
+                   for k in (1, 31, 32, 33, 70, n_terms, 2)]
+        for terms, row in zip(queries, qe._or_rows(m, queries)):
+            assert oracles.row_docs(row) == \
+                {d for t in terms for d in docs[t].tolist()}
 
     def test_and_or_containment(self, tmp_path):
         rng = np.random.default_rng(83)
@@ -451,6 +502,35 @@ class TestEvaluateAll:
                             [v.hex() for v in (want.precision, want.recall,
                                                want.f)]
             assert next(rows, None) is None
+
+    def test_each_distinct_tuple_evaluated_once(self, labeled_tree,
+                                                monkeypatch):
+        """Two methods that share term tuples: the run evaluates each
+        distinct tuple once, in one call, and each method's rows equal
+        those it gets alone."""
+        m, h, a = labeled_tree
+        lists = oracles.label_lists(a)
+        lists[oracles.index_of(h, 12)] = [(AGRI, 1.0)]
+        lists[oracles.index_of(h, 11)] = [(UNIV, 1.0), (TECH, 1.0)]
+        b = oracles.assignment("other", lists, h.n_nodes)
+        calls = []
+        real = qe._or_rows
+        monkeypatch.setattr(qe, "_or_rows", lambda matrix, queries:
+                            calls.append(list(queries))
+                            or real(matrix, queries))
+        table, queries = qe.evaluate_all(m, h, {"one": a, "two": b})
+        [evaluated] = calls
+        per_method = [set(q["specific"].values()) - {None}
+                      for q in queries.values()]
+        assert per_method[0] & per_method[1]
+        assert len(evaluated) == len(set(evaluated))
+        assert set(evaluated) == per_method[0] | per_method[1]
+        alone = [qe.evaluate_all(m, h, {name: x})[0]
+                 for name, x in (("one", a), ("two", b))]
+        for measure in qe.MEASURES:
+            assert np.array_equal(
+                getattr(table, measure),
+                np.concatenate([getattr(t, measure) for t in alone]))
 
     def test_generic_masks_match_retrieve(self, tmp_path):
         # the incremental generic evaluation equals direct query retrieval
