@@ -777,8 +777,14 @@ def stage_stats(cfg: RunConfig, tracker: OutputTracker,
     codes = np.repeat(np.arange(len(cfg.methods)), level.size)
     for k, kind in enumerate(KINDS):
         for measure, y in zip(MEASURES, values[..., k]):
-            level_fits = {m: st.fit_level_model(y[j], level)
-                          for j, m in enumerate(cfg.methods)}
+            # the methods share the levels, so equal values share one fit
+            by_values = {}
+            level_fits = {}
+            for j, m in enumerate(cfg.methods):
+                key = y[j].tobytes()
+                if key not in by_values:
+                    by_values[key] = st.fit_level_model(y[j], level)
+                level_fits[m] = by_values[key]
             if len(cfg.methods) >= 2:
                 fit = st.fit_additive_model(y.ravel(), levels, codes,
                                             cfg.methods)

@@ -162,6 +162,11 @@ def _fits_int64(value: int) -> bool:
     return -_INT64_END <= value < _INT64_END
 
 
+def _int_type(top: int):
+    """int32 when it holds every value from 0 to ``top``, else int64."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
+
+
 def _mass_reaches(counts, end: int) -> bool:
     """Whether positive int64 counts sum to ``end`` (at most 2^62) or more,
     without overflow: with every count below ``end``, the first prefix sum
@@ -595,12 +600,19 @@ class NodeTermStats:
     The tables are CSR records on one pattern: they share ``indptr`` and
     ``indices`` (freq's cells, term ids as int32), and each holds only its
     own ``data``.  child_support and ``hier_base()`` store 0 on the leaves'
-    cells.  Documents sit on leaves only, so the leaves' rows come from one
-    sort of the matrix cells by (leaf, term).  The build makes two passes
-    bottom-up: the first unites the children's terms into each internal
-    row's pattern, the second adds the children's rows into one dense row
-    per table and gathers it into the table's data on the parent's row.
-    The sums are of integers, so their order does not matter.
+    cells.  The three count tables store their ``data`` as int32 while the
+    collection's whole mass is at most 2^31 - 1, and as int64 above it
+    (``MASS_END`` admits masses up to 2^53); every count is at most that
+    mass.  ``indptr``, node_total, node_size and the build's dense sums
+    are int64.  numpy keeps int32 * int in int32, so a reader that does
+    integer arithmetic on the counts widens them first; float64 holds
+    either type exactly.  Documents sit on leaves only, so the leaves'
+    rows come from one sort of the matrix cells by (leaf, term).  The
+    build makes two passes bottom-up: the first unites the children's
+    terms into each internal row's pattern, the second adds the children's
+    rows into one dense row per table and gathers it into the table's
+    data on the parent's row.  The sums are of integers, so their order
+    does not matter.
 
     ``hier_base()`` sums floats, so it keeps the sparse products' order:
     one more bottom-up pass adds each node's children in ascending index
@@ -639,9 +651,10 @@ class NodeTermStats:
         running = np.concatenate([[0], np.cumsum(leaf_freq)])
         self.node_total = running[ptr[1:]] - running[ptr[:-1]]
         ptr = ptr.tolist()
-        # term ids as int32, unless the vocabulary outgrows them
-        leaf_term = leaf_term.astype(
-            np.int32 if m <= np.iinfo(np.int32).max else np.int64)
+        # term ids and counts as int32, unless the vocabulary or the whole
+        # mass outgrows them; a count is at most the mass
+        leaf_term = leaf_term.astype(_int_type(m))
+        count_type = _int_type(running[-1])
         del key, order, start, leaf_node, running
 
         # the pattern: a leaf's row holds its cells' terms, an internal
@@ -664,7 +677,7 @@ class NodeTermStats:
         # dense rows, children before parents; a child adds 1 to the
         # support of each of its terms, so a leaf's support stays 0
         leaf_cells = np.repeat(self.child_count == 0, np.diff(indptr))
-        freq, docfreq, support = (np.zeros(indices.size, np.int64)
+        freq, docfreq, support = (np.zeros(indices.size, count_type)
                                   for _ in range(3))
         freq[leaf_cells], docfreq[leaf_cells] = leaf_freq, leaf_df
         del leaf_cells, leaf_freq, leaf_df
@@ -691,21 +704,10 @@ class NodeTermStats:
 
         self.global_freq = self.freq.dense_row(hierarchy.root)
         self.global_df = self.docfreq.dense_row(hierarchy.root)
-        self._level_freq = {}
         self._hier_base = None
         # (node, alpha, chi2_shape) -> the labeling's per-term verdict that
         # the node's children are independent, filled on first use
         self.independence = {}
-
-    def level_freq(self, lvl: int) -> np.ndarray:
-        """Summed term counts over every node at a given level (dense)."""
-        if lvl not in self._level_freq:
-            cells = np.repeat(self.hierarchy.level == lvl,
-                              np.diff(self.freq.indptr))
-            out = np.zeros(self.n_terms, np.int64)
-            np.add.at(out, self.freq.indices[cells], self.freq.data[cells])
-            self._level_freq[lvl] = out
-        return self._level_freq[lvl]
 
     def hier_base(self) -> CSR:
         """The path-discounted descendant sums that the four Hier frequency

@@ -434,8 +434,10 @@ def _hier_rcl(stats, method, cfg):
         take = None
         width = _class_width(stats, g)
         if width:
-            key, inverse = np.unique((tp * width + f_pg) * (c + 1) + support,
-                                     return_inverse=True)
+            # from int64 tp: int32 counts times an int stay int32, and wrap
+            key, inverse = np.unique(
+                (tp.astype(np.int64) * width + f_pg) * (c + 1) + support,
+                return_inverse=True)
             key, support = np.divmod(key, c + 1)
             tp, f_pg = np.divmod(key, width)
             take = np.full(stats.n_terms, tp.size, inverse.dtype)
@@ -622,25 +624,33 @@ def select_cf_average(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment
 def select_cf_leave_one_out(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
     """CFMeasure with recall taken against the other clusters at the
     children's level: recall = f_i / (level mass - own children's mass);
-    a non-positive denominator scores 0."""
+    a non-positive denominator scores 0.  The internal nodes are ranked
+    level by level, so only one level's mass is held: a dense int64 row,
+    the sum of the ``freq`` rows of the level below."""
     h = stats.hierarchy
-    ranked = []
-    for i in range(stats.n_nodes):
-        if not stats.child_count[i]:
-            idx, cf = _leaf_cf_row(stats, i)
-            tie = stats.freq.row(i)[1].astype(np.float64)
-            ranked.append(_topk_arrays(idx, cf, tie, cfg.p_cap))
-            continue
-        idx, f = _row_arrays(stats.freq, i)
-        mass = stats.level_freq(int(h.level[i]) + 1)[idx].astype(np.float64)
-        denom = mass - f
-        recall = np.divide(f, denom, out=np.zeros_like(f), where=denom > 0)
-        precision = f / float(stats.node_total[i])
-        both = (recall > 0) & (precision > 0)
-        cf = np.zeros_like(f)
-        cf[both] = (2.0 * recall[both] * precision[both]
-                    / (recall[both] + precision[both]))
-        ranked.append(_topk_arrays(idx, cf, f, cfg.p_cap))
+    ranked = [_UNLABELED] * stats.n_nodes
+    for i in np.flatnonzero(stats.child_count == 0).tolist():
+        idx, cf = _leaf_cf_row(stats, i)
+        tie = stats.freq.row(i)[1].astype(np.float64)
+        ranked[i] = _topk_arrays(idx, cf, tie, cfg.p_cap)
+    # the nodes of each level, 0 .. the deepest
+    order = np.argsort(h.level, kind="stable")
+    levels = np.split(order, np.flatnonzero(np.diff(h.level[order])) + 1)
+    for nodes, below in zip(levels, levels[1:]):
+        level_mass = np.zeros(stats.n_terms, np.int64)
+        for ch in below.tolist():
+            idx, f = stats.freq.row(ch)
+            level_mass[idx] += f
+        for i in nodes[stats.child_count[nodes] > 0].tolist():
+            idx, f = _row_arrays(stats.freq, i)
+            denom = level_mass[idx].astype(np.float64) - f
+            recall = np.divide(f, denom, out=np.zeros_like(f), where=denom > 0)
+            precision = f / float(stats.node_total[i])
+            both = (recall > 0) & (precision > 0)
+            cf = np.zeros_like(f)
+            cf[both] = (2.0 * recall[both] * precision[both]
+                        / (recall[both] + precision[both]))
+            ranked[i] = _topk_arrays(idx, cf, f, cfg.p_cap)
     return LabelAssignment.from_ranked("CFLeaveOneOut", ranked)
 
 
@@ -665,5 +675,9 @@ def label_hierarchy(stats: NodeTermStats, method: str,
 
 def label_all(stats: NodeTermStats, methods=METHODS,
               cfg: LabelConfig | None = None) -> dict:
-    """All requested methods, in order."""
-    return {m: label_hierarchy(stats, m, cfg) for m in methods}
+    """All requested methods, in order.  The HierRCL methods run first, so
+    that their per-level rows are gone before ``stats.hier_base()`` is
+    built and kept."""
+    done = {m: label_hierarchy(stats, m, cfg)
+            for m in sorted(methods, key=lambda m: m not in HIER_RCL_SCHEMES)}
+    return {m: done[m] for m in methods}

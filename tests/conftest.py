@@ -1,8 +1,10 @@
 """Shared fixtures: the worked 3-child contingency example, random
-(matrix, hierarchy) instance generators used by the property suites and a
-balanced binary tree for the memory bounds."""
+(matrix, hierarchy) instance generators used by the property suites, a
+balanced binary tree and a comb for the memory bounds, and the
+tracemalloc reading those bounds take."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +134,46 @@ def balanced_instance(tmp_path, depth=6, docs_per_leaf=2, n_terms=300,
              for t in rng.choice(n_terms, terms_per_doc, replace=False)]
     m = matrix_from_cells(n_docs, n_terms, cells)
     return m, hierarchy_from_records(records, m, tmp_path, "balanced.json")
+
+
+def comb_instance(tmp_path, spine=30, docs_per_leaf=4, n_terms=300,
+                  terms_per_doc=25):
+    """A comb: each spine node has a leaf and the next spine node as
+    children, the last one two leaves; every document holds
+    ``terms_per_doc`` random terms, so the spine's rows are nearly full."""
+    rng = np.random.default_rng(5)
+    records, docs = [], 0
+
+    def leaf(parent):
+        nonlocal docs
+        records.append({"id": len(records), "parent": parent,
+                        "children": [],
+                        "docs": list(range(docs, docs + docs_per_leaf))})
+        docs += docs_per_leaf
+        return len(records) - 1
+
+    for k in range(spine):
+        sid = 1000 + k
+        kids = [leaf(sid), sid + 1 if k < spine - 1 else leaf(sid)]
+        records.append({"id": sid, "parent": None if k == 0 else sid - 1,
+                        "children": kids, "docs": []})
+    cells = [(d, int(t), int(rng.integers(1, 5))) for d in range(docs)
+             for t in rng.choice(n_terms, terms_per_doc, replace=False)]
+    m = matrix_from_cells(docs, n_terms, cells)
+    return m, hierarchy_from_records(records, m, tmp_path, "comb.json")
+
+
+def traced_peak(fn):
+    """(fn(), the peak and the final size in bytes of the memory that
+    tracemalloc traced while fn ran): the final size is what fn's
+    allocations still hold, its result among them."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
 
 
 def disjoint_vocab_instance(rng, tmp_path, n_docs=24, max_nodes=13,

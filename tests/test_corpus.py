@@ -1,7 +1,5 @@
 """Matrix/hierarchy ingestion, the Salton df filter, and node statistics."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -9,9 +7,10 @@ from hierlabel import corpus as corp
 from hierlabel.errors import ParseError, ValidationError
 
 import oracles
-from conftest import (balanced_instance, hierarchy_from_records,
-                      matrix_from_cells, random_instance, random_matrix,
-                      random_tree_records, shuffled_instances)
+from conftest import (balanced_instance, comb_instance,
+                      hierarchy_from_records, matrix_from_cells,
+                      random_instance, random_matrix, random_tree_records,
+                      shuffled_instances, traced_peak)
 
 
 class TestLoadMatrix:
@@ -438,33 +437,6 @@ class TestNodeStats:
             assert stats.node_size[i] == len(docs)
 
 
-def comb_instance(tmp_path, spine=30, docs_per_leaf=4, n_terms=300,
-                  terms_per_doc=25):
-    """A comb: each spine node has a leaf and the next spine node as
-    children, the last one two leaves; every document holds
-    ``terms_per_doc`` random terms, so the spine's rows are nearly full."""
-    rng = np.random.default_rng(5)
-    records, docs = [], 0
-
-    def leaf(parent):
-        nonlocal docs
-        records.append({"id": len(records), "parent": parent,
-                        "children": [],
-                        "docs": list(range(docs, docs + docs_per_leaf))})
-        docs += docs_per_leaf
-        return len(records) - 1
-
-    for k in range(spine):
-        sid = 1000 + k
-        kids = [leaf(sid), sid + 1 if k < spine - 1 else leaf(sid)]
-        records.append({"id": sid, "parent": None if k == 0 else sid - 1,
-                        "children": kids, "docs": []})
-    cells = [(d, int(t), int(rng.integers(1, 5))) for d in range(docs)
-             for t in rng.choice(n_terms, terms_per_doc, replace=False)]
-    m = matrix_from_cells(docs, n_terms, cells)
-    return m, hierarchy_from_records(records, m, tmp_path, "comb.json")
-
-
 class TestHierBaseShapes:
     """The bottom-up Hier base on the shapes that stress its depth rows: a
     comb, whose spine shares one row per depth, and a balanced tree, which
@@ -488,12 +460,7 @@ class TestHierBaseShapes:
                                  n_terms=4000, terms_per_doc=10)
         stats = corp.build_node_stats(m, h)
         dense_total = int((stats.child_count > 0).sum()) * m.n_terms * 8
-        tracemalloc.start()
-        try:
-            stats.hier_base()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(stats.hier_base)
         assert peak <= dense_total / 4, (peak, dense_total)
 
 
@@ -509,7 +476,7 @@ class TestSharedPattern:
         arrays = {id(a): a for t in tables
                   for a in (t.indptr, t.indices, t.data)}
         assert sum(a.nbytes for a in arrays.values()) == \
-            stats.freq.indptr.nbytes + stats.freq.nnz * (4 + 4 * 8)
+            stats.freq.indptr.nbytes + stats.freq.nnz * (4 + 3 * 4 + 8)
         assert_shared_pattern(stats)
 
     def test_build_peak(self, tmp_path):
@@ -519,23 +486,66 @@ class TestSharedPattern:
         store their pattern three times, or rows held in lists while they
         are concatenated, come to about twice."""
         m, h = comb_instance(tmp_path)
-        tracemalloc.start()
-        try:
+
+        def build():
             stats = corp.build_node_stats(m, h)
             stats.hier_base()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        kept = stats.freq.indptr.nbytes + stats.freq.nnz * (4 + 4 * 8)
+            return stats
+
+        stats, peak, _ = traced_peak(build)
+        kept = stats.freq.indptr.nbytes + stats.freq.nnz * (4 + 3 * 4 + 8)
         assert peak <= 1.5 * kept, (peak, kept)
 
 
-def assert_same_matrix(record, csr):
+class TestCountTypes:
+    """The count tables hold int32 while the collection's mass is at most
+    2^31 - 1 and int64 above it, with the same cells either way."""
+
+    @pytest.mark.parametrize("mass", [2 ** 31 - 1, 2 ** 31, 3 * 2 ** 31])
+    def test_tables_against_the_incidence_products(self, tmp_path, mass):
+        # a unary spine over a binary node, cells near 2^30; the root's
+        # term 0 holds most of the mass
+        big = 2 ** 30
+        cells = [(0, 0, big), (1, 0, big - 7), (1, 1, 3), (2, 1, 2),
+                 (2, 2, mass - 2 * big + 2)]
+        m = matrix_from_cells(3, 3, cells)
+        assert int(m.csr.data.sum()) == mass
+        records = [
+            {"id": 0, "parent": None, "children": [1], "docs": []},
+            {"id": 1, "parent": 0, "children": [2, 3], "docs": []},
+            {"id": 2, "parent": 1, "children": [4, 5], "docs": []},
+            {"id": 3, "parent": 1, "children": [], "docs": [2]},
+            {"id": 4, "parent": 2, "children": [], "docs": [0]},
+            {"id": 5, "parent": 2, "children": [], "docs": [1]},
+        ]
+        h = hierarchy_from_records(records, m, tmp_path)
+        stats = corp.build_node_stats(m, h)
+        want_type = np.int32 if mass < 2 ** 31 else np.int64
+        assert count_type(m) == want_type
+        freq, docfreq, support = oracles.node_stats(m, h)
+        for table, want in ((stats.freq, freq), (stats.docfreq, docfreq),
+                            (stats.child_support, support)):
+            assert_same_matrix(table, want, want_type)
+        assert np.array_equal(stats.node_total,
+                              np.asarray(freq.sum(axis=1)).ravel())
+        assert stats.node_total.dtype == np.int64
+        assert_same_matrix(stats.hier_base(), oracles.hier_base(stats))
+        assert_shared_pattern(stats)
+
+
+def count_type(matrix):
+    """The count tables' data type: int32 while the matrix's mass is at
+    most 2^31 - 1, int64 above it."""
+    return np.int32 if int(matrix.csr.data.sum()) < 2 ** 31 else np.int64
+
+
+def assert_same_matrix(record, csr, dtype=None):
     """A table on the node statistics' shared pattern equal to a canonical
     scipy matrix: the same nonzero cells with the same values, and the
-    same data dtype.  The record may store zeros besides."""
+    data type ``dtype``, by default the scipy matrix's.  The record may
+    store zeros besides."""
     assert record.shape == csr.shape
-    assert record.data.dtype == csr.data.dtype
+    assert record.data.dtype == (csr.data.dtype if dtype is None else dtype)
     kept = record.data != 0
     assert np.array_equal(record.row_ids()[kept],
                           np.repeat(np.arange(csr.shape[0]),
@@ -632,9 +642,9 @@ class TestAgainstScipy:
         for m, h in shuffled_instances(rng, tmp_path, 30):
             stats = corp.build_node_stats(m, h)
             freq, docfreq, support = oracles.node_stats(m, h)
-            assert_same_matrix(stats.freq, freq)
-            assert_same_matrix(stats.docfreq, docfreq)
-            assert_same_matrix(stats.child_support, support)
+            for table, want in ((stats.freq, freq), (stats.docfreq, docfreq),
+                                (stats.child_support, support)):
+                assert_same_matrix(table, want, count_type(m))
             assert np.array_equal(stats.node_total,
                                   np.asarray(freq.sum(axis=1)).ravel())
             assert_same_matrix(stats.hier_base(), oracles.hier_base(stats))

@@ -4,7 +4,6 @@ invariants on random instances."""
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +13,10 @@ from hierlabel import corpus as corp
 from hierlabel import labeling as lab
 
 import oracles
-from conftest import (balanced_instance, hierarchy_from_records,
-                      matrix_from_cells, random_instance, random_matrix,
-                      random_tree_records, shuffled_instances)
+from conftest import (balanced_instance, comb_instance,
+                      hierarchy_from_records, matrix_from_cells,
+                      random_instance, random_matrix, random_tree_records,
+                      shuffled_instances, traced_peak)
 
 
 def build(tmp_path, cells, records, n_docs, n_terms):
@@ -566,23 +566,25 @@ class TestHierRclAgainstOracle:
     @pytest.mark.parametrize("rcl_fp", ["corrected", "literal"])
     def test_property_against_oracle(self, tmp_path, rcl_fp):
         # unary nodes, children declared out of id order, the edge
-        # instances, the last with counts near 2^31, and two combs on
-        # disjoint terms; every positive score is ranked and compared
-        # exactly, and so are RCL's and the per-child 2x2 statistics
+        # instances, one with counts near 2^31 and one with counts near
+        # 3 * 10^4, and two combs on disjoint terms; every positive score
+        # is ranked and compared exactly, and so are RCL's and the
+        # per-child 2x2 statistics
         rng = np.random.default_rng(61)
         seen = dict.fromkeys(("unary", "shuffled", "no_mass", "m2_zero",
                               "m4_zero", "per_term", "classes",
-                              "key_overflow", "disjoint_reuse"), 0)
-        for trial in range(19):
+                              "key_overflow", "int32_key_overflow",
+                              "disjoint_reuse"), 0)
+        for trial in range(20):
             if trial < 14:
                 n_docs = int(rng.integers(4, 40))
                 n_terms = int(rng.integers(3, 25))
                 m = random_matrix(rng, n_docs, n_terms)
                 records = random_tree_records(rng, n_docs,
                                               int(rng.integers(4, 24)))
-            elif trial < 18:
+            elif trial < 19:
                 m, records = edge_instance(
-                    rng, base=2 ** 31 if trial == 17 else 0)
+                    rng, base={17: 2 ** 31, 18: 30_000}.get(trial, 0))
                 n_terms = m.n_terms
             else:
                 m, records = two_comb_instance(rng)
@@ -612,9 +614,15 @@ class TestHierRclAgainstOracle:
             # per term again where the packed class key could overflow
             # int64.  The counters show that the instances reach each path;
             # the exact comparison against the oracle below is the check.
+            # On int32 counts, a key past 2^31 - 1 needs the int64 widening.
             for gi in g[mass[g] > 0].tolist():
-                if lab._class_width(stats, gi):
+                width = lab._class_width(stats, gi)
+                if width:
                     seen["classes"] += 1
+                    seen["int32_key_overflow"] += bool(
+                        stats.freq.data.dtype == np.int32
+                        and int(stats.freq.dense_row(gi).max()) * width
+                        >= 2 ** 31)
                 elif h.level[gi] < lab._CLASS_MIN_ROWS:
                     seen["per_term"] += 1
                 else:
@@ -707,7 +715,9 @@ class TestChildrenStatistics:
 class TestLabelingPeak:
     """HierRCL keeps one accumulator row per level of the root path and
     RLUM a node's candidate row only until its parent has pruned it, so on
-    a deep binary tree neither holds a row per node."""
+    a deep binary tree neither holds a row per node.  On a deep comb the
+    label stage holds int32 count tables, the Hier base and one (depth x
+    terms) array at a time, and CFLeaveOneOut keeps no level rows."""
 
     @pytest.mark.parametrize("method", ["HierRCL_chi2", "HierRCL_jsd",
                                         "RLUM"])
@@ -723,13 +733,38 @@ class TestLabelingPeak:
             bound = h.n_nodes * m.n_terms / 4
         else:
             bound = int((stats.child_count > 0).sum()) * m.n_terms * 8 / 4
-        tracemalloc.start()
-        try:
-            lab.label_hierarchy(stats, method, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced_peak(lambda: lab.label_hierarchy(stats, method,
+                                                             cfg))
         assert peak <= bound, (peak, bound)
+
+    def test_label_all_peak_on_a_deep_comb(self, tmp_path):
+        """Building the statistics and labeling every method peaks within
+        10% of the int32 count tables, the Hier base and one (depth x
+        terms) float64 array: HierRCL's level rows, the Hier base's depth
+        rows and CFLeaveOneOut's level mass are never held together."""
+        m, h = comb_instance(tmp_path, spine=40, docs_per_leaf=8,
+                             n_terms=2000, terms_per_doc=100)
+        assert int(m.csr.data.sum()) < 2 ** 31
+
+        def label():
+            stats = corp.build_node_stats(m, h)
+            return stats, lab.label_all(stats)
+
+        (stats, _), peak, _ = traced_peak(label)
+        tables = stats.freq.indptr.nbytes + stats.freq.nnz * (4 + 3 * 4)
+        rows = int(h.level.max()) * m.n_terms * 8
+        bound = 1.1 * (tables + stats.hier_base().data.nbytes + rows)
+        assert peak <= bound, (peak, bound)
+
+    def test_cf_leave_one_out_keeps_no_level_rows(self, tmp_path):
+        """After the call the method holds its labels and at most one dense
+        row more, not a mass row per level."""
+        m, h = comb_instance(tmp_path, spine=40, n_terms=2000)
+        stats = corp.build_node_stats(m, h)
+        got, _, held = traced_peak(
+            lambda: lab.select_cf_leave_one_out(stats, lab.LabelConfig()))
+        labels = got.indptr.nbytes + got.term.nbytes + got.score.nbytes
+        assert held <= labels + m.n_terms * 8, (held, labels)
 
 
 class TestFrequencyMethodsAgainstOracle:
@@ -1041,6 +1076,20 @@ class TestMethodInvariants:
         methods = ("MTWL_raw", "RLUM", "CFAverage")
         one = lab.label_all(stats, methods)
         assert list(one) == list(methods)
+
+    def test_label_all_keeps_the_requested_order(self, tmp_path):
+        """label_all runs the HierRCL methods first but returns the methods
+        in the order asked for, each as it is labeled alone."""
+        rng = np.random.default_rng(76)
+        m, h = random_instance(rng, tmp_path)
+        methods = ("CFLeaveOneOut", "HierRCL_jsd", "HierMTWL_raw", "MTWL_raw",
+                   "HierRCL_chi2")
+        got = lab.label_all(corp.build_node_stats(m, h), methods)
+        assert list(got) == list(methods)
+        for meth in methods:
+            alone = lab.label_hierarchy(corp.build_node_stats(m, h), meth)
+            assert oracles.label_lists(got[meth]) == \
+                oracles.label_lists(alone), meth
 
     def test_deterministic_reruns(self, tmp_path):
         rng = np.random.default_rng(72)
