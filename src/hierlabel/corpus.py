@@ -74,12 +74,6 @@ class CSR:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.data[lo:hi]
 
-    def dense_row(self, i: int) -> np.ndarray:
-        out = np.zeros(self.shape[1], self.data.dtype)
-        idx, vals = self.row(i)
-        out[idx] = vals
-        return out
-
 
 def set_bits(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
     """Set bit cols[k] of row rows[k] of ``bits``, for every k, from int64
@@ -596,23 +590,30 @@ class NodeTermStats:
     child_support[i, k]  direct children of i whose subtree contains k
     node_total[i]    sum of freq row i
     node_size[i]     number of docs in node i's subtree
+    up[c]            position in the tables' ``data`` of cell c's term on
+                     the parent's row; the root's cells map to themselves
 
     The tables are CSR records on one pattern: they share ``indptr`` and
     ``indices`` (freq's cells, term ids as int32), and each holds only its
     own ``data``.  child_support and ``hier_base()`` store 0 on the leaves'
-    cells.  The three count tables store their ``data`` as int32 while the
+    cells.  A child's terms are among its parent's, so every parent-relative
+    quantity reads the parent's cells through ``up``: ``data[up[lo:hi]]``
+    gathers them onto node i's cells ``lo:hi``, and ``on_parent(i)``, that
+    is ``up[lo:hi] - indptr[parent]``, scatters node i's row onto its
+    parent's.  ``up`` is int32 while every cell position fits it, and int64
+    above.  The three count tables store their ``data`` as int32 while the
     collection's whole mass is at most 2^31 - 1, and as int64 above it
     (``MASS_END`` admits masses up to 2^53); every count is at most that
-    mass.  ``indptr``, node_total, node_size and the build's dense sums
-    are int64.  numpy keeps int32 * int in int32, so a reader that does
-    integer arithmetic on the counts widens them first; float64 holds
-    either type exactly.  Documents sit on leaves only, so the leaves'
-    rows come from one sort of the matrix cells by (leaf, term).  The
-    build makes two passes bottom-up: the first unites the children's
-    terms into each internal row's pattern, the second adds the children's
-    rows into one dense row per table and gathers it into the table's
-    data on the parent's row.  The sums are of integers, so their order
-    does not matter.
+    mass.  ``indptr``, node_total, node_size and the build's dense sums are
+    int64.  numpy keeps int32 * int in int32, so a reader that does integer
+    arithmetic on the counts widens them first; float64 holds either type
+    exactly.  Documents sit on leaves only, so the leaves' rows come from
+    one sort of the matrix cells by (leaf, term).  The build makes two
+    passes bottom-up: the first unites the children's terms into each
+    internal row's pattern, the second adds the children's rows into one
+    dense row per table and gathers it into the table's data on the parent's
+    row, and sets the children's ``up``.  The sums are of integers, so their
+    order does not matter.
 
     ``hier_base()`` sums floats, so it keeps the sparse products' order:
     one more bottom-up pass adds each node's children in ascending index
@@ -675,39 +676,54 @@ class NodeTermStats:
         # the data, filled in place: the leaves' cells come in node and
         # term order, and each internal row adds its children's rows into
         # dense rows, children before parents; a child adds 1 to the
-        # support of each of its terms, so a leaf's support stays 0
+        # support of each of its terms, so a leaf's support stays 0; a
+        # child's ``up`` is read off a dense row of its parent's positions
         leaf_cells = np.repeat(self.child_count == 0, np.diff(indptr))
         freq, docfreq, support = (np.zeros(indices.size, count_type)
                                   for _ in range(3))
         freq[leaf_cells], docfreq[leaf_cells] = leaf_freq, leaf_df
         del leaf_cells, leaf_freq, leaf_df
         bounds = indptr.tolist()
+        up = np.empty(indices.size, _int_type(indices.size))
+        at = np.zeros(m, up.dtype)
         f_acc, df_acc, support_acc = (np.zeros(m, np.int64) for _ in range(3))
         for i in hierarchy.preorder[::-1]:
             if not hierarchy.children[i].size:
                 continue
-            for ch in hierarchy.children[i]:
-                lo, hi = bounds[ch], bounds[ch + 1]
-                idx = indices[lo:hi].astype(np.intp)
-                f_acc[idx] += freq[lo:hi]
-                df_acc[idx] += docfreq[lo:hi]
-                support_acc[idx] += 1
             lo, hi = bounds[i], bounds[i + 1]
             idx = indices[lo:hi].astype(np.intp)
+            at[idx] = np.arange(lo, hi)
+            for ch in hierarchy.children[i]:
+                c_lo, c_hi = bounds[ch], bounds[ch + 1]
+                c_idx = indices[c_lo:c_hi].astype(np.intp)
+                f_acc[c_idx] += freq[c_lo:c_hi]
+                df_acc[c_idx] += docfreq[c_lo:c_hi]
+                support_acc[c_idx] += 1
+                up[c_lo:c_hi] = at[c_idx]
             freq[lo:hi], docfreq[lo:hi] = f_acc[idx], df_acc[idx]
             support[lo:hi] = support_acc[idx]
             f_acc[idx] = df_acc[idx] = support_acc[idx] = 0
             self.node_total[i] = self.node_total[hierarchy.children[i]].sum()
+        root = slice(bounds[hierarchy.root], bounds[hierarchy.root + 1])
+        up[root] = np.arange(root.start, root.stop)
+        self.up = up
         self.freq = CSR(indptr, indices, freq, (n, m))
         self.docfreq = CSR(indptr, indices, docfreq, (n, m))
         self.child_support = CSR(indptr, indices, support, (n, m))
 
-        self.global_freq = self.freq.dense_row(hierarchy.root)
-        self.global_df = self.docfreq.dense_row(hierarchy.root)
+        # the root's rows as dense float64, exact below 2^53
+        self.global_freq = np.bincount(indices[root], freq[root], m)
+        self.global_df = np.bincount(indices[root], docfreq[root], m)
         self._hier_base = None
-        # (node, alpha, chi2_shape) -> the labeling's per-term verdict that
-        # the node's children are independent, filled on first use
+        # (node, alpha, chi2_shape) -> the labeling's verdict, per cell of
+        # the node's row, that its children are independent, filled on
+        # first use
         self.independence = {}
+
+    def on_parent(self, i: int) -> np.ndarray:
+        """The positions of node i's cells on its parent's row."""
+        lo, hi = self.freq.indptr[i], self.freq.indptr[i + 1]
+        return self.up[lo:hi] - self.freq.indptr[self.hierarchy.parent[i]]
 
     def hier_base(self) -> CSR:
         """The path-discounted descendant sums that the four Hier frequency
@@ -739,11 +755,14 @@ class NodeTermStats:
                 kids = np.sort(h.children[i]).tolist()
                 if not kids:
                     continue
-                cf = (self.child_support.dense_row(i).astype(np.float64)
-                      / len(kids))
+                # sibling_cf at each child's cells, read off i's row
                 rows = [np.zeros(m)]
-                for idx, f in map(self.freq.row, kids):
-                    rows[0][idx] += cf[idx] * f.astype(np.float64)
+                for g in kids:
+                    lo, hi = indptr[g], indptr[g + 1]
+                    cf = (self.child_support.data[self.up[lo:hi]]
+                          .astype(np.float64) / len(kids))
+                    rows[0][indices[lo:hi]] += (
+                        cf * self.freq.data[lo:hi].astype(np.float64))
                 below = [depth_rows.pop(g) for g in kids if g in depth_rows]
                 for d in range(max(map(len, below), default=0)):
                     parts = [b[d] for b in below if len(b) > d]

@@ -115,28 +115,6 @@ def _idf_global_vec(stats):
     return out
 
 
-def _idf_local_at(stats, node, idx):
-    """idf_local of the node at the given term indices."""
-    p = int(stats.hierarchy.parent[node])
-    df = stats.docfreq.dense_row(p)[idx].astype(np.float64)
-    out = np.zeros_like(df)
-    nz = df > 0
-    out[nz] = np.log(stats.node_size[p] / df[nz])
-    return out
-
-
-def _icf_at(stats, node, idx):
-    """icf of the node on its own row's terms ``idx``."""
-    p = int(stats.hierarchy.parent[node])
-    support = stats.child_support.dense_row(p)[idx].astype(np.float64)
-    out = np.zeros_like(support)
-    nz = support > 0
-    if nz.any():
-        frac = stats.docfreq.row(node)[1][nz] / stats.node_size[node]
-        out[nz] = np.exp(frac) * np.log(stats.child_count[p] / support[nz] + 1.0)
-    return out
-
-
 # The 2x2 chi-square and Jensen-Shannon statistics, shared by RCL, HierRCL
 # and the per-child chi-square test; their scalar forms are in
 # tests/oracles.py.  A cell is 0 whenever a marginal (chi-square) or the
@@ -189,16 +167,15 @@ def _jsd_formula_vec(p, log2_p, q):
 
 def _children_on_pattern(stats, node):
     """The node's ``freq`` pattern, its row there (float64) and its total,
-    and each child with mass as (total, ``freq`` row gathered onto the
+    and each child with mass as (total, ``freq`` row scattered onto the
     pattern).  A child's terms are among its parent's, so both statistics
     below are 0 off the pattern, and a child without mass adds 0 to each."""
     idx, f = stats.freq.row(node)
     kids = stats.hierarchy.children[node]
     rows = []
     for ch in kids[stats.node_total[kids] > 0].tolist():
-        c_idx, c_f = stats.freq.row(ch)
         row = np.zeros(idx.size)
-        row[np.searchsorted(idx, c_idx)] = c_f
+        row[stats.on_parent(ch)] = stats.freq.row(ch)[1]
         rows.append((float(stats.node_total[ch]), row))
     return idx, f.astype(np.float64), float(stats.node_total[node]), rows
 
@@ -264,11 +241,6 @@ def _topk_arrays(term_ids, scores, tie_freq, p_cap):
 # per-method drivers
 # ---------------------------------------------------------------------------
 
-def _row_arrays(csr, i):
-    lo, hi = csr.indptr[i], csr.indptr[i + 1]
-    return csr.indices[lo:hi].astype(np.int64), csr.data[lo:hi].astype(np.float64)
-
-
 def select_flat_or_hier(stats: NodeTermStats, method: str,
                         cfg: LabelConfig) -> LabelAssignment:
     """Independent per-node top-P selection for the twelve ranking methods."""
@@ -283,13 +255,24 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
         idfg = _idf_global_vec(stats)
         for i in (np.flatnonzero(stats.child_count) if hier
                   else np.arange(n)).tolist():
-            idx, score = _row_arrays(base, i)
+            # idf_local and icf read the parent's docfreq and child support,
+            # >= 1 at the node's cells but at a childless root (icf 0)
+            lo, hi = base.indptr[i], base.indptr[i + 1]
+            idx, up = base.indices[lo:hi], stats.up[lo:hi]
+            p = stats.hierarchy.parent[i]
+            score = base.data[lo:hi].astype(np.float64)
             if "_idf" in method:
-                score *= idfg[idx] * _idf_local_at(stats, i, idx)
+                score *= idfg[idx] * np.log(stats.node_size[p]
+                                            / stats.docfreq.data[up])
             if "ICWL" in method:
-                score *= _icf_at(stats, i, idx)
-            tie = stats.freq.row(i)[1].astype(np.float64)
-            ranked[i] = _topk_arrays(idx, score, tie, cfg.p_cap)
+                if not stats.child_count[p]:
+                    continue
+                score *= (np.exp(stats.docfreq.data[lo:hi]
+                                 / stats.node_size[i])
+                          * np.log(stats.child_count[p]
+                                   / stats.child_support.data[up] + 1.0))
+            ranked[i] = _topk_arrays(idx, score, stats.freq.data[lo:hi],
+                                     cfg.p_cap)
         return LabelAssignment.from_ranked(method, ranked)
 
     if method in RCL_SCHEMES:
@@ -298,8 +281,9 @@ def select_flat_or_hier(stats: NodeTermStats, method: str,
             # a term absent from the parent's subtree has tp = fp = 0 and
             # scores 0, so only the parent's sparse row, where tp + fp > 0,
             # is scored; tp + fn + fp + tn is the parent's mass
-            idx, f_p = _row_arrays(stats.freq, p)
-            tp = stats.freq.dense_row(i)[idx].astype(np.float64)
+            idx, f_p = stats.freq.row(p)
+            tp = np.zeros(idx.size)
+            tp[stats.on_parent(i)] = stats.freq.row(i)[1]
             m1 = float(stats.node_total[i])
             fn = m1 - tp
             fp = f_p - tp
@@ -411,7 +395,7 @@ def _hier_rcl(stats, method, cfg):
         for d in levels:
             i = int(path[d])
             if stats.child_count[i]:
-                idx, tie = _row_arrays(stats.freq, i)
+                idx, tie = stats.freq.row(i)
                 ranked[i] = _topk_arrays(idx, acc[d, idx], tie, cfg.p_cap)
                 acc[d, idx] = 0.0
 
@@ -427,7 +411,8 @@ def _hier_rcl(stats, method, cfg):
         c = int(stats.child_count[pg])
         idx, support = stats.child_support.row(pg)
         idx = idx.astype(np.int64)
-        tp = stats.freq.dense_row(g)[idx]
+        tp = np.zeros(idx.size, stats.freq.data.dtype)
+        tp[stats.on_parent(g)] = stats.freq.row(g)[1]
         f_pg = stats.freq.row(pg)[1]
         # where g is scored by class, acc[d, t] adds value ``take[t]`` of
         # row d; the terms off the pattern take class tp.size, +0.0
@@ -472,32 +457,40 @@ def _hier_rcl(stats, method, cfg):
 
 
 def _independence_ok(stats, node, cfg):
-    """Boolean per-term vector: chi-square independence NOT rejected at
-    alpha over the node's children (df = c - 1).  PopesculUngar and RLUM
-    share each node's read-only vector through ``stats.independence``."""
+    """Boolean per cell of the node's row: chi-square independence NOT
+    rejected at alpha over the node's children (df = c - 1).  PopesculUngar
+    and RLUM share each node's read-only vector through
+    ``stats.independence``."""
     key = (node, cfg.alpha, cfg.chi2_shape)
     ok = stats.independence.get(key)
     if ok is None:
         c = int(stats.child_count[node])
-        # off the node's pattern the statistic is 0, so the test passes
-        ok = np.ones(stats.n_terms, bool)
         if c > 1:
-            idx, stat = (_children_chi2_vec if cfg.chi2_shape == "full_table"
-                         else _children_max_2x2_vec)(stats, node)
-            ok[idx] = stat <= _chi2_critical(cfg.alpha, c - 1)
+            _, stat = (_children_chi2_vec if cfg.chi2_shape == "full_table"
+                       else _children_max_2x2_vec)(stats, node)
+            ok = stat <= _chi2_critical(cfg.alpha, c - 1)
+        else:
+            ok = np.ones(stats.freq.row(node)[0].size, bool)
         ok.flags.writeable = False
         stats.independence[key] = ok
     return ok
 
 
 def _count_children_ge(stats, node, threshold):
-    """Per-term count of direct children whose subtree frequency >= threshold."""
-    count = np.zeros(stats.n_terms, np.int64)
-    for ch in stats.hierarchy.children[node]:
-        idx, f = _row_arrays(stats.freq, int(ch))
-        if idx.size:
-            count[idx[f >= threshold]] += 1
+    """Per cell of the node's row: the direct children whose subtree
+    frequency of its term is >= threshold."""
+    count = np.zeros(stats.freq.row(node)[0].size, np.int64)
+    for ch in stats.hierarchy.children[node].tolist():
+        count[stats.on_parent(ch)[stats.freq.row(ch)[1] >= threshold]] += 1
     return count
+
+
+def _rank_by_freq(stats, i, keep, p_cap):
+    """Node i's terms at the cells of its row that ``keep`` marks, ranked
+    by ``freq``."""
+    idx, f = stats.freq.row(i)
+    f = f[keep]
+    return _topk_arrays(idx[keep], f, f, p_cap)
 
 
 def select_popescul_ungar(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
@@ -505,35 +498,22 @@ def select_popescul_ungar(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssign
     distribution over the children is indistinguishable from independence
     (and every child carries it at least MIN_CHILD_FREQ times); once
     selected it is banned on the whole subtree below.  Leaves take the
-    leftover terms ranked by cumulated frequency."""
+    leftover terms ranked by cumulated frequency.  A node's ban is a bool
+    per cell of its row, held until the walk reaches the node."""
     h = stats.hierarchy
     ranked = [None] * stats.n_nodes
-
-    def rank_leaf(leaf, ban):
-        idx, f = _row_arrays(stats.freq, leaf)
-        keep = ~ban[idx]
-        ranked[leaf] = _topk_arrays(idx[keep], f[keep], f[keep], cfg.p_cap)
-
-    # a leaf is ranked as soon as its parent's ban is known, so only the
-    # internal nodes' bans wait for the walk
-    no_ban = np.zeros(stats.n_terms, bool)
-    if not stats.child_count[h.root]:
-        rank_leaf(h.root, no_ban)
-    banned = {h.root: no_ban}
-    for i in h.preorder[stats.child_count[h.preorder] > 0].tolist():
+    banned = {h.root: np.zeros(stats.freq.row(h.root)[0].size, bool)}
+    for i in h.preorder.tolist():
         ban = banned.pop(i)
         c = int(stats.child_count[i])
-        freq_ok = _count_children_ge(stats, i, MIN_CHILD_FREQ) == c
-        selected = freq_ok & ~ban & _independence_ok(stats, i, cfg)
-        idx = np.flatnonzero(selected)
-        f = stats.freq.dense_row(i)[idx].astype(np.float64)
-        ranked[i] = _topk_arrays(idx, f, f, cfg.p_cap)
-        child_ban = ban | selected
+        selected = ~ban
+        if c:
+            selected &= ((_count_children_ge(stats, i, MIN_CHILD_FREQ) == c)
+                         & _independence_ok(stats, i, cfg))
+        ranked[i] = _rank_by_freq(stats, i, selected, cfg.p_cap)
+        ban |= selected
         for ch in h.children[i].tolist():
-            if stats.child_count[ch]:
-                banned[ch] = child_ban
-            else:
-                rank_leaf(ch, child_ban)
+            banned[ch] = ban[stats.on_parent(ch)]
     return LabelAssignment.from_ranked("PopesculUngar", ranked)
 
 
@@ -542,42 +522,30 @@ def select_rlum(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
     passes the independence test moves up to the parent and is removed from
     all direct children.  The chi-square estimate is only trusted when some
     child frequency reaches ``big_threshold``.  Empty-label pruning stays
-    disabled so the tree shape is preserved."""
+    disabled so the tree shape is preserved.  A node's candidates are a
+    bool per cell of its row, ranked once its parent has pruned them."""
     h = stats.hierarchy
     ranked = [None] * stats.n_nodes
-
-    def rank(i, row):
-        idx = np.flatnonzero(row)
-        f = stats.freq.dense_row(i)[idx].astype(np.float64)
-        ranked[i] = _topk_arrays(idx, f, f, cfg.p_cap)
-
-    # a node's row waits only for its parent's pruning, then is ranked
     cand = {}
     for i in h.preorder[::-1].tolist():
         if not stats.child_count[i]:
-            row = np.zeros(stats.n_terms, bool)
-            idx, _ = _row_arrays(stats.freq, i)
-            row[idx] = True
-            cand[i] = row
+            cand[i] = np.ones(stats.freq.row(i)[0].size, bool)
             continue
         c = int(stats.child_count[i])
-        all_present = stats.child_support.dense_row(i) == c
         trusted = _count_children_ge(stats, i, cfg.big_threshold) >= 1
-        promoted = all_present & trusted & _independence_ok(stats, i, cfg)
-        keep = ~promoted
+        promoted = ((stats.child_support.row(i)[1] == c) & trusted
+                    & _independence_ok(stats, i, cfg))
         for ch in h.children[i].tolist():
-            row = cand.pop(ch)
-            row &= keep
-            rank(ch, row)
+            keep = cand.pop(ch)
+            keep &= ~promoted[stats.on_parent(ch)]
+            ranked[ch] = _rank_by_freq(stats, ch, keep, cfg.p_cap)
         cand[i] = promoted
-    rank(h.root, cand.pop(h.root))
+    ranked[h.root] = _rank_by_freq(stats, h.root, cand.pop(h.root), cfg.p_cap)
     return LabelAssignment.from_ranked("RLUM", ranked)
 
 
 def _leaf_cf_row(stats, leaf):
-    idx, f = _row_arrays(stats.freq, leaf)
-    if idx.size == 0:
-        return idx, np.zeros(0)
+    idx, f = stats.freq.row(leaf)
     recall = f / stats.global_freq[idx]
     precision = f / float(stats.node_total[leaf])
     cf = 2.0 * recall * precision / (recall + precision)
@@ -586,38 +554,38 @@ def _leaf_cf_row(stats, leaf):
 
 def select_cf_average(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssignment:
     """CFMeasure at the leaves, then the plain mean over direct children
-    propagated bottom-up: the children's sparse rows are added in declared
-    order into a dense row, which is multiplied by 1 / (child count) - the
-    sparse sum and scalar division, bit for bit."""
+    propagated bottom-up: the children's rows are added in declared order
+    onto the node's row, which is multiplied by 1 / (child count) - the
+    sparse sum and scalar division, bit for bit.  A cell no child adds to
+    holds +0.0, which ranks nowhere and adds nothing above."""
     h = stats.hierarchy
     rows = [None] * stats.n_nodes
     ranked = [None] * stats.n_nodes
 
-    def rank(i, idx, score):
-        tie = stats.freq.dense_row(i)[idx].astype(np.float64)
-        ranked[i] = _topk_arrays(idx, score, tie, cfg.p_cap)
+    def rank(i, score):
+        idx, f = stats.freq.row(i)
+        ranked[i] = _topk_arrays(idx, score, f, cfg.p_cap)
 
     def leaf_row(leaf):
         """A leaf's CF row, computed and ranked when its parent reads it."""
-        idx, cf = _leaf_cf_row(stats, leaf)
-        rank(leaf, idx, cf)
-        return idx, cf
+        cf = _leaf_cf_row(stats, leaf)[1]
+        rank(leaf, cf)
+        return cf
 
     if not stats.child_count[h.root]:
         leaf_row(h.root)
-    acc = np.zeros(stats.n_terms)
     for i in h.preorder[::-1].tolist():
         if not stats.child_count[i]:
             continue
+        acc = np.zeros(stats.freq.row(i)[0].size)
         # only the parent reads a row, so it is dropped once read
         for ch in h.children[i].tolist():
-            idx, cf = rows[ch] if stats.child_count[ch] else leaf_row(ch)
+            acc[stats.on_parent(ch)] += (rows[ch] if stats.child_count[ch]
+                                         else leaf_row(ch))
             rows[ch] = None
-            acc[idx] += cf
-        idx = np.flatnonzero(acc)
-        rows[i] = idx, acc[idx] * (1 / int(stats.child_count[i]))
-        acc[idx] = 0.0
-        rank(i, *rows[i])
+        acc *= 1 / int(stats.child_count[i])
+        rows[i] = acc
+        rank(i, acc)
     return LabelAssignment.from_ranked("CFAverage", ranked)
 
 
@@ -631,8 +599,7 @@ def select_cf_leave_one_out(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssi
     ranked = [_UNLABELED] * stats.n_nodes
     for i in np.flatnonzero(stats.child_count == 0).tolist():
         idx, cf = _leaf_cf_row(stats, i)
-        tie = stats.freq.row(i)[1].astype(np.float64)
-        ranked[i] = _topk_arrays(idx, cf, tie, cfg.p_cap)
+        ranked[i] = _topk_arrays(idx, cf, stats.freq.row(i)[1], cfg.p_cap)
     # the nodes of each level, 0 .. the deepest
     order = np.argsort(h.level, kind="stable")
     levels = np.split(order, np.flatnonzero(np.diff(h.level[order])) + 1)
@@ -642,7 +609,8 @@ def select_cf_leave_one_out(stats: NodeTermStats, cfg: LabelConfig) -> LabelAssi
             idx, f = stats.freq.row(ch)
             level_mass[idx] += f
         for i in nodes[stats.child_count[nodes] > 0].tolist():
-            idx, f = _row_arrays(stats.freq, i)
+            idx, f = stats.freq.row(i)
+            f = f.astype(np.float64)
             denom = level_mass[idx].astype(np.float64) - f
             recall = np.divide(f, denom, out=np.zeros_like(f), where=denom > 0)
             precision = f / float(stats.node_total[i])

@@ -30,17 +30,22 @@ class GlmFit:
     df_resid: int
 
 
-def _sum_to_zero(pos: np.ndarray, k: int) -> np.ndarray:
-    """n x (k-1) sum-to-zero contrast columns of one categorical factor
-    whose rows hold the level positions ``pos``."""
-    return np.vstack([np.eye(k - 1), -np.ones(k - 1)])[pos]
+def _sum_to_zero(pos: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out``, a zero n x (k-1) block, the sum-to-zero contrast
+    columns of one categorical factor whose rows hold the level positions
+    ``pos``: a row at level j < k-1 holds 1 in column j, a row at the last
+    level -1 in every column."""
+    last = pos == out.shape[1]
+    out[last] = -1.0
+    rows = np.flatnonzero(~last)
+    out[rows, pos[rows]] = 1.0
 
 
 def _fit(y, factors: dict) -> GlmFit:
     """``factors`` maps each factor's name to (its ordered level labels,
-    each row's position among them)."""
+    each row's position among them).  The design is filled in place, one
+    factor's column block at a time."""
     n = y.size
-    blocks = [np.ones((n, 1))]
     sizes = {}
     for name, (levels, pos) in factors.items():
         if len(levels) < 2:
@@ -55,8 +60,12 @@ def _fit(y, factors: dict) -> GlmFit:
                 f"observations"
             )
         sizes[name] = dict(zip(levels, counts.tolist()))
-        blocks.append(_sum_to_zero(pos, len(levels)))
-    x = np.hstack(blocks)
+    x = np.zeros((n, 1 + sum(len(lv) - 1 for lv, _ in factors.values())))
+    x[:, 0] = 1.0
+    col = 1
+    for levels, pos in factors.values():
+        _sum_to_zero(pos, x[:, col:col + len(levels) - 1])
+        col += len(levels) - 1
     beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ beta
     rss = float(resid @ resid)

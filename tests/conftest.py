@@ -163,6 +163,30 @@ def comb_instance(tmp_path, spine=30, docs_per_leaf=4, n_terms=300,
     return m, hierarchy_from_records(records, m, tmp_path, "comb.json")
 
 
+def wide_instance(tmp_path, fanout=8, docs_per_leaf=2, n_terms=300,
+                  terms_per_doc=10):
+    """Root -> ``fanout`` children -> ``fanout`` leaves each; documents
+    hold ``terms_per_doc`` random terms, so the root's children share few
+    of their terms."""
+    rng = np.random.default_rng(7)
+    records = [{"id": 0, "parent": None, "children": [], "docs": []}]
+    for k in range(fanout):
+        mid = len(records)
+        records[0]["children"].append(mid)
+        records.append({"id": mid, "parent": 0, "children": [], "docs": []})
+        for j in range(fanout):
+            records[mid]["children"].append(len(records))
+            start = (k * fanout + j) * docs_per_leaf
+            records.append({"id": len(records), "parent": mid,
+                            "children": [],
+                            "docs": list(range(start, start + docs_per_leaf))})
+    docs = fanout * fanout * docs_per_leaf
+    cells = [(d, int(t), int(rng.integers(1, 5))) for d in range(docs)
+             for t in rng.choice(n_terms, terms_per_doc, replace=False)]
+    m = matrix_from_cells(docs, n_terms, cells)
+    return m, hierarchy_from_records(records, m, tmp_path, "wide.json")
+
+
 def traced_peak(fn):
     """(fn(), the peak and the final size in bytes of the memory that
     tracemalloc traced while fn ran): the final size is what fn's

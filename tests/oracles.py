@@ -43,8 +43,8 @@ The query and CFAverage oracles here walk the tree by (level, id)
 (``_top_down``); the library walks it in pre-order.  The tree and table
 readers that only tests call live here too: ``index_of``, ``ancestors``,
 ``descendants`` (a stack walk), ``preorder_descendants`` (a run of the
-library's pre-order), ``csr_get``, ``toarray``, ``freq_of`` and
-``pairwise``.
+library's pre-order), ``csr_get``, ``toarray``, ``dense_row``, ``freq_of``
+and ``pairwise``.
 
 Labels here are per-node lists of (term id, score) pairs; the library
 holds each method's labels as one columnar ``LabelAssignment``.
@@ -110,6 +110,15 @@ def toarray(record: CSR) -> np.ndarray:
     """A CSR record as a dense array."""
     out = np.zeros(record.shape, record.data.dtype)
     out[record.row_ids(), record.indices] = record.data
+    return out
+
+
+def dense_row(record: CSR, i: int) -> np.ndarray:
+    """Row i of a CSR record as a dense array: ``toarray(record)[i]``
+    without the other rows."""
+    out = np.zeros(record.shape[1], record.data.dtype)
+    idx, vals = record.row(i)
+    out[idx] = vals
     return out
 
 
@@ -655,9 +664,9 @@ def rcl(stats, method, cfg):
     all_terms = np.arange(stats.n_terms, dtype=np.int64)
     for i in range(stats.n_nodes):
         p = int(stats.hierarchy.parent[i])
-        tp = stats.freq.dense_row(i).astype(np.float64)
+        tp = dense_row(stats.freq, i).astype(np.float64)
         fn = float(stats.node_total[i]) - tp
-        fp = stats.freq.dense_row(p).astype(np.float64) - tp
+        fp = dense_row(stats.freq, p).astype(np.float64) - tp
         if cfg.rcl_fp == "literal":
             fp = np.maximum(fp - tp, 0.0)
         s = float(stats.node_total[p]) - float(stats.node_total[i])
@@ -673,11 +682,11 @@ def rcl(stats, method, cfg):
 def children_max_2x2(stats, node):
     """The largest per-child 2x2 chi-square of each term over the node's
     children (the ``per_child_2x2`` reading), on dense rows."""
-    f_node = stats.freq.dense_row(node).astype(np.float64)
+    f_node = dense_row(stats.freq, node).astype(np.float64)
     s = float(stats.node_total[node])
     best = np.zeros(stats.n_terms)
     for ch in stats.hierarchy.children[node]:
-        tp = stats.freq.dense_row(int(ch)).astype(np.float64)
+        tp = dense_row(stats.freq, int(ch)).astype(np.float64)
         fn = float(stats.node_total[int(ch)]) - tp
         fp = f_node - tp
         tn = s - (tp + fn + fp)
@@ -693,7 +702,7 @@ def hier_rcl(stats, method, cfg):
     all_terms = np.arange(stats.n_terms, dtype=np.int64)
 
     def frow(i):
-        return stats.freq.dense_row(i).astype(np.float64)
+        return dense_row(stats.freq, i).astype(np.float64)
 
     for i in range(stats.n_nodes):
         desc = descendants(h, i)
@@ -713,7 +722,7 @@ def hier_rcl(stats, method, cfg):
                 v = chi2_masked(tp, fn, fp, tn, s)
             else:
                 v = jsd_masked(tp, fn, fp, tn)
-            cf = (stats.child_support.dense_row(pg)
+            cf = (dense_row(stats.child_support, pg)
                   / int(stats.child_count[pg]))
             acc += cf * v / e
         out[i] = topk(all_terms, acc, frow(i), cfg.p_cap)
@@ -729,8 +738,8 @@ def hier_base(stats):
         p = int(stats.hierarchy.parent[g])
         c = int(stats.child_count[p])
         if c:
-            f = stats.freq.dense_row(g).astype(np.float64)
-            cf = stats.child_support.dense_row(p).astype(np.float64) / c
+            f = dense_row(stats.freq, g).astype(np.float64)
+            cf = dense_row(stats.child_support, p).astype(np.float64) / c
             nz = np.flatnonzero(f)
             u[g, nz] = cf[nz] * f[nz]
     child = child_incidence(stats.hierarchy).astype(np.float64)
@@ -883,7 +892,7 @@ def cf_average(stats, cfg) -> LabelAssignment:
     for i in range(stats.n_nodes):
         r = rows[i].tocsr()
         idx = r.indices.astype(np.int64)
-        tie = stats.freq.dense_row(i)[idx].astype(np.float64)
+        tie = dense_row(stats.freq, i)[idx].astype(np.float64)
         out[i] = ranked_pairs(_topk_arrays(
             idx, r.data.astype(np.float64), tie, cfg.p_cap))
     return assignment("CFAverage", out, stats.n_nodes)

@@ -165,7 +165,7 @@ def test_c04_retrieval_correctness(tmp_path):
                 assert row.f == 1.0
 
         def brute(mat, query, d):
-            row_ = mat.csr.dense_row(d)
+            row_ = oracles.dense_row(mat.csr, d)
             if isinstance(query, oracles.Term):
                 return row_[query.term] > 0
             if isinstance(query, oracles.Or):
@@ -425,6 +425,30 @@ def test_c09_determinism_and_scale(tmp_path_factory):
             {k: v["sha256"] for k, v in m1["inputs"].items()}
 
         _SMOKE["out"] = root / "o8"
+
+
+# sha256 of the smoke fixture's labels.csv at rcl_fp "literal" and
+# chi2_shape "per_child_2x2"
+LITERAL_LABELS_SHA256 = \
+    "b9af4cfdfb70e2771c18babd8427d6dd315dcc38794dba409c42f90de25bf534"
+
+
+@pytest.mark.slow
+def test_c09_labels_at_the_literal_readings(tmp_path):
+    """Criterion 9 at the non-default readings: the smoke fixture labeled
+    at ``rcl_fp`` "literal" and ``chi2_shape`` "per_child_2x2", which take
+    the other branches of RCL, HierRCL, PopesculUngar and RLUM, writes the
+    pinned labels.csv bytes."""
+    with _Timer("criterion 9: labels at the literal readings", 120.0):
+        cfg_path = build_smoke_fixture(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg.update(rcl_fp="literal", chi2_shape="per_child_2x2")
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.main(["label", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+        got = hashlib.sha256((out / "labels.csv").read_bytes()).hexdigest()
+        assert got == LITERAL_LABELS_SHA256
 
 
 def test_c10_per_level_trend_diagnostic():

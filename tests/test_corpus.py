@@ -10,7 +10,7 @@ import oracles
 from conftest import (balanced_instance, comb_instance,
                       hierarchy_from_records, matrix_from_cells,
                       random_instance, random_matrix, random_tree_records,
-                      shuffled_instances, traced_peak)
+                      shuffled_instances, traced_peak, wide_instance)
 
 
 class TestLoadMatrix:
@@ -411,11 +411,12 @@ class TestNodeStats:
                 if h.children[i].size == 0:
                     continue
                 kid_sum = sum(
-                    (stats.freq.dense_row(int(c))
+                    (oracles.dense_row(stats.freq, int(c))
                      for c in h.children[i]),
                     start=np.zeros(m.n_terms, np.int64),
                 )
-                assert np.array_equal(stats.freq.dense_row(i), kid_sum)
+                assert np.array_equal(oracles.dense_row(stats.freq, i),
+                                      kid_sum)
 
     def test_root_equals_grand_total(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -432,8 +433,9 @@ class TestNodeStats:
             docs = h.docsets[i]
             expect_df = (dense[docs] > 0).sum(axis=0)
             expect_f = dense[docs].sum(axis=0)
-            assert np.array_equal(stats.docfreq.dense_row(i), expect_df)
-            assert np.array_equal(stats.freq.dense_row(i), expect_f)
+            assert np.array_equal(oracles.dense_row(stats.docfreq, i),
+                                  expect_df)
+            assert np.array_equal(oracles.dense_row(stats.freq, i), expect_f)
             assert stats.node_size[i] == len(docs)
 
 
@@ -481,10 +483,10 @@ class TestSharedPattern:
 
     def test_build_peak(self, tmp_path):
         """Building the statistics and the Hier base peaks below 1.5 times
-        what they keep: the tables' own bytes, the dense accumulator rows
-        and the Hier base's per-depth rows fit in that.  Four tables that
-        store their pattern three times, or rows held in lists while they
-        are concatenated, come to about twice."""
+        what they keep, the tables' own bytes and ``up``: the dense
+        accumulator rows and the Hier base's per-depth rows fit in that.
+        Four tables that store their pattern three times, or rows held in
+        lists while they are concatenated, come to about twice."""
         m, h = comb_instance(tmp_path)
 
         def build():
@@ -493,8 +495,40 @@ class TestSharedPattern:
             return stats
 
         stats, peak, _ = traced_peak(build)
-        kept = stats.freq.indptr.nbytes + stats.freq.nnz * (4 + 3 * 4 + 8)
+        # per cell: the term id, up, three int32 counts, the Hier base
+        kept = (stats.freq.indptr.nbytes
+                + stats.freq.nnz * (4 + 4 + 3 * 4 + 8))
         assert peak <= 1.5 * kept, (peak, kept)
+
+
+def _single_node_instance(tmp_path):
+    m = matrix_from_cells(2, 4, [(0, 0, 4), (0, 2, 1), (1, 3, 2)])
+    return m, hierarchy_from_records(
+        [{"id": 0, "parent": None, "children": [], "docs": [0, 1]}],
+        m, tmp_path)
+
+
+class TestParentMap:
+    """``up`` takes every cell to its term's cell on the parent's row."""
+
+    @pytest.mark.parametrize("instance", [
+        balanced_instance, comb_instance, wide_instance,
+        _single_node_instance])
+    def test_up_on_tree_shapes(self, tmp_path, instance):
+        m, h = instance(tmp_path)
+        stats = corp.build_node_stats(m, h)
+        up, indptr, indices = stats.up, stats.freq.indptr, stats.freq.indices
+        assert up.dtype == corp._int_type(stats.freq.nnz) == np.int32
+        assert np.array_equal(indices[up], indices)
+        parent = h.parent[stats.freq.row_ids()]
+        assert ((indptr[parent] <= up) & (up < indptr[parent + 1])).all()
+        lo, hi = indptr[h.root], indptr[h.root + 1]
+        assert hi > lo
+        assert np.array_equal(up[lo:hi], np.arange(lo, hi))
+        for i in range(h.n_nodes):
+            assert np.array_equal(stats.on_parent(i),
+                                  up[indptr[i]:indptr[i + 1]]
+                                  - indptr[h.parent[i]])
 
 
 class TestCountTypes:

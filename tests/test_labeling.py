@@ -459,7 +459,7 @@ class TestRankingMethods:
                 parent = int(stats.hierarchy.parent[i])
                 pairs = [(t, oracles.chi2_2x2(oracles.contingency_rcl(stats, parent, i, t)))
                          for t in range(m.n_terms)]
-                freqs = stats.freq.dense_row(i)
+                freqs = oracles.dense_row(stats.freq, i)
                 expect = oracles.select_topk(pairs, cfg.p_cap, freqs)
                 got = oracles.label_list(a, i)
                 assert [t for t, _ in got] == [t for t, _ in expect]
@@ -477,7 +477,7 @@ class TestRankingMethods:
                                          lambda g, t=t: oracles.score_mtwl_raw(stats, g, t)))
                      for t in range(m.n_terms)]
             expect = oracles.select_topk(pairs, cfg.p_cap,
-                                         stats.freq.dense_row(i))
+                                         oracles.dense_row(stats.freq, i))
             got = oracles.label_list(a, i)
             assert [t for t, _ in got] == [t for t, _ in expect]
             for (_, s1), (_, s2) in zip(got, expect):
@@ -505,7 +505,7 @@ class TestRankingMethods:
                                          lambda g, t=t: v(g, t)))
                      for t in range(m.n_terms)]
             expect = oracles.select_topk(pairs, cfg.p_cap,
-                                         stats.freq.dense_row(i))
+                                         oracles.dense_row(stats.freq, i))
             got = oracles.label_list(a, i)
             assert [t for t, _ in got] == [t for t, _ in expect]
             for (_, s1), (_, s2) in zip(got, expect):
@@ -606,7 +606,7 @@ class TestHierRclAgainstOracle:
             seen["no_mass"] += (mass[g] == 0).any()
             seen["m2_zero"] += ((mass[g] > 0) & (mass[g] == s_g)).any()
             for pg in np.unique(h.parent[g]):
-                f = stats.freq.dense_row(int(pg))
+                f = oracles.dense_row(stats.freq, int(pg))
                 s_p = mass[stats.hierarchy.parent[pg]]
                 seen["m4_zero"] += ((f > 0) & (f == s_p)).any()
             # the path _hier_rcl takes for each g with mass, by the rule it
@@ -621,8 +621,8 @@ class TestHierRclAgainstOracle:
                     seen["classes"] += 1
                     seen["int32_key_overflow"] += bool(
                         stats.freq.data.dtype == np.int32
-                        and int(stats.freq.dense_row(gi).max()) * width
-                        >= 2 ** 31)
+                        and int(oracles.dense_row(stats.freq, gi).max())
+                        * width >= 2 ** 31)
                 elif h.level[gi] < lab._CLASS_MIN_ROWS:
                     seen["per_term"] += 1
                 else:
@@ -708,7 +708,7 @@ class TestChildrenStatistics:
                 seen["child without mass"] |= bool(
                     (stats.node_total[kids] == 0).any())
                 seen["term of one child"] |= len(kids) > 1 and bool(
-                    (stats.child_support.dense_row(i) == 1).any())
+                    (oracles.dense_row(stats.child_support, i) == 1).any())
         assert all(seen.values()), seen
 
 
@@ -739,7 +739,7 @@ class TestLabelingPeak:
 
     def test_label_all_peak_on_a_deep_comb(self, tmp_path):
         """Building the statistics and labeling every method peaks within
-        10% of the int32 count tables, the Hier base and one (depth x
+        10% of the int32 count tables, ``up``, the Hier base and one (depth x
         terms) float64 array: HierRCL's level rows, the Hier base's depth
         rows and CFLeaveOneOut's level mass are never held together."""
         m, h = comb_instance(tmp_path, spine=40, docs_per_leaf=8,
@@ -751,7 +751,8 @@ class TestLabelingPeak:
             return stats, lab.label_all(stats)
 
         (stats, _), peak, _ = traced_peak(label)
-        tables = stats.freq.indptr.nbytes + stats.freq.nnz * (4 + 3 * 4)
+        # per cell: the term id, up and three int32 counts
+        tables = stats.freq.indptr.nbytes + stats.freq.nnz * (4 + 4 + 3 * 4)
         rows = int(h.level.max()) * m.n_terms * 8
         bound = 1.1 * (tables + stats.hier_base().data.nbytes + rows)
         assert peak <= bound, (peak, bound)
@@ -818,8 +819,9 @@ class TestFrequencyMethodsAgainstOracle:
                         got[t] = score
                     where = (trial, method, i)
                     assert got == pytest.approx(want, rel=1e-12, abs=0), where
-                    order = oracles.topk(all_terms, got,
-                                         stats.freq.dense_row(i), n_terms)
+                    order = oracles.topk(
+                        all_terms, got, oracles.dense_row(stats.freq, i),
+                        n_terms)
                     assert oracles.label_list(full, i) == order, where
                     assert oracles.label_list(short, i) == order[:3], where
         assert unary
@@ -945,7 +947,7 @@ class TestRlum:
                 for ch in h.children[i]:
                     assert not (mine & set(oracles.label_terms(a, int(ch))))
                 # no zero-frequency term may be labeled
-                row = stats.freq.dense_row(i)
+                row = oracles.dense_row(stats.freq, i)
                 assert all(row[t] > 0 for t in mine)
 
 

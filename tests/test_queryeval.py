@@ -286,7 +286,7 @@ class TestRetrieve:
         assert oracles.retrieve(m, oracles.Term(0)) == {1, 4}
 
     def brute(self, m, query, d):
-        row = m.csr.dense_row(d)
+        row = oracles.dense_row(m.csr, d)
         if isinstance(query, oracles.Term):
             return row[query.term] > 0
         if isinstance(query, oracles.Or):
