@@ -197,11 +197,10 @@ def load_config(path, overrides: dict) -> RunConfig:
 
 @dataclass
 class InputBundle:
-    matrix: corp.DocTermMatrix        # df-filtered when configured
-    vocab_full: corp.Vocabulary       # as loaded from disk
+    matrix: corp.DocTermMatrix        # the df band's cells when configured
+    vocabulary: corp.Vocabulary
     hierarchy: corp.Hierarchy
-    remap: np.ndarray                 # original term id -> working id, -1 dropped
-    orig_id: np.ndarray               # working id -> original term id
+    kept: np.ndarray                  # per term id: in the df band (bool)
 
 
 def load_inputs(cfg: RunConfig) -> InputBundle:
@@ -210,19 +209,20 @@ def load_inputs(cfg: RunConfig) -> InputBundle:
     records = corp.read_hierarchy(cfg.hierarchy)
     matrix = corp.load_matrix(cfg.matrix,
                               max_docs=corp.listed_docs(records))
-    vocab_full = corp.load_vocabulary(cfg.vocabulary)
-    if len(vocab_full) != matrix.n_terms:
+    vocabulary = corp.load_vocabulary(cfg.vocabulary)
+    if len(vocabulary) != matrix.n_terms:
         raise ValidationError(
-            f"{cfg.vocabulary}: vocabulary has {len(vocab_full)} terms, "
+            f"{cfg.vocabulary}: vocabulary has {len(vocabulary)} terms, "
             f"matrix {cfg.matrix} has {matrix.n_terms}")
     if cfg.df_filter is not None:
-        matrix, remap = corp.salton_df_filter(matrix, *cfg.df_filter)
-        orig_id = np.flatnonzero(remap >= 0)
+        try:
+            matrix, kept = corp.salton_df_filter(matrix, *cfg.df_filter)
+        except ValidationError as e:
+            raise ValidationError(f"{cfg.matrix}: {e}") from None
     else:
-        remap = np.arange(matrix.n_terms, dtype=np.int64)
-        orig_id = remap
+        kept = np.ones(matrix.n_terms, bool)
     hierarchy = corp.load_hierarchy(cfg.hierarchy, matrix, records)
-    return InputBundle(matrix, vocab_full, hierarchy, remap, orig_id)
+    return InputBundle(matrix, vocabulary, hierarchy, kept)
 
 
 def _sha256(path) -> str:
@@ -305,23 +305,22 @@ def stage_label(cfg: RunConfig, tracker: OutputTracker,
 
 def _label_rows(assignments, methods, bundle) -> str:
     """labels.csv's rows in method, node and rank order, as csv.writer
-    writes them: method, node id, rank, original term id, surface, score.
-    Of these only a surface can need quoting, so each distinct surface is
-    encoded once by csv.writer, each distinct score formatted once by
-    ``fmt``, and the rows joined from the columns' cells."""
+    writes them: method, node id, rank, term id, surface, score.  Of these
+    only a surface can need quoting, so each distinct surface is encoded
+    once by csv.writer, each distinct score formatted once by ``fmt``, and
+    the rows joined from the columns' cells."""
     records = [assignments[m] for m in methods]
     sizes = np.concatenate([np.diff(a.indptr) for a in records])
     owner = np.repeat(np.arange(sizes.size), sizes)     # (method, node) code
     rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    term, term_at = np.unique(
-        bundle.orig_id[np.concatenate([a.term for a in records])],
-        return_inverse=True)
+    term, term_at = np.unique(np.concatenate([a.term for a in records]),
+                              return_inverse=True)
     score, score_at = np.unique(np.concatenate([a.score for a in records]),
                                 return_inverse=True)
     encoded = []
     # a row of the surface and an empty field: "<encoded surface>,\r\n"
     csv.writer(SimpleNamespace(write=encoded.append)).writerows(
-        [bundle.vocab_full.surfaces[t], ""] for t in term.tolist())
+        [bundle.vocabulary.surfaces[t], ""] for t in term.tolist())
     ids = bundle.hierarchy.ids.tolist()
     cells = np.empty((owner.size, 4), object)
     # each column's distinct cells, with the separators that follow them
@@ -522,7 +521,7 @@ def _raise_first(path, lines, faults, fault):
 @dataclass
 class LabelColumns:
     """labels.csv's rows sorted by method code, node id and rank; ``method``
-    codes index ``method_names``, ``term`` holds original term ids."""
+    codes index ``method_names``."""
     method_names: tuple
     method: np.ndarray
     node_id: np.ndarray
@@ -543,7 +542,7 @@ def read_labels_csv(path, surfaces) -> tuple:
     one row per method, node and rank, every method one of the sixteen,
     every score positive and finite, the ranks of each method and node
     running 1..k, and every term_surface the surface in ``surfaces`` (the
-    full vocabulary's) of its term_id, where ``surfaces`` holds that id.
+    vocabulary's) of its term_id, where ``surfaces`` holds that id.
     The file's form and the repeats are checked first, the values after
     them."""
     lines, (method, surface, *cells), fault = _report_columns(
@@ -596,47 +595,42 @@ def _rows_per_node(order, codes, nid) -> np.ndarray:
 
 def _assignments_from_csv(tracker: OutputTracker, bundle: InputBundle,
                           cfg: RunConfig) -> dict:
-    """The label stage's LabelAssignments (internal node indices, working
-    term ids) of the configured methods, read back from labels.csv.  Only
-    each label's first p_cap ranks are kept, the terms the label stage
-    would have written under ``cfg``.  A row whose node the hierarchy
-    lacks, or whose term the working vocabulary lacks (such as one the df
-    filter dropped), is an input error."""
+    """The label stage's LabelAssignments (internal node indices) of the
+    configured methods, read back from labels.csv.  Only each label's
+    first p_cap ranks are kept, the terms the label stage would have
+    written under ``cfg``.  A row whose node the hierarchy lacks, or whose
+    term the working vocabulary lacks (such as one outside the df band),
+    is an input error; the first such row in file order is named."""
     path = tracker.out_dir / "labels.csv"
     if not path.is_file():
         raise ConfigError(f"labels.csv not found in {tracker.out_dir}; "
                           "run the label stage first")
-    cols, lines = read_labels_csv(path, bundle.vocab_full.surfaces)
+    cols, lines = read_labels_csv(path, bundle.vocabulary.surfaces)
+    wanted = np.zeros(lines.size, bool)
+    for method in cfg.methods:
+        wanted[cols.rows_of(method)] = True
+    node, stray = _node_index(bundle.hierarchy, cols.node_id)
+    term = cols.term
+    inside = (term >= 0) & (term < bundle.kept.size)
+    absent = ~inside
+    absent[inside] = ~bundle.kept[term[inside]]
+    bad = np.flatnonzero(wanted & (stray | absent))
+    if bad.size:
+        k = bad[np.argmin(lines[bad])]
+        why = (f"node {cols.node_id[k]} is not in the hierarchy" if stray[k]
+               else f"term {term[k]} is absent from the working vocabulary")
+        raise ValidationError(f"{path}:{lines[k]}: {why}")
     nodes = np.arange(bundle.hierarchy.n_nodes + 1)
-    read, faults = {}, []
+    out = {}
     for method in cfg.methods:
         rows = cols.rows_of(method)
-        nid, term = cols.node_id[rows], cols.term[rows]
-        node, stray = _node_index(bundle.hierarchy, nid)
-        inside = (term >= 0) & (term < bundle.remap.size)
-        absent = ~inside
-        absent[inside] = bundle.remap[term[inside]] < 0
-        for fault in (
-                _first_fault(stray, lambda k: f"node {nid[k]} is not in "
-                                              f"the hierarchy"),
-                _first_fault(absent, lambda k: f"term {term[k]} is absent "
-                                               f"from the working "
-                                               f"vocabulary")):
-            if fault is not None:
-                faults.append((int(lines[rows][fault[0]]), fault[1]))
-        read[method] = (node, term, cols.score[rows])
-    if faults:
-        line, why = min(faults, key=operator.itemgetter(0))
-        raise ValidationError(f"{path}:{line}: {why}")
-    out = {}
-    for method, (node, term, score) in read.items():
+        n, t, s = node[rows], term[rows], cols.score[rows]
         # the rows run in node and rank order
-        start = np.searchsorted(node, nodes)
-        keep = (np.arange(node.size) - np.repeat(start[:-1], np.diff(start))
+        start = np.searchsorted(n, nodes)
+        keep = (np.arange(n.size) - np.repeat(start[:-1], np.diff(start))
                 < cfg.p_cap)
-        node, term, score = node[keep], term[keep], score[keep]
         out[method] = lab.LabelAssignment(
-            method, np.searchsorted(node, nodes), bundle.remap[term], score)
+            method, np.searchsorted(n[keep], nodes), t[keep], s[keep])
     return out
 
 
@@ -820,16 +814,16 @@ def stage_coherence(cfg: RunConfig, tracker: OutputTracker,
                     bundle: InputBundle, assignments: dict | None = None):
     """``assignments`` are the label stage's in-memory results; without
     them the labels are read back from labels.csv, and only the bounds and
-    original term ids that ``coh.score_labels`` takes outlive the reading,
-    before the reference corpus is loaded."""
+    term ids that ``coh.score_labels`` takes outlive the reading, before
+    the reference corpus is loaded."""
     if cfg.reference_corpus is None:
         raise ConfigError("coherence stage requires a reference_corpus path")
-    labels = {m: (a.indptr, bundle.orig_id[a.term])
+    labels = {m: (a.indptr, a.term)
               for m, a in (assignments if assignments is not None else
                            _assignments_from_csv(tracker, bundle, cfg)).items()}
     label_terms = np.unique(np.concatenate([t for _, t in labels.values()]))
     counts = coh.count_cooccurrence(
-        coh.load_reference_corpus(cfg.reference_corpus), bundle.vocab_full,
+        coh.load_reference_corpus(cfg.reference_corpus), bundle.vocabulary,
         restrict_terms=label_terms.tolist())
     oc = coh.score_labels(counts, labels, cfg.p_cap, cfg.npmi_epsilon,
                           cfg.oc_aggregate)
@@ -867,8 +861,8 @@ def stage_validate(cfg: RunConfig, reference: bool = True):
         f"methods: {len(cfg.methods)}",
     ]
     if cfg.df_filter is not None:
-        kept = bundle.matrix.n_terms
-        lines.append(f"df filter kept {kept} of {len(bundle.vocab_full)} terms")
+        lines.append(f"df filter kept {np.count_nonzero(bundle.kept)} of "
+                     f"{bundle.kept.size} terms")
     if reference and cfg.reference_corpus is not None:
         corpus = coh.load_reference_corpus(cfg.reference_corpus)
         lines.append(f"reference corpus: {len(corpus)} documents")

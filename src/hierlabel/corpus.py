@@ -557,29 +557,30 @@ def save_hierarchy(hierarchy: Hierarchy, path) -> None:
 
 
 def salton_df_filter(matrix: DocTermMatrix, low: float, high: float):
-    """Drop terms whose document frequency falls outside the Salton band.
+    """Drop the cells of the terms whose document frequency falls outside
+    the Salton band; every term keeps its id.
 
     Bounds are the fractions rounded to the nearest document count (half
     away from zero), inclusive on both ends; e.g. 328 docs with
-    (0.01, 0.10) keeps terms with 3 <= df <= 33.  Returns the reduced
-    matrix and an old-id -> new-id array (-1 for dropped terms).
+    (0.01, 0.10) keeps terms with 3 <= df <= 33.  Returns the matrix over
+    the same vocabulary that holds only the kept terms' cells, and the
+    bool mask of the kept terms.
     """
     if not (0 <= low < high <= 1):
         raise ValidationError("df filter requires 0 <= low < high <= 1")
     df = matrix.term_doc_freq()
     lo = math.floor(low * matrix.n_docs + 0.5)
     hi = math.floor(high * matrix.n_docs + 0.5)
-    keep = np.flatnonzero((df >= lo) & (df <= hi))
-    if keep.size == 0:
-        raise ValidationError("empty vocabulary after filter")
-    remap = np.full(matrix.n_terms, -1, np.int64)
-    remap[keep] = np.arange(keep.size)
+    kept = (df >= lo) & (df <= hi)
+    if not kept.any():
+        raise ValidationError(f"empty vocabulary after filter: no term is "
+                              f"in {lo} to {hi} of the {matrix.n_docs} "
+                              f"documents")
     c = matrix.csr
-    kept = remap[c.indices] >= 0
-    # remap is increasing on the kept terms, so every row stays sorted
-    sub = CSR.from_sorted(c.row_ids()[kept], remap[c.indices[kept]],
-                          c.data[kept], (matrix.n_docs, keep.size))
-    return DocTermMatrix(matrix.n_docs, keep.size, sub), remap
+    cells = kept[c.indices]
+    sub = CSR.from_sorted(c.row_ids()[cells], c.indices[cells],
+                          c.data[cells], c.shape)
+    return DocTermMatrix(matrix.n_docs, matrix.n_terms, sub), kept
 
 
 class NodeTermStats:
@@ -592,6 +593,10 @@ class NodeTermStats:
     node_size[i]     number of docs in node i's subtree
     up[c]            position in the tables' ``data`` of cell c's term on
                      the parent's row; the root's cells map to themselves
+    root_pos[t]      position of term t on the root's row, which holds every
+                     term with a cell (0 for the others): term t's column in
+                     the dense rows that span the collection's terms, as
+                     wide as the root's row
 
     The tables are CSR records on one pattern: they share ``indptr`` and
     ``indices`` (freq's cells, term ids as int32), and each holds only its
@@ -707,6 +712,8 @@ class NodeTermStats:
         root = slice(bounds[hierarchy.root], bounds[hierarchy.root + 1])
         up[root] = np.arange(root.start, root.stop)
         self.up = up
+        self.root_pos = np.zeros(m, np.intp)
+        self.root_pos[indices[root]] = np.arange(root.stop - root.start)
         self.freq = CSR(indptr, indices, freq, (n, m))
         self.docfreq = CSR(indptr, indices, docfreq, (n, m))
         self.child_support = CSR(indptr, indices, support, (n, m))
@@ -746,22 +753,24 @@ class NodeTermStats:
         pattern, 0 on the leaves' rows."""
         if self._hier_base is None:
             h = self.hierarchy
-            m = self.n_terms
             indptr, indices = self.freq.indptr.tolist(), self.freq.indices
+            # the dense rows span the root's row, each term at its root_pos
+            at = self.root_pos
+            width = indptr[h.root + 1] - indptr[h.root]
             data = np.zeros(self.freq.nnz)
             depth_rows = {}     # i -> [(C^d U)[i] for d = 1, 2, ...]
-            scaled = np.empty(m)
+            scaled = np.empty(width)
             for i in h.preorder[::-1].tolist():
                 kids = np.sort(h.children[i]).tolist()
                 if not kids:
                     continue
                 # sibling_cf at each child's cells, read off i's row
-                rows = [np.zeros(m)]
+                rows = [np.zeros(width)]
                 for g in kids:
                     lo, hi = indptr[g], indptr[g + 1]
                     cf = (self.child_support.data[self.up[lo:hi]]
                           .astype(np.float64) / len(kids))
-                    rows[0][indices[lo:hi]] += (
+                    rows[0][at.take(indices[lo:hi])] += (
                         cf * self.freq.data[lo:hi].astype(np.float64))
                 below = [depth_rows.pop(g) for g in kids if g in depth_rows]
                 for d in range(max(map(len, below), default=0)):
@@ -777,7 +786,7 @@ class NodeTermStats:
                 for d, row in enumerate(rows[1:], 2):
                     total += np.multiply(row, 1 / d, out=scaled)
                 lo, hi = indptr[i], indptr[i + 1]
-                data[lo:hi] = total[indices[lo:hi]]
+                data[lo:hi] = total[at.take(indices[lo:hi])]
                 depth_rows[i] = rows
             self._hier_base = CSR(self.freq.indptr, self.freq.indices, data,
                                   self.freq.shape)

@@ -68,9 +68,9 @@ class LabelConfig:
 class LabelAssignment:
     """Ranked labels of one method for every node, as columns in the shape
     of ``corpus.CSR``: the labels of internal node index i are entries
-    ``indptr[i]:indptr[i + 1]`` of ``term`` (working term ids) and
-    ``score``, in rank order; at most p_cap per node, scores positive and
-    non-increasing."""
+    ``indptr[i]:indptr[i + 1]`` of ``term`` (the vocabulary's term ids,
+    with or without a df filter) and ``score``, in rank order; at most
+    p_cap per node, scores positive and non-increasing."""
     method: str
     indptr: np.ndarray          # int64, one more than the nodes
     term: np.ndarray            # int64
@@ -339,7 +339,10 @@ def _hier_rcl(stats, method, cfg):
 
     g runs in pre-order and adds only to the nodes on its root path, so
     ``acc`` holds one row per level: row d is the running sum of
-    ``path[d]``, the path's node at level d.  Every cell adds its terms in
+    ``path[d]``, the path's node at level d.  A row spans the root's row,
+    which holds every node's terms, term t at column ``stats.root_pos[t]``,
+    so its width does not grow with terms that no cell holds, such as the
+    ones outside the df band.  Every cell adds its terms in
     descendants(i) order, and the sums are the ones the per-node loop over
     descendants(i) gives, bit for bit.  Entering g at level L finishes the
     subtrees of the path's nodes at levels >= L; each internal one is
@@ -369,7 +372,7 @@ def _hier_rcl(stats, method, cfg):
     packed int64 key per term (``_class_width``); a class value is computed
     by the same operations on the same inputs as each of its terms' cells,
     so it has the same bits.  Each row of class values is taken onto every
-    term, those off the pattern onto one more class of +0.0, and added to
+    column, those off the pattern onto one more class of +0.0, and added to
     the whole acc row; acc is never -0.0, so adding +0.0 leaves it as it
     is.  A g nearer the root, or whose key could overflow int64, is scored
     per term and scattered onto the pattern.
@@ -385,8 +388,10 @@ def _hier_rcl(stats, method, cfg):
     0.26 s per method there (20 took 0.28 s)."""
     h = stats.hierarchy
     path = np.empty(int(h.level.max()) + 1, np.int64)   # root ... g
-    # the deepest level holds leaves only
-    acc = np.zeros((path.size - 1, stats.n_terms))
+    # the deepest level holds leaves only; the rows span the root's row,
+    # each term at its ``root_pos``
+    span = stats.freq.row(h.root)[0].size
+    acc = np.zeros((path.size - 1, span))
     s_of = stats.node_total[h.parent].astype(np.float64)
     chi2 = method == "HierRCL_chi2"
     ranked = [_UNLABELED] * stats.n_nodes
@@ -396,10 +401,12 @@ def _hier_rcl(stats, method, cfg):
             i = int(path[d])
             if stats.child_count[i]:
                 idx, tie = stats.freq.row(i)
-                ranked[i] = _topk_arrays(idx, acc[d, idx], tie, cfg.p_cap)
-                acc[d, idx] = 0.0
+                cols = stats.root_pos.take(idx)
+                ranked[i] = _topk_arrays(idx, acc[d, cols], tie, cfg.p_cap)
+                acc[d, cols] = 0.0
 
     top = 0         # the path holds levels 0 .. top - 1
+    last = -1       # the pg whose support row's columns ``at`` holds
     for g in h.preorder.tolist():
         lvl = int(h.level[g])
         rank(range(lvl, top))
@@ -410,11 +417,13 @@ def _hier_rcl(stats, method, cfg):
         pg = int(h.parent[g])
         c = int(stats.child_count[pg])
         idx, support = stats.child_support.row(pg)
-        idx = idx.astype(np.int64)
+        if pg != last:
+            # a run of siblings in pre-order, such as leaves, shares it
+            last, at = pg, stats.root_pos.take(idx)
         tp = np.zeros(idx.size, stats.freq.data.dtype)
         tp[stats.on_parent(g)] = stats.freq.row(g)[1]
         f_pg = stats.freq.row(pg)[1]
-        # where g is scored by class, acc[d, t] adds value ``take[t]`` of
+        # where g is scored by class, acc[d, k] adds value ``take[k]`` of
         # row d; the terms off the pattern take class tp.size, +0.0
         take = None
         width = _class_width(stats, g)
@@ -425,8 +434,8 @@ def _hier_rcl(stats, method, cfg):
                 return_inverse=True)
             key, support = np.divmod(key, c + 1)
             tp, f_pg = np.divmod(key, width)
-            take = np.full(stats.n_terms, tp.size, inverse.dtype)
-            take[idx] = inverse
+            take = np.full(span, tp.size, inverse.dtype)
+            take[at] = inverse
         cf = support / c
         tp = tp.astype(np.float64)
         fn = m1 - tp
@@ -447,7 +456,7 @@ def _hier_rcl(stats, method, cfg):
         # HierRCL_chi2 on wide-staged v0 from 0.045 to 0.055 s
         if take is None:
             for row, add in zip(acc, v):
-                row[idx] += add
+                row[at] += add
         else:
             v = np.concatenate((v, np.zeros((lvl, 1))), axis=1)
             for row, add in zip(acc, v):

@@ -232,7 +232,8 @@ def disjoint_vocab_instance(rng, tmp_path, n_docs=24, max_nodes=13,
 def shuffled_instances(rng, tmp_path, trials):
     """Random (matrix, hierarchy) pairs for the scipy oracles: trees with
     unary nodes and children declared in shuffled order; every other
-    matrix through the Salton filter with random bounds."""
+    matrix through the Salton filter with random bounds, so that some
+    terms hold no cell."""
     for trial in range(trials):
         n_docs = int(rng.integers(2, 40))
         m = random_matrix(rng, n_docs, int(rng.integers(2, 30)))

@@ -865,9 +865,12 @@ def node_stats(matrix: DocTermMatrix, hierarchy):
     return freq, docfreq, support
 
 
-def df_filter_slice(matrix: DocTermMatrix, keep) -> sp.csr_matrix:
-    """The kept terms' columns."""
-    sub = to_scipy(matrix.csr)[:, keep].tocsr()
+def df_filter_slice(matrix: DocTermMatrix, kept) -> sp.csr_matrix:
+    """The matrix with the columns of the terms ``kept`` (a bool mask) does
+    not mark emptied, at the same width."""
+    sub = (to_scipy(matrix.csr)
+           @ sp.diags([kept.astype(np.int64)], [0], dtype=np.int64)).tocsr()
+    sub.eliminate_zeros()
     sub.sort_indices()
     return sub
 

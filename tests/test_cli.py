@@ -264,6 +264,29 @@ class TestPipeline:
             assert kind in ("specific", "generic")
             assert expr.startswith(("(", "t"))
 
+    def test_queries_name_the_label_term_ids_under_df_filter(self, tmp_path):
+        """Under a df filter, the specific query of a node with its own
+        label ORs exactly that label's term ids from labels.csv."""
+        cfg = write_fixture(tmp_path / "fx")
+        blob = json.loads(cfg.read_text())
+        blob["df_filter"] = {"low": 0.1, "high": 0.45}
+        cfg.write_text(json.dumps(blob))
+        assert cli.main(["all", "--config", str(cfg)]) == 0
+        out = tmp_path / "fx" / "out"
+        labels = {}
+        with open(out / "labels.csv", newline="") as fh:
+            for r in csv.DictReader(fh):
+                labels.setdefault((r["method"], r["node_id"]), []).append(
+                    f"t{r['term_id']}")
+        checked = 0
+        for line in (out / "queries.txt").read_text().splitlines():
+            method, nid, kind, expr = line.split(" ", 3)
+            terms = labels.get((method, nid))
+            if kind == "specific" and terms:
+                assert re.findall(r"t\d+", expr) == terms, line
+                checked += 1
+        assert checked and any(len(t) > 1 for t in labels.values())
+
 
 # (file, its fault, a part of the message, the line the message names or
 # None): one row per input fault that is found after parsing
@@ -532,6 +555,56 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path}:2: term 1 " in err, err
 
+    @pytest.mark.parametrize("stage", ["evaluate", "coherence"])
+    @pytest.mark.parametrize("fault", ["node", "term"])
+    def test_labels_csv_fault_named_in_file_order(self, tmp_path, capsys,
+                                                  stage, fault):
+        """Of two rows of one method that name a node the hierarchy lacks,
+        or a term the df filter drops, the row on the earlier line is
+        named, though the other comes first in node order."""
+        cfg = write_fixture(tmp_path / "fx")
+        blob = json.loads(cfg.read_text())
+        blob["df_filter"] = {"low": 0.0, "high": 0.4}     # drops term 1
+        cfg.write_text(json.dumps(blob))
+        assert cli.main(["label", "--config", str(cfg)]) == 0
+        path = tmp_path / "fx" / "out" / "labels.csv"
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        if fault == "node":
+            # a node 900 row on line 2 and a node 100 row on the last line
+            rows = ([rows[0][:1] + ["900"] + rows[0][2:]] + rows
+                    + [rows[0][:1] + ["100"] + rows[0][2:]])
+            want = "node 900 is not in the hierarchy"
+        else:
+            # the rank-1 rows of nodes 0 and 6 name term 1; node 6's moves
+            # to line 2
+            at = [k for k, r in enumerate(rows)
+                  if r[0] == "MTWL_raw" and r[1] in ("0", "6") and r[2] == "1"]
+            assert len(at) == 2
+            for k in at:
+                rows[k][3:5] = ["1", "term1"]
+            rows.insert(0, rows.pop(at[-1]))
+            want = "term 1 is absent from the working vocabulary"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        capsys.readouterr()
+        assert cli.main([stage, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}:2: {want}" in err, err
+
+    def test_empty_df_band_names_the_matrix(self, tmp_path, capsys):
+        # 12 documents: the band (0.7, 1.0) is 8 to 12 documents, and no
+        # term of the fixture is in more than 7
+        cfg = write_fixture(tmp_path / "fx")
+        blob = json.loads(cfg.read_text())
+        blob["df_filter"] = {"low": 0.7, "high": 1.0}
+        cfg.write_text(json.dumps(blob))
+        assert cli.main(["validate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'fx' / 'matrix.txt'}: empty vocabulary after "
+                f"filter: no term is in 8 to 12 of the 12 documents") in err, \
+            err
+
     @pytest.mark.parametrize("column", ["precision", "recall", "f"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-0.1"])
     def test_metric_outside_unit_interval_is_input_error(
@@ -759,14 +832,16 @@ class TestSingleLoad:
             assert len(calls) == parses, stage
 
     def test_all_equals_stagewise_with_df_filter(self, tmp_path):
-        # in-memory labels carry working term ids; the reports must show
-        # the same original ids as a run that re-reads labels.csv
+        # the in-memory labels and a run that re-reads labels.csv write
+        # the same reports
         cfg_path = write_fixture(tmp_path / "fx")
         blob = json.loads(cfg_path.read_text())
         blob["df_filter"] = {"low": 0.1, "high": 0.45}
         cfg_path.write_text(json.dumps(blob))
         cfg = cli.load_config(cfg_path, {})
-        assert 0 < cli.load_inputs(cfg).matrix.n_terms < 9
+        bundle = cli.load_inputs(cfg)
+        assert bundle.matrix.n_terms == bundle.kept.size == 9
+        assert 0 < np.count_nonzero(bundle.kept) < 9
         assert cli.main(["all", "--config", str(cfg_path),
                          "--out", str(tmp_path / "oa")]) == 0
         for stage in ("label", "evaluate", "stats", "coherence"):
@@ -1031,29 +1106,38 @@ class TestReportMutationFuzz:
             yield case, name, TestMutationFuzz.mutate(rng, originals[name])
 
     def test_exit_codes(self, tmp_path, capsys):
-        cfg = write_fixture(tmp_path / "fx")
-        out = tmp_path / "fx" / "out"
-        assert cli.main(["all", "--config", str(cfg)]) == 0
-        originals = {n: (out / n).read_bytes() for n in self.STAGES}
-        escaped, codes = [], []
-        for case, name, damaged in self.mutations(originals):
-            stages = self.STAGES[name]
-            stage = stages[(case // 2) % len(stages)]
-            (out / name).write_bytes(damaged)
-            try:
-                rc = cli.main([stage, "--config", str(cfg)])
-            except Exception as e:
-                escaped.append((case, name, stage, damaged, repr(e)))
-            else:
-                codes.append(rc)
-                if rc not in (0, 3):
-                    escaped.append((case, name, stage, damaged, rc))
-            finally:
-                for n, data in originals.items():
-                    (out / n).write_bytes(data)
-            capsys.readouterr()
+        # without a df filter and with one, whose mask check then meets
+        # the damaged term ids
+        escaped = []
+        for df_filter in (None, {"low": 0.1, "high": 0.45}):
+            cfg = write_fixture(tmp_path / str(bool(df_filter)))
+            blob = json.loads(cfg.read_text())
+            blob["df_filter"] = df_filter
+            cfg.write_text(json.dumps(blob))
+            out = cfg.parent / "out"
+            assert cli.main(["all", "--config", str(cfg)]) == 0
+            originals = {n: (out / n).read_bytes() for n in self.STAGES}
+            codes = []
+            for case, name, damaged in self.mutations(originals):
+                stages = self.STAGES[name]
+                stage = stages[(case // 2) % len(stages)]
+                (out / name).write_bytes(damaged)
+                try:
+                    rc = cli.main([stage, "--config", str(cfg)])
+                except Exception as e:
+                    escaped.append((df_filter, case, name, stage, damaged,
+                                    repr(e)))
+                else:
+                    codes.append(rc)
+                    if rc not in (0, 3):
+                        escaped.append((df_filter, case, name, stage,
+                                        damaged, rc))
+                finally:
+                    for n, data in originals.items():
+                        (out / n).write_bytes(data)
+                capsys.readouterr()
+            assert {0, 3} <= set(codes), df_filter
         assert not escaped, escaped[:3]
-        assert {0, 3} <= set(codes)
 
     @staticmethod
     def content(name, got):

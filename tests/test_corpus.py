@@ -330,37 +330,44 @@ class TestSaltonFilter:
         return matrix_from_cells(n_docs, len(dfs), cells)
 
     def test_chemistry_band(self):
-        # 328 docs with (0.01, 0.10) keeps exactly df in [3, 33]
+        # 328 docs with (0.01, 0.10) keeps exactly df in [3, 33]; the
+        # matrix keeps its vocabulary and the kept terms' cells
         m = self._df_matrix(328, [2, 3, 33, 34])
-        filtered, remap = corp.salton_df_filter(m, 0.01, 0.10)
-        assert list(remap) == [-1, 0, 1, -1]
-        assert filtered.n_terms == 2
+        filtered, kept = corp.salton_df_filter(m, 0.01, 0.10)
+        assert list(kept) == [False, True, True, False]
+        assert filtered.n_terms == 4
+        assert list(filtered.term_doc_freq()) == [0, 3, 33, 0]
 
     def test_ifm_band(self):
         # 385 docs with (0.01, 0.10) keeps exactly df in [4, 39]
         m = self._df_matrix(385, [3, 4, 39, 40])
-        filtered, remap = corp.salton_df_filter(m, 0.01, 0.10)
-        assert list(remap) == [-1, 0, 1, -1]
+        filtered, kept = corp.salton_df_filter(m, 0.01, 0.10)
+        assert list(kept) == [False, True, True, False]
 
     def test_identity_bounds(self):
         m = self._df_matrix(10, [1, 5, 10])
-        filtered, remap = corp.salton_df_filter(m, 0.0, 1.0)
+        filtered, kept = corp.salton_df_filter(m, 0.0, 1.0)
         assert filtered.n_terms == 3
-        assert list(remap) == [0, 1, 2]
+        assert kept.all()
+        assert np.array_equal(oracles.toarray(filtered.csr),
+                              oracles.toarray(m.csr))
 
     def test_empty_vocabulary(self):
+        # the band in documents: round(0.0 * 100) to round(0.01 * 100)
         m = self._df_matrix(100, [50, 60])
-        with pytest.raises(ValidationError, match="empty vocabulary"):
+        with pytest.raises(ValidationError,
+                           match="empty vocabulary after filter: no term is "
+                                 "in 0 to 1 of the 100 documents"):
             corp.salton_df_filter(m, 0.0, 0.01)
 
     def test_idempotent(self):
         m = self._df_matrix(328, [1, 3, 20, 33, 34, 100])
-        once, _ = corp.salton_df_filter(m, 0.01, 0.10)
-        twice, remap = corp.salton_df_filter(once, 0.01, 0.10)
-        assert twice.n_terms == once.n_terms
+        once, kept = corp.salton_df_filter(m, 0.01, 0.10)
+        twice, again = corp.salton_df_filter(once, 0.01, 0.10)
+        assert twice.n_terms == once.n_terms == m.n_terms
         assert np.count_nonzero(
             oracles.toarray(twice.csr) != oracles.toarray(once.csr)) == 0
-        assert list(remap) == list(range(once.n_terms))
+        assert np.array_equal(again, kept)
 
     def test_bad_bounds(self):
         m = self._df_matrix(10, [5])
@@ -664,12 +671,11 @@ class TestAgainstScipy:
                               int(rng.integers(2, 30)))
             low = float(rng.uniform(0, 0.3))
             try:
-                sub, remap = corp.salton_df_filter(
+                sub, kept = corp.salton_df_filter(
                     m, low, float(rng.uniform(low + 0.05, 1.0)))
             except ValidationError:
                 continue
-            assert_same_table(sub.csr, oracles.df_filter_slice(
-                m, np.flatnonzero(remap >= 0)))
+            assert_same_table(sub.csr, oracles.df_filter_slice(m, kept))
 
     def test_node_stats_are_the_incidence_products(self, tmp_path):
         rng = np.random.default_rng(67)

@@ -574,7 +574,7 @@ class TestHierRclAgainstOracle:
         seen = dict.fromkeys(("unary", "shuffled", "no_mass", "m2_zero",
                               "m4_zero", "per_term", "classes",
                               "key_overflow", "int32_key_overflow",
-                              "disjoint_reuse"), 0)
+                              "disjoint_reuse", "term_gap"), 0)
         for trial in range(20):
             if trial < 14:
                 n_docs = int(rng.integers(4, 40))
@@ -615,6 +615,10 @@ class TestHierRclAgainstOracle:
             # int64.  The counters show that the instances reach each path;
             # the exact comparison against the oracle below is the check.
             # On int32 counts, a key past 2^31 - 1 needs the int64 widening.
+            # a term without a cell below one with a cell: the accumulator
+            # rows span the root's row, so a term's column is not its id
+            held = stats.freq.row(h.root)[0]
+            seen["term_gap"] += bool(held.size and held.size <= held.max())
             for gi in g[mass[g] > 0].tolist():
                 width = lab._class_width(stats, gi)
                 if width:
